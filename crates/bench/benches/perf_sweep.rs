@@ -6,8 +6,7 @@
 //! `bench_results/` ([`lapses_bench::bench_results_dir`]) with wall
 //! time, simulated cycles/sec and delivered flits/sec, so the performance
 //! trajectory of the cycle loop is tracked from PR to PR. CI's perf-smoke
-//! job diffs this file against the committed `BENCH_baseline.json` (see
-//! the `perf_guard` binary).
+//! job uploads this file as an artifact.
 //!
 //! The workload is deliberately pinned — same mesh, seeds, message counts
 //! and thread count — so two checkouts produce comparable numbers, and the

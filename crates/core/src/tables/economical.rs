@@ -3,7 +3,7 @@
 use crate::tables::cost::StorageCost;
 use crate::tables::{RouteEntry, TableScheme};
 use lapses_routing::{torus_dateline_subclass, RoutingAlgorithm};
-use lapses_topology::{FaultyMesh, Mesh, NodeId, Sign, SignVec};
+use lapses_topology::{FaultyMesh, Mesh, NodeId, SignVec, MAX_DIMS};
 
 /// The 3ⁿ-entry economical-storage (ES) routing table.
 ///
@@ -39,13 +39,21 @@ use lapses_topology::{FaultyMesh, Mesh, NodeId, Sign, SignVec};
 #[derive(Debug)]
 pub struct EconomicalTable {
     mesh: Mesh,
-    /// `entries[node][sign_index]`; 3ⁿ entries per node.
-    entries: Vec<Vec<RouteEntry>>,
-    /// Per-destination overrides (`(dest, entry)` sorted by dest id) for
-    /// relations the sign index cannot express — the small exception CAM
-    /// an irregular-network ES table carries. Empty for source-relative
-    /// algorithms on perfect meshes, so the classic lookup is untouched.
-    exceptions: Vec<Vec<(u32, RouteEntry)>>,
+    /// The comparator logic: per-node coordinates for the sign index.
+    signs: SignIndex,
+    /// Flattened `entries[node * 3ⁿ + sign_index]`.
+    entries: Vec<RouteEntry>,
+    /// Per-destination overrides for relations the sign index cannot
+    /// express — the small exception CAM an irregular-network ES table
+    /// carries — in CSR form: router `i`'s exceptions are
+    /// `exceptions[exception_start[i]..exception_start[i + 1]]`, sorted by
+    /// destination id. Destination ids and entries are kept in parallel
+    /// arrays so the lookup's binary search touches only the ids. Empty
+    /// for source-relative algorithms on perfect meshes, so the classic
+    /// lookup is untouched.
+    exception_start: Vec<u32>,
+    exception_dests: Vec<u32>,
+    exception_entries: Vec<RouteEntry>,
     /// Whether [`TableScheme::entry`] recomputes the torus dateline
     /// subclass positionally (the classic §5.2.1 extension). Faulty
     /// programs store the subclass verbatim instead.
@@ -61,16 +69,15 @@ impl EconomicalTable {
     /// Sign combinations unrealizable at a router (e.g. `(-,·)` at the
     /// left edge of a mesh) stay [`RouteEntry::unprogrammed`].
     pub fn program(mesh: &Mesh, algo: &dyn RoutingAlgorithm) -> EconomicalTable {
-        let dims = mesh.dims();
-        let table_len = SignVec::table_len(dims);
-        let mut entries = vec![vec![RouteEntry::unprogrammed(); table_len]; mesh.node_count()];
+        let signs = SignIndex::new(mesh);
+        let table_len = signs.table_len();
+        let mut entries = vec![RouteEntry::unprogrammed(); mesh.node_count() * table_len];
+        let mut programmed = vec![false; table_len];
 
-        for node in mesh.nodes() {
-            let row = &mut entries[node.index()];
-            let mut programmed = vec![false; table_len];
+        for (node, row) in mesh.nodes().zip(entries.chunks_exact_mut(table_len)) {
+            programmed.fill(false);
             for dest in mesh.nodes() {
-                let sv = relative_sign(mesh, node, dest);
-                let idx = sv.table_index();
+                let idx = signs.index(node, dest);
                 let entry = if node == dest {
                     RouteEntry::local()
                 } else {
@@ -80,6 +87,7 @@ impl EconomicalTable {
                         // are minimal, but a sign can encode only one; keep
                         // the sign-consistent direction (the slight
                         // adaptivity loss of the sign encoding).
+                        let sv = SignVec::from_table_index(idx, mesh.dims());
                         candidates = candidates
                             .iter()
                             .filter(|p| {
@@ -100,7 +108,7 @@ impl EconomicalTable {
                     debug_assert_eq!(
                         (row[idx].candidates, row[idx].escape),
                         (entry.candidates, entry.escape),
-                        "algorithm {} is not source-relative: sign {sv} at {node} \
+                        "algorithm {} is not source-relative: sign index {idx} at {node} \
                          maps to different entries",
                         algo.name()
                     );
@@ -113,8 +121,11 @@ impl EconomicalTable {
 
         EconomicalTable {
             mesh: mesh.clone(),
+            signs,
             entries,
-            exceptions: vec![Vec::new(); mesh.node_count()],
+            exception_start: vec![0; mesh.node_count() + 1],
+            exception_dests: Vec::new(),
+            exception_entries: Vec::new(),
             recompute_dateline: true,
         }
     }
@@ -126,23 +137,39 @@ impl EconomicalTable {
     /// Up*/down* routes around dead links are not functions of the sign
     /// vector alone, so the 3ⁿ base table cannot be lossless by itself.
     /// Instead, each sign class is programmed with the entry shared by the
-    /// *most* destinations of the class, and every disagreeing
-    /// destination goes into a small per-router exception store (the CAM
-    /// a real ES router would add for irregular networks). The result is
-    /// exactly lossless for any relation; for source-relative algorithms
-    /// on fault-free meshes the exception store is empty and the table
+    /// *most* destinations of the class (ties go to the entry whose first
+    /// destination has the lowest id), and every disagreeing destination
+    /// goes into a small per-router exception store (the CAM a real ES
+    /// router would add for irregular networks). The result is exactly
+    /// lossless for any relation; for source-relative algorithms on
+    /// fault-free meshes the exception store is empty and the table
     /// degenerates to the classic 3ⁿ program (asserted by tests).
+    ///
+    /// Per router this is three passes over the destinations: compute each
+    /// true entry and its sign class, count `(class, entry)` occurrences in
+    /// a direct-indexed array, then keep the first destination of each
+    /// class whose entry has the class's highest count.
     pub fn program_faulty(fmesh: &FaultyMesh, algo: &dyn RoutingAlgorithm) -> EconomicalTable {
         let mesh = fmesh.mesh();
-        let dims = mesh.dims();
-        let table_len = SignVec::table_len(dims);
         let n = mesh.node_count();
-        let mut entries = vec![vec![RouteEntry::unprogrammed(); table_len]; n];
-        let mut exceptions = vec![Vec::new(); n];
+        let signs = SignIndex::new(mesh);
+        let table_len = signs.table_len();
+        let ports = mesh.ports_per_router();
+        let mut entries = vec![RouteEntry::unprogrammed(); n * table_len];
+        let mut exception_start = Vec::with_capacity(n + 1);
+        exception_start.push(0u32);
+        let mut exception_dests = Vec::new();
+        let mut exception_entries = Vec::new();
 
-        for node in mesh.nodes() {
-            // Gather every destination's true entry, grouped by sign class.
-            let mut by_class: Vec<Vec<(u32, RouteEntry)>> = vec![Vec::new(); table_len];
+        // Per-router scratch, reused: each destination's true entry, its
+        // dense key and sign class, the per-(class, key) counts, and each
+        // class's base destination with its count.
+        let mut row: Vec<(RouteEntry, usize, usize)> = Vec::with_capacity(n);
+        let mut counts: Vec<u32> = Vec::new();
+        let mut base = vec![(0u32, 0usize); table_len];
+        for (node, base_row) in mesh.nodes().zip(entries.chunks_exact_mut(table_len)) {
+            row.clear();
+            let mut keys = 0;
             for dest in mesh.nodes() {
                 let entry = if node == dest {
                     RouteEntry::local()
@@ -153,48 +180,45 @@ impl EconomicalTable {
                         escape_subclass: algo.escape_subclass(mesh, node, dest) as u8,
                     }
                 };
-                let idx = relative_sign(mesh, node, dest).table_index();
-                by_class[idx].push((dest.0, entry));
+                let key = entry_key(entry, ports);
+                keys = keys.max(key + 1);
+                row.push((entry, key, signs.index(node, dest)));
             }
-            // Base entry per class: the mode, first-appearance tie-break
-            // (deterministic); everything else becomes an exception.
-            for (idx, members) in by_class.iter().enumerate() {
-                if members.is_empty() {
-                    continue;
-                }
-                let mut tally: Vec<(RouteEntry, usize)> = Vec::new();
-                for (_, e) in members {
-                    match tally.iter_mut().find(|(t, _)| t == e) {
-                        Some((_, c)) => *c += 1,
-                        None => tally.push((*e, 1)),
-                    }
-                }
-                // `tally` is in first-appearance order and `>` keeps the
-                // earliest of equally-frequent entries, so the tie-break
-                // really is first-appearance (max_by_key would keep the
-                // last).
-                let base = tally
-                    .iter()
-                    .fold(None::<(RouteEntry, usize)>, |best, &(e, c)| match best {
-                        Some((_, bc)) if c <= bc => best,
-                        _ => Some((e, c)),
-                    })
-                    .map(|(e, _)| e)
-                    .expect("class is non-empty");
-                entries[node.index()][idx] = base;
-                for (dest, e) in members {
-                    if *e != base {
-                        exceptions[node.index()].push((*dest, *e));
-                    }
+            counts.clear();
+            counts.resize(table_len * keys, 0);
+            for &(_, key, class) in &row {
+                counts[class * keys + key] += 1;
+            }
+            base.fill((0, 0));
+            for (dest, &(_, key, class)) in row.iter().enumerate() {
+                let count = counts[class * keys + key];
+                if count > base[class].0 {
+                    base[class] = (count, dest);
                 }
             }
-            exceptions[node.index()].sort_unstable_by_key(|(d, _)| *d);
+            for (slot, &(count, dest)) in base_row.iter_mut().zip(&base) {
+                if count > 0 {
+                    *slot = row[dest].0;
+                }
+            }
+            for (dest, &(entry, _, class)) in row.iter().enumerate() {
+                if entry != base_row[class] {
+                    exception_dests.push(dest as u32);
+                    exception_entries.push(entry);
+                }
+            }
+            exception_start.push(
+                u32::try_from(exception_dests.len()).expect("exception count fits the CSR offsets"),
+            );
         }
 
         EconomicalTable {
             mesh: mesh.clone(),
+            signs,
             entries,
-            exceptions,
+            exception_start,
+            exception_dests,
+            exception_entries,
             recompute_dateline: false,
         }
     }
@@ -202,40 +226,101 @@ impl EconomicalTable {
     /// Exception entries across all routers (0 for source-relative
     /// algorithms on fault-free meshes).
     pub fn exception_count(&self) -> usize {
-        self.exceptions.iter().map(Vec::len).sum()
+        self.exception_dests.len()
     }
 
     /// The largest per-router exception store — the extra entries one
     /// router's hardware table would need on top of the 3ⁿ base.
     pub fn max_exceptions_per_router(&self) -> usize {
-        self.exceptions.iter().map(Vec::len).max().unwrap_or(0)
+        self.exception_start
+            .windows(2)
+            .map(|w| (w[1] - w[0]) as usize)
+            .max()
+            .unwrap_or(0)
     }
 }
 
-/// The wrap-aware relative sign: per dimension, the minimal direction of
-/// travel toward `dest` (preferring `+` on a torus half-way tie), or zero
-/// when aligned. On a mesh this is the plain coordinate-difference sign of
-/// §5.2.1.
-pub fn relative_sign(mesh: &Mesh, node: NodeId, dest: NodeId) -> SignVec {
-    let h = mesh.coord_of(node);
-    let d = mesh.coord_of(dest);
-    let mut signs = [Sign::Zero; lapses_topology::MAX_DIMS];
-    for (dim, s) in signs.iter_mut().enumerate().take(mesh.dims()) {
-        *s = if !mesh.is_torus() {
-            Sign::of(d[dim] as i32 - h[dim] as i32)
-        } else {
-            let k = mesh.extent(dim) as i32;
-            let fwd = (d[dim] as i32 - h[dim] as i32).rem_euclid(k);
-            if fwd == 0 {
-                Sign::Zero
-            } else if fwd <= k - fwd {
-                Sign::Plus // prefer + on the exactly-half tie
-            } else {
-                Sign::Minus
-            }
-        };
+/// A dense injective key for an entry whose ports lie below `ports`:
+/// candidate bits, then the escape port (0 for none), then the subclass.
+fn entry_key(entry: RouteEntry, ports: usize) -> usize {
+    let bits = entry.candidates.bits() as usize;
+    debug_assert!(bits < 1 << ports, "candidate outside the router's ports");
+    let escape = entry.escape.map_or(0, |p| p.index() + 1);
+    let escape_bits = usize::BITS - ports.leading_zeros();
+    bits | (escape << ports) | ((entry.escape_subclass as usize) << (ports + escape_bits as usize))
+}
+
+/// The comparator logic of §5.2.1 with the node-id register unpacked:
+/// per-node coordinates, precomputed once, from which the sign-table index
+/// of any `(router, destination)` pair follows with no division.
+///
+/// Per dimension the sign is the minimal direction of travel toward the
+/// destination, or zero when aligned. On a mesh that is the plain
+/// coordinate-difference sign; on a torus it is wrap-aware, preferring `+`
+/// on an exactly-half-way tie.
+#[derive(Debug, Clone)]
+struct SignIndex {
+    dims: usize,
+    /// Entries per router: 3ⁿ.
+    len: usize,
+    /// Per-dimension extents on a torus, `None` on a mesh.
+    wrap: Option<[u16; MAX_DIMS]>,
+    coords: Vec<[u16; MAX_DIMS]>,
+}
+
+impl SignIndex {
+    fn new(mesh: &Mesh) -> SignIndex {
+        let dims = mesh.dims();
+        let mut extents = [0u16; MAX_DIMS];
+        extents[..dims].copy_from_slice(mesh.shape());
+        let coords = mesh
+            .nodes()
+            .map(|node| {
+                let mut c = [0u16; MAX_DIMS];
+                c[..dims].copy_from_slice(mesh.coord_of(node).components());
+                c
+            })
+            .collect();
+        SignIndex {
+            dims,
+            len: SignVec::table_len(dims),
+            wrap: mesh.is_torus().then_some(extents),
+            coords,
+        }
     }
-    SignVec::from_signs(&signs[..mesh.dims()])
+
+    /// Entries per router: 3ⁿ.
+    fn table_len(&self) -> usize {
+        self.len
+    }
+
+    /// The sign-table index of `dest` seen from `node`: base 3 with
+    /// dimension 0 least significant, digits `0` aligned, `1` plus, `2`
+    /// minus (see [`SignVec::table_index`]).
+    #[inline]
+    fn index(&self, node: NodeId, dest: NodeId) -> usize {
+        let h = &self.coords[node.index()];
+        let d = &self.coords[dest.index()];
+        let mut idx = 0;
+        for dim in (0..self.dims).rev() {
+            let digit = match self.wrap {
+                None => usize::from(d[dim] > h[dim]) + 2 * usize::from(d[dim] < h[dim]),
+                Some(k) => {
+                    let k = u32::from(k[dim]);
+                    let fwd = (u32::from(d[dim]) + k - u32::from(h[dim])) % k;
+                    if fwd == 0 {
+                        0
+                    } else if fwd <= k - fwd {
+                        1
+                    } else {
+                        2
+                    }
+                }
+            };
+            idx = idx * 3 + digit;
+        }
+        idx
+    }
 }
 
 impl TableScheme for EconomicalTable {
@@ -248,15 +333,16 @@ impl TableScheme for EconomicalTable {
     }
 
     fn entry(&self, node: NodeId, dest: NodeId) -> RouteEntry {
-        let exceptions = &self.exceptions[node.index()];
-        if !exceptions.is_empty() {
-            if let Ok(i) = exceptions.binary_search_by_key(&dest.0, |(d, _)| *d) {
-                return exceptions[i].1;
+        let lo = self.exception_start[node.index()] as usize;
+        let hi = self.exception_start[node.index() + 1] as usize;
+        if lo != hi {
+            if let Ok(i) = self.exception_dests[lo..hi].binary_search(&dest.0) {
+                return self.exception_entries[lo + i];
             }
         }
-        let sv = relative_sign(&self.mesh, node, dest);
-        let mut e = self.entries[node.index()][sv.table_index()];
-        if self.recompute_dateline && self.mesh.is_torus() {
+        let mut e =
+            self.entries[node.index() * self.signs.table_len() + self.signs.index(node, dest)];
+        if self.recompute_dateline && self.signs.wrap.is_some() {
             e.escape_subclass = torus_dateline_subclass(&self.mesh, node, dest, e.escape) as u8;
         }
         e
@@ -275,6 +361,7 @@ mod tests {
     use super::*;
     use crate::tables::FullTable;
     use lapses_routing::{DimensionOrder, DuatoAdaptive, TurnModel, TurnModelKind};
+    use lapses_topology::Sign;
 
     /// §5.2.2's headline claim: "performance of full-table routing and
     /// economical storage routing are identical" because the entries agree
@@ -359,18 +446,20 @@ mod tests {
         let sv = SignVec::from_signs(&[Sign::Minus, Sign::Minus]);
         let origin = mesh.id_at(&[0, 0]).unwrap();
         assert_eq!(
-            econ.entries[origin.index()][sv.table_index()],
+            econ.entries[origin.index() * 9 + sv.table_index()],
             RouteEntry::unprogrammed()
         );
     }
 
     #[test]
     fn relative_sign_on_mesh_matches_signvec() {
-        let mesh = Mesh::mesh_2d(8, 8);
-        for node in mesh.nodes().step_by(5) {
-            for dest in mesh.nodes().step_by(3) {
-                let direct = SignVec::between(&mesh.coord_of(node), &mesh.coord_of(dest));
-                assert_eq!(relative_sign(&mesh, node, dest), direct);
+        for mesh in [Mesh::mesh_2d(8, 5), Mesh::mesh_3d(3, 4, 2)] {
+            let signs = SignIndex::new(&mesh);
+            for node in mesh.nodes() {
+                for dest in mesh.nodes() {
+                    let direct = SignVec::between(&mesh.coord_of(node), &mesh.coord_of(dest));
+                    assert_eq!(signs.index(node, dest), direct.table_index());
+                }
             }
         }
     }
@@ -427,12 +516,14 @@ mod tests {
     #[test]
     fn relative_sign_on_torus_points_the_short_way() {
         let torus = Mesh::torus_2d(8, 8);
+        let signs = SignIndex::new(&torus);
+        let sign = |a, b| SignVec::from_table_index(signs.index(a, b), 2).sign(0);
         let a = torus.id_at(&[1, 0]).unwrap();
         let b = torus.id_at(&[7, 0]).unwrap();
         // Short way from 1 to 7 is backwards (2 hops) not forward (6).
-        assert_eq!(relative_sign(&torus, a, b).sign(0), Sign::Minus);
+        assert_eq!(sign(a, b), Sign::Minus);
         // Half-way tie prefers +.
         let c = torus.id_at(&[5, 0]).unwrap();
-        assert_eq!(relative_sign(&torus, a, c).sign(0), Sign::Plus);
+        assert_eq!(sign(a, c), Sign::Plus);
     }
 }

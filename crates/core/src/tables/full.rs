@@ -3,7 +3,7 @@
 use crate::tables::cost::StorageCost;
 use crate::tables::{RouteEntry, TableScheme};
 use lapses_routing::RoutingAlgorithm;
-use lapses_topology::{FaultyMesh, Mesh, NodeId};
+use lapses_topology::{FaultyMesh, Mesh, NodeId, Port, PortSet};
 
 /// The conventional complete routing table (§5: "a distinct routing table
 /// entry is available for every destination node") — the baseline the
@@ -26,19 +26,19 @@ use lapses_topology::{FaultyMesh, Mesh, NodeId};
 #[derive(Debug)]
 pub struct FullTable {
     mesh: Mesh,
-    /// `entries[node][dest]`.
-    entries: Vec<Vec<RouteEntry>>,
+    /// Node count `n`, the row stride.
+    nodes: usize,
+    /// Flattened `entries[node * n + dest]`.
+    entries: Vec<RouteEntry>,
 }
 
 impl FullTable {
     /// Compiles a full table for every router from a routing algorithm.
     pub fn program(mesh: &Mesh, algo: &dyn RoutingAlgorithm) -> FullTable {
-        let n = mesh.node_count();
-        let mut entries = Vec::with_capacity(n);
+        let mut entries = Vec::with_capacity(mesh.node_count() * mesh.node_count());
         for node in mesh.nodes() {
-            let mut row = Vec::with_capacity(n);
-            for dest in mesh.nodes() {
-                row.push(if node == dest {
+            entries.extend(mesh.nodes().map(|dest| {
+                if node == dest {
                     RouteEntry::local()
                 } else {
                     RouteEntry {
@@ -46,12 +46,12 @@ impl FullTable {
                         escape: algo.escape_port(mesh, node, dest),
                         escape_subclass: algo.escape_subclass(mesh, node, dest) as u8,
                     }
-                });
-            }
-            entries.push(row);
+                }
+            }));
         }
         FullTable {
             mesh: mesh.clone(),
+            nodes: mesh.node_count(),
             entries,
         }
     }
@@ -59,19 +59,23 @@ impl FullTable {
     /// Compiles a full table over a faulty topology, asserting that no
     /// programmed entry — candidate or escape — ever crosses a dead link.
     /// Per-destination tables express irregular relations natively, so
-    /// this is [`FullTable::program`] plus the safety check.
+    /// this is [`FullTable::program`] plus the safety check: every port an
+    /// entry names must be the local port or one of the router's alive
+    /// ports.
     pub fn program_faulty(fmesh: &FaultyMesh, algo: &dyn RoutingAlgorithm) -> FullTable {
         let table = Self::program(fmesh.mesh(), algo);
-        for node in fmesh.mesh().nodes() {
-            for dest in fmesh.mesh().nodes() {
-                let e = table.entry(node, dest);
-                for p in e.candidates.iter().chain(e.escape) {
-                    if let Some(dir) = p.direction() {
-                        assert!(
-                            fmesh.neighbor(node, dir).is_some(),
-                            "table entry {node}->{dest} routes over the dead link {node} {dir}"
-                        );
-                    }
+        for (node, row) in fmesh
+            .mesh()
+            .nodes()
+            .zip(table.entries.chunks_exact(table.nodes))
+        {
+            let usable = fmesh.alive_ports(node).union(PortSet::single(Port::LOCAL));
+            for (dest, e) in row.iter().enumerate() {
+                let used = e
+                    .candidates
+                    .union(e.escape.map_or(PortSet::EMPTY, PortSet::single));
+                if let Some(dead) = used.difference(usable).first() {
+                    panic!("table entry {node}->n{dest} routes over the dead link {node} {dead}");
                 }
             }
         }
@@ -89,7 +93,7 @@ impl TableScheme for FullTable {
     }
 
     fn entry(&self, node: NodeId, dest: NodeId) -> RouteEntry {
-        self.entries[node.index()][dest.index()]
+        self.entries[node.index() * self.nodes + dest.index()]
     }
 
     fn storage(&self) -> StorageCost {
@@ -101,7 +105,7 @@ impl TableScheme for FullTable {
 mod tests {
     use super::*;
     use lapses_routing::{DimensionOrder, DuatoAdaptive};
-    use lapses_topology::{Direction, Port, PortSet};
+    use lapses_topology::Direction;
 
     #[test]
     fn full_table_reproduces_the_algorithm_exactly() {

@@ -104,10 +104,9 @@ impl IntervalTable {
             let port = algo
                 .escape_port(mesh, node, dest)
                 .expect("escape route exists away from dest");
-            let dir = port.direction().expect("escape is a network port");
             assert!(
-                fmesh.neighbor(node, dir).is_some(),
-                "escape relation routed over the dead link {node} {dir}"
+                fmesh.alive_ports(node).contains(port),
+                "escape relation routed over the dead link {node} {port}"
             );
             port
         });

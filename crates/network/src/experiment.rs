@@ -106,6 +106,26 @@ impl Algorithm {
     pub fn fault_tolerant(self) -> bool {
         matches!(self, Algorithm::UpDown | Algorithm::UpDownAdaptive)
     }
+
+    /// Escape VCs the relation needs for deadlock freedom on `mesh`: 0 when
+    /// the relation alone is deadlock-free, else one per escape subclass
+    /// (dateline class). Answered without compiling an up*/down* program:
+    /// up*/down* ignores wrap state, so its adaptive variant needs one
+    /// escape VC on any topology and its deterministic variant none.
+    pub fn escape_vcs_needed(self, mesh: &Mesh) -> usize {
+        match self {
+            Algorithm::UpDown => 0,
+            Algorithm::UpDownAdaptive => 1,
+            classic => {
+                let algo = classic.build();
+                if algo.deadlock_free_without_escape() {
+                    0
+                } else {
+                    algo.escape_subclasses(mesh).max(1)
+                }
+            }
+        }
+    }
 }
 
 /// Which links of the topology are dead for a run.
@@ -1061,6 +1081,43 @@ mod tests {
         let _ = fast(SimConfig::paper_adaptive(4, 4))
             .with_faults(&[(0, 1)])
             .run();
+    }
+
+    #[test]
+    fn escape_vc_needs_match_the_compiled_relations() {
+        let all = [
+            Algorithm::DimensionOrder,
+            Algorithm::Duato,
+            Algorithm::NorthLast,
+            Algorithm::WestFirst,
+            Algorithm::NegativeFirst,
+            Algorithm::UpDown,
+            Algorithm::UpDownAdaptive,
+        ];
+        for mesh in [
+            Mesh::mesh_2d(4, 4),
+            Mesh::torus_2d(4, 4),
+            Mesh::mesh_3d(3, 3, 3),
+        ] {
+            let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), FaultSet::empty()).unwrap());
+            for algorithm in all {
+                if algorithm.requires_2d_mesh() && (mesh.dims() != 2 || mesh.is_torus()) {
+                    continue;
+                }
+                let algo = algorithm.build_on(&fmesh);
+                let compiled = if algo.deadlock_free_without_escape() {
+                    0
+                } else {
+                    algo.escape_subclasses(&mesh).max(1)
+                };
+                assert_eq!(
+                    algorithm.escape_vcs_needed(&mesh),
+                    compiled,
+                    "{} on {mesh}",
+                    algorithm.name()
+                );
+            }
+        }
     }
 
     #[test]

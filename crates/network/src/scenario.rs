@@ -33,7 +33,7 @@ use crate::experiment::{Algorithm, ArrivalKind, Pattern, SimConfig, TableKind, W
 use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
 use lapses_core::RouterConfig;
-use lapses_topology::{FaultError, FaultyMesh, Mesh};
+use lapses_topology::{FaultError, Mesh};
 use lapses_traffic::workload::OnOffWorkload;
 use lapses_traffic::{Generator, LengthDistribution, Trace};
 use std::fmt;
@@ -451,9 +451,18 @@ impl ScenarioBuilder {
     /// Validates the composition and produces a runnable [`Scenario`].
     ///
     /// Checks, in order: load sanity, measurement window, VC counts,
-    /// algorithm/topology compatibility, escape-VC sufficiency for
-    /// deadlock freedom, and workload-specific consistency (Bernoulli
-    /// gap ≥ 1 cycle, bursty OFF-silence positivity, trace node count).
+    /// algorithm/topology compatibility, faults (valid links, an up*/down*
+    /// algorithm and a fault-capable table, connectivity), escape-VC
+    /// sufficiency for deadlock freedom, and workload-specific consistency
+    /// (Bernoulli gap ≥ 1 cycle, bursty OFF-silence positivity, trace node
+    /// count).
+    ///
+    /// Validation compiles nothing: faults are checked with one
+    /// connectivity BFS over the surviving links, and the escape-VC need
+    /// comes from [`Algorithm::escape_vcs_needed`]. The faulty-mesh view,
+    /// the up*/down* program and the routing tables are compiled once, in
+    /// [`Scenario::run`].
+    ///
     /// For trace workloads the measured-injection count is clamped to the
     /// events the trace actually holds, so a trace run ends exactly when
     /// the replay drains.
@@ -484,11 +493,11 @@ impl ScenarioBuilder {
             });
         }
 
-        // Faults resolve and validate before the algorithm builds: every
-        // fault problem is a typed error, and constructing the faulty-mesh
-        // view (needed to compile up*/down*) proves connectivity. Only the
-        // up*/down* family routes around dead links, and the meta-tables
-        // have no irregular-topology programming.
+        // Every fault problem is a typed error. Only the up*/down* family
+        // routes around dead links, and the meta-tables have no
+        // irregular-topology programming. Faults are validated by one
+        // connectivity BFS; the faulty-mesh view and the up*/down* program
+        // are compiled only when the scenario runs.
         let faults = config
             .faults
             .resolve(&config.mesh)
@@ -505,24 +514,18 @@ impl ScenarioBuilder {
                 table: config.table.name(),
             });
         }
-        let algo = if config.algorithm.fault_tolerant() {
-            let fmesh =
-                FaultyMesh::new(config.mesh.clone(), faults).map_err(ScenarioError::Faults)?;
-            config.algorithm.build_on(&Arc::new(fmesh))
-        } else {
-            config.algorithm.build()
-        };
-        if !algo.deadlock_free_without_escape() {
-            // On a torus, dimension-order escapes need one VC per dateline
-            // subclass; up*/down* ignores wrap state and needs just one.
-            let needed = algo.escape_subclasses(&config.mesh).max(1);
-            if router.escape_vcs < needed {
-                return Err(ScenarioError::EscapeVcs {
-                    algorithm: config.algorithm,
-                    needed,
-                    have: router.escape_vcs,
-                });
-            }
+        if !faults.is_empty() {
+            faults
+                .check_connected(&config.mesh)
+                .map_err(ScenarioError::Faults)?;
+        }
+        let needed = config.algorithm.escape_vcs_needed(&config.mesh);
+        if router.escape_vcs < needed {
+            return Err(ScenarioError::EscapeVcs {
+                algorithm: config.algorithm,
+                needed,
+                have: router.escape_vcs,
+            });
         }
 
         match &config.workload {
@@ -771,6 +774,30 @@ mod tests {
             matches!(err, ScenarioError::Faults(FaultError::Disconnected { .. })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn connectivity_check_reports_what_the_faulty_mesh_reports() {
+        use lapses_topology::{FaultSet, FaultyMesh, NodeId};
+        // The corner-cut fixture: node 0 loses both of its links.
+        let mesh = Mesh::mesh_2d(4, 4);
+        let faults =
+            FaultSet::new(&mesh, &[(NodeId(0), NodeId(1)), (NodeId(0), NodeId(4))]).unwrap();
+        let compiled = FaultyMesh::new(mesh.clone(), faults.clone()).unwrap_err();
+        assert_eq!(
+            compiled,
+            FaultError::Disconnected {
+                reachable: 1,
+                nodes: 16
+            }
+        );
+        assert_eq!(faults.check_connected(&mesh).unwrap_err(), compiled);
+        let err = small()
+            .faults(&[(0, 1), (0, 4)])
+            .algorithm(Algorithm::UpDown)
+            .build()
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::Faults(compiled));
     }
 
     #[test]

@@ -26,9 +26,13 @@
 //!   Duato-style escape — Silla & Duato's minimal-adaptive protocol for
 //!   irregular topologies.
 //!
-//! Routes are precomputed at construction (one reverse-BFS plus one
-//! rank-ordered scan per destination), so the [`RoutingAlgorithm`]
-//! queries used by table programming are O(1).
+//! Routes are precomputed at construction: the up*/down* order comes from
+//! the faulty mesh's precomputed distances to the root, then each
+//! destination takes one reverse BFS, one rank-ordered scan and one
+//! port-choice pass, all reading the faulty mesh's surviving-link table —
+//! O(n² · ports) for n nodes. The [`RoutingAlgorithm`] queries used by
+//! table programming are then O(1) loads (adaptive candidates are
+//! [`FaultyMesh::productive_ports`], O(ports)).
 //!
 //! # Example
 //!
@@ -48,7 +52,6 @@
 
 use crate::algorithms::RoutingAlgorithm;
 use lapses_topology::{FaultyMesh, Mesh, NodeId, Port, PortSet};
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 /// BFS-rooted up*/down* routing over the surviving links of a
@@ -81,32 +84,32 @@ impl UpDown {
 
     fn build(fmesh: Arc<FaultyMesh>, adaptive: bool) -> UpDown {
         let n = fmesh.node_count();
-        let rank = Self::ranks(&fmesh);
-        // Nodes in increasing rank order, for the up-phase cost scan.
-        let mut by_rank: Vec<u32> = (0..n as u32).collect();
-        by_rank.sort_unstable_by_key(|&v| rank[v as usize]);
+        let by_rank = Self::rank_order(&fmesh);
+        let mut rank = vec![0u32; n];
+        for (r, &v) in by_rank.iter().enumerate() {
+            rank[v as usize] = r as u32;
+        }
 
         let mut esc = vec![0u8; n * n];
         let mut dist_down = vec![u32::MAX; n];
         let mut cost = vec![u32::MAX; n];
-        let mut queue = VecDeque::new();
-        for dest in fmesh.mesh().nodes() {
+        let mut queue: Vec<NodeId> = Vec::with_capacity(n);
+        for (dest, esc_row) in esc.chunks_exact_mut(n.max(1)).enumerate() {
             // Shortest down-only distance to `dest`: reverse BFS relaxing
             // predecessors u of x whose link u→x is a down link
             // (rank[u] < rank[x]).
             dist_down.fill(u32::MAX);
-            dist_down[dest.index()] = 0;
+            dist_down[dest] = 0;
             queue.clear();
-            queue.push_back(dest);
-            while let Some(x) = queue.pop_front() {
-                let d = dist_down[x.index()];
-                for p in fmesh.alive_ports(x).iter() {
-                    let u = fmesh
-                        .neighbor(x, p.direction().expect("direction port"))
-                        .expect("alive link exists");
+            queue.push(NodeId(dest as u32));
+            let mut head = 0;
+            while let Some(&x) = queue.get(head) {
+                head += 1;
+                let d = dist_down[x.index()] + 1;
+                for (_, u) in fmesh.links(x) {
                     if rank[u.index()] < rank[x.index()] && dist_down[u.index()] == u32::MAX {
-                        dist_down[u.index()] = d + 1;
-                        queue.push_back(u);
+                        dist_down[u.index()] = d;
+                        queue.push(u);
                     }
                 }
             }
@@ -120,10 +123,7 @@ impl UpDown {
             for &v in &by_rank {
                 let v = NodeId(v);
                 let mut best = dist_down[v.index()];
-                for p in fmesh.alive_ports(v).iter() {
-                    let w = fmesh
-                        .neighbor(v, p.direction().expect("direction port"))
-                        .expect("alive link exists");
+                for (_, w) in fmesh.links(v) {
                     if rank[w.index()] < rank[v.index()] {
                         best = best.min(cost[w.index()].saturating_add(1));
                     }
@@ -133,26 +133,19 @@ impl UpDown {
 
             // The positional escape choice: down if possible, else the
             // cheapest up link; ties break on the lowest port index.
-            for node in fmesh.mesh().nodes() {
+            for (node, slot) in esc_row.iter_mut().enumerate() {
                 if node == dest {
                     continue;
                 }
+                let here_down = dist_down[node];
                 let mut chosen: Option<(u32, Port)> = None;
-                for p in fmesh.alive_ports(node).iter() {
-                    let nb = fmesh
-                        .neighbor(node, p.direction().expect("direction port"))
-                        .expect("alive link exists");
-                    let key = if dist_down[node.index()] != u32::MAX {
+                for (p, nb) in fmesh.links(NodeId(node as u32)) {
+                    let key = if here_down != u32::MAX {
                         // Down phase: a down link one step closer on the
                         // down-only metric.
-                        if rank[nb.index()] > rank[node.index()]
-                            && dist_down[nb.index()] == dist_down[node.index()] - 1
-                        {
-                            Some(0)
-                        } else {
-                            None
-                        }
-                    } else if rank[nb.index()] < rank[node.index()] {
+                        (rank[nb.index()] > rank[node] && dist_down[nb.index()] == here_down - 1)
+                            .then_some(0)
+                    } else if rank[nb.index()] < rank[node] {
                         // Up phase: rank the up links by total route cost.
                         Some(cost[nb.index()])
                     } else {
@@ -165,7 +158,7 @@ impl UpDown {
                     }
                 }
                 let (_, port) = chosen.expect("connected faulty mesh always has an up*/down* hop");
-                esc[dest.index() * n + node.index()] = port.index() as u8;
+                *slot = port.index() as u8;
             }
         }
 
@@ -177,31 +170,13 @@ impl UpDown {
         }
     }
 
-    /// BFS levels from the root (node 0), ties by node id — the total
-    /// order that classifies every link as up or down.
-    fn ranks(fmesh: &FaultyMesh) -> Vec<u32> {
-        let n = fmesh.node_count();
-        let mut level = vec![u32::MAX; n];
-        level[0] = 0;
-        let mut queue = VecDeque::from([NodeId(0)]);
-        while let Some(node) = queue.pop_front() {
-            for p in fmesh.alive_ports(node).iter() {
-                let nb = fmesh
-                    .neighbor(node, p.direction().expect("direction port"))
-                    .expect("alive link exists");
-                if level[nb.index()] == u32::MAX {
-                    level[nb.index()] = level[node.index()] + 1;
-                    queue.push_back(nb);
-                }
-            }
-        }
-        let mut by_level: Vec<u32> = (0..n as u32).collect();
-        by_level.sort_unstable_by_key(|&v| (level[v as usize], v));
-        let mut rank = vec![0u32; n];
-        for (r, &v) in by_level.iter().enumerate() {
-            rank[v as usize] = r as u32;
-        }
-        rank
+    /// Nodes in up*/down* order: BFS level from the root (node 0), ties by
+    /// node id — the total order that classifies every link as up or down.
+    /// The levels are the faulty mesh's hop distances from the root.
+    fn rank_order(fmesh: &FaultyMesh) -> Vec<u32> {
+        let mut order: Vec<u32> = (0..fmesh.node_count() as u32).collect();
+        order.sort_unstable_by_key(|&v| (fmesh.distance(NodeId(0), NodeId(v)), v));
+        order
     }
 
     /// The faulty topology this program was compiled for.
@@ -224,10 +199,12 @@ impl UpDown {
         self.rank[to.index()] < self.rank[from.index()]
     }
 
+    /// Table programming passes the program's own mesh by reference, so
+    /// the pointer test settles the check without comparing shapes.
+    #[inline]
     fn assert_mesh(&self, mesh: &Mesh) {
-        assert_eq!(
-            mesh,
-            self.fmesh.mesh(),
+        assert!(
+            std::ptr::eq(mesh, self.fmesh.mesh()) || mesh == self.fmesh.mesh(),
             "up*/down* program was compiled for a different topology"
         );
     }

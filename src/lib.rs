@@ -148,17 +148,9 @@
 //! which the `scheduler_equivalence` integration test enforces across
 //! patterns, loads and pipelines.
 //!
-//! The reference-sweep speedometer
-//! (`cargo bench -p lapses-bench --bench perf_sweep`) runs a pinned
-//! 16×16 sweep at 0.2 normalized load and writes
-//! `bench_results/BENCH_sweep.json` (wall seconds, simulated cycles/sec,
-//! delivered flits/sec, plus the noise-robust flit-hops-per-second score
-//! taken as the best of `LAPSES_BENCH_REPS` short repetitions) so the
-//! perf trajectory is tracked PR over PR; CI uploads it as an artifact
-//! and the `perf_guard` binary fails the build on regressions against
-//! the committed baseline. Introducing the scheduler and the lean flit
-//! path raised it from ~25.6k to ~55.2k simulated cycles/sec (≈2.15×)
-//! on the reference machine.
+//! Performance is measured same-host by the stand-alone `perfbench/`
+//! package, which checks golden simulated fingerprints before it times
+//! anything (see its module docs).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

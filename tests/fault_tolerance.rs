@@ -5,13 +5,18 @@
 //! up*/down* routing the economical tables are programmed with is safe:
 //! the escape channel-dependency graph is acyclic (Dally's criterion, via
 //! the `cdg` machinery), every source/destination pair still has a
-//! terminating route, and a short simulation run drains. `PROPTEST_CASES`
-//! bounds the suite from the outside so tier-1 stays fast; CI's
-//! `scenarios` job pins it at 64 cases.
+//! terminating route, and a short simulation run drains. A second
+//! property checks the table-backed faulty mesh against a plain BFS
+//! oracle, and the economical table's exception programming against the
+//! full table, on meshes and tori. `PROPTEST_CASES` bounds the suite from
+//! the outside so tier-1 stays fast; CI's `scenarios` job pins it at 64
+//! cases.
 
 use lapses::prelude::*;
 use lapses::routing::cdg::ChannelGraph;
+use lapses::topology::Direction;
 use proptest::prelude::*;
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 fn arb_mesh() -> impl Strategy<Value = Mesh> {
@@ -19,6 +24,41 @@ fn arb_mesh() -> impl Strategy<Value = Mesh> {
         (4u16..=8, 4u16..=8).prop_map(|(w, h)| Mesh::mesh_2d(w, h)),
         (3u16..=4, 3u16..=4, 3u16..=4).prop_map(|(x, y, z)| Mesh::mesh_3d(x, y, z)),
     ]
+}
+
+fn arb_topology() -> impl Strategy<Value = Mesh> {
+    prop_oneof![
+        (3u16..=7, 3u16..=7).prop_map(|(w, h)| Mesh::mesh_2d(w, h)),
+        (2u16..=4, 2u16..=3, 2u16..=3).prop_map(|(x, y, z)| Mesh::mesh_3d(x, y, z)),
+        (3u16..=6, 3u16..=6).prop_map(|(w, h)| Mesh::torus_2d(w, h)),
+    ]
+}
+
+/// The neighbor over a surviving link, straight from the perfect topology
+/// and the dead-link list.
+fn oracle_neighbor(mesh: &Mesh, faults: &FaultSet, node: NodeId, dir: Direction) -> Option<NodeId> {
+    mesh.neighbor(node, dir)
+        .filter(|&nb| !faults.contains(node, nb))
+}
+
+/// Hop distances from `src` by a plain BFS over [`oracle_neighbor`].
+fn oracle_distances(mesh: &Mesh, faults: &FaultSet, src: NodeId) -> Vec<u32> {
+    let mut dist = vec![u32::MAX; mesh.node_count()];
+    dist[src.index()] = 0;
+    let mut queue = VecDeque::from([src]);
+    while let Some(node) = queue.pop_front() {
+        for dim in 0..mesh.dims() {
+            for dir in [Direction::plus(dim), Direction::minus(dim)] {
+                if let Some(nb) = oracle_neighbor(mesh, faults, node, dir) {
+                    if dist[nb.index()] == u32::MAX {
+                        dist[nb.index()] = dist[node.index()] + 1;
+                        queue.push_back(nb);
+                    }
+                }
+            }
+        }
+    }
+    dist
 }
 
 /// Walks the escape relation from `src` to `dest` over surviving links,
@@ -107,7 +147,66 @@ proptest! {
     }
 }
 
-/// The ISSUE acceptance point: an 8×8 mesh with ≥ 3 dead links runs to
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// The table-backed faulty mesh answers exactly what the plain oracle
+    /// answers — neighbors, alive ports, distances, productive ports — and
+    /// the economical table with its exception store reproduces the full
+    /// table entry for entry, for both up*/down* variants.
+    #[test]
+    fn faulty_views_and_tables_match_their_oracles(
+        mesh in arb_topology(),
+        count in 0usize..=6,
+        fault_seed in 0u64..10_000,
+    ) {
+        let Ok(faults) = FaultSet::random(&mesh, count, fault_seed) else {
+            // Tiny shapes cannot hold every count; nothing to check.
+            return Ok(());
+        };
+        let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), faults.clone()).expect("random sets stay connected"));
+        let dist: Vec<Vec<u32>> = mesh.nodes().map(|src| oracle_distances(&mesh, &faults, src)).collect();
+
+        for a in mesh.nodes() {
+            let mut alive = PortSet::EMPTY;
+            for dim in 0..mesh.dims() {
+                for dir in [Direction::plus(dim), Direction::minus(dim)] {
+                    let want = oracle_neighbor(&mesh, &faults, a, dir);
+                    prop_assert_eq!(fmesh.neighbor(a, dir), want, "{} {} on {}", a, dir, mesh);
+                    if want.is_some() {
+                        alive.insert(Port::from(dir));
+                    }
+                }
+            }
+            prop_assert_eq!(fmesh.alive_ports(a), alive, "{} on {}", a, mesh);
+            for b in mesh.nodes() {
+                let d = dist[a.index()][b.index()];
+                prop_assert_eq!(fmesh.distance(a, b), d, "{}->{} on {}", a, b, mesh);
+                let mut productive = PortSet::EMPTY;
+                for port in alive.iter() {
+                    let dir = port.direction().expect("direction port");
+                    let nb = oracle_neighbor(&mesh, &faults, a, dir).expect("alive port");
+                    if a != b && dist[nb.index()][b.index()] + 1 == d {
+                        productive.insert(port);
+                    }
+                }
+                prop_assert_eq!(fmesh.productive_ports(a, b), productive, "{}->{} on {}", a, b, mesh);
+            }
+        }
+
+        for algo in [UpDown::new(Arc::clone(&fmesh)), UpDown::adaptive(Arc::clone(&fmesh))] {
+            let econ = EconomicalTable::program_faulty(&fmesh, &algo);
+            let full = FullTable::program_faulty(&fmesh, &algo);
+            for a in mesh.nodes() {
+                for b in mesh.nodes() {
+                    prop_assert_eq!(econ.entry(a, b), full.entry(a, b), "{} {}->{} on {}", algo.name(), a, b, mesh);
+                }
+            }
+        }
+    }
+}
+
+/// The acceptance point: an 8×8 mesh with ≥ 3 dead links runs to
 /// drain under up*/down* escape with adaptive candidates.
 #[test]
 fn eight_by_eight_with_three_dead_links_drains() {
