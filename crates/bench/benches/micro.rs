@@ -21,15 +21,14 @@ use std::hint::black_box;
 use std::sync::Arc;
 
 /// A mid-mesh router with full downstream credits, fed by the benchmark.
-fn bench_router(fused: bool) -> Router {
+fn bench_router() -> Router {
     let mesh = Mesh::mesh_2d(8, 8);
     let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
     let node = mesh.id_at(&[4, 4]).unwrap();
-    let cfg = RouterConfig::paper_adaptive().with_fused_pipeline(fused);
     let mut r = Router::new(
         node,
         mesh.ports_per_router(),
-        cfg,
+        RouterConfig::paper_adaptive(),
         RouterTable::new(program, node),
         SimRng::from_seed(5),
     );
@@ -49,124 +48,116 @@ fn bench_router(fused: bool) -> Router {
 
 /// One router stepped in isolation: the cost floor of the cycle loop's
 /// inner call, across the occupancy regimes the scheduler distinguishes
-/// (idle / one streaming message / every port saturated), for both the
-/// fused single-pass walk and the staged reference walk — the
-/// fusion win must be visible below the sweep level.
+/// (idle / one streaming message / every port saturated).
 fn bench_router_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_step");
     let mesh = Mesh::mesh_2d(8, 8);
     let dest = mesh.id_at(&[7, 7]).unwrap();
 
-    for (mode, fused) in [("fused", true), ("staged", false)] {
-        // Idle: the step the active-set scheduler elides entirely.
-        group.bench_function(&format!("{mode}/idle"), |b| {
-            let mut r = bench_router(fused);
-            let mut out = StepOutputs::default();
-            let mut t = 0u64;
-            b.iter(|| {
-                t += 1;
-                r.step_into(Cycle::new(t), &mut out);
-                black_box(out.moved)
-            })
-        });
+    // Idle: the step the active-set scheduler elides entirely.
+    group.bench_function("idle", |b| {
+        let mut r = bench_router();
+        let mut out = StepOutputs::default();
+        let mut t = 0u64;
+        b.iter(|| {
+            t += 1;
+            r.step_into(Cycle::new(t), &mut out);
+            black_box(out.moved)
+        })
+    });
 
-        // Streaming: one long message — the common mid-load regime where
-        // a busy router moves a flit or two per cycle.
-        group.bench_function(&format!("{mode}/streaming"), |b| {
-            b.iter_batched(
-                || {
-                    let mut r = bench_router(fused);
-                    let flits = Flit::message(MessageId(1), MsgRef(0), dest, 1000);
+    // Streaming: one long message — the common mid-load regime where a
+    // busy router moves a flit or two per cycle.
+    group.bench_function("streaming", |b| {
+        b.iter_batched(
+            || {
+                let mut r = bench_router();
+                let flits = Flit::message(MessageId(1), MsgRef(0), dest, 1000);
+                for f in flits.into_iter().take(18) {
+                    r.accept_flit(Port::LOCAL, 0, f, Cycle::ZERO);
+                }
+                (r, StepOutputs::default())
+            },
+            |(mut r, mut out)| {
+                for t in 1..=12u64 {
+                    r.step_into(Cycle::new(t), &mut out);
+                    black_box(out.launches.len());
+                }
+                (r, out)
+            },
+            BatchSize::SmallInput,
+        )
+    });
+
+    // Saturated: every input port streams a long message through the
+    // crossbar each cycle (the occupancy masks are all hot).
+    group.bench_function("saturated", |b| {
+        b.iter_batched(
+            || {
+                let mut r = bench_router();
+                for p in 0..r.ports() {
+                    let flits =
+                        Flit::message(MessageId(p as u64 + 1), MsgRef(p as u32), dest, 1000);
                     for f in flits.into_iter().take(18) {
-                        r.accept_flit(Port::LOCAL, 0, f, Cycle::ZERO);
+                        r.accept_flit(Port::from_index(p), 0, f, Cycle::ZERO);
                     }
-                    (r, StepOutputs::default())
-                },
-                |(mut r, mut out)| {
-                    for t in 1..=12u64 {
-                        r.step_into(Cycle::new(t), &mut out);
-                        black_box(out.launches.len());
-                    }
-                    (r, out)
-                },
-                BatchSize::SmallInput,
-            )
-        });
-
-        // Saturated: every input port streams a long message through the
-        // crossbar each cycle (the occupancy masks are all hot).
-        group.bench_function(&format!("{mode}/saturated"), |b| {
-            b.iter_batched(
-                || {
-                    let mut r = bench_router(fused);
-                    for p in 0..r.ports() {
-                        let flits =
-                            Flit::message(MessageId(p as u64 + 1), MsgRef(p as u32), dest, 1000);
-                        for f in flits.into_iter().take(18) {
-                            r.accept_flit(Port::from_index(p), 0, f, Cycle::ZERO);
-                        }
-                    }
-                    (r, StepOutputs::default())
-                },
-                |(mut r, mut out)| {
-                    for t in 1..=12u64 {
-                        r.step_into(Cycle::new(t), &mut out);
-                        black_box(out.launches.len());
-                    }
-                    (r, out)
-                },
-                BatchSize::SmallInput,
-            )
-        });
-    }
+                }
+                (r, StepOutputs::default())
+            },
+            |(mut r, mut out)| {
+                for t in 1..=12u64 {
+                    r.step_into(Cycle::new(t), &mut out);
+                    black_box(out.launches.len());
+                }
+                (r, out)
+            },
+            BatchSize::SmallInput,
+        )
+    });
     group.finish();
 }
 
-/// The per-cycle delivery phase at network scale: batched per-router
-/// delivery vs flit-at-a-time, over identical warmed-up 16×16 networks
-/// (the simulated outcomes are bit-identical; only wall time differs).
+/// The per-cycle delivery phase at network scale: zero-copy payloads and
+/// per-router batched commits over a warmed-up 16×16 network.
 fn bench_delivery(c: &mut Criterion) {
     let mut group = c.benchmark_group("delivery");
     group.sample_size(10);
-    for (name, batched) in [("batched", true), ("per_flit", false)] {
-        group.bench_function(name, |b| {
-            b.iter_batched(
-                || {
-                    let cfg = SimConfig::paper_adaptive(16, 16)
-                        .with_pattern(Pattern::Uniform)
-                        .with_load(0.4);
-                    let program = cfg.table.build(&cfg.mesh, cfg.algorithm.build().as_ref());
-                    let mut net = lapses_network::Network::new(
-                        cfg.mesh.clone(),
-                        cfg.router.clone(),
-                        program,
-                        1,
-                        9,
-                    );
-                    net.set_batched_delivery(batched);
-                    let mut rng = SimRng::from_seed(11);
-                    for src in cfg.mesh.nodes() {
-                        let dest = NodeId(rng.below(256) as u32);
-                        if dest != src {
-                            net.offer_message(src, dest, 20, lapses_sim::Cycle::ZERO, false);
-                        }
+    group.bench_function("batched", |b| {
+        b.iter_batched(
+            || {
+                let cfg = SimConfig::paper_adaptive(16, 16)
+                    .with_pattern(Pattern::Uniform)
+                    .with_load(0.4);
+                let program = cfg.table.build(&cfg.mesh, cfg.algorithm.build().as_ref());
+                let mut net = lapses_network::Network::new(
+                    cfg.mesh.clone(),
+                    cfg.router.clone(),
+                    program,
+                    1,
+                    9,
+                );
+                let mut rng = SimRng::from_seed(11);
+                for src in cfg.mesh.nodes() {
+                    let dest = NodeId(rng.below(256) as u32);
+                    if dest != src {
+                        net.offer_message(src, dest, 20, lapses_sim::Cycle::ZERO, false);
                     }
-                    // Warm up so the wires carry steady traffic.
-                    for t in 0..100u64 {
-                        net.step(lapses_sim::Cycle::new(t));
-                    }
-                    net
-                },
-                |mut net| {
-                    for t in 100..300u64 {
-                        black_box(net.step(lapses_sim::Cycle::new(t)));
-                    }
-                    net
-                },
-                BatchSize::LargeInput,
-            )
-        });
-    }
+                }
+                // Warm up so the wires carry steady traffic.
+                for t in 0..100u64 {
+                    net.step(lapses_sim::Cycle::new(t));
+                }
+                net
+            },
+            |mut net| {
+                for t in 100..300u64 {
+                    black_box(net.step(lapses_sim::Cycle::new(t)));
+                }
+                net
+            },
+            BatchSize::LargeInput,
+        )
+    });
     group.finish();
 }
 

@@ -43,38 +43,31 @@
 //!
 //! A slot's lifecycle per hop: a flit lands in the input ring either via
 //! [`Router::accept_flit`] (split and written at the tail on arrival —
-//! the NIC injection and reference-wire path) or via the network's
-//! zero-copy wire, where the upstream launch pre-writes the payload into
-//! the exact slot it will occupy ([`Router::reserve_flit`]) and the
-//! link-delay-later arrival merely flips it visible
-//! ([`Router::commit_flit`]) — both are the **SY** stage. The **XB**
-//! winner copies the two halves straight from the input ring head to the
-//! staging ring tail — the full [`Flit`] is never reassembled mid-router
-//! — and frees the input slot (returning a credit upstream); the **VM**
-//! grant pops the staging head and reassembles the wire flit for the
-//! link (or for the next hop's reservation). Routing (**TL**/**SA**)
-//! reads only the ring head's kind byte plus, for heads, the cold
-//! `dest`/`lookahead` fields.
+//! NIC injection) or over the zero-copy wire, where the upstream crossbar
+//! pre-writes the payload into the exact slot it will occupy
+//! ([`Router::reserve_flit`]) and the link-delay-later arrival merely
+//! flips it visible ([`Router::commit_flit`]) — both are the **SY**
+//! stage. The **XB** winner hands its payload to the sink
+//! ([`StepSink::transfer`], which reserves it downstream), stages only
+//! the kind byte for the VC multiplexor, and frees the input slot
+//! (returning a credit upstream); the **VM** grant pops the staging head
+//! and announces the launch ([`StepSink::launch_reserved`]). Only the
+//! ejection port keeps payloads in the staging ring: its XB winner copies
+//! both halves to the staging tail and its VM grant reassembles the flit
+//! for [`StepSink::launch`]. Routing (**TL**/**SA**) reads only the ring
+//! head's kind byte plus, for heads, the cold `dest`/`lookahead` fields.
 //!
-//! # Fused vs. staged stepping
+//! # The cycle walk
 //!
-//! [`Router::step_with`] has two decision-for-decision identical
-//! implementations, selected by [`RouterConfig::fused_pipeline`]:
-//!
-//! * the **fused** walk (default) runs the whole cycle in one pass
-//!   structure — occupied output ports once (VM), occupied input ports
-//!   once (XB proposals, then grants), then **one** combined walk over
-//!   the occupied input VCs that handles both SA (slots in `Select`) and
-//!   TL decode/promote (slots in `Idle`) — carrying stage state in
-//!   registers instead of re-walking the occupancy masks per stage. A VC
-//!   slot is in exactly one routing state, so merging the SA and TL
-//!   passes visits each occupied slot once per cycle without changing
-//!   any decision.
-//! * the **staged** walk is the reference implementation: each pipeline
-//!   stage is a separate pass in reverse pipeline order (VM, XB, SA, TL),
-//!   exactly the pre-fusion structure. It exists for differential testing
-//!   (the `scheduler_equivalence` suite pins fused ≡ staged) and
-//!   profiling.
+//! [`Router::step_with`] runs a cycle in reverse pipeline order, so a
+//! flit advances at most one stage per cycle: the occupied output ports
+//! once (VM), the occupied input ports once (XB proposals, then grants),
+//! then **one** combined walk over the occupied, non-streaming input VCs
+//! that handles both SA (slots in `Select`) and TL decode / look-ahead
+//! promotion (slots in `Idle`). A VC slot is in exactly one routing
+//! state, so one walk visits each occupied slot once per cycle; the
+//! per-cycle constants (`vcs`, masks, pipeline mode) stay in registers
+//! across all of it.
 
 use crate::arbiter::rr_grant_mask;
 use crate::config::RouterConfig;
@@ -83,6 +76,7 @@ use crate::psh::{PathSelector, PortStatus};
 use crate::tables::{RouteEntry, RouterTable};
 use lapses_sim::{Cycle, SimRng};
 use lapses_topology::{NodeId, Port};
+use std::collections::VecDeque;
 
 /// Credit sentinel for sinks that can always accept (the ejection port).
 pub const INFINITE_CREDITS: u32 = u32::MAX;
@@ -104,9 +98,10 @@ enum VcState {
 /// Largest number of ports a router can have (local + 2 per dimension).
 const MAX_PORTS: usize = lapses_topology::MAX_DIMS * 2 + 1;
 
-/// Largest number of (port, VC) slots a router can have — also the
-/// occupancy-mask width.
-const MAX_SLOTS: usize = 64;
+/// Largest number of (port, VC) slots a router can have — the width of
+/// its occupancy masks. [`Router::new`] panics past it; scenario
+/// validation reports it as a typed error first.
+pub const MAX_VC_SLOTS: usize = 64;
 
 /// Per-VC input state. The flit storage itself lives in the router's
 /// SoA input arenas; this header only carries the ring cursor and the
@@ -178,52 +173,33 @@ pub struct Launch {
     pub flit: Flit,
 }
 
-/// Receives a router's per-cycle outputs as the stages produce them.
+/// Receives a router's per-cycle outputs as the stages produce them —
+/// the zero-copy wire protocol.
 ///
-/// The network layer implements this to route launches and credits onto
-/// its wires *directly from the pipeline stages*, skipping the
-/// [`StepOutputs`] staging buffers of the convenience API (which itself
-/// implements the trait). Callbacks arrive in deterministic order: VM
-/// launches in ascending output-port order, then XB credits in crossbar
-/// grant order.
+/// A crossbar winner bound for a neighbor hands its payload over at XB
+/// time ([`StepSink::transfer`]; the network places it in the downstream
+/// input ring), and its later VM grant is announced without the payload
+/// ([`StepSink::launch_reserved`]). Ejection-port traffic carries its
+/// payload at VM time ([`StepSink::launch`]). Callbacks arrive in
+/// deterministic order: VM launches in ascending output-port order, then
+/// XB transfers and credits in crossbar grant order.
 pub trait StepSink {
-    /// A flit enters the link (or ejection channel) at `(port, vc)`.
+    /// A flit enters the ejection channel at `(Port::LOCAL, vc)`.
     fn launch(&mut self, port: Port, vc: usize, flit: Flit);
     /// An input-buffer slot at `(in_port, vc)` freed; credit the upstream.
     fn credit(&mut self, in_port: Port, vc: usize);
-
-    /// Whether this sink runs the zero-copy wire: crossbar winners hand
-    /// their payload to [`StepSink::transfer`] at XB time (the sink
-    /// places it in the downstream input ring), the router stages only
-    /// the flit's kind, and the eventual launch is announced through
-    /// [`StepSink::launch_reserved`] instead of [`StepSink::launch`].
-    /// Ejection-port traffic always uses the payload-carrying `launch`.
-    /// The default (buffered) protocol keeps payloads in the staging
-    /// arena and launches full flits.
-    fn direct(&self) -> bool {
-        false
-    }
-
-    /// Zero-copy wire only: a crossbar winner's payload, handed over at
-    /// XB time for placement in the downstream input ring. Never called
-    /// on sinks whose [`StepSink::direct`] is false, and never for the
-    /// local (ejection) port.
-    fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit) {
-        debug_assert!(false, "transfer on a buffered sink");
-        let _ = (out_port, vc, flit);
-    }
-
-    /// Zero-copy wire only: a previously transferred flit enters the
-    /// link at `(port, vc)`.
-    fn launch_reserved(&mut self, port: Port, vc: usize) {
-        debug_assert!(false, "launch_reserved on a buffered sink");
-        let _ = (port, vc);
-    }
+    /// A crossbar winner's payload, handed over at XB time for the
+    /// downstream input ring behind output `(out_port, vc)`. Never called
+    /// for the local (ejection) port.
+    fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit);
+    /// The oldest flit transferred through `(port, vc)` enters the link.
+    fn launch_reserved(&mut self, port: Port, vc: usize);
 }
 
-/// Everything a router produced during one cycle, for the network layer to
-/// deliver: launched flits, credits for upstream, and a progress flag for
-/// the watchdog.
+/// Everything a router produced during one cycle, collected into plain
+/// buffers: launched flits, credits for upstream, and a progress flag for
+/// the watchdog. The convenience sink behind [`Router::step_into`], for tests
+/// and microbenchmarks; the network streams onto its wires instead.
 #[derive(Debug, Default)]
 pub struct StepOutputs {
     /// Flits entering links (or the ejection channel) this cycle.
@@ -233,10 +209,15 @@ pub struct StepOutputs {
     pub credits: Vec<(Port, usize)>,
     /// Whether any flit moved or any allocation succeeded.
     pub moved: bool,
+    /// Transferred payloads awaiting their launch, one FIFO per
+    /// `(port, vc)` at index `port * MAX_VC_SLOTS + vc`. They outlive a
+    /// cycle, so [`StepOutputs::clear`] keeps them.
+    staged: Vec<VecDeque<Flit>>,
 }
 
 impl StepOutputs {
-    /// Empties the buffers for reuse across routers, keeping capacity.
+    /// Empties the per-cycle buffers for reuse, keeping capacity and the
+    /// payloads still staged behind the router's VC multiplexors.
     pub fn clear(&mut self) {
         self.launches.clear();
         self.credits.clear();
@@ -253,6 +234,21 @@ impl StepSink for StepOutputs {
     #[inline]
     fn credit(&mut self, in_port: Port, vc: usize) {
         self.credits.push((in_port, vc));
+    }
+
+    fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit) {
+        let i = out_port.index() * MAX_VC_SLOTS + vc;
+        if self.staged.len() <= i {
+            self.staged.resize_with(i + 1, VecDeque::new);
+        }
+        self.staged[i].push_back(flit);
+    }
+
+    fn launch_reserved(&mut self, port: Port, vc: usize) {
+        let flit = self.staged[port.index() * MAX_VC_SLOTS + vc]
+            .pop_front()
+            .expect("launch of a transferred flit");
+        self.launches.push(Launch { port, vc, flit });
     }
 }
 
@@ -277,9 +273,10 @@ pub struct RouterStats {
 /// A cycle-accurate PROUD / LA-PROUD wormhole router.
 ///
 /// The router is driven by the network layer: once per cycle it calls
-/// [`Router::step`] (stages run in reverse pipeline order so a flit
-/// advances one stage per cycle), then delivers link arrivals via
-/// [`Router::accept_flit`] and returned credits via
+/// [`Router::step_with`] with its wire sink (stages run in reverse
+/// pipeline order so a flit advances one stage per cycle; see the module
+/// docs), then commits link arrivals via [`Router::commit_flit`], NIC
+/// injections via [`Router::accept_flit`], and returned credits via
 /// [`Router::accept_credit`].
 pub struct Router {
     // -- Walk-control state, deliberately first: everything the per-cycle
@@ -328,8 +325,6 @@ pub struct Router {
     ports: u8,
     /// Cached `cfg.pipeline.is_lookahead()`.
     lookahead: bool,
-    /// Cached `cfg.fused_pipeline`.
-    fused: bool,
     /// Per output port: VC-multiplexor rotation pointer.
     vm_next: [u8; MAX_PORTS],
     /// Per input port: rotation pointer over its VCs' crossbar proposals.
@@ -344,9 +339,9 @@ pub struct Router {
     link_flits: [u64; MAX_PORTS],
     /// Per-VC input cursors + routing state, inline (no pointer chase);
     /// only the first `ports * vcs` entries are live.
-    inputs: [InputVc; MAX_SLOTS],
+    inputs: [InputVc; MAX_VC_SLOTS],
     /// Per-VC output cursors + credits, inline.
-    outputs: [OutputVc; MAX_SLOTS],
+    outputs: [OutputVc; MAX_VC_SLOTS],
     /// Hot halves (kind bytes) of the input-VC flit rings, one contiguous
     /// segment per VC (`vc_index * in_cap ..`).
     in_kind: Box<[FlitKind]>,
@@ -354,7 +349,9 @@ pub struct Router {
     in_cold: Box<[ColdFlit]>,
     /// Hot halves of the output staging rings.
     out_kind: Box<[FlitKind]>,
-    /// Cold halves of the output staging rings.
+    /// Cold halves of the ejection port's staging rings — the only
+    /// staged payloads (neighbor-bound payloads wait downstream). The
+    /// local port is port 0, so its arena slots lead the kind arena's.
     out_cold: Box<[ColdFlit]>,
     selector: PathSelector,
     rng: SimRng,
@@ -397,8 +394,8 @@ impl Router {
         assert!(ports > 0, "router needs at least one port");
         assert!(ports <= MAX_PORTS, "router exceeds the port budget");
         assert!(
-            ports * cfg.vcs_per_port <= MAX_SLOTS,
-            "router exceeds the 64 (port, VC) occupancy-mask budget"
+            ports * cfg.vcs_per_port <= MAX_VC_SLOTS,
+            "router exceeds the {MAX_VC_SLOTS} (port, VC) occupancy-mask budget"
         );
         assert_eq!(table.node(), node, "table programmed for a different node");
         let vcs = cfg.vcs_per_port;
@@ -435,18 +432,17 @@ impl Router {
             vcs: vcs as u8,
             ports: ports as u8,
             lookahead: cfg.pipeline.is_lookahead(),
-            fused: cfg.fused_pipeline,
             vm_next: [0; MAX_PORTS],
             xb_in_next: [0; MAX_PORTS],
             xb_out_next: [0; MAX_PORTS],
             vc_alloc_next: [0; MAX_PORTS],
             link_flits: [0; MAX_PORTS],
-            inputs: [IDLE_INPUT; MAX_SLOTS],
-            outputs: [IDLE_OUTPUT; MAX_SLOTS],
+            inputs: [IDLE_INPUT; MAX_VC_SLOTS],
+            outputs: [IDLE_OUTPUT; MAX_VC_SLOTS],
             in_kind: vec![FlitKind::Body; in_slots].into_boxed_slice(),
             in_cold: vec![COLD_FILLER; in_slots].into_boxed_slice(),
             out_kind: vec![FlitKind::Body; out_slots].into_boxed_slice(),
-            out_cold: vec![COLD_FILLER; out_slots].into_boxed_slice(),
+            out_cold: vec![COLD_FILLER; vcs * out_cap as usize].into_boxed_slice(),
             selector: PathSelector::new(cfg.path_selection, ports),
             rng,
             stats: RouterStats::default(),
@@ -564,7 +560,7 @@ impl Router {
     }
 
     /// Pushes a kind byte onto staging ring `out_idx`, returning the
-    /// arena slot (so buffered-protocol callers can fill the cold half).
+    /// arena slot (so ejection-port callers can fill the cold half).
     #[inline]
     fn obuf_push_kind(&mut self, out_idx: usize, kind: FlitKind) -> usize {
         let ocap = self.out_cap;
@@ -583,7 +579,7 @@ impl Router {
     /// Pops the front of input ring `in_idx` and pushes it onto staging
     /// ring `out_idx`, copying the two SoA halves directly (the full
     /// [`Flit`] is never reassembled mid-router). Returns the moved
-    /// flit's kind. The buffered-protocol crossbar move.
+    /// flit's kind. The ejection port's crossbar move.
     #[inline]
     fn move_in_to_out(&mut self, in_idx: usize, out_idx: usize) -> FlitKind {
         let islot = self.ibuf_front_slot(in_idx);
@@ -594,8 +590,9 @@ impl Router {
         kind
     }
 
-    /// SY stage: a flit delivered by the upstream link (or injected by the
-    /// local network interface) lands in its input VC buffer.
+    /// SY stage: a flit injected by the local network interface lands in
+    /// its input VC buffer (link arrivals use [`Router::reserve_flit`] and
+    /// [`Router::commit_flit`]).
     ///
     /// In LA-PROUD mode a head flit landing at the front of an idle VC is
     /// decoded immediately: its carried candidate set arms the selection
@@ -692,64 +689,40 @@ impl Router {
         self.credit_ok |= 1 << idx;
     }
 
-    /// Runs one cycle: VM, XB, SA, then TL, in reverse pipeline order so a
-    /// flit advances at most one stage per cycle.
-    pub fn step(&mut self, now: Cycle) -> StepOutputs {
-        let mut out = StepOutputs::default();
-        self.step_into(now, &mut out);
-        out
-    }
-
-    /// Allocation-free variant of [`Router::step`] writing into a reused
-    /// buffer (cleared first). Routers holding no flits return immediately.
+    /// Runs one cycle into `out` (its per-cycle buffers cleared first).
+    /// `out` must be the same buffer on every cycle of this router: it
+    /// holds the payloads staged behind the VC multiplexors.
     pub fn step_into(&mut self, now: Cycle, out: &mut StepOutputs) {
         out.clear();
         out.moved = self.step_with(now, out);
     }
 
     /// Runs one cycle, streaming launches and credits into `sink` as the
-    /// stages produce them. Returns whether any flit moved or allocation
-    /// succeeded. Routers holding no flits return immediately.
-    ///
-    /// Dispatches to the fused single-pass walk or the staged reference
-    /// walk per [`RouterConfig::fused_pipeline`]; the two are
-    /// decision-for-decision identical (see the module docs).
+    /// stages produce them (see the module docs for the walk). Returns
+    /// whether any flit moved or allocation succeeded. Routers holding no
+    /// flits return immediately.
     pub fn step_with<S: StepSink>(&mut self, now: Cycle, sink: &mut S) -> bool {
         if self.in_occupied == 0 && self.out_occupied == 0 {
             return false;
         }
-        if self.fused {
-            self.step_fused(now, sink)
-        } else {
-            let mut moved = self.vm_stage(sink);
-            moved |= self.xb_stage(now, sink);
-            moved |= self.sa_stage(now);
-            self.tl_stage(now);
-            moved
-        }
-    }
-
-    /// The fused single-pass cycle walk (see the module docs): VM over the
-    /// occupied output ports, XB proposals + grants over the occupied
-    /// input ports, then one combined SA/TL walk that visits each
-    /// occupied input VC exactly once, with the per-cycle constants
-    /// (`vcs`, masks, pipeline mode) held in registers across all of it.
-    fn step_fused<S: StepSink>(&mut self, now: Cycle, sink: &mut S) -> bool {
         // VM: per occupied output port, one credited staged flit enters
-        // the link; the tail releases the output VC. (The VM walk has no
-        // stage fusion to exploit, so both walks share `vm_stage`.)
-        let mut moved = self.vm_stage(sink);
+        // the link; the tail releases the output VC.
+        let mut moved = false;
+        let mut pmask = self.out_ports;
+        while pmask != 0 {
+            let p = pmask.trailing_zeros() as usize;
+            pmask &= pmask - 1;
+            moved |= self.vm_port(p, sink);
+        }
 
         if self.in_occupied != 0 {
             // XB: separable switch allocation (proposals, then grants).
             moved |= self.xb_pass(now, sink);
 
-            // SA + TL, fused: one walk over the occupied input VCs. A
-            // slot is in exactly one routing state — Select slots attempt
-            // allocation (SA), Idle slots decode a queued header (TL/
-            // look-ahead promote), Active slots cost one branch — so this
-            // single pass makes the same decisions in the same order as
-            // the staged walk's two passes.
+            // SA + TL in one walk over the occupied input VCs. A slot is
+            // in exactly one routing state — Select slots attempt
+            // allocation (SA), Idle slots decode a queued header (TL /
+            // look-ahead promote), Active slots cost one branch.
             let lookahead = self.lookahead;
             // Only non-`Active` occupied slots can do SA/TL work; fully
             // streaming routers skip the walk entirely.
@@ -794,9 +767,8 @@ impl Router {
         let Some(v) = granted else { return false };
         let idx = base + v;
         // Pop the staging ring's front: the kind byte always, the cold
-        // half only when this launch carries a payload (ejections and the
-        // buffered protocol) — under the zero-copy wire the payload
-        // already sits in the downstream input ring.
+        // half only for ejections — a neighbor-bound payload already sits
+        // in the downstream input ring.
         let ocap = self.out_cap;
         let (slot, was_full) = {
             let ovc = &mut self.outputs[idx];
@@ -847,10 +819,10 @@ impl Router {
             }
         }
         let port = Port::from_index(p);
-        if sink.direct() && !port.is_local() {
-            sink.launch_reserved(port, v);
-        } else {
+        if port.is_local() {
             sink.launch(port, v, Flit::assemble(kind, self.out_cold[slot]));
+        } else {
+            sink.launch_reserved(port, v);
         }
         true
     }
@@ -863,7 +835,6 @@ impl Router {
         let vcs = self.vcs as usize;
         let ports = self.ports as usize;
         let vcmask = (1u64 << vcs) - 1;
-        let direct = sink.direct();
         let mut moved = false;
         // Input arbitration: proposals are packed small-int arrays (no
         // per-call Option zeroing, no divisions downstream).
@@ -906,7 +877,7 @@ impl Router {
             let of = prop_of[ip] as usize;
             debug_assert!(prop_op[ip] as usize == op && of != u16::MAX as usize);
             let in_idx = ip * vcs + iv;
-            let kind = if direct && op != Port::LOCAL.index() {
+            let kind = if op != Port::LOCAL.index() {
                 // Zero-copy wire: hand the payload to the sink (it goes
                 // straight into the downstream input ring) and stage only
                 // the kind byte for the VC multiplexor.
@@ -931,11 +902,10 @@ impl Router {
             }
             sink.credit(Port::from_index(ip), iv);
             if kind.is_tail() {
-                // The freed VC's next header is decoded by the TL phase of
-                // *this* cycle (it runs after SA), so its earliest
-                // selection attempt is next cycle — in LA-PROUD. PROUD
-                // additionally pays the table-lookup cycle, enforced by
-                // `tl_ready_at`.
+                // The freed VC's next header is decoded by this cycle's
+                // SA/TL walk (it runs after XB), so its earliest selection
+                // attempt is next cycle — in LA-PROUD. PROUD additionally
+                // pays the table-lookup cycle, enforced by `ready_at`.
                 let ivc = &mut self.inputs[in_idx];
                 ivc.state = VcState::Idle;
                 ivc.ready_at = now.as_u64() + 1;
@@ -1000,7 +970,7 @@ impl Router {
 
     /// PROUD TL for one `Idle` input VC: decode + table lookup when a
     /// queued header has reached the buffer front and the post-tail
-    /// blackout (`tl_ready_at`) has passed.
+    /// blackout (`ready_at`) has passed.
     fn tl_decode(&mut self, idx: usize, now: Cycle) {
         debug_assert_eq!(self.inputs[idx].state, VcState::Idle);
         if now.as_u64() < self.inputs[idx].ready_at || self.inputs[idx].len == 0 {
@@ -1017,56 +987,6 @@ impl Router {
         let ivc = &mut self.inputs[idx];
         ivc.ready_at = now.as_u64() + self.cfg.table_lookup_cycles as u64;
         ivc.state = VcState::Select { entry };
-    }
-
-    // ---- The staged reference walk (pre-fusion structure) ----
-
-    /// VM stage: per output port, one staged flit with credits enters the
-    /// link; the tail releases the output VC.
-    fn vm_stage<S: StepSink>(&mut self, sink: &mut S) -> bool {
-        if self.out_occupied == 0 {
-            return false;
-        }
-        let mut moved = false;
-        let mut pmask = self.out_ports;
-        while pmask != 0 {
-            let p = pmask.trailing_zeros() as usize;
-            pmask &= pmask - 1;
-            moved |= self.vm_port(p, sink);
-        }
-        moved
-    }
-
-    /// XB stage: separable switch allocation; winners move one flit from
-    /// their input buffer to the output staging buffer and free a credit.
-    fn xb_stage<S: StepSink>(&mut self, now: Cycle, sink: &mut S) -> bool {
-        if self.in_occupied == 0 {
-            return false;
-        }
-        self.xb_pass(now, sink)
-    }
-
-    /// SA stage: selection + output-VC allocation for waiting headers, with
-    /// the Duato escape fallback; LA-PROUD concurrently performs the next
-    /// hop's table lookup and rewrites the header.
-    fn sa_stage(&mut self, now: Cycle) -> bool {
-        if self.in_occupied == 0 {
-            return false;
-        }
-        let mut moved = false;
-        let mut occupied = self.in_occupied;
-        while occupied != 0 {
-            let idx = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            let VcState::Select { entry } = self.inputs[idx].state else {
-                continue;
-            };
-            if now.as_u64() < self.inputs[idx].ready_at {
-                continue; // table RAM still busy
-            }
-            moved |= self.sa_allocate(idx, &entry);
-        }
-        moved
     }
 
     /// Tries to reserve an output VC for a header with the given route
@@ -1168,27 +1088,6 @@ impl Router {
         status
     }
 
-    /// TL stage. PROUD: decode + table lookup for idle VCs whose queued
-    /// header reached the buffer front (one cycle). LA-PROUD: safety-net
-    /// promotion only — heads are normally promoted at delivery or when
-    /// the previous tail departs, at zero cycle cost.
-    fn tl_stage(&mut self, now: Cycle) {
-        if self.in_occupied == 0 {
-            return;
-        }
-        let lookahead = self.lookahead;
-        let mut occupied = self.in_occupied;
-        while occupied != 0 {
-            let idx = occupied.trailing_zeros() as usize;
-            occupied &= occupied - 1;
-            if lookahead {
-                self.try_lookahead_promote(idx, now);
-            } else if self.inputs[idx].state == VcState::Idle {
-                self.tl_decode(idx, now);
-            }
-        }
-    }
-
     /// LA-PROUD: if input VC `idx` is idle with a header at the buffer
     /// front, arm the selection stage from the header's carried candidate
     /// information (the look-ahead decode, costing no pipeline stage).
@@ -1276,16 +1175,25 @@ mod tests {
         flits
     }
 
-    /// Runs cycles `from..=to`, returning every launch with its cycle.
-    fn run(router: &mut Router, from: u64, to: u64) -> Vec<(u64, Launch)> {
+    /// Runs cycles `from..=to` into `out`, returning every launch with
+    /// its cycle.
+    fn run_into(
+        router: &mut Router,
+        out: &mut StepOutputs,
+        from: u64,
+        to: u64,
+    ) -> Vec<(u64, Launch)> {
         let mut all = Vec::new();
         for t in from..=to {
-            let out = router.step(Cycle::new(t));
-            for l in out.launches {
-                all.push((t, l));
-            }
+            router.step_into(Cycle::new(t), out);
+            all.extend(out.launches.iter().map(|l| (t, *l)));
         }
         all
+    }
+
+    /// [`run_into`] for a router stepped only by this call.
+    fn run(router: &mut Router, from: u64, to: u64) -> Vec<(u64, Launch)> {
+        run_into(router, &mut StepOutputs::default(), from, to)
     }
 
     #[test]
@@ -1357,12 +1265,13 @@ mod tests {
         for f in &flits {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
         }
-        let launches = run(&mut r, 1, 10);
+        let mut out = StepOutputs::default();
+        let launches = run_into(&mut r, &mut out, 1, 10);
         assert_eq!(launches.len(), 1, "only one credit, only one launch");
         // Returning a credit releases the next flit.
         let vc = launches[0].1.vc;
         r.accept_credit(px, vc);
-        let more = run(&mut r, 11, 13);
+        let more = run_into(&mut r, &mut out, 11, 13);
         assert_eq!(more.len(), 1);
         assert_eq!(more[0].1.flit.seq, 1);
     }
@@ -1463,9 +1372,11 @@ mod tests {
         for f in &flits {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
         }
+        let mut out = StepOutputs::default();
         let mut credited = 0;
         for t in 1..=8 {
-            credited += r.step(Cycle::new(t)).credits.len();
+            r.step_into(Cycle::new(t), &mut out);
+            credited += out.credits.len();
         }
         assert_eq!(credited, 2, "each buffered flit frees one slot");
     }
@@ -1589,49 +1500,125 @@ mod tests {
         assert_eq!(launches[0].0, 4);
     }
 
-    #[test]
-    fn fused_and_staged_walks_are_launch_identical() {
-        // The same traffic through the fused single-pass walk and the
-        // staged reference walk must produce identical launch sequences,
-        // credit sequences and statistics — per cycle, not just in
-        // aggregate.
-        let feed = |r: &mut Router, lookahead: bool| {
-            for (m, vc, len) in [(1u64, 0usize, 4u32), (2, 1, 1), (3, 2, 6), (4, 0, 2)] {
-                let mut flits = Flit::message(MessageId(m), MsgRef(m as u32), NodeId(3), len);
-                if lookahead {
-                    flits[0].lookahead = Some(r.table.entry(flits[0].dest));
+    /// FNV-1a over the little-endian bytes of `w`.
+    fn fnv(h: &mut u64, w: u64) {
+        for b in w.to_le_bytes() {
+            *h = (*h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    /// Feeds four messages over three local VCs and hashes every cycle's
+    /// launches (port, VC and every flit field) and credits, then the
+    /// final statistics. `starved` gives each +d0 output VC one credit and
+    /// returns the credits of each launch in bursts every fourth cycle, so
+    /// staged flits of several VCs contend for the VC multiplexor.
+    fn launch_credit_hash(lookahead: bool, starved: bool) -> u64 {
+        let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(lookahead));
+        let px = Port::from(Direction::plus(0));
+        if starved {
+            for v in 0..4 {
+                r.set_credits(px, v, 1);
+            }
+        }
+        for (m, vc, len) in [(1u64, 0usize, 4u32), (2, 1, 1), (3, 2, 6), (4, 0, 2)] {
+            let mut flits = Flit::message(MessageId(m), MsgRef(m as u32), NodeId(3), len);
+            if lookahead {
+                flits[0].lookahead = Some(r.table.entry(flits[0].dest));
+            }
+            for (i, f) in flits.iter().enumerate() {
+                r.accept_flit(Port::LOCAL, vc, *f, Cycle::new(i as u64));
+            }
+        }
+        let mut h = 0xcbf2_9ce4_8422_2325;
+        let mut out = StepOutputs::default();
+        let mut returns = VecDeque::new();
+        for t in 1..=80u64 {
+            while let Some(&(due, vc)) = returns.front() {
+                if due > t {
+                    break;
                 }
-                for (i, f) in flits.iter().enumerate() {
-                    r.accept_flit(Port::LOCAL, vc, *f, Cycle::new(i as u64));
+                r.accept_credit(px, vc);
+                returns.pop_front();
+            }
+            r.step_into(Cycle::new(t), &mut out);
+            for l in &out.launches {
+                if starved && l.port == px {
+                    returns.push_back(((t / 4 + 1) * 4, l.vc));
+                }
+                let f = l.flit;
+                for w in [
+                    t,
+                    l.port.index() as u64,
+                    l.vc as u64,
+                    f.msg.0,
+                    f.rec.0 as u64,
+                ] {
+                    fnv(&mut h, w);
+                }
+                for w in [
+                    f.dest.0 as u64,
+                    f.seq as u64,
+                    f.kind.is_head() as u64,
+                    f.kind.is_tail() as u64,
+                ] {
+                    fnv(&mut h, w);
+                }
+                match f.lookahead {
+                    None => fnv(&mut h, 0),
+                    Some(e) => {
+                        fnv(&mut h, 1);
+                        fnv(&mut h, e.candidates.bits() as u64);
+                        fnv(&mut h, e.escape.map_or(u64::MAX, |p| p.index() as u64));
+                        fnv(&mut h, e.escape_subclass as u64);
+                    }
                 }
             }
-        };
-        for lookahead in [false, true] {
-            let trace = |fused: bool| {
-                let cfg = RouterConfig::paper_adaptive()
-                    .with_lookahead(lookahead)
-                    .with_fused_pipeline(fused);
-                let mut r = line_router(cfg);
-                feed(&mut r, lookahead);
-                let mut events = Vec::new();
-                for t in 1..=40u64 {
-                    let out = r.step(Cycle::new(t));
-                    for l in &out.launches {
-                        events.push((t, l.port, l.vc, l.flit));
-                    }
-                    for c in &out.credits {
-                        events.push((t, c.0, c.1, Flit::assemble(FlitKind::Body, COLD_FILLER)));
-                    }
+            for &(port, vc) in &out.credits {
+                for w in [t, u64::MAX, port.index() as u64, vc as u64] {
+                    fnv(&mut h, w);
                 }
-                assert!(r.is_empty(), "all traffic must drain");
-                (events, r.stats())
-            };
-            let (fused_events, fused_stats) = trace(true);
-            let (staged_events, staged_stats) = trace(false);
-            assert_eq!(fused_events, staged_events, "lookahead={lookahead}");
-            assert_eq!(fused_stats, staged_stats);
-            assert!(fused_stats.flits_switched > 0, "trace must not be vacuous");
+            }
         }
+        assert!(r.is_empty(), "all traffic must drain");
+        let s = r.stats();
+        assert!(s.flits_switched > 0, "trace must not be vacuous");
+        for w in [
+            s.flits_switched,
+            s.headers_routed,
+            s.adaptive_allocations,
+            s.escape_allocations,
+            s.selection_stall_cycles,
+            s.multi_candidate_decisions,
+        ] {
+            fnv(&mut h, w);
+        }
+        h
+    }
+
+    #[test]
+    fn launch_and_credit_sequence_is_pinned() {
+        // Pinned per cycle, not just in aggregate: any change to a stage's
+        // timing or an arbitration decision moves a hash.
+        assert_eq!(
+            launch_credit_hash(false, false),
+            0xab24_ddd6_d95c_8a02,
+            "PROUD"
+        );
+        assert_eq!(
+            launch_credit_hash(true, false),
+            0x788b_79cf_d119_9b9c,
+            "LA-PROUD"
+        );
+        assert_eq!(
+            launch_credit_hash(false, true),
+            0xbb17_d4fa_9784_1604,
+            "PROUD, starved"
+        );
+        assert_eq!(
+            launch_credit_hash(true, true),
+            0x5fe4_e1d2_fdad_2f08,
+            "LA, starved"
+        );
     }
 
     #[test]

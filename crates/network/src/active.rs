@@ -4,7 +4,8 @@
 //! 256-node mesh's entire schedule is four words: testing "anything to
 //! do?" is a handful of OR instructions and iteration visits only set
 //! bits, in ascending index order — the same order a full scan would use,
-//! which is what keeps active-set stepping bit-identical to always-step.
+//! which is what keeps active-set stepping equivalent to stepping every
+//! component.
 
 /// A fixed-capacity bitset over component indices.
 #[derive(Debug, Clone)]

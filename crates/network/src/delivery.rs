@@ -1,22 +1,8 @@
 //! Link and credit-return transport with fixed delays.
 
-use lapses_core::{Flit, FlitKind, MsgRef};
+use lapses_core::{FlitKind, MsgRef};
 use lapses_sim::Cycle;
 use lapses_topology::{NodeId, Port};
-
-/// A flit in flight toward a router input (or a NIC ejection buffer).
-/// Packed to 40 bytes — roughly a hundred of these cross the wire rings
-/// per cycle, so every byte is ring traffic.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct FlitDelivery {
-    pub flit: Flit,
-    pub node: NodeId,
-    /// Input port at the receiving router; the local port means ejection
-    /// into the NIC.
-    pub port: Port,
-    /// Virtual channel (fits u8: routers hold at most 64 VCs total).
-    pub vc: u8,
-}
 
 /// A `(node, port, vc)` address packed into one u32 — the payload of the
 /// credit and arrival-event rings, which carry a couple of hundred
@@ -53,8 +39,8 @@ impl WireAddr {
 pub(crate) type CreditDelivery = WireAddr;
 
 /// An ejection in flight toward a NIC sink. The latency statistics only
-/// need the message-record handle and the flit's position, so the
-/// zero-copy wire ships 8 bytes instead of a full delivery record.
+/// need the message-record handle and the flit's position, so an
+/// ejection ships 8 bytes instead of the whole flit.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct EjectRecord {
     pub rec: MsgRef,
@@ -63,8 +49,8 @@ pub(crate) struct EjectRecord {
 
 /// An arrival notification for a flit whose payload was already written
 /// into the destination router's input arena at reservation time
-/// (`Router::reserve_flit`) — the zero-copy wire carries 4 bytes per flit
-/// instead of 40.
+/// (`Router::reserve_flit`): the wire carries a 4-byte address per flit,
+/// never the 32-byte flit itself.
 pub(crate) type ArrivalEvent = WireAddr;
 
 /// Fixed-latency pipelines for flits and credits.
@@ -78,15 +64,12 @@ pub(crate) type ArrivalEvent = WireAddr;
 pub(crate) struct DeliveryQueues {
     flit_delay: u64,
     credit_delay: u64,
-    /// `flits[t % ring]` holds flits arriving at cycle `t`; the slot for
-    /// the current cycle is tracked incrementally (`flit_now`/`flit_slot`)
-    /// so the hot path never computes a modulo.
-    flits: Vec<Vec<FlitDelivery>>,
-    /// Arrival events for payload-reserved flits; shares the flit ring's
-    /// delay and cursor.
+    /// `events[t % ring]` holds the arrival events due at cycle `t`; the
+    /// slot for the current cycle is tracked incrementally
+    /// (`flit_now`/`flit_slot`) so the hot path never computes a modulo.
     events: Vec<Vec<ArrivalEvent>>,
-    /// Ejections bound for the NIC sinks (zero-copy wire); shares the
-    /// flit ring's delay and cursor.
+    /// Ejections bound for the NIC sinks; shares the event ring's delay
+    /// and cursor.
     ejects: Vec<Vec<EjectRecord>>,
     credits: Vec<Vec<CreditDelivery>>,
     in_flight_flits: usize,
@@ -114,7 +97,6 @@ impl DeliveryQueues {
         DeliveryQueues {
             flit_delay,
             credit_delay,
-            flits: (0..=flit_delay).map(|_| Vec::new()).collect(),
             events: (0..=flit_delay).map(|_| Vec::new()).collect(),
             ejects: (0..=flit_delay).map(|_| Vec::new()).collect(),
             credits: (0..=credit_delay).map(|_| Vec::new()).collect(),
@@ -126,7 +108,7 @@ impl DeliveryQueues {
         }
     }
 
-    /// Advances the flit ring's "current slot" cursor to `now`. The cycle
+    /// Advances the event ring's "current slot" cursor to `now`. The cycle
     /// loop moves one cycle at a time, so this is one wrapping increment.
     #[inline]
     fn flit_slot_at(&mut self, now: u64) -> usize {
@@ -134,7 +116,7 @@ impl DeliveryQueues {
         while self.flit_now < now {
             self.flit_now += 1;
             self.flit_slot += 1;
-            if self.flit_slot == self.flits.len() {
+            if self.flit_slot == self.events.len() {
                 self.flit_slot = 0;
             }
         }
@@ -155,19 +137,8 @@ impl DeliveryQueues {
         self.credit_slot
     }
 
-    /// Schedules a flit launched during `now` to arrive `flit_delay` later.
-    pub fn send_flit(&mut self, now: Cycle, delivery: FlitDelivery) {
-        let mut slot = self.flit_slot_at(now.as_u64()) + self.flit_delay as usize;
-        if slot >= self.flits.len() {
-            slot -= self.flits.len();
-        }
-        self.flits[slot].push(delivery);
-        self.in_flight_flits += 1;
-    }
-
     /// Schedules an arrival event for a payload-reserved flit launched
-    /// during `now`; it pops out `flit_delay` cycles later, like a
-    /// materialized flit would.
+    /// during `now`; it pops out `flit_delay` cycles later.
     pub fn send_event(&mut self, now: Cycle, event: ArrivalEvent) {
         let mut slot = self.flit_slot_at(now.as_u64()) + self.flit_delay as usize;
         if slot >= self.events.len() {
@@ -177,8 +148,9 @@ impl DeliveryQueues {
         self.in_flight_flits += 1;
     }
 
-    /// Swaps the bucket of arrival events due at `now` with `buf` (must
-    /// be empty), mirroring [`DeliveryQueues::swap_flits`].
+    /// Swaps the bucket of arrival events due at `now` with `buf` (which
+    /// must be empty): the caller gets the arrivals without copying them,
+    /// and the bucket inherits `buf`'s capacity for reuse.
     pub fn swap_events(&mut self, now: Cycle, buf: &mut Vec<ArrivalEvent>) {
         debug_assert!(buf.is_empty(), "swap target must be empty");
         let slot = self.flit_slot_at(now.as_u64());
@@ -187,7 +159,7 @@ impl DeliveryQueues {
     }
 
     /// Schedules an ejection launched during `now`; it reaches the NIC
-    /// sink `flit_delay` cycles later, like a materialized flit would.
+    /// sink `flit_delay` cycles later, like a link arrival.
     pub fn send_eject(&mut self, now: Cycle, record: EjectRecord) {
         let mut slot = self.flit_slot_at(now.as_u64()) + self.flit_delay as usize;
         if slot >= self.ejects.len() {
@@ -198,7 +170,7 @@ impl DeliveryQueues {
     }
 
     /// Swaps the bucket of ejections due at `now` with `buf` (must be
-    /// empty), mirroring [`DeliveryQueues::swap_flits`].
+    /// empty), mirroring [`DeliveryQueues::swap_events`].
     pub fn swap_ejects(&mut self, now: Cycle, buf: &mut Vec<EjectRecord>) {
         debug_assert!(buf.is_empty(), "swap target must be empty");
         let slot = self.flit_slot_at(now.as_u64());
@@ -215,25 +187,6 @@ impl DeliveryQueues {
         self.credits[slot].push(delivery);
     }
 
-    /// Removes and returns the flits arriving at `now`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn take_flits(&mut self, now: Cycle) -> Vec<FlitDelivery> {
-        let slot = self.flit_slot_at(now.as_u64());
-        let out = std::mem::take(&mut self.flits[slot]);
-        self.in_flight_flits -= out.len();
-        out
-    }
-
-    /// Swaps the bucket of flits arriving at `now` with `buf` (which must
-    /// be empty): the caller gets the arrivals without copying a single
-    /// delivery, and the bucket inherits `buf`'s capacity for reuse.
-    pub fn swap_flits(&mut self, now: Cycle, buf: &mut Vec<FlitDelivery>) {
-        debug_assert!(buf.is_empty(), "swap target must be empty");
-        let slot = self.flit_slot_at(now.as_u64());
-        std::mem::swap(&mut self.flits[slot], buf);
-        self.in_flight_flits -= buf.len();
-    }
-
     /// Removes and returns the credits arriving at `now`.
     #[cfg_attr(not(test), allow(dead_code))]
     pub fn take_credits(&mut self, now: Cycle) -> Vec<CreditDelivery> {
@@ -242,7 +195,7 @@ impl DeliveryQueues {
     }
 
     /// Swaps the bucket of credits arriving at `now` with `buf` (must be
-    /// empty), mirroring [`DeliveryQueues::swap_flits`].
+    /// empty), mirroring [`DeliveryQueues::swap_events`].
     pub fn swap_credits(&mut self, now: Cycle, buf: &mut Vec<CreditDelivery>) {
         debug_assert!(buf.is_empty(), "swap target must be empty");
         let slot = self.credit_slot_at(now.as_u64());
@@ -258,52 +211,50 @@ impl DeliveryQueues {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lapses_core::{Flit, MessageId, MsgRef};
 
-    fn flit() -> Flit {
-        Flit::message(MessageId(1), MsgRef(0), NodeId(1), 1)
-            .pop()
-            .expect("one flit")
+    fn event(vc: u8) -> ArrivalEvent {
+        ArrivalEvent::new(NodeId(2), Port::from_index(1), vc)
+    }
+
+    fn arrivals(q: &mut DeliveryQueues, now: u64) -> Vec<ArrivalEvent> {
+        let mut buf = Vec::new();
+        q.swap_events(Cycle::new(now), &mut buf);
+        buf
     }
 
     #[test]
     fn flits_arrive_after_the_link_delay() {
         let mut q = DeliveryQueues::new(1, 1);
-        q.send_flit(
+        q.send_event(Cycle::new(5), event(0));
+        q.send_eject(
             Cycle::new(5),
-            FlitDelivery {
-                node: NodeId(2),
-                port: Port::LOCAL,
-                vc: 0,
-                flit: flit(),
+            EjectRecord {
+                rec: MsgRef(7),
+                kind: FlitKind::Tail,
             },
         );
-        assert_eq!(q.in_flight(), 1);
-        assert!(q.take_flits(Cycle::new(5)).is_empty());
-        let arrived = q.take_flits(Cycle::new(6));
-        assert_eq!(arrived.len(), 1);
-        assert_eq!(arrived[0].node, NodeId(2));
+        assert_eq!(q.in_flight(), 2);
+        assert!(arrivals(&mut q, 5).is_empty());
+        let arrived = arrivals(&mut q, 6);
+        assert_eq!(arrived, vec![event(0)]);
+        assert_eq!(arrived[0].node(), 2);
+        let mut ejects = Vec::new();
+        q.swap_ejects(Cycle::new(6), &mut ejects);
+        assert_eq!(ejects.len(), 1);
+        assert_eq!(ejects[0].rec, MsgRef(7));
         assert_eq!(q.in_flight(), 0);
     }
 
     #[test]
     fn longer_delays_are_honored() {
         let mut q = DeliveryQueues::new(3, 2);
-        q.send_flit(
-            Cycle::new(10),
-            FlitDelivery {
-                node: NodeId(0),
-                port: Port::LOCAL,
-                vc: 1,
-                flit: flit(),
-            },
-        );
+        q.send_event(Cycle::new(10), event(1));
         q.send_credit(
             Cycle::new(10),
             CreditDelivery::new(NodeId(0), Port::LOCAL, 1),
         );
-        assert!(q.take_flits(Cycle::new(12)).is_empty());
-        assert_eq!(q.take_flits(Cycle::new(13)).len(), 1);
+        assert!(arrivals(&mut q, 12).is_empty());
+        assert_eq!(arrivals(&mut q, 13).len(), 1);
         assert!(q.take_credits(Cycle::new(11)).is_empty());
         assert_eq!(q.take_credits(Cycle::new(12)).len(), 1);
     }
@@ -312,18 +263,9 @@ mod tests {
     fn same_cycle_deliveries_keep_fifo_order() {
         let mut q = DeliveryQueues::new(1, 1);
         for vc in 0..3 {
-            q.send_flit(
-                Cycle::new(0),
-                FlitDelivery {
-                    node: NodeId(0),
-                    port: Port::LOCAL,
-                    vc,
-                    flit: flit(),
-                },
-            );
+            q.send_event(Cycle::new(0), event(vc));
         }
-        let arrived = q.take_flits(Cycle::new(1));
-        let vcs: Vec<u8> = arrived.iter().map(|d| d.vc).collect();
+        let vcs: Vec<usize> = arrivals(&mut q, 1).iter().map(|e| e.vc()).collect();
         assert_eq!(vcs, vec![0, 1, 2]);
     }
 
@@ -331,24 +273,16 @@ mod tests {
     fn swap_reuses_the_buffer_capacity() {
         let mut q = DeliveryQueues::new(1, 1);
         for vc in 0..4 {
-            q.send_flit(
-                Cycle::new(0),
-                FlitDelivery {
-                    node: NodeId(0),
-                    port: Port::LOCAL,
-                    vc,
-                    flit: flit(),
-                },
-            );
+            q.send_event(Cycle::new(0), event(vc));
         }
         let mut buf = Vec::new();
-        q.swap_flits(Cycle::new(1), &mut buf);
+        q.swap_events(Cycle::new(1), &mut buf);
         assert_eq!(buf.len(), 4);
         assert_eq!(q.in_flight(), 0);
         buf.clear();
         // The bucket inherited the capacity; the next cycle swap returns
         // an empty buffer without touching the allocator.
-        q.swap_flits(Cycle::new(2), &mut buf);
+        q.swap_events(Cycle::new(2), &mut buf);
         assert!(buf.is_empty());
     }
 

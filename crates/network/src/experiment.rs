@@ -426,14 +426,6 @@ pub struct SimConfig {
     pub stall_window: u64,
     /// Aggregate NIC backlog (messages) that declares saturation.
     pub backlog_limit: u64,
-    /// Whether the network steps only active components (the default) or
-    /// scans every router and NIC each cycle. Both modes are bit-identical
-    /// — see [`Network::set_active_scheduling`].
-    pub active_scheduling: bool,
-    /// Whether link arrivals are delivered as per-router batches (the
-    /// default) or flit-at-a-time. Both modes are bit-identical — see
-    /// [`Network::set_batched_delivery`].
-    pub batched_delivery: bool,
 }
 
 impl SimConfig {
@@ -465,8 +457,6 @@ impl SimConfig {
             link_delay: 1,
             max_cycles: 10_000_000,
             stall_window: 20_000,
-            active_scheduling: true,
-            batched_delivery: true,
         }
     }
 
@@ -580,27 +570,6 @@ impl SimConfig {
     /// Kills `count` random links drawn deterministically from `seed`.
     pub fn with_random_faults(mut self, count: usize, seed: u64) -> SimConfig {
         self.faults = FaultsConfig::Random { count, seed };
-        self
-    }
-
-    /// Switches the network's active-set scheduler on or off (differential
-    /// testing; results are bit-identical either way).
-    pub fn with_active_scheduling(mut self, enabled: bool) -> SimConfig {
-        self.active_scheduling = enabled;
-        self
-    }
-
-    /// Switches the routers' fused single-pass stage walk on or off
-    /// (differential testing; results are bit-identical either way).
-    pub fn with_fused_pipeline(mut self, fused: bool) -> SimConfig {
-        self.router = self.router.with_fused_pipeline(fused);
-        self
-    }
-
-    /// Switches batched link delivery on or off (differential testing;
-    /// results are bit-identical either way).
-    pub fn with_batched_delivery(mut self, enabled: bool) -> SimConfig {
-        self.batched_delivery = enabled;
         self
     }
 
@@ -785,8 +754,6 @@ impl SimConfig {
             self.link_delay,
             self.seed,
         );
-        net.set_active_scheduling(self.active_scheduling);
-        net.set_batched_delivery(self.batched_delivery);
 
         let mut workload = self.build_workload();
         assert_eq!(

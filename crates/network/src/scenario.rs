@@ -6,7 +6,7 @@
 //! checked setters and [`ScenarioBuilder::build`] returns every
 //! inconsistency as a typed [`ScenarioError`] instead of a mid-run panic;
 //! the result then *compiles* down to the [`SimConfig`]-shaped internals
-//! ([`Scenario::compile`]), so the fused SoA hot path runs exactly the
+//! ([`Scenario::compile`]), so the cycle loop runs exactly the
 //! bytes it always ran — the paper-reference synthetic scenario is
 //! bit-identical to the historical `SimConfig` path (enforced by the
 //! `scenario_equivalence` integration test).
@@ -32,7 +32,7 @@
 use crate::experiment::{Algorithm, ArrivalKind, Pattern, SimConfig, TableKind, WorkloadKind};
 use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
-use lapses_core::RouterConfig;
+use lapses_core::{RouterConfig, MAX_VC_SLOTS};
 use lapses_topology::{FaultError, Mesh};
 use lapses_traffic::workload::OnOffWorkload;
 use lapses_traffic::{Generator, LengthDistribution, Trace};
@@ -52,6 +52,22 @@ pub enum ScenarioError {
         total: usize,
         /// Escape VCs requested.
         escape: usize,
+    },
+    /// The router has more (port, VC) slots than [`MAX_VC_SLOTS`], the
+    /// width of its occupancy masks.
+    VcSlots {
+        /// Ports per router on this topology (local port included).
+        ports: usize,
+        /// VCs per port.
+        vcs: usize,
+    },
+    /// A buffer depth is zero, or an input VC's ring (input plus output
+    /// depth, in flits) does not fit 16 bits.
+    BufferDepth {
+        /// Input buffer depth per VC, in flits.
+        input: usize,
+        /// Output staging depth per VC, in flits.
+        output: usize,
     },
     /// The routing algorithm needs more escape VCs than the router has.
     EscapeVcs {
@@ -146,6 +162,18 @@ impl fmt::Display for ScenarioError {
             ScenarioError::VcConfig { total, escape } => write!(
                 f,
                 "VC configuration is inconsistent: {escape} escape VC(s) out of {total} total"
+            ),
+            ScenarioError::VcSlots { ports, vcs } => write!(
+                f,
+                "{ports} ports × {vcs} VCs = {} (port, VC) slots exceed the router's \
+                 budget of {MAX_VC_SLOTS}",
+                ports.saturating_mul(*vcs)
+            ),
+            ScenarioError::BufferDepth { input, output } => write!(
+                f,
+                "buffer depths must be at least 1 flit with input + output at most {}, \
+                 got input {input} and output {output}",
+                u16::MAX
             ),
             ScenarioError::EscapeVcs {
                 algorithm,
@@ -430,27 +458,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Switches the active-set scheduler (differential testing).
-    pub fn active_scheduling(mut self, enabled: bool) -> Self {
-        self.config.active_scheduling = enabled;
-        self
-    }
-
-    /// Switches the fused router pipeline (differential testing).
-    pub fn fused_pipeline(mut self, fused: bool) -> Self {
-        self.config.router = self.config.router.with_fused_pipeline(fused);
-        self
-    }
-
-    /// Switches batched link delivery (differential testing).
-    pub fn batched_delivery(mut self, enabled: bool) -> Self {
-        self.config.batched_delivery = enabled;
-        self
-    }
-
     /// Validates the composition and produces a runnable [`Scenario`].
     ///
-    /// Checks, in order: load sanity, measurement window, VC counts,
+    /// Checks, in order: load sanity, measurement window, VC counts, the
+    /// router's (port, VC) slot budget and buffer depths,
     /// algorithm/topology compatibility, faults (valid links, an up*/down*
     /// algorithm and a fault-capable table, connectivity), escape-VC
     /// sufficiency for deadlock freedom, and workload-specific consistency
@@ -482,6 +493,20 @@ impl ScenarioBuilder {
                 total: router.vcs_per_port,
                 escape: router.escape_vcs,
             });
+        }
+        let ports = config.mesh.ports_per_router();
+        if ports.saturating_mul(router.vcs_per_port) > MAX_VC_SLOTS {
+            return Err(ScenarioError::VcSlots {
+                ports,
+                vcs: router.vcs_per_port,
+            });
+        }
+        let (input, output) = (router.input_buffer_flits, router.output_buffer_flits);
+        let ring_fits = input
+            .checked_add(output)
+            .is_some_and(|ring| ring <= u16::MAX as usize);
+        if input == 0 || output == 0 || !ring_fits {
+            return Err(ScenarioError::BufferDepth { input, output });
         }
 
         if config.algorithm.requires_2d_mesh()
@@ -635,6 +660,46 @@ mod tests {
             }
         );
         assert!(err.to_string().contains("deadlock freedom"));
+    }
+
+    #[test]
+    fn vc_slot_budget_is_validated_up_front() {
+        // 2-D mesh: 5 ports × 13 VCs = 65 slots, one past the budget.
+        let err = small().vcs(13, 1).build().unwrap_err();
+        assert_eq!(err, ScenarioError::VcSlots { ports: 5, vcs: 13 });
+        assert!(err.to_string().contains("65 (port, VC) slots"));
+        // 3-D mesh: 7 ports × 10 VCs = 70 slots.
+        let err = small()
+            .topology(Mesh::mesh(&[4, 4, 4]))
+            .vcs(10, 1)
+            .build()
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::VcSlots { ports: 7, vcs: 10 });
+        // A count whose slot product overflows is still a typed error.
+        let err = small().vcs(usize::MAX, 1).build().unwrap_err();
+        assert!(matches!(err, ScenarioError::VcSlots { .. }), "{err}");
+        // Exactly at the budget builds and runs.
+        let at_budget = small().vcs(12, 1).build().unwrap().run();
+        assert!(!at_budget.saturated && at_budget.messages == 300);
+    }
+
+    #[test]
+    fn buffer_depths_are_validated_up_front() {
+        let with = |input, output| {
+            small().router(RouterConfig {
+                input_buffer_flits: input,
+                output_buffer_flits: output,
+                ..RouterConfig::paper_adaptive()
+            })
+        };
+        for (input, output) in [(0, 20), (20, 0), (40_000, 30_000), (usize::MAX, 1)] {
+            assert_eq!(
+                with(input, output).build().unwrap_err(),
+                ScenarioError::BufferDepth { input, output }
+            );
+        }
+        // The largest ring that fits 16 bits is accepted.
+        assert!(with(65_000, 535).build().is_ok());
     }
 
     #[test]

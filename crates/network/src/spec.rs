@@ -821,6 +821,19 @@ mod tests {
     }
 
     #[test]
+    fn vc_slot_budget_errors_surface_as_scenario_errors() {
+        let spec = ScenarioSpec::parse("topology = mesh 4x4\nvcs = 13 1\n").unwrap();
+        let err = spec.to_scenario(Path::new(".")).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpecError::Scenario(ScenarioError::VcSlots { ports: 5, vcs: 13 })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn fault_validation_errors_surface_as_scenario_errors() {
         let spec = ScenarioSpec {
             shape: vec![4, 4],

@@ -142,11 +142,14 @@
 //! in a slab of per-message records, so buffer moves are single small
 //! memcpys — and launches stream from the router pipeline straight onto
 //! the wires through [`core::StepSink`] with no intermediate staging.
-//! All of this is **semantics-preserving**: results are bit-identical
-//! with the scheduler forced on or off
-//! ([`SimConfig::with_active_scheduling`](network::SimConfig::with_active_scheduling)),
-//! which the `scheduler_equivalence` integration test enforces across
-//! patterns, loads and pipelines.
+//! There is one cycle loop: one router walk, one delivery protocol and one
+//! scheduler. Its simulated behaviour is pinned bit for bit by golden
+//! fingerprints in the `golden_fingerprints`, `scheduler_equivalence` and
+//! `scenario_equivalence` integration tests of `lapses-network` (the
+//! paper's patterns under PROUD and LA-PROUD on meshes, tori, a 3-D mesh
+//! and a faulty mesh, the 8×8 paper grid under four seeds, the saturation
+//! cut-off, and the pinned reference sweep) and, cycle by cycle, by
+//! per-cycle hash pins in the router and network unit tests.
 //!
 //! Performance is measured same-host by the stand-alone `perfbench/`
 //! package, which checks golden simulated fingerprints before it times
