@@ -12,7 +12,7 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lapses_core::psh::{PathSelection, PathSelector, PortStatus};
 use lapses_core::router::INFINITE_CREDITS;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable, TableScheme};
-use lapses_core::{Flit, MessageId, MsgRef, Router, RouterConfig, RouterTable, StepOutputs};
+use lapses_core::{Flit, MsgRef, Router, RouterConfig, RouterTable, StepOutputs};
 use lapses_network::{Pattern, SimConfig};
 use lapses_routing::DuatoAdaptive;
 use lapses_sim::{Cycle, SimRng};
@@ -72,7 +72,7 @@ fn bench_router_step(c: &mut Criterion) {
         b.iter_batched(
             || {
                 let mut r = bench_router();
-                let flits = Flit::message(MessageId(1), MsgRef(0), dest, 1000);
+                let flits = Flit::message(MsgRef(0), dest, 1000);
                 for f in flits.into_iter().take(18) {
                     r.accept_flit(Port::LOCAL, 0, f, Cycle::ZERO);
                 }
@@ -96,8 +96,7 @@ fn bench_router_step(c: &mut Criterion) {
             || {
                 let mut r = bench_router();
                 for p in 0..r.ports() {
-                    let flits =
-                        Flit::message(MessageId(p as u64 + 1), MsgRef(p as u32), dest, 1000);
+                    let flits = Flit::message(MsgRef(p as u32), dest, 1000);
                     for f in flits.into_iter().take(18) {
                         r.accept_flit(Port::from_index(p), 0, f, Cycle::ZERO);
                     }

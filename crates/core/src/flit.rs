@@ -10,49 +10,43 @@
 //! # The lean hot path
 //!
 //! Flits are the unit the simulator copies most: every hop moves one
-//! through an input buffer, a staging buffer, a link pipeline and possibly
-//! a NIC queue. [`Flit`] is therefore a small `Copy` POD holding only what
-//! the router datapath reads — message identity, position, destination and
-//! the head's look-ahead routing state. Everything the *statistics* need
-//! (source node, generation and injection timestamps, the measurement
-//! flag) lives in a single per-message record owned by the network layer
-//! and reached through the flit's [`MsgRef`] handle, so body and tail
-//! flits never drag bookkeeping bytes through the buffers.
+//! through an input buffer, a staging buffer and a link pipeline.
+//! [`Flit`] is therefore a 16-byte `Copy` POD holding only
+//! what the router datapath reads — position, destination, the head's
+//! look-ahead routing state, and the [`MsgRef`] handle the ejection
+//! statistics need. Everything the *statistics* need beyond that (source
+//! node, generation and injection timestamps, the measurement flag) lives
+//! in a single per-message record owned by the network layer and reached
+//! through that handle. No stage needs a message number or a flit index:
+//! wormhole switching keeps a message's flits in order on one VC, so a
+//! flit's position is fully described by its [`FlitKind`].
 //!
 //! # Structure-of-arrays buffering
 //!
 //! On the wire a flit travels as one [`Flit`] value, but *inside a
-//! router* the buffers hold it split in two ([`Flit::split`] /
+//! router* the buffers hold it split three ways ([`Flit::split`] /
 //! [`Flit::assemble`]):
 //!
-//! * the **hot** half is just the [`FlitKind`] — the one field every
+//! * the **hot** part is just the [`FlitKind`] — the one field every
 //!   pipeline stage branches on (is this a head? a tail?). The router
 //!   keeps these in a dense one-byte-per-slot array, so the per-cycle
-//!   stage walk reads 1 byte per occupancy check instead of dragging the
-//!   whole 32-byte flit through the cache;
-//! * the **cold** half ([`ColdFlit`]) carries everything else — message
-//!   identity, sequence number, destination and the head's look-ahead
-//!   entry — and lives in a parallel side array that only head-flit
-//!   decoding (routing reads `dest`/`lookahead`) and launch reassembly
-//!   touch.
+//!   stage walk reads 1 byte per occupancy check;
+//! * the **cold** part ([`ColdFlit`]) is the 8-byte `(rec, dest)` pair
+//!   every flit carries, in a parallel side array that head decoding
+//!   (routing reads `dest`), launches and ejections touch;
+//! * the **look-ahead** entry lives in a third side array that only heads
+//!   in LA-PROUD routers write or read (§3.2, Fig. 4(b): only the header
+//!   carries routing state). Body and tail flits never carry one.
 //!
-//! The split is lossless: `assemble(split(f)) == f`, enforced by a
-//! round-trip test below, which is what lets the router arenas change
-//! layout without changing a single simulated bit.
+//! A body or tail hop therefore moves 9 bytes. The split is lossless
+//! (`assemble(split(f)) == f`, enforced by a round-trip test below), and
+//! the router drops a look-ahead only where it is always `None` (non-head
+//! flits, and every flit in a PROUD router); that is what lets the router
+//! arenas change layout without changing a single simulated bit.
 
 use crate::tables::RouteEntry;
 use lapses_topology::NodeId;
 use std::fmt;
-
-/// Unique message identifier within a simulation run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct MessageId(pub u64);
-
-impl fmt::Display for MessageId {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "m{}", self.0)
-    }
-}
 
 /// Handle to the owning network's per-message record (source, timestamps,
 /// measurement flag). The network layer allocates one per message at offer
@@ -75,6 +69,18 @@ pub enum FlitKind {
 }
 
 impl FlitKind {
+    /// The role of flit `seq` (head = 0) in a `length`-flit message.
+    #[inline]
+    pub fn at(seq: u32, length: u32) -> FlitKind {
+        debug_assert!(seq < length, "flit index past the message");
+        match (seq, length) {
+            (0, 1) => FlitKind::HeadTail,
+            (0, _) => FlitKind::Head,
+            (s, l) if s + 1 == l => FlitKind::Tail,
+            _ => FlitKind::Body,
+        }
+    }
+
     /// Whether this flit performs routing (head of a message).
     #[inline]
     pub fn is_head(self) -> bool {
@@ -88,7 +94,7 @@ impl FlitKind {
     }
 }
 
-/// One flow-control unit traversing the network — a small `Copy` value.
+/// One flow-control unit traversing the network — a 16-byte `Copy` value.
 ///
 /// Flits are moved by value between buffers; the head flit's
 /// [`lookahead`](Flit::lookahead) field is rewritten at each hop by
@@ -98,14 +104,10 @@ impl FlitKind {
 /// statistics ride in the per-message record behind [`Flit::rec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
-    /// Message this flit belongs to.
-    pub msg: MessageId,
     /// Handle to the per-message record (source, timestamps, measured).
     pub rec: MsgRef,
     /// Destination node of the message (read by head-flit routing only).
     pub dest: NodeId,
-    /// Flit index within the message (head = 0).
-    pub seq: u32,
     /// Head / body / tail role.
     pub kind: FlitKind,
     /// Look-ahead routing information for the router this flit is entering:
@@ -115,56 +117,46 @@ pub struct Flit {
     pub lookahead: Option<RouteEntry>,
 }
 
-/// The cold half of a flit in a structure-of-arrays buffer: every field
-/// except the [`FlitKind`]. Read by head-flit handling (routing needs
-/// `dest` and `lookahead`) and when a launch reassembles the full
-/// [`Flit`] for the wire; never touched by the body/tail fast path.
+/// The cold part of a flit in a structure-of-arrays buffer: the 8 bytes
+/// every flit carries besides its [`FlitKind`]. Read by head decoding
+/// (routing needs `dest`) and when a launch reassembles the full
+/// [`Flit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ColdFlit {
-    /// Message this flit belongs to.
-    pub msg: MessageId,
     /// Handle to the per-message record.
     pub rec: MsgRef,
     /// Destination node of the message.
     pub dest: NodeId,
-    /// Flit index within the message (head = 0).
-    pub seq: u32,
-    /// Look-ahead routing information (heads in LA-PROUD only).
-    pub lookahead: Option<RouteEntry>,
 }
 
 impl Flit {
-    /// Splits a flit into its hot ([`FlitKind`]) and cold halves for
-    /// structure-of-arrays storage.
+    /// Splits a flit into its hot ([`FlitKind`]), cold and look-ahead parts
+    /// for structure-of-arrays storage.
     #[inline]
-    pub fn split(self) -> (FlitKind, ColdFlit) {
+    pub fn split(self) -> (FlitKind, ColdFlit, Option<RouteEntry>) {
         (
             self.kind,
             ColdFlit {
-                msg: self.msg,
                 rec: self.rec,
                 dest: self.dest,
-                seq: self.seq,
-                lookahead: self.lookahead,
             },
+            self.lookahead,
         )
     }
 
-    /// Reassembles a flit from its hot and cold halves (inverse of
-    /// [`Flit::split`]).
+    /// Reassembles a flit from its parts (inverse of [`Flit::split`]).
     #[inline]
-    pub fn assemble(kind: FlitKind, cold: ColdFlit) -> Flit {
+    pub fn assemble(kind: FlitKind, cold: ColdFlit, lookahead: Option<RouteEntry>) -> Flit {
         Flit {
-            msg: cold.msg,
             rec: cold.rec,
             dest: cold.dest,
-            seq: cold.seq,
             kind,
-            lookahead: cold.lookahead,
+            lookahead,
         }
     }
 
-    /// Builds the flits of a message, in injection order.
+    /// Builds the flits of a message, in injection order, none carrying
+    /// look-ahead information.
     ///
     /// `rec` is the per-message record handle the network layer allocated
     /// for the message's bookkeeping (every flit carries it).
@@ -172,24 +164,14 @@ impl Flit {
     /// # Panics
     ///
     /// Panics if `length` is zero.
-    pub fn message(msg: MessageId, rec: MsgRef, dest: NodeId, length: u32) -> Vec<Flit> {
+    pub fn message(rec: MsgRef, dest: NodeId, length: u32) -> Vec<Flit> {
         assert!(length > 0, "messages need at least one flit");
         (0..length)
-            .map(|seq| {
-                let kind = match (seq, length) {
-                    (0, 1) => FlitKind::HeadTail,
-                    (0, _) => FlitKind::Head,
-                    (s, l) if s + 1 == l => FlitKind::Tail,
-                    _ => FlitKind::Body,
-                };
-                Flit {
-                    msg,
-                    rec,
-                    dest,
-                    seq,
-                    kind,
-                    lookahead: None,
-                }
+            .map(|seq| Flit {
+                rec,
+                dest,
+                kind: FlitKind::at(seq, length),
+                lookahead: None,
             })
             .collect()
     }
@@ -197,11 +179,7 @@ impl Flit {
 
 impl fmt::Display for Flit {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}[{}] {:?} ->{}",
-            self.msg, self.seq, self.kind, self.dest
-        )
+        write!(f, "#{} {:?} ->{}", self.rec.0, self.kind, self.dest)
     }
 }
 
@@ -211,19 +189,24 @@ mod tests {
 
     #[test]
     fn message_flit_roles() {
-        let flits = Flit::message(MessageId(1), MsgRef(0), NodeId(5), 4);
+        let flits = Flit::message(MsgRef(0), NodeId(5), 4);
         assert_eq!(flits.len(), 4);
         assert_eq!(flits[0].kind, FlitKind::Head);
         assert_eq!(flits[1].kind, FlitKind::Body);
         assert_eq!(flits[2].kind, FlitKind::Body);
         assert_eq!(flits[3].kind, FlitKind::Tail);
-        assert!(flits.iter().enumerate().all(|(i, f)| f.seq == i as u32));
-        assert!(flits.iter().all(|f| f.rec == MsgRef(0)));
+        assert!(flits
+            .iter()
+            .enumerate()
+            .all(|(i, f)| f.kind == FlitKind::at(i as u32, 4)));
+        assert!(flits
+            .iter()
+            .all(|f| f.rec == MsgRef(0) && f.dest == NodeId(5) && f.lookahead.is_none()));
     }
 
     #[test]
     fn single_flit_message_is_headtail() {
-        let flits = Flit::message(MessageId(2), MsgRef(7), NodeId(2), 1);
+        let flits = Flit::message(MsgRef(7), NodeId(2), 1);
         assert_eq!(flits.len(), 1);
         assert_eq!(flits[0].kind, FlitKind::HeadTail);
         assert!(flits[0].kind.is_head());
@@ -242,36 +225,39 @@ mod tests {
 
     #[test]
     fn flit_stays_a_small_pod() {
-        // The whole point of the lean hot path: a flit must stay a few
+        // The whole point of the lean hot path: a flit must stay two
         // machine words so buffer moves are cheap memcpys. The budget is
-        // 32 bytes (msg + rec + dest + seq + kind + compact look-ahead).
+        // 16 bytes (rec + dest + kind + compact look-ahead), and a body or
+        // tail router slot is the kind byte plus the 8-byte cold part.
         assert!(
-            std::mem::size_of::<Flit>() <= 32,
+            std::mem::size_of::<Flit>() <= 16,
             "Flit grew to {} bytes — keep bookkeeping in the message record",
             std::mem::size_of::<Flit>()
         );
+        assert_eq!(std::mem::size_of::<ColdFlit>(), 8);
+        assert_eq!(std::mem::size_of::<FlitKind>(), 1);
     }
 
     #[test]
     fn split_assemble_round_trips() {
         use crate::tables::RouteEntry;
-        let mut flits = Flit::message(MessageId(3), MsgRef(9), NodeId(6), 3);
+        let mut flits = Flit::message(MsgRef(9), NodeId(6), 3);
         flits[0].lookahead = Some(RouteEntry::local());
         for f in flits {
-            let (kind, cold) = f.split();
-            assert_eq!(Flit::assemble(kind, cold), f);
+            let (kind, cold, lookahead) = f.split();
+            assert_eq!(Flit::assemble(kind, cold, lookahead), f);
         }
     }
 
     #[test]
     #[should_panic(expected = "at least one flit")]
     fn zero_length_rejected() {
-        let _ = Flit::message(MessageId(0), MsgRef(0), NodeId(1), 0);
+        let _ = Flit::message(MsgRef(0), NodeId(1), 0);
     }
 
     #[test]
     fn display_is_compact() {
-        let flits = Flit::message(MessageId(7), MsgRef(0), NodeId(9), 2);
-        assert_eq!(flits[0].to_string(), "m7[0] Head ->n9");
+        let flits = Flit::message(MsgRef(7), NodeId(9), 2);
+        assert_eq!(flits[0].to_string(), "#7 Head ->n9");
     }
 }

@@ -31,12 +31,14 @@
 //!
 //! # The SoA flit arenas and the slot lifecycle
 //!
-//! All flit storage lives in four contiguous **structure-of-arrays
-//! arenas**: per buffer class (input, output staging) one dense
-//! one-byte-per-slot array of [`FlitKind`]s — the hot half every stage
-//! branches on — and one parallel side array of [`ColdFlit`]s holding the
-//! fields only head-flit decoding and launch reassembly read (see
-//! [`crate::flit`]). Each (port, VC) owns the fixed arena segment
+//! All flit storage lives in contiguous **structure-of-arrays arenas**
+//! (see [`crate::flit`]). The input rings keep three parallel arrays: a
+//! dense one-byte-per-slot array of [`FlitKind`]s — the hot part every
+//! stage branches on — an array of 8-byte [`ColdFlit`]s (`rec`, `dest`),
+//! and, in LA-PROUD routers only, an array of look-ahead entries that
+//! only heads write or read (PROUD allocates it empty). The output
+//! staging rings keep kind bytes, plus cold parts for the ejection port.
+//! Each (port, VC) owns the fixed arena segment
 //! `flat_index * cap .. (flat_index + 1) * cap`, used as a ring whose
 //! cursor lives in the VC's [`InputVc`]/[`OutputVc`] header; cursors wrap
 //! with a compare instead of a modulo so the hot path never divides.
@@ -53,9 +55,11 @@
 //! (returning a credit upstream); the **VM** grant pops the staging head
 //! and announces the launch ([`StepSink::launch_reserved`]). Only the
 //! ejection port keeps payloads in the staging ring: its XB winner copies
-//! both halves to the staging tail and its VM grant reassembles the flit
-//! for [`StepSink::launch`]. Routing (**TL**/**SA**) reads only the ring
-//! head's kind byte plus, for heads, the cold `dest`/`lookahead` fields.
+//! the kind byte and cold part to the staging tail (an ejecting head
+//! carries no look-ahead) and its VM grant reassembles the flit for
+//! [`StepSink::launch`]. A body or tail flit thus moves 9 bytes per hop.
+//! Routing (**TL**/**SA**) reads only the ring head's kind byte plus, for
+//! heads, the cold `dest` and the look-ahead entry.
 //!
 //! # The cycle walk
 //!
@@ -153,13 +157,10 @@ const IDLE_OUTPUT: OutputVc = OutputVc {
     len: 0,
 };
 
-/// Cold-half value used only to initialize arena slots; never observed.
+/// Cold-part value used only to initialize arena slots; never observed.
 const COLD_FILLER: ColdFlit = ColdFlit {
-    msg: crate::flit::MessageId(u64::MAX),
     rec: crate::flit::MsgRef(u32::MAX),
     dest: NodeId(u32::MAX),
-    seq: u32::MAX,
-    lookahead: None,
 };
 
 /// A flit entering a link this cycle.
@@ -342,14 +343,17 @@ pub struct Router {
     inputs: [InputVc; MAX_VC_SLOTS],
     /// Per-VC output cursors + credits, inline.
     outputs: [OutputVc; MAX_VC_SLOTS],
-    /// Hot halves (kind bytes) of the input-VC flit rings, one contiguous
-    /// segment per VC (`vc_index * in_cap ..`).
+    /// Kind bytes of the input-VC flit rings, one contiguous segment per
+    /// VC (`vc_index * in_ring ..`).
     in_kind: Box<[FlitKind]>,
-    /// Cold halves of the input rings (head decoding / launch reads only).
+    /// Cold parts (`rec`, `dest`) of the input rings.
     in_cold: Box<[ColdFlit]>,
-    /// Hot halves of the output staging rings.
+    /// Look-ahead entries of the input rings, written and read at head
+    /// slots only; empty in PROUD routers, whose heads carry none.
+    in_la: Box<[Option<RouteEntry>]>,
+    /// Kind bytes of the output staging rings.
     out_kind: Box<[FlitKind]>,
-    /// Cold halves of the ejection port's staging rings — the only
+    /// Cold parts of the ejection port's staging rings — the only
     /// staged payloads (neighbor-bound payloads wait downstream). The
     /// local port is port 0, so its arena slots lead the kind arena's.
     out_cold: Box<[ColdFlit]>,
@@ -408,6 +412,7 @@ impl Router {
         let in_ring = in_cap.checked_add(out_cap).expect("ring fits u16");
         let in_slots = ports * vcs * in_ring as usize;
         let out_slots = ports * vcs * out_cap as usize;
+        let lookahead = cfg.pipeline.is_lookahead();
         Router {
             in_occupied: 0,
             out_occupied: 0,
@@ -431,7 +436,7 @@ impl Router {
             in_ring,
             vcs: vcs as u8,
             ports: ports as u8,
-            lookahead: cfg.pipeline.is_lookahead(),
+            lookahead,
             vm_next: [0; MAX_PORTS],
             xb_in_next: [0; MAX_PORTS],
             xb_out_next: [0; MAX_PORTS],
@@ -441,6 +446,7 @@ impl Router {
             outputs: [IDLE_OUTPUT; MAX_VC_SLOTS],
             in_kind: vec![FlitKind::Body; in_slots].into_boxed_slice(),
             in_cold: vec![COLD_FILLER; in_slots].into_boxed_slice(),
+            in_la: vec![None; if lookahead { in_slots } else { 0 }].into_boxed_slice(),
             out_kind: vec![FlitKind::Body; out_slots].into_boxed_slice(),
             out_cold: vec![COLD_FILLER; vcs * out_cap as usize].into_boxed_slice(),
             selector: PathSelector::new(cfg.path_selection, ports),
@@ -532,10 +538,33 @@ impl Router {
             slot -= cap;
         }
         vc.len += 1;
-        let (kind, cold) = flit.split();
-        let slot = idx * cap as usize + slot as usize;
+        self.in_write(idx * cap as usize + slot as usize, flit);
+    }
+
+    /// Writes `flit` into input arena slot `slot`: the kind byte and cold
+    /// part always, the look-ahead entry only for LA-PROUD heads.
+    #[inline]
+    fn in_write(&mut self, slot: usize, flit: Flit) {
+        let (kind, cold, lookahead) = flit.split();
         self.in_kind[slot] = kind;
         self.in_cold[slot] = cold;
+        if self.lookahead && kind.is_head() {
+            self.in_la[slot] = lookahead;
+        }
+    }
+
+    /// Reassembles the flit in input arena slot `slot` (inverse of
+    /// [`Router::in_write`]; non-heads and PROUD heads carry no
+    /// look-ahead).
+    #[inline]
+    fn in_read(&self, slot: usize) -> Flit {
+        let kind = self.in_kind[slot];
+        let lookahead = if self.lookahead && kind.is_head() {
+            self.in_la[slot]
+        } else {
+            None
+        };
+        Flit::assemble(kind, self.in_cold[slot], lookahead)
     }
 
     /// Arena index of input ring `idx`'s front slot (requires `len > 0`).
@@ -577,9 +606,10 @@ impl Router {
     }
 
     /// Pops the front of input ring `in_idx` and pushes it onto staging
-    /// ring `out_idx`, copying the two SoA halves directly (the full
-    /// [`Flit`] is never reassembled mid-router). Returns the moved
-    /// flit's kind. The ejection port's crossbar move.
+    /// ring `out_idx`, copying the kind byte and cold part directly (the
+    /// full [`Flit`] is never reassembled mid-router, and an ejecting head
+    /// carries no look-ahead). Returns the moved flit's kind. The ejection
+    /// port's crossbar move.
     #[inline]
     fn move_in_to_out(&mut self, in_idx: usize, out_idx: usize) -> FlitKind {
         let islot = self.ibuf_front_slot(in_idx);
@@ -618,7 +648,7 @@ impl Router {
         }
     }
 
-    /// Writes a flit's halves into the input ring slot it will occupy on
+    /// Writes a flit's parts into the input ring slot it will occupy on
     /// arrival **without making it visible**: the reservation half of the
     /// zero-copy wire (see the `lapses-network` module docs), performed
     /// when the flit wins the *upstream* crossbar. The slot is
@@ -648,10 +678,7 @@ impl Router {
             slot -= cap;
         }
         ivc.pending += 1;
-        let (kind, cold) = flit.split();
-        let slot = idx * cap as usize + slot as usize;
-        self.in_kind[slot] = kind;
-        self.in_cold[slot] = cold;
+        self.in_write(idx * cap as usize + slot as usize, flit);
     }
 
     /// Makes the oldest reserved flit at `(port, vc)` visible — the wire
@@ -767,7 +794,7 @@ impl Router {
         let Some(v) = granted else { return false };
         let idx = base + v;
         // Pop the staging ring's front: the kind byte always, the cold
-        // half only for ejections — a neighbor-bound payload already sits
+        // part only for ejections — a neighbor-bound payload already sits
         // in the downstream input ring.
         let ocap = self.out_cap;
         let (slot, was_full) = {
@@ -820,7 +847,7 @@ impl Router {
         }
         let port = Port::from_index(p);
         if port.is_local() {
-            sink.launch(port, v, Flit::assemble(kind, self.out_cold[slot]));
+            sink.launch(port, v, Flit::assemble(kind, self.out_cold[slot], None));
         } else {
             sink.launch_reserved(port, v);
         }
@@ -881,13 +908,9 @@ impl Router {
                 // Zero-copy wire: hand the payload to the sink (it goes
                 // straight into the downstream input ring) and stage only
                 // the kind byte for the VC multiplexor.
-                let islot = self.ibuf_front_slot(in_idx);
-                let kind = self.in_kind[islot];
-                sink.transfer(
-                    Port::from_index(op),
-                    of - op * vcs,
-                    Flit::assemble(kind, self.in_cold[islot]),
-                );
+                let flit = self.in_read(self.ibuf_front_slot(in_idx));
+                let kind = flit.kind;
+                sink.transfer(Port::from_index(op), of - op * vcs, flit);
                 self.ibuf_advance(in_idx);
                 self.obuf_push_kind(of, kind);
                 kind
@@ -934,15 +957,16 @@ impl Router {
         let vcs = self.vcs as usize;
         let slot = self.ibuf_front_slot(idx);
         debug_assert!(self.in_kind[slot].is_head(), "selection on a non-head flit");
-        let dest = self.in_cold[slot].dest;
         match self.try_allocate(entry) {
             Some((out_port, out_vc, used_escape)) => {
                 let of = out_port.index() * vcs + out_vc;
                 self.outputs[of].owner = Some(((idx / vcs) as u8, (idx % vcs) as u8));
                 self.owner_free &= !(1 << of);
-                let lookahead = (self.lookahead && !out_port.is_local())
-                    .then(|| self.table.lookahead_entry(out_port, dest));
-                self.in_cold[slot].lookahead = lookahead;
+                if self.lookahead {
+                    let dest = self.in_cold[slot].dest;
+                    self.in_la[slot] =
+                        (!out_port.is_local()).then(|| self.table.lookahead_entry(out_port, dest));
+                }
                 self.inputs[idx].state = VcState::Active {
                     out_port,
                     out_vc: out_vc as u8,
@@ -1099,18 +1123,17 @@ impl Router {
         if !self.in_kind[slot].is_head() {
             return;
         }
-        let front = &self.in_cold[slot];
-        let entry = front.lookahead.unwrap_or_else(|| {
+        let entry = self.in_la[slot].unwrap_or_else(|| {
             panic!(
                 "LA-PROUD header {} arrived at {} without look-ahead info",
-                Flit::assemble(self.in_kind[slot], *front),
+                self.in_read(slot),
                 self.node
             )
         });
         debug_assert_eq!(
             (entry.candidates, entry.escape),
             {
-                let direct = self.table.entry(front.dest);
+                let direct = self.table.entry(self.in_cold[slot].dest);
                 (direct.candidates, direct.escape)
             },
             "carried look-ahead disagrees with a direct lookup at {}",
@@ -1129,7 +1152,7 @@ impl Router {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::flit::{FlitKind, MessageId, MsgRef};
+    use crate::flit::{FlitKind, MsgRef};
     use crate::psh::PathSelection;
     use crate::tables::{FullTable, TableScheme};
     use lapses_routing::DuatoAdaptive;
@@ -1166,7 +1189,7 @@ mod tests {
     }
 
     fn message(dest: u32, len: u32) -> Vec<Flit> {
-        Flit::message(MessageId(1), MsgRef(0), NodeId(dest), len)
+        Flit::message(MsgRef(1), NodeId(dest), len)
     }
 
     fn with_lookahead(mut flits: Vec<Flit>, router: &Router) -> Vec<Flit> {
@@ -1231,8 +1254,8 @@ mod tests {
         let launches = run(&mut r, 1, 12);
         let times: Vec<u64> = launches.iter().map(|(t, _)| *t).collect();
         assert_eq!(times, vec![4, 5, 6, 7]);
-        let seqs: Vec<u32> = launches.iter().map(|(_, l)| l.flit.seq).collect();
-        assert_eq!(seqs, vec![0, 1, 2, 3], "flits must stay in order");
+        let sent: Vec<Flit> = launches.iter().map(|(_, l)| l.flit).collect();
+        assert_eq!(sent, flits, "flits must stay in order");
     }
 
     #[test]
@@ -1273,7 +1296,9 @@ mod tests {
         r.accept_credit(px, vc);
         let more = run_into(&mut r, &mut out, 11, 13);
         assert_eq!(more.len(), 1);
-        assert_eq!(more[0].1.flit.seq, 1);
+        // The head went first, so the next flit is the second of three.
+        assert_eq!(launches[0].1.flit, flits[0]);
+        assert_eq!(more[0].1.flit, flits[1]);
     }
 
     #[test]
@@ -1283,10 +1308,7 @@ mod tests {
         let cfg = RouterConfig::paper_adaptive().with_vcs(2, 1);
         let mut r = line_router(cfg);
         let m1 = message(3, 10); // long enough to hold its VC
-        let mut m2 = message(3, 10);
-        for f in &mut m2 {
-            f.msg = MessageId(2);
-        }
+        let m2 = Flit::message(MsgRef(2), NodeId(3), 10);
         for f in &m1 {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
         }
@@ -1313,10 +1335,7 @@ mod tests {
         };
         let mut r = line_router(cfg);
         let m1 = message(3, 2);
-        let mut m2 = message(3, 2);
-        for f in &mut m2 {
-            f.msg = MessageId(2);
-        }
+        let m2 = Flit::message(MsgRef(2), NodeId(3), 2);
         // Two messages on the same input VC, back to back.
         for f in m1.iter().chain(&m2) {
             r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
@@ -1325,8 +1344,8 @@ mod tests {
         assert_eq!(launches.len(), 4);
         // Second header allocates only after the first tail freed the VC.
         assert!(r.stats().selection_stall_cycles > 0 || launches[2].0 > launches[1].0);
-        let msgs: Vec<u64> = launches.iter().map(|(_, l)| l.flit.msg.0).collect();
-        assert_eq!(msgs, vec![1, 1, 2, 2]);
+        let sent: Vec<Flit> = launches.iter().map(|(_, l)| l.flit).collect();
+        assert_eq!(sent, [m1, m2].concat());
     }
 
     #[test]
@@ -1357,12 +1376,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "without look-ahead info")]
+    fn lookahead_header_without_entry_is_rejected() {
+        let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(true));
+        r.accept_flit(Port::LOCAL, 0, message(3, 1)[0], Cycle::ZERO);
+    }
+
+    #[test]
     fn proud_headers_do_not_carry_lookahead() {
         let mut r = line_router(RouterConfig::paper_adaptive());
         let flits = message(3, 1);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
         let launches = run(&mut r, 1, 6);
         assert!(launches[0].1.flit.lookahead.is_none());
+        assert!(r.in_la.is_empty(), "PROUD stores no look-ahead entries");
     }
 
     #[test]
@@ -1389,12 +1416,9 @@ mod tests {
             let lookahead = cfg.pipeline.is_lookahead();
             let mut r = line_router(cfg);
             let m1 = message(3, 2);
-            let mut m2 = message(3, 2);
-            for f in &mut m2 {
-                f.msg = MessageId(2);
-                if lookahead && f.kind.is_head() {
-                    f.lookahead = Some(r.table.entry(f.dest));
-                }
+            let mut m2 = Flit::message(MsgRef(2), NodeId(3), 2);
+            if lookahead {
+                m2[0].lookahead = Some(r.table.entry(m2[0].dest));
             }
             let m1 = if lookahead {
                 with_lookahead(m1, &r)
@@ -1451,7 +1475,7 @@ mod tests {
             }
         }
         let dest = mesh.id_at(&[3, 3]).unwrap();
-        let flits = Flit::message(MessageId(9), MsgRef(0), dest, 1);
+        let flits = Flit::message(MsgRef(9), dest, 1);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
         let launches = run(&mut r, 1, 6);
         assert_eq!(launches.len(), 1);
@@ -1508,10 +1532,11 @@ mod tests {
     }
 
     /// Feeds four messages over three local VCs and hashes every cycle's
-    /// launches (port, VC and every flit field) and credits, then the
-    /// final statistics. `starved` gives each +d0 output VC one credit and
-    /// returns the credits of each launch in bursts every fourth cycle, so
-    /// staged flits of several VCs contend for the VC multiplexor.
+    /// launches (port, VC, every flit field and the flit's launch index
+    /// within its message) and credits, then the final statistics.
+    /// `starved` gives each +d0 output VC one credit and returns the
+    /// credits of each launch in bursts every fourth cycle, so staged
+    /// flits of several VCs contend for the VC multiplexor.
     fn launch_credit_hash(lookahead: bool, starved: bool) -> u64 {
         let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(lookahead));
         let px = Port::from(Direction::plus(0));
@@ -1520,8 +1545,8 @@ mod tests {
                 r.set_credits(px, v, 1);
             }
         }
-        for (m, vc, len) in [(1u64, 0usize, 4u32), (2, 1, 1), (3, 2, 6), (4, 0, 2)] {
-            let mut flits = Flit::message(MessageId(m), MsgRef(m as u32), NodeId(3), len);
+        for (m, vc, len) in [(1u32, 0usize, 4u32), (2, 1, 1), (3, 2, 6), (4, 0, 2)] {
+            let mut flits = Flit::message(MsgRef(m), NodeId(3), len);
             if lookahead {
                 flits[0].lookahead = Some(r.table.entry(flits[0].dest));
             }
@@ -1532,6 +1557,11 @@ mod tests {
         let mut h = 0xcbf2_9ce4_8422_2325;
         let mut out = StepOutputs::default();
         let mut returns = VecDeque::new();
+        // Flits launched so far per message handle, i.e. the launching
+        // flit's index within its message. The handle is hashed twice: the
+        // pinned constants date from flits that also carried a message
+        // number, which this feed set equal to the handle.
+        let mut launched = [0u32; 5];
         for t in 1..=80u64 {
             while let Some(&(due, vc)) = returns.front() {
                 if due > t {
@@ -1546,18 +1576,20 @@ mod tests {
                     returns.push_back(((t / 4 + 1) * 4, l.vc));
                 }
                 let f = l.flit;
+                let seq = launched[f.rec.0 as usize];
+                launched[f.rec.0 as usize] += 1;
                 for w in [
                     t,
                     l.port.index() as u64,
                     l.vc as u64,
-                    f.msg.0,
+                    f.rec.0 as u64,
                     f.rec.0 as u64,
                 ] {
                     fnv(&mut h, w);
                 }
                 for w in [
                     f.dest.0 as u64,
-                    f.seq as u64,
+                    seq as u64,
                     f.kind.is_head() as u64,
                     f.kind.is_tail() as u64,
                 ] {

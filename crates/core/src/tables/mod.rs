@@ -141,6 +141,10 @@ pub trait TableScheme: fmt::Debug + Send + Sync {
 pub struct RouterTable {
     program: Arc<dyn TableScheme>,
     node: NodeId,
+    /// Neighbor node per port index (`None` for the local port and for
+    /// directions off the mesh edge), so the per-header look-ahead lookup
+    /// is one array read instead of a coordinate round trip.
+    neighbors: [Option<NodeId>; lapses_topology::MAX_DIMS * 2 + 1],
 }
 
 impl RouterTable {
@@ -154,7 +158,17 @@ impl RouterTable {
             node.index() < program.mesh().node_count(),
             "node {node} outside the programmed topology"
         );
-        RouterTable { program, node }
+        let mut neighbors = [None; lapses_topology::MAX_DIMS * 2 + 1];
+        let mesh = program.mesh();
+        for port in mesh.direction_ports() {
+            let dir = port.direction().expect("direction port");
+            neighbors[port.index()] = mesh.neighbor(node, dir);
+        }
+        RouterTable {
+            program,
+            node,
+            neighbors,
+        }
     }
 
     /// The router this view belongs to.
@@ -179,14 +193,11 @@ impl RouterTable {
     ///
     /// Panics if `via` is the local port or points off the mesh edge.
     pub fn lookahead_entry(&self, via: Port, dest: NodeId) -> RouteEntry {
-        let dir = via
-            .direction()
-            .expect("look-ahead is undefined for the local port");
-        let neighbor = self
-            .program
-            .mesh()
-            .neighbor(self.node, dir)
-            .expect("look-ahead across a missing link");
+        assert!(
+            !via.is_local(),
+            "look-ahead is undefined for the local port"
+        );
+        let neighbor = self.neighbors[via.index()].expect("look-ahead across a missing link");
         self.program.entry(neighbor, dest)
     }
 }
@@ -238,6 +249,34 @@ mod tests {
         let program = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
         let table = RouterTable::new(program, NodeId(0));
         let _ = table.lookahead_entry(Port::LOCAL, NodeId(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "missing link")]
+    fn lookahead_off_the_mesh_edge_panics() {
+        let mesh = Mesh::mesh_2d(4, 4);
+        let program = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let table = RouterTable::new(program, NodeId(0));
+        let minus_x = Port::from(lapses_topology::Direction::minus(0));
+        let _ = table.lookahead_entry(minus_x, NodeId(5));
+    }
+
+    #[test]
+    fn cached_neighbors_match_the_mesh() {
+        // Every direction of every router of a 3-D torus and a 2-D mesh:
+        // the cached neighbor must be the mesh's (edges included).
+        for mesh in [Mesh::torus(&[3, 4, 3]), Mesh::mesh_2d(3, 5)] {
+            let program: Arc<dyn TableScheme> =
+                Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+            for node in mesh.nodes() {
+                let table = RouterTable::new(Arc::clone(&program), node);
+                for port in mesh.direction_ports() {
+                    let dir = port.direction().expect("direction port");
+                    assert_eq!(table.neighbors[port.index()], mesh.neighbor(node, dir));
+                }
+                assert_eq!(table.neighbors[Port::LOCAL.index()], None);
+            }
+        }
     }
 
     #[test]

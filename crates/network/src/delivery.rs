@@ -50,7 +50,7 @@ pub(crate) struct EjectRecord {
 /// An arrival notification for a flit whose payload was already written
 /// into the destination router's input arena at reservation time
 /// (`Router::reserve_flit`): the wire carries a 4-byte address per flit,
-/// never the 32-byte flit itself.
+/// never the flit itself.
 pub(crate) type ArrivalEvent = WireAddr;
 
 /// Fixed-latency pipelines for flits and credits.

@@ -56,7 +56,7 @@ mod nic;
 pub use experiment::{
     Algorithm, ArrivalKind, FaultsConfig, Pattern, SimConfig, TableKind, WorkloadKind,
 };
-pub use network::Network;
+pub use network::{Network, MAX_NODES};
 pub use report::SweepReport;
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError};
 pub use spec::{ScenarioSpec, SpecError};

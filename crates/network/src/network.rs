@@ -68,14 +68,20 @@
 use crate::active::ActiveSet;
 use crate::delivery::{ArrivalEvent, CreditDelivery, DeliveryQueues, EjectRecord};
 use crate::messages::{MessageRecord, MessageStore};
-use crate::nic::Nic;
+use crate::nic::{Message, Nic};
 use lapses_core::router::RouterStats;
 use lapses_core::router::StepSink;
 use lapses_core::router::INFINITE_CREDITS;
-use lapses_core::{Flit, MessageId, Router, RouterConfig, RouterTable, TableScheme};
+use lapses_core::{Flit, Router, RouterConfig, RouterTable, TableScheme};
 use lapses_sim::{Cycle, Histogram, RunningStats, SimRng};
 use lapses_topology::{Mesh, NodeId, Port};
 use std::sync::Arc;
+
+/// The exclusive limit on a network's node count: the packed wire
+/// addresses of the credit and arrival rings hold a node in 22 bits.
+/// [`Network::new`] panics at or past it; scenario validation reports it
+/// as a typed error first.
+pub const MAX_NODES: usize = 1 << 22;
 
 /// What happened during one network cycle — the inputs the measurement
 /// loop needs for phase and watchdog bookkeeping.
@@ -102,7 +108,6 @@ pub struct Network {
     queues: DeliveryQueues,
     program: Arc<dyn TableScheme>,
     lookahead: bool,
-    next_msg: u64,
     /// Per-message bookkeeping (source, timestamps, measured flag) behind
     /// the flits' `MsgRef` handles.
     messages: MessageStore,
@@ -258,7 +263,7 @@ impl Network {
             "table program compiled for a different topology"
         );
         assert!(
-            mesh.node_count() < 1 << 22,
+            mesh.node_count() < MAX_NODES,
             "mesh exceeds the packed wire-address budget"
         );
         router_cfg.validate();
@@ -328,7 +333,6 @@ impl Network {
             queues: DeliveryQueues::new(link_delay + 1, 1),
             program,
             lookahead,
-            next_msg: 0,
             messages: MessageStore::new(),
             latency: RunningStats::new(),
             total_latency: RunningStats::new(),
@@ -372,8 +376,6 @@ impl Network {
         measured: bool,
     ) {
         assert_ne!(src, dest, "self-addressed message");
-        let id = MessageId(self.next_msg);
-        self.next_msg += 1;
         let rec = self.messages.alloc(MessageRecord {
             src,
             dest,
@@ -383,11 +385,13 @@ impl Network {
             // Re-stamped when the head actually enters the router.
             injected_at: now,
         });
-        let mut flits = Flit::message(id, rec, dest, length);
-        if self.lookahead {
-            flits[0].lookahead = Some(self.program.entry(src, dest));
-        }
-        self.nics[src.index()].enqueue(flits);
+        let lookahead = self.lookahead.then(|| self.program.entry(src, dest));
+        self.nics[src.index()].enqueue(Message {
+            rec,
+            dest,
+            length,
+            lookahead,
+        });
         self.backlog_msgs += 1;
         self.nic_active.insert(src.index());
     }
@@ -807,13 +811,22 @@ mod tests {
         }
     }
 
-    /// Steps a 4×4 PROUD or LA-PROUD network for `cycles` cycles, calling
+    /// The paper's PROUD (`false`) or LA-PROUD (`true`) router.
+    fn paper(lookahead: bool) -> RouterConfig {
+        RouterConfig::paper_adaptive().with_lookahead(lookahead)
+    }
+
+    /// Steps a 4×4 network of `cfg` routers for `cycles` cycles, calling
     /// `traffic` before each cycle to offer that cycle's messages, and
     /// hashes every cycle's summary, traffic flag and backlog, then the
     /// final router statistics, latency bits and per-link loads. The
     /// traffic must have drained by the last cycle.
-    fn cycle_trace_hash(lookahead: bool, cycles: u64, traffic: impl Fn(&mut Network, u64)) -> u64 {
-        let mut net = small_net(RouterConfig::paper_adaptive().with_lookahead(lookahead));
+    fn cycle_trace_hash(
+        cfg: RouterConfig,
+        cycles: u64,
+        traffic: impl Fn(&mut Network, u64),
+    ) -> u64 {
+        let mut net = small_net(cfg);
         let mut h = 0xcbf2_9ce4_8422_2325;
         for t in 0..cycles {
             traffic(&mut net, t);
@@ -865,12 +878,12 @@ mod tests {
             }
         };
         assert_eq!(
-            cycle_trace_hash(false, 3_000, traffic),
+            cycle_trace_hash(paper(false), 3_000, traffic),
             0x721d_a0f3_e0e9_896b,
             "PROUD"
         );
         assert_eq!(
-            cycle_trace_hash(true, 3_000, traffic),
+            cycle_trace_hash(paper(true), 3_000, traffic),
             0x6a78_3bd4_bfb0_fabc,
             "LA-PROUD"
         );
@@ -887,12 +900,12 @@ mod tests {
             _ => {}
         };
         assert_eq!(
-            cycle_trace_hash(false, 3_000, traffic),
+            cycle_trace_hash(paper(false), 3_000, traffic),
             0x33ac_8c18_56f3_ab35,
             "PROUD"
         );
         assert_eq!(
-            cycle_trace_hash(true, 3_000, traffic),
+            cycle_trace_hash(paper(true), 3_000, traffic),
             0xb719_faa9_385e_d5a4,
             "LA-PROUD"
         );
@@ -909,12 +922,12 @@ mod tests {
             }
         };
         assert_eq!(
-            cycle_trace_hash(false, 3_000, traffic),
+            cycle_trace_hash(paper(false), 3_000, traffic),
             0x08a5_ab89_1e01_848a,
             "PROUD"
         );
         assert_eq!(
-            cycle_trace_hash(true, 3_000, traffic),
+            cycle_trace_hash(paper(true), 3_000, traffic),
             0x637f_dffc_7c20_e5c0,
             "LA-PROUD"
         );
@@ -935,13 +948,43 @@ mod tests {
             }
         };
         assert_eq!(
-            cycle_trace_hash(false, 5_000, traffic),
+            cycle_trace_hash(paper(false), 5_000, traffic),
             0x4a33_d67d_1727_6068,
             "PROUD"
         );
         assert_eq!(
-            cycle_trace_hash(true, 5_000, traffic),
+            cycle_trace_hash(paper(true), 5_000, traffic),
             0x16f9_cfd2_103a_bc0d,
+            "LA-PROUD"
+        );
+    }
+
+    #[test]
+    fn credit_starved_vc_mux_is_pinned_cycle_for_cycle() {
+        // Two-flit input buffers and one-flit staging: credits run out after
+        // every second flit, so several VCs of one output port hold staged
+        // flits when a credit returns and the VC multiplexor picks among
+        // them.
+        let shallow = |lookahead| RouterConfig {
+            input_buffer_flits: 2,
+            output_buffer_flits: 1,
+            ..paper(lookahead)
+        };
+        let traffic = |net: &mut Network, t| {
+            if t == 0 {
+                offer_wave(net, t, 6, |_| 5);
+                offer_wave(net, t, 5, |s| s + 3);
+                offer_wave(net, t, 4, |s| 15 - s);
+            }
+        };
+        assert_eq!(
+            cycle_trace_hash(shallow(false), 5_000, traffic),
+            0xc4b2_5f21_57bf_00c8,
+            "PROUD"
+        );
+        assert_eq!(
+            cycle_trace_hash(shallow(true), 5_000, traffic),
+            0xb9b3_fac3_d7d4_1108,
             "LA-PROUD"
         );
     }

@@ -1,7 +1,37 @@
 //! Network interfaces: injection queues and ejection sinks.
 
-use lapses_core::Flit;
+use lapses_core::{Flit, FlitKind, MsgRef, RouteEntry};
+use lapses_topology::NodeId;
 use std::collections::VecDeque;
+
+/// A queued message: everything its flits are made of. The NIC
+/// synthesizes each flit when it injects it, so queueing a message
+/// allocates nothing per message.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Message {
+    /// Handle to the network's per-message record.
+    pub rec: MsgRef,
+    /// Destination node.
+    pub dest: NodeId,
+    /// Flits in the message (at least one).
+    pub length: u32,
+    /// The source router's look-ahead entry, carried by the head only
+    /// (`None` in PROUD networks).
+    pub lookahead: Option<RouteEntry>,
+}
+
+impl Message {
+    /// Flit `seq` of the message (head = 0).
+    #[inline]
+    fn flit(&self, seq: u32) -> Flit {
+        Flit {
+            rec: self.rec,
+            dest: self.dest,
+            kind: FlitKind::at(seq, self.length),
+            lookahead: if seq == 0 { self.lookahead } else { None },
+        }
+    }
+}
 
 /// One injection virtual channel: the message currently streaming into
 /// the router on this VC plus its credit pool, kept together so the
@@ -9,8 +39,8 @@ use std::collections::VecDeque;
 /// of parallel arrays in separate allocations.
 #[derive(Debug)]
 struct InjectVc {
-    /// Flits of the streaming message; drained front-to-back via `sent`.
-    flits: Vec<Flit>,
+    /// The streaming message; its flits are sent front-to-back via `sent`.
+    msg: Message,
     /// Flits already handed to the router.
     sent: u32,
     /// Credits for the router's local input buffer on this VC.
@@ -21,7 +51,7 @@ impl InjectVc {
     /// Whether the previous message has fully streamed (VC free to bind).
     #[inline]
     fn is_drained(&self) -> bool {
-        self.sent as usize == self.flits.len()
+        self.sent == self.msg.length
     }
 }
 
@@ -33,9 +63,11 @@ impl InjectVc {
 /// injection channel's bandwidth — and tracks per-VC credits for the local
 /// input buffers exactly like an upstream router would.
 ///
-/// The NIC is a pure flit pump: injection timestamps and measurement flags
-/// live in the network's per-message records, stamped by the network when
-/// the head flit actually enters the router.
+/// The NIC is a pure flit pump: it queues one compact [`Message`] per
+/// message and builds each flit from it as the flit is injected.
+/// Injection timestamps and measurement flags live in the network's
+/// per-message records, stamped by the network when the head flit
+/// actually enters the router.
 ///
 /// # Activity
 ///
@@ -46,8 +78,8 @@ impl InjectVc {
 /// skipping its poll is exactly equivalent to polling it.
 #[derive(Debug)]
 pub(crate) struct Nic {
-    /// Messages waiting for a free injection VC (flits pre-built).
-    source_queue: VecDeque<Vec<Flit>>,
+    /// Messages waiting for a free injection VC.
+    source_queue: VecDeque<Message>,
     /// Per-VC streaming state and credits.
     lanes: Vec<InjectVc>,
     /// Round-robin pointers for VC assignment and injection.
@@ -66,7 +98,12 @@ impl Nic {
             source_queue: VecDeque::new(),
             lanes: (0..vcs)
                 .map(|_| InjectVc {
-                    flits: Vec::new(),
+                    msg: Message {
+                        rec: MsgRef(u32::MAX),
+                        dest: NodeId(u32::MAX),
+                        length: 0,
+                        lookahead: None,
+                    },
                     sent: 0,
                     credits: buffer_depth as u32,
                 })
@@ -77,14 +114,14 @@ impl Nic {
         }
     }
 
-    /// Queues a fully-built message for injection.
+    /// Queues a message for injection.
     ///
     /// # Panics
     ///
     /// Panics if the message is empty.
-    pub fn enqueue(&mut self, flits: Vec<Flit>) {
-        assert!(!flits.is_empty(), "empty message");
-        self.source_queue.push_back(flits);
+    pub fn enqueue(&mut self, msg: Message) {
+        assert!(msg.length > 0, "empty message");
+        self.source_queue.push_back(msg);
     }
 
     /// Produces at most one flit to hand to the router's local input port
@@ -100,9 +137,9 @@ impl Nic {
             let mut vc = self.assign_next;
             for _ in 0..vcs {
                 if self.lanes[vc].is_drained() {
-                    let flits = self.source_queue.pop_front().expect("non-empty");
+                    let msg = self.source_queue.pop_front().expect("non-empty");
                     let lane = &mut self.lanes[vc];
-                    lane.flits = flits;
+                    lane.msg = msg;
                     lane.sent = 0;
                     self.assign_next = vc + 1;
                     if self.assign_next == vcs {
@@ -121,7 +158,7 @@ impl Nic {
         for _ in 0..vcs {
             let lane = &mut self.lanes[vc];
             if lane.credits > 0 && !lane.is_drained() {
-                let flit = lane.flits[lane.sent as usize];
+                let flit = lane.msg.flit(lane.sent);
                 lane.sent += 1;
                 lane.credits -= 1;
                 if flit.kind.is_tail() {
@@ -181,11 +218,63 @@ impl Nic {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lapses_core::{MessageId, MsgRef};
-    use lapses_topology::NodeId;
 
-    fn msg(id: u64, len: u32) -> Vec<Flit> {
-        Flit::message(MessageId(id), MsgRef(id as u32), NodeId(3), len)
+    fn msg(id: u32, len: u32) -> Message {
+        Message {
+            rec: MsgRef(id),
+            dest: NodeId(3),
+            length: len,
+            lookahead: None,
+        }
+    }
+
+    /// Injects every flit of a lone message through a one-VC NIC.
+    fn stream(m: Message) -> Vec<Flit> {
+        let mut nic = Nic::new(1, 32);
+        nic.enqueue(m);
+        let flits: Vec<Flit> = std::iter::from_fn(|| nic.inject().map(|(_, f)| f)).collect();
+        assert!(nic.is_idle());
+        flits
+    }
+
+    #[test]
+    fn synthesized_flits_have_message_order_and_head_only_lookahead() {
+        let entry = RouteEntry::local();
+        for (len, kinds) in [
+            (1, vec![FlitKind::HeadTail]),
+            (2, vec![FlitKind::Head, FlitKind::Tail]),
+            (
+                20,
+                std::iter::once(FlitKind::Head)
+                    .chain(std::iter::repeat_n(FlitKind::Body, 18))
+                    .chain(std::iter::once(FlitKind::Tail))
+                    .collect(),
+            ),
+        ] {
+            let flits = stream(Message {
+                lookahead: Some(entry),
+                ..msg(7, len)
+            });
+            let got: Vec<FlitKind> = flits.iter().map(|f| f.kind).collect();
+            assert_eq!(got, kinds, "length {len}");
+            assert!(flits
+                .iter()
+                .all(|f| f.rec == MsgRef(7) && f.dest == NodeId(3)));
+            assert_eq!(
+                flits[0].lookahead,
+                Some(entry),
+                "length {len}: head carries it"
+            );
+            assert!(
+                flits[1..].iter().all(|f| f.lookahead.is_none()),
+                "length {len}: only the head carries look-ahead"
+            );
+            // Without look-ahead the NIC streams exactly `Flit::message`.
+            assert_eq!(
+                stream(msg(7, len)),
+                Flit::message(MsgRef(7), NodeId(3), len)
+            );
+        }
     }
 
     #[test]
@@ -235,7 +324,7 @@ mod tests {
         let (vc_a, flit_a) = nic.inject().expect("flit");
         let (vc_b, flit_b) = nic.inject().expect("flit");
         assert_ne!(vc_a, vc_b);
-        assert_ne!(flit_a.msg, flit_b.msg);
+        assert_ne!(flit_a.rec, flit_b.rec);
         assert_eq!(nic.backlog(), 2); // both still streaming
     }
 

@@ -30,6 +30,7 @@
 //! ```
 
 use crate::experiment::{Algorithm, ArrivalKind, Pattern, SimConfig, TableKind, WorkloadKind};
+use crate::network::MAX_NODES;
 use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
 use lapses_core::{RouterConfig, MAX_VC_SLOTS};
@@ -60,6 +61,14 @@ pub enum ScenarioError {
         ports: usize,
         /// VCs per port.
         vcs: usize,
+    },
+    /// The topology has at least [`MAX_NODES`] nodes, more than the
+    /// network's packed wire addresses can name.
+    TooManyNodes {
+        /// Nodes in the topology.
+        nodes: usize,
+        /// The exclusive node-count limit ([`MAX_NODES`]).
+        limit: usize,
     },
     /// A buffer depth is zero, or an input VC's ring (input plus output
     /// depth, in flits) does not fit 16 bits.
@@ -168,6 +177,10 @@ impl fmt::Display for ScenarioError {
                 "{ports} ports × {vcs} VCs = {} (port, VC) slots exceed the router's \
                  budget of {MAX_VC_SLOTS}",
                 ports.saturating_mul(*vcs)
+            ),
+            ScenarioError::TooManyNodes { nodes, limit } => write!(
+                f,
+                "topology has {nodes} nodes; the network supports fewer than {limit}"
             ),
             ScenarioError::BufferDepth { input, output } => write!(
                 f,
@@ -461,7 +474,7 @@ impl ScenarioBuilder {
     /// Validates the composition and produces a runnable [`Scenario`].
     ///
     /// Checks, in order: load sanity, measurement window, VC counts, the
-    /// router's (port, VC) slot budget and buffer depths,
+    /// router's (port, VC) slot budget, the node-count limit, buffer depths,
     /// algorithm/topology compatibility, faults (valid links, an up*/down*
     /// algorithm and a fault-capable table, connectivity), escape-VC
     /// sufficiency for deadlock freedom, and workload-specific consistency
@@ -499,6 +512,13 @@ impl ScenarioBuilder {
             return Err(ScenarioError::VcSlots {
                 ports,
                 vcs: router.vcs_per_port,
+            });
+        }
+        let nodes = config.mesh.node_count();
+        if nodes >= MAX_NODES {
+            return Err(ScenarioError::TooManyNodes {
+                nodes,
+                limit: MAX_NODES,
             });
         }
         let (input, output) = (router.input_buffer_flits, router.output_buffer_flits);
@@ -681,6 +701,23 @@ mod tests {
         // Exactly at the budget builds and runs.
         let at_budget = small().vcs(12, 1).build().unwrap().run();
         assert!(!at_budget.saturated && at_budget.messages == 300);
+    }
+
+    #[test]
+    fn node_count_limit_is_validated_up_front() {
+        // 2048 × 2048 = 2²² nodes: exactly at the limit, so rejected.
+        let err = small()
+            .topology(Mesh::mesh_2d(2048, 2048))
+            .build()
+            .unwrap_err();
+        assert_eq!(
+            err,
+            ScenarioError::TooManyNodes {
+                nodes: 1 << 22,
+                limit: 1 << 22
+            }
+        );
+        assert!(err.to_string().contains("fewer than 4194304"), "{err}");
     }
 
     #[test]

@@ -834,6 +834,22 @@ mod tests {
     }
 
     #[test]
+    fn node_count_limit_errors_surface_as_scenario_errors() {
+        let spec = ScenarioSpec::parse("topology = mesh 2048x2048\n").unwrap();
+        let err = spec.to_scenario(Path::new(".")).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                SpecError::Scenario(ScenarioError::TooManyNodes {
+                    nodes: 4_194_304,
+                    limit: 4_194_304
+                })
+            ),
+            "{err:?}"
+        );
+    }
+
+    #[test]
     fn fault_validation_errors_surface_as_scenario_errors() {
         let spec = ScenarioSpec {
             shape: vec![4, 4],

@@ -1,6 +1,6 @@
 //! Property-based tests over the core invariants of the reproduction.
 
-use lapses::core::flit::{Flit, MessageId, MsgRef};
+use lapses::core::flit::{Flit, FlitKind, MsgRef};
 use lapses::core::tables::{EconomicalTable, FullTable, IntervalTable, TableScheme};
 use lapses::prelude::*;
 use lapses::routing::{TurnModel, TurnModelKind};
@@ -160,10 +160,11 @@ proptest! {
         }
     }
 
-    /// Message construction: exactly one head, one tail, ordered seq.
+    /// Message construction: exactly one head, one tail, bodies between,
+    /// every flit carrying the message's handle and destination.
     #[test]
     fn message_structure(len in 1u32..200) {
-        let flits = Flit::message(MessageId(1), MsgRef(0), NodeId(1), len);
+        let flits = Flit::message(MsgRef(0), NodeId(1), len);
         prop_assert_eq!(flits.len() as u32, len);
         let heads = flits.iter().filter(|f| f.kind.is_head()).count();
         let tails = flits.iter().filter(|f| f.kind.is_tail()).count();
@@ -172,7 +173,11 @@ proptest! {
         prop_assert!(flits[0].kind.is_head());
         prop_assert!(flits.last().unwrap().kind.is_tail());
         for (i, f) in flits.iter().enumerate() {
-            prop_assert_eq!(f.seq as usize, i);
+            prop_assert_eq!(f.kind, FlitKind::at(i as u32, len));
+            let interior = i > 0 && i + 1 < len as usize;
+            prop_assert_eq!(f.kind == FlitKind::Body, interior);
+            prop_assert_eq!((f.rec, f.dest), (MsgRef(0), NodeId(1)));
+            prop_assert!(f.lookahead.is_none());
         }
     }
 
