@@ -1,5 +1,7 @@
-//! Ablations beyond the paper's figures: the design choices DESIGN.md
-//! calls out plus the §5.2.1 extensions (3-D meshes, tori).
+//! Ablations beyond the paper's figures: design choices the paper leaves
+//! open (credit aggregation, LFU granularity, the VC split, a random
+//! baseline, table RAM latency) plus the §5.2.1 extensions (3-D meshes,
+//! tori).
 //!
 //! 1. MAX-CREDIT aggregation: sum of per-VC credits (the paper's reading)
 //!    vs best single VC.
@@ -9,16 +11,23 @@
 //! 5. Economical storage on a 3-D mesh (27-entry tables).
 //! 6. Economical storage on a 2-D torus with the dateline escape.
 
-use lapses_bench::{with_bench_counts, Table};
+use lapses_bench::{with_bench_counts_scenario, Table};
 use lapses_core::psh::{CreditAggregate, LfuCounting, PathSelection};
 use lapses_core::RouterConfig;
-use lapses_network::{Pattern, SimConfig, TableKind};
+use lapses_network::{Pattern, Scenario, ScenarioBuilder, TableKind};
 use lapses_topology::Mesh;
 
-fn transpose_at(cfg: SimConfig, load: f64) -> String {
-    with_bench_counts(cfg.with_pattern(Pattern::Transpose).with_load(load))
+/// Runs one point at the bench message counts; its latency cell.
+fn latency_cell(builder: ScenarioBuilder) -> String {
+    with_bench_counts_scenario(builder)
+        .build()
+        .expect("ablation points are valid scenarios")
         .run()
         .latency_cell()
+}
+
+fn transpose_at(builder: ScenarioBuilder, load: f64) -> String {
+    latency_cell(builder.pattern(Pattern::Transpose).load(load))
 }
 
 fn main() {
@@ -43,14 +52,8 @@ fn main() {
     ] {
         psh.row(vec![
             name.to_string(),
-            transpose_at(
-                SimConfig::paper_adaptive(16, 16).with_path_selection(kind),
-                0.2,
-            ),
-            transpose_at(
-                SimConfig::paper_adaptive(16, 16).with_path_selection(kind),
-                0.35,
-            ),
+            transpose_at(Scenario::builder().path_selection(kind), 0.2),
+            transpose_at(Scenario::builder().path_selection(kind), 0.35),
         ]);
     }
     println!("-- path-selection ablations (transpose traffic) --");
@@ -60,11 +63,8 @@ fn main() {
     // 3: escape/adaptive VC split.
     let mut vcsplit = Table::new(&["VCs (escape+adaptive)", "t@0.2", "t@0.35"]);
     for (total, escape) in [(4usize, 1usize), (4, 2), (2, 1), (8, 1)] {
-        let mk = || {
-            let mut cfg = SimConfig::paper_adaptive(16, 16);
-            cfg.router = RouterConfig::paper_adaptive().with_vcs(total, escape);
-            cfg
-        };
+        let mk =
+            || Scenario::builder().router(RouterConfig::paper_adaptive().with_vcs(total, escape));
         vcsplit.row(vec![
             format!("{}+{}", escape, total - escape),
             transpose_at(mk(), 0.2),
@@ -79,14 +79,12 @@ fn main() {
     let mut dims = Table::new(&["topology", "table", "uniform@0.2", "uniform@0.4"]);
     for kind in [TableKind::Full, TableKind::Economical] {
         let mk = |load: f64| {
-            with_bench_counts(
-                SimConfig::paper_adaptive(16, 16)
-                    .with_mesh(Mesh::mesh_3d(6, 6, 6))
-                    .with_table(kind.clone())
-                    .with_load(load),
+            latency_cell(
+                Scenario::builder()
+                    .topology(Mesh::mesh_3d(6, 6, 6))
+                    .table(kind.clone())
+                    .load(load),
             )
-            .run()
-            .latency_cell()
         };
         dims.row(vec![
             "6x6x6 mesh".into(),
@@ -99,13 +97,14 @@ fn main() {
     // 6: 2-D torus with the dateline escape (2 escape subclasses).
     for kind in [TableKind::Full, TableKind::Economical] {
         let mk = |load: f64| {
-            let mut cfg = SimConfig::paper_adaptive(16, 16)
-                .with_mesh(Mesh::torus_2d(8, 8))
-                .with_table(kind.clone())
-                .with_load(load);
-            // Dateline escape needs two escape subclasses.
-            cfg.router = RouterConfig::paper_adaptive().with_vcs(4, 2);
-            with_bench_counts(cfg).run().latency_cell()
+            latency_cell(
+                Scenario::builder()
+                    .topology(Mesh::torus_2d(8, 8))
+                    .table(kind.clone())
+                    .load(load)
+                    // Dateline escape needs two escape subclasses.
+                    .router(RouterConfig::paper_adaptive().with_vcs(4, 2)),
+            )
         };
         dims.row(vec![
             "8x8 torus".into(),
@@ -131,16 +130,14 @@ fn main() {
     ];
     for (name, kind, cycles, lookahead) in cases {
         let run = |pattern: Pattern, load: f64| {
-            with_bench_counts(
-                SimConfig::paper_adaptive(16, 16)
-                    .with_table(kind.clone())
-                    .with_table_lookup_cycles(cycles)
-                    .with_lookahead(lookahead)
-                    .with_pattern(pattern)
-                    .with_load(load),
+            latency_cell(
+                Scenario::builder()
+                    .table(kind.clone())
+                    .table_lookup_cycles(cycles)
+                    .lookahead(lookahead)
+                    .pattern(pattern)
+                    .load(load),
             )
-            .run()
-            .latency_cell()
         };
         lookup.row(vec![
             name.to_string(),

@@ -10,9 +10,9 @@
 //! show.
 //!
 //! Results print as tables and land in `bench_results/burst_knee.csv` and
-//! `bench_results/burst_latency.csv`. Like `perf_sweep`, the whole grid
-//! is run twice and the two reports must be identical — sweep results
-//! are deterministic regardless of work-stealing interleavings.
+//! `bench_results/burst_latency.csv`. The whole grid is run twice and
+//! the two reports must be identical — sweep results are deterministic
+//! regardless of work-stealing interleavings.
 //!
 //! Run with `cargo bench -p lapses-bench --bench burst_sweep`.
 
@@ -77,7 +77,7 @@ fn main() {
 
     let grid = build_grid();
     let report = run_once(&grid);
-    // The perf_sweep rep-determinism protocol: an identical second pass.
+    // Determinism: an identical second pass.
     let again = run_once(&grid);
     assert_eq!(again, report, "burst sweep must be deterministic");
 

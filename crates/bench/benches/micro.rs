@@ -13,7 +13,6 @@ use lapses_core::psh::{PathSelection, PathSelector, PortStatus};
 use lapses_core::router::INFINITE_CREDITS;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable, TableScheme};
 use lapses_core::{Flit, MsgRef, Router, RouterConfig, RouterTable, StepOutputs};
-use lapses_network::{Pattern, SimConfig};
 use lapses_routing::DuatoAdaptive;
 use lapses_sim::{Cycle, SimRng};
 use lapses_topology::{Direction, Mesh, NodeId, Port};
@@ -116,6 +115,16 @@ fn bench_router_step(c: &mut Criterion) {
     group.finish();
 }
 
+/// The paper's 16×16 mesh of adaptive (LA-)PROUD routers over full Duato
+/// tables, empty.
+fn network_16x16(lookahead: bool) -> (Mesh, lapses_network::Network) {
+    let mesh = Mesh::mesh_2d(16, 16);
+    let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+    let router = RouterConfig::paper_adaptive().with_lookahead(lookahead);
+    let net = lapses_network::Network::new(mesh.clone(), router, program, 1, 9);
+    (mesh, net)
+}
+
 /// The per-cycle delivery phase at network scale: zero-copy payloads and
 /// per-router batched commits over a warmed-up 16×16 network.
 fn bench_delivery(c: &mut Criterion) {
@@ -124,19 +133,9 @@ fn bench_delivery(c: &mut Criterion) {
     group.bench_function("batched", |b| {
         b.iter_batched(
             || {
-                let cfg = SimConfig::paper_adaptive(16, 16)
-                    .with_pattern(Pattern::Uniform)
-                    .with_load(0.4);
-                let program = cfg.table.build(&cfg.mesh, cfg.algorithm.build().as_ref());
-                let mut net = lapses_network::Network::new(
-                    cfg.mesh.clone(),
-                    cfg.router.clone(),
-                    program,
-                    1,
-                    9,
-                );
+                let (mesh, mut net) = network_16x16(false);
                 let mut rng = SimRng::from_seed(11);
-                for src in cfg.mesh.nodes() {
+                for src in mesh.nodes() {
                     let dest = NodeId(rng.below(256) as u32);
                     if dest != src {
                         net.offer_message(src, dest, 20, lapses_sim::Cycle::ZERO, false);
@@ -235,22 +234,10 @@ fn bench_network_cycle(c: &mut Criterion) {
                 || {
                     // A warmed-up network at moderate load: run the first
                     // 2000 cycles outside the measurement.
-                    let cfg = SimConfig::paper_adaptive(16, 16)
-                        .with_lookahead(lookahead)
-                        .with_pattern(Pattern::Uniform)
-                        .with_load(0.4)
-                        .with_message_counts(100, 2_000);
-                    let program = cfg.table.build(&cfg.mesh, cfg.algorithm.build().as_ref());
-                    let mut net = lapses_network::Network::new(
-                        cfg.mesh.clone(),
-                        cfg.router.clone(),
-                        program,
-                        1,
-                        9,
-                    );
+                    let (mesh, mut net) = network_16x16(lookahead);
                     // Seed some traffic.
                     let mut rng = SimRng::from_seed(11);
-                    for src in cfg.mesh.nodes() {
+                    for src in mesh.nodes() {
                         let dest = NodeId(rng.below(256) as u32);
                         if dest != src {
                             net.offer_message(src, dest, 20, lapses_sim::Cycle::ZERO, false);

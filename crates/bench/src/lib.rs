@@ -8,7 +8,7 @@
 //! full protocol.
 
 use lapses_network::scenario::ScenarioBuilder;
-use lapses_network::{SimConfig, SimResult, SweepReport};
+use lapses_network::{SimResult, SweepReport};
 use std::fmt::Write as _;
 use std::path::PathBuf;
 
@@ -43,19 +43,21 @@ pub fn paper_loads(pattern: lapses_network::Pattern) -> &'static [f64] {
     }
 }
 
-/// Applies the default fast measurement profile plus environment
-/// overrides to a configuration.
-pub fn with_bench_counts(cfg: SimConfig) -> SimConfig {
-    cfg.with_message_counts(500, 6_000)
-        .with_env_message_counts()
-}
-
-/// The Scenario-API twin of [`with_bench_counts`]: the same fast profile
-/// and `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS` overrides, applied to
-/// a scenario builder.
+/// Applies the benches' message counts to a scenario builder: a fast
+/// profile of 500 warm-up and 6,000 measured messages, overridden by the
+/// `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS` environment variables so
+/// the paper's full protocol runs on demand without recompiling.
 pub fn with_bench_counts_scenario(builder: ScenarioBuilder) -> ScenarioBuilder {
-    let resolved = with_bench_counts(SimConfig::paper_adaptive(4, 4));
-    builder.message_counts(resolved.warmup_msgs, resolved.measure_msgs)
+    let env = |name: &str, default: u64| {
+        std::env::var(name)
+            .ok()
+            .and_then(|v| v.parse().ok())
+            .unwrap_or(default)
+    };
+    builder.message_counts(
+        env("LAPSES_WARMUP_MSGS", 500),
+        env("LAPSES_MEASURE_MSGS", 6_000),
+    )
 }
 
 /// Extracts one labeled series from a [`SweepRunner`] report as the

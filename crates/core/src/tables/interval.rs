@@ -47,6 +47,11 @@ pub struct IntervalTable {
 }
 
 impl IntervalTable {
+    /// Whether [`IntervalTable::program`] supports `mesh`: meshes only.
+    pub fn supports(mesh: &Mesh) -> bool {
+        !mesh.is_torus()
+    }
+
     /// Compiles interval labels for Y-then-X dimension-order routing on a
     /// row-major-labeled mesh.
     ///
@@ -58,7 +63,7 @@ impl IntervalTable {
     /// labeling.
     pub fn program(mesh: &Mesh) -> IntervalTable {
         assert!(
-            !mesh.is_torus(),
+            Self::supports(mesh),
             "interval routing here supports meshes only"
         );
         let table = Self::from_relation(mesh, |node, dest| yx_port(mesh, node, dest));

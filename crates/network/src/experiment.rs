@@ -1,22 +1,26 @@
-//! High-level experiment configuration and the measurement loop.
+//! The experiment vocabulary and the measurement loop.
 //!
-//! [`SimConfig`] describes one simulation point the way the paper's Table 2
-//! does — topology, router model, routing algorithm, table scheme, traffic
-//! pattern, normalized load, message length, and the warm-up/measurement
-//! protocol — and [`SimConfig::run`] executes it: inject warm-up messages,
-//! sample the measurement window, drain, and cut the run off if the
-//! offered load exceeds saturation (reported like the paper's "Sat.").
+//! The selector enums ([`Algorithm`], [`TableKind`], [`Pattern`],
+//! [`WorkloadKind`], ...) name the layers a
+//! [`ScenarioBuilder`](crate::scenario::ScenarioBuilder) composes.
+//! [`SimConfig`] is the compiled, read-only view of a validated
+//! [`Scenario`](crate::scenario::Scenario) — one simulation point the way
+//! the paper's Table 2 describes it — and the run loop behind
+//! [`Scenario::run`](crate::scenario::Scenario::run) executes it: inject
+//! warm-up messages, sample the measurement window, drain, and cut the run
+//! off if the offered load exceeds saturation (reported like the paper's
+//! "Sat.").
 
 use crate::network::Network;
 use crate::stats::SimResult;
-use lapses_core::psh::PathSelection;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable};
 use lapses_core::{RouterConfig, TableScheme};
 use lapses_routing::{
     DimensionOrder, DuatoAdaptive, RoutingAlgorithm, TurnModel, TurnModelKind, UpDown,
 };
 use lapses_sim::{Cycle, MeasurementPhase, PhaseController, ProgressWatchdog};
-use lapses_topology::{FaultError, FaultSet, FaultyMesh, Mesh, NodeId};
+use lapses_topology::labeling::ClusterMap;
+use lapses_topology::{FaultError, FaultSet, FaultyMesh, Mesh, NodeId, MAX_DIMS};
 use lapses_traffic::arrivals::{ArrivalProcess, Bernoulli, Exponential, Periodic};
 use lapses_traffic::patterns;
 use lapses_traffic::workload::{OnOffWorkload, SyntheticWorkload, Workload};
@@ -71,7 +75,7 @@ impl Algorithm {
     /// Instantiates the routing relation over a (possibly fault-free)
     /// faulty-mesh view. The classic algorithms ignore the fault view —
     /// compositions mixing them with actual faults are rejected by
-    /// scenario validation and asserted in [`SimConfig::run`].
+    /// [`ScenarioBuilder::build`](crate::scenario::ScenarioBuilder::build).
     pub fn build_on(self, fmesh: &Arc<FaultyMesh>) -> Box<dyn RoutingAlgorithm> {
         match self {
             Algorithm::UpDown => Box::new(UpDown::new(Arc::clone(fmesh))),
@@ -107,18 +111,20 @@ impl Algorithm {
         matches!(self, Algorithm::UpDown | Algorithm::UpDownAdaptive)
     }
 
-    /// Escape VCs the relation needs for deadlock freedom on `mesh`: 0 when
-    /// the relation alone is deadlock-free, else one per escape subclass
-    /// (dateline class). Answered without compiling an up*/down* program:
-    /// up*/down* ignores wrap state, so its adaptive variant needs one
-    /// escape VC on any topology and its deterministic variant none.
-    pub fn escape_vcs_needed(self, mesh: &Mesh) -> usize {
+    /// Escape VCs the relation needs on `mesh` from a router with
+    /// `escape_vcs` of them: one per escape subclass (dateline class), or
+    /// 0 when the relation alone is deadlock-free and the router has no
+    /// escape VCs — escape VCs a router does have always carry the
+    /// subclasses. Answered without compiling an up*/down* program:
+    /// up*/down* ignores wrap state, so it has one subclass on any
+    /// topology, and only its adaptive variant needs an escape VC.
+    pub fn escape_vcs_needed(self, mesh: &Mesh, escape_vcs: usize) -> usize {
         match self {
-            Algorithm::UpDown => 0,
+            Algorithm::UpDown => escape_vcs.min(1),
             Algorithm::UpDownAdaptive => 1,
             classic => {
                 let algo = classic.build();
-                if algo.deadlock_free_without_escape() {
+                if algo.deadlock_free_without_escape() && escape_vcs == 0 {
                     0
                 } else {
                     algo.escape_subclasses(mesh).max(1)
@@ -299,6 +305,24 @@ impl Pattern {
         }
     }
 
+    /// Whether the pattern is defined on `mesh` (see the `supports`
+    /// predicates of [`lapses_traffic::patterns`]). Tornado and
+    /// nearest-neighbor traffic are defined everywhere; a source they map
+    /// nowhere simply never injects.
+    pub(crate) fn supports(self, mesh: &Mesh) -> bool {
+        match self {
+            Pattern::Uniform => patterns::Uniform::supports(mesh),
+            Pattern::Transpose => patterns::Transpose::supports(mesh),
+            Pattern::BitReversal | Pattern::PerfectShuffle | Pattern::BitComplement => {
+                patterns::address_bits(mesh).is_some()
+            }
+            Pattern::Hotspot { node, probability } => {
+                patterns::Hotspot::supports(mesh, NodeId(node), probability)
+            }
+            Pattern::Tornado | Pattern::NearestNeighbor => true,
+        }
+    }
+
     /// A short name for reports.
     pub fn name(self) -> &'static str {
         match self {
@@ -369,6 +393,22 @@ impl TableKind {
         }
     }
 
+    /// Whether [`TableKind::build`] can program the scheme on `mesh`: the
+    /// meta-tables need a cluster labeling that tiles the mesh, and
+    /// interval routing needs a mesh (not a torus).
+    pub(crate) fn supports(&self, mesh: &Mesh) -> bool {
+        match self {
+            TableKind::Full | TableKind::Economical => true,
+            TableKind::Interval => IntervalTable::supports(mesh),
+            TableKind::MetaRows => {
+                let mut rows = [1u16; MAX_DIMS];
+                rows[0] = mesh.extent(0);
+                ClusterMap::tiles(mesh, &rows[..mesh.dims()])
+            }
+            TableKind::MetaBlocks(shape) => ClusterMap::tiles(mesh, shape),
+        }
+    }
+
     /// Whether the scheme can be programmed for a faulty topology.
     pub fn supports_faults(&self) -> bool {
         !matches!(self, TableKind::MetaRows | TableKind::MetaBlocks(_))
@@ -386,9 +426,22 @@ impl TableKind {
     }
 }
 
-/// One simulation point: everything the paper's Table 2 specifies, plus
-/// the design axes under study (pipeline, heuristic, table scheme).
+/// The aggregate NIC backlog that declares saturation: 16 messages per
+/// node.
+fn backlog_limit_for(mesh: &Mesh) -> u64 {
+    16 * mesh.node_count() as u64
+}
+
+/// The compiled, read-only form of a validated
+/// [`Scenario`](crate::scenario::Scenario): everything the paper's Table 2
+/// specifies, plus the design axes under study (pipeline, heuristic, table
+/// scheme).
+///
+/// Only [`Scenario::config`](crate::scenario::Scenario::config) hands one
+/// out, so every `SimConfig` the cycle loop sees has passed
+/// [`ScenarioBuilder::build`](crate::scenario::ScenarioBuilder::build).
 #[derive(Debug, Clone)]
+#[non_exhaustive]
 pub struct SimConfig {
     /// Topology (the paper: 16×16 mesh).
     pub mesh: Mesh,
@@ -429,19 +482,15 @@ pub struct SimConfig {
 }
 
 impl SimConfig {
-    /// The paper's adaptive PROUD configuration (`NO LA, ADAPT`) on a
-    /// `width × height` mesh: Duato's algorithm, full tables, 4 VCs with 1
-    /// escape, 20-flit messages, exponential arrivals.
-    ///
-    /// Message counts default to a fast profile (6k warm-up / 60k measured
-    /// scaled down for small meshes); use
-    /// [`with_message_counts`](SimConfig::with_message_counts) or
-    /// [`with_paper_message_counts`](SimConfig::with_paper_message_counts)
-    /// to change.
-    pub fn paper_adaptive(width: u16, height: u16) -> SimConfig {
-        let mesh = Mesh::mesh_2d(width, height);
+    /// The paper's reference point, where every scenario builder starts:
+    /// the adaptive PROUD router (`NO LA, ADAPT`) on a 16×16 mesh —
+    /// Duato's algorithm, full tables, 4 VCs with 1 escape — under uniform
+    /// 20-flit exponential traffic at 0.2 normalized load, with a fast
+    /// 2k warm-up / 20k measured message profile.
+    pub(crate) fn reference() -> SimConfig {
+        let mesh = Mesh::mesh_2d(16, 16);
         SimConfig {
-            backlog_limit: 16 * mesh.node_count() as u64,
+            backlog_limit: backlog_limit_for(&mesh),
             mesh,
             faults: FaultsConfig::None,
             router: RouterConfig::paper_adaptive(),
@@ -460,288 +509,96 @@ impl SimConfig {
         }
     }
 
-    /// The adaptive LA-PROUD configuration (`LA, ADAPT`).
-    pub fn paper_adaptive_lookahead(width: u16, height: u16) -> SimConfig {
-        let mut cfg = Self::paper_adaptive(width, height);
-        cfg.router = cfg.router.with_lookahead(true);
-        cfg
-    }
-
-    /// The deterministic PROUD configuration (`NO LA, DET`): XY routing
-    /// with all four VCs usable.
-    pub fn paper_deterministic(width: u16, height: u16) -> SimConfig {
-        let mut cfg = Self::paper_adaptive(width, height);
-        cfg.algorithm = Algorithm::DimensionOrder;
-        cfg.router = RouterConfig::paper_deterministic();
-        cfg
-    }
-
-    /// The deterministic LA-PROUD configuration (`LA, DET`).
-    pub fn paper_deterministic_lookahead(width: u16, height: u16) -> SimConfig {
-        let mut cfg = Self::paper_deterministic(width, height);
-        cfg.router = cfg.router.with_lookahead(true);
-        cfg
-    }
-
-    /// Sets the traffic pattern.
-    pub fn with_pattern(mut self, pattern: Pattern) -> SimConfig {
-        self.pattern = pattern;
-        self
-    }
-
-    /// Sets the normalized load.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `load` is not strictly positive.
-    pub fn with_load(mut self, load: f64) -> SimConfig {
-        assert!(load > 0.0, "load must be positive");
-        self.load = load;
-        self
-    }
-
-    /// Sets warm-up and measured injection counts.
-    pub fn with_message_counts(mut self, warmup: u64, measure: u64) -> SimConfig {
-        self.warmup_msgs = warmup;
-        self.measure_msgs = measure;
-        self
-    }
-
-    /// The paper's measurement protocol: 10,000 warm-up messages and
-    /// 400,000 measured injections. Expensive — minutes per point.
-    pub fn with_paper_message_counts(self) -> SimConfig {
-        self.with_message_counts(10_000, 400_000)
-    }
-
-    /// Sets the master seed.
-    pub fn with_seed(mut self, seed: u64) -> SimConfig {
-        self.seed = seed;
-        self
-    }
-
-    /// Sets the table scheme.
-    pub fn with_table(mut self, table: TableKind) -> SimConfig {
-        self.table = table;
-        self
-    }
-
-    /// Sets the path-selection heuristic.
-    pub fn with_path_selection(mut self, psh: PathSelection) -> SimConfig {
-        self.router.path_selection = psh;
-        self
-    }
-
-    /// Switches look-ahead routing on or off.
-    pub fn with_lookahead(mut self, lookahead: bool) -> SimConfig {
-        self.router = self.router.with_lookahead(lookahead);
-        self
-    }
-
-    /// Sets the table-lookup latency in cycles (models the slower RAM
-    /// access of large tables — Table 5's "lookup time" column).
-    pub fn with_table_lookup_cycles(mut self, cycles: u32) -> SimConfig {
-        self.router = self.router.with_table_lookup_cycles(cycles);
-        self
-    }
-
-    /// Sets the message length distribution.
-    pub fn with_message_length(mut self, lengths: LengthDistribution) -> SimConfig {
-        self.lengths = lengths;
-        self
-    }
-
-    /// Replaces the topology (rescaling the backlog limit).
-    pub fn with_mesh(mut self, mesh: Mesh) -> SimConfig {
-        self.backlog_limit = 16 * mesh.node_count() as u64;
+    /// Replaces the topology, rescaling the saturation backlog limit.
+    pub(crate) fn set_mesh(&mut self, mesh: Mesh) {
+        self.backlog_limit = backlog_limit_for(&mesh);
         self.mesh = mesh;
-        self
     }
 
-    /// Kills the given links (endpoint node-id pairs, order-insensitive).
-    pub fn with_faults(mut self, links: &[(u32, u32)]) -> SimConfig {
-        self.faults = if links.is_empty() {
-            FaultsConfig::None
-        } else {
-            FaultsConfig::Links(links.to_vec())
-        };
-        self
-    }
-
-    /// Kills `count` random links drawn deterministically from `seed`.
-    pub fn with_random_faults(mut self, count: usize, seed: u64) -> SimConfig {
-        self.faults = FaultsConfig::Random { count, seed };
-        self
-    }
-
-    /// Sets the message source.
-    pub fn with_workload(mut self, workload: WorkloadKind) -> SimConfig {
-        self.workload = workload;
-        self
-    }
-
-    /// Selects the synthetic source with the given arrival process.
-    pub fn with_arrivals(self, arrivals: ArrivalKind) -> SimConfig {
-        self.with_workload(WorkloadKind::Synthetic { arrivals })
-    }
-
-    /// Selects the ON/OFF bursty source (mean `burst_len` messages per
-    /// burst, `peak_gap` cycles between messages within a burst).
-    pub fn with_bursty(self, burst_len: u32, peak_gap: f64) -> SimConfig {
-        self.with_workload(WorkloadKind::Bursty {
-            burst_len,
-            peak_gap,
-        })
-    }
-
-    /// Selects trace replay.
-    pub fn with_trace(self, trace: Arc<Trace>) -> SimConfig {
-        self.with_workload(WorkloadKind::Trace(trace))
+    /// The mean inter-arrival gap per node the load implies for the
+    /// synthetic and bursty sources.
+    pub(crate) fn mean_gap(&self) -> f64 {
+        Generator::mean_gap_for_load(&self.mesh, self.load, self.lengths.mean())
     }
 
     /// Instantiates the configured message source for one run, forking
-    /// the per-node streams from the run seed exactly the way the
-    /// original experiment loop did — so the synthetic path is
-    /// bit-identical to the historical inline wiring.
-    ///
-    /// # Panics
-    ///
-    /// Panics on inconsistent workload parameters (e.g. bursty settings
-    /// with no room for an OFF period, a Bernoulli mean gap below one
-    /// cycle, or a trace recorded for a different node count). The
-    /// [`Scenario`](crate::scenario::Scenario) builder validates all of
-    /// these up front and returns errors instead.
+    /// the per-node streams from the run seed in node order — the wiring
+    /// the golden fingerprints pin. The workload parameters were validated
+    /// by [`ScenarioBuilder::build`](crate::scenario::ScenarioBuilder::build).
     pub fn build_workload(&self) -> Box<dyn Workload> {
         let traffic_seed = self.seed ^ 0x5EED_CAFE;
         match &self.workload {
-            WorkloadKind::Synthetic { arrivals } => {
-                let mean_gap =
-                    Generator::mean_gap_for_load(&self.mesh, self.load, self.lengths.mean());
-                Box::new(SyntheticWorkload::new(
-                    self.mesh.clone(),
-                    self.pattern.build(),
-                    arrivals.build(mean_gap),
-                    self.lengths,
-                    traffic_seed,
-                ))
-            }
+            WorkloadKind::Synthetic { arrivals } => Box::new(SyntheticWorkload::new(
+                self.mesh.clone(),
+                self.pattern.build(),
+                arrivals.build(self.mean_gap()),
+                self.lengths,
+                traffic_seed,
+            )),
             WorkloadKind::Bursty {
                 burst_len,
                 peak_gap,
-            } => {
-                let mean_gap =
-                    Generator::mean_gap_for_load(&self.mesh, self.load, self.lengths.mean());
-                Box::new(OnOffWorkload::new(
-                    self.mesh.clone(),
-                    self.pattern.build(),
-                    self.lengths,
-                    *burst_len,
-                    *peak_gap,
-                    mean_gap,
-                    traffic_seed,
-                ))
-            }
+            } => Box::new(OnOffWorkload::new(
+                self.mesh.clone(),
+                self.pattern.build(),
+                self.lengths,
+                *burst_len,
+                *peak_gap,
+                self.mean_gap(),
+                traffic_seed,
+            )),
             WorkloadKind::Trace(trace) => {
                 assert_eq!(
                     trace.node_count() as usize,
                     self.mesh.node_count(),
-                    "trace was recorded for {} nodes but the mesh has {}",
-                    trace.node_count(),
-                    self.mesh.node_count()
+                    "ScenarioBuilder::build checks the trace node count"
                 );
                 Box::new(TraceWorkload::new(trace.clone()))
             }
         }
     }
 
-    /// Applies `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS` environment
-    /// overrides, letting the benches run the full paper protocol on
-    /// demand without recompiling.
-    pub fn with_env_message_counts(mut self) -> SimConfig {
-        if let Some(w) = env_u64("LAPSES_WARMUP_MSGS") {
-            self.warmup_msgs = w;
-        }
-        if let Some(m) = env_u64("LAPSES_MEASURE_MSGS") {
-            self.measure_msgs = m;
-        }
-        self
+    /// Whether routing compiles on the classic path — no fault
+    /// configuration and a classic algorithm — rather than over a
+    /// faulty-mesh view.
+    pub(crate) fn classic_routing(&self) -> bool {
+        self.faults.is_none() && !self.algorithm.fault_tolerant()
     }
 
     /// Resolves the routing relation and table program, compiling faults
     /// down to table contents. The fault-free classic path is untouched —
     /// same calls, same bytes — so runs configured before faults existed
     /// stay bit-identical.
-    ///
-    /// # Panics
-    ///
-    /// Panics on an invalid fault set (bad link, disconnection), on faults
-    /// combined with a non-fault-tolerant algorithm, or on faults with a
-    /// meta-table scheme. The [`Scenario`](crate::scenario::Scenario)
-    /// builder reports all of these as typed errors instead.
     fn build_routing(&self) -> (Box<dyn RoutingAlgorithm>, Arc<dyn TableScheme>) {
-        if self.faults.is_none() && !self.algorithm.fault_tolerant() {
+        if self.classic_routing() {
             let algo = self.algorithm.build();
             let program = self.table.build(&self.mesh, algo.as_ref());
             return (algo, program);
         }
-        let faults = self
-            .faults
-            .resolve(&self.mesh)
-            .unwrap_or_else(|e| panic!("invalid fault configuration: {e}"));
+        const CHECKED: &str = "ScenarioBuilder::build checks faults resolve and stay connected";
+        let faults = self.faults.resolve(&self.mesh).expect(CHECKED);
         assert!(
             faults.is_empty() || self.algorithm.fault_tolerant(),
-            "{} routing cannot tolerate dead links; use up-down or up-down-adaptive",
-            self.algorithm.name()
+            "ScenarioBuilder::build checks that faults come with an up*/down* algorithm"
         );
-        let fmesh = Arc::new(
-            FaultyMesh::new(self.mesh.clone(), faults)
-                .unwrap_or_else(|e| panic!("invalid fault configuration: {e}")),
-        );
+        let fmesh = Arc::new(FaultyMesh::new(self.mesh.clone(), faults).expect(CHECKED));
         let algo = self.algorithm.build_on(&fmesh);
         let program = self.table.build_faulty(&fmesh, algo.as_ref());
         (algo, program)
     }
 
-    /// Runs the simulation point to completion (or saturation cut-off).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the configuration is inconsistent — most importantly, if
-    /// the routing algorithm needs escape channels the router does not
-    /// provide (Duato's protocol requires at least one escape VC per
-    /// dateline subclass).
-    pub fn run(&self) -> SimResult {
-        self.run_impl(None)
-    }
-
-    /// Runs the point while recording every injected message as a
-    /// `cycle src dst len` trace event — the capture sink that closes the
-    /// replay loop: a captured synthetic run, re-run as a
-    /// [`WorkloadKind::Trace`] replay with the same message counts, is
-    /// bit-identical in delivered flits and messages (each node is polled
-    /// at most once per cycle and drains every due message in that poll,
-    /// so the injection interleaving reproduces exactly).
-    ///
-    /// # Panics
-    ///
-    /// Panics under the same conditions as [`SimConfig::run`].
-    pub fn run_capturing(&self) -> (SimResult, Trace) {
-        let mut events = Vec::new();
-        let result = self.run_impl(Some(&mut events));
-        let trace = Trace::from_events(self.mesh.node_count() as u32, events)
-            .expect("captured injections always form a valid trace");
-        (result, trace)
-    }
-
-    fn run_impl(&self, mut capture: Option<&mut Vec<TraceEvent>>) -> SimResult {
+    /// Runs the point to completion (or saturation cut-off), recording every
+    /// injected message into `capture` when one is given. Reached only
+    /// through [`Scenario::run`](crate::scenario::Scenario::run) and
+    /// [`Scenario::run_capturing`](crate::scenario::Scenario::run_capturing).
+    pub(crate) fn run(&self, mut capture: Option<&mut Vec<TraceEvent>>) -> SimResult {
         let (algo, program) = self.build_routing();
         let mut router_cfg = self.router.clone();
         router_cfg.escape_subclasses = algo.escape_subclasses(&self.mesh).max(1);
         if !algo.deadlock_free_without_escape() {
             assert!(
                 router_cfg.escape_vcs >= router_cfg.escape_subclasses,
-                "{:?} routing needs at least {} escape VC(s) for deadlock freedom",
-                self.algorithm,
-                router_cfg.escape_subclasses
+                "ScenarioBuilder::build checks escape-VC sufficiency"
             );
         } else if router_cfg.escape_vcs == 0 {
             router_cfg.escape_subclasses = 1;
@@ -756,11 +613,6 @@ impl SimConfig {
         );
 
         let mut workload = self.build_workload();
-        assert_eq!(
-            workload.node_count(),
-            self.mesh.node_count(),
-            "workload node count must match the topology"
-        );
 
         let mut phase = PhaseController::new(self.warmup_msgs, self.measure_msgs);
         let mut watchdog = ProgressWatchdog::new(self.stall_window, self.backlog_limit);
@@ -877,38 +729,28 @@ impl SimConfig {
             flit_hops,
         }
     }
-
-    /// Runs the configuration across a load sweep, stopping after the
-    /// first saturated point (which is included, reported as "Sat.").
-    pub fn sweep(&self, loads: &[f64]) -> Vec<(f64, SimResult)> {
-        let mut out = Vec::new();
-        for &load in loads {
-            let result = self.clone().with_load(load).run();
-            let saturated = result.saturated;
-            out.push((load, result));
-            if saturated {
-                break;
-            }
-        }
-        out
-    }
-}
-
-fn env_u64(name: &str) -> Option<u64> {
-    std::env::var(name).ok()?.parse().ok()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::{Scenario, ScenarioBuilder, ScenarioError};
+    use crate::sweep::{ScenarioAxis, SweepGrid, SweepRunner};
 
-    fn fast(cfg: SimConfig) -> SimConfig {
-        cfg.with_message_counts(200, 1_000).with_seed(99)
+    fn fast(width: u16, height: u16) -> ScenarioBuilder {
+        Scenario::builder()
+            .mesh_2d(width, height)
+            .message_counts(200, 1_000)
+            .seed(99)
+    }
+
+    fn run(builder: ScenarioBuilder) -> SimResult {
+        builder.build().unwrap().run()
     }
 
     #[test]
     fn low_load_uniform_completes_unsaturated() {
-        let r = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.2).run();
+        let r = run(fast(8, 8).load(0.2));
         assert!(!r.saturated);
         assert_eq!(r.messages, 1_000);
         assert!(r.avg_latency > 20.0, "latency {}", r.avg_latency);
@@ -918,10 +760,8 @@ mod tests {
 
     #[test]
     fn lookahead_beats_proud_at_low_load() {
-        let proud = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.1).run();
-        let la = fast(SimConfig::paper_adaptive_lookahead(8, 8))
-            .with_load(0.1)
-            .run();
+        let proud = run(fast(8, 8).load(0.1));
+        let la = run(fast(8, 8).lookahead(true).load(0.1));
         assert!(
             la.avg_latency < proud.avg_latency,
             "LA {} vs PROUD {}",
@@ -935,16 +775,20 @@ mod tests {
 
     #[test]
     fn overload_saturates() {
-        let r = fast(SimConfig::paper_adaptive(4, 4)).with_load(3.0).run();
+        let r = run(fast(4, 4).load(3.0));
         assert!(r.saturated);
         assert_eq!(r.latency_cell(), "Sat.");
     }
 
+    fn deterministic(width: u16, height: u16) -> ScenarioBuilder {
+        fast(width, height)
+            .algorithm(Algorithm::DimensionOrder)
+            .router(RouterConfig::paper_deterministic())
+    }
+
     #[test]
     fn deterministic_configs_run() {
-        let det = fast(SimConfig::paper_deterministic(8, 8))
-            .with_load(0.2)
-            .run();
+        let det = run(deterministic(8, 8).load(0.2));
         assert!(!det.saturated);
         // XY routing never has a choice to make.
         assert_eq!(det.choice_fraction, 0.0);
@@ -954,41 +798,35 @@ mod tests {
     #[test]
     fn economical_equals_full_table_exactly() {
         // §5.2.2: same seed, same routing relation => identical statistics.
-        let full = fast(SimConfig::paper_adaptive(8, 8))
-            .with_table(TableKind::Full)
-            .with_load(0.3)
-            .run();
-        let econ = fast(SimConfig::paper_adaptive(8, 8))
-            .with_table(TableKind::Economical)
-            .with_load(0.3)
-            .run();
+        let full = run(fast(8, 8).table(TableKind::Full).load(0.3));
+        let econ = run(fast(8, 8).table(TableKind::Economical).load(0.3));
         assert_eq!(full.avg_latency, econ.avg_latency);
         assert_eq!(full.messages, econ.messages);
     }
 
     #[test]
     fn sweep_stops_at_saturation() {
-        let cfg = fast(SimConfig::paper_adaptive(4, 4));
-        let points = cfg.sweep(&[0.2, 3.0, 5.0]);
+        let base = fast(4, 4).build().unwrap();
+        let grid = SweepGrid::new()
+            .scenario_series("a", &base, &ScenarioAxis::Load(vec![0.2, 3.0, 5.0]))
+            .unwrap();
+        let report = SweepRunner::new().with_threads(1).run(&grid);
+        let points = &report.series()[0].points;
         assert_eq!(points.len(), 2, "sweep must stop after first Sat.");
         assert!(!points[0].1.saturated);
         assert!(points[1].1.saturated);
     }
 
     #[test]
-    #[should_panic(expected = "escape VC")]
     fn duato_without_escape_rejected() {
-        let mut cfg = SimConfig::paper_adaptive(4, 4);
-        cfg.router.escape_vcs = 0;
-        let _ = cfg.run();
+        let err = fast(4, 4).vcs(4, 0).build().unwrap_err();
+        assert!(matches!(err, ScenarioError::EscapeVcs { .. }), "{err}");
+        assert!(err.to_string().contains("escape VC"), "{err}");
     }
 
     #[test]
     fn transpose_pattern_runs() {
-        let r = fast(SimConfig::paper_adaptive(8, 8))
-            .with_pattern(Pattern::Transpose)
-            .with_load(0.15)
-            .run();
+        let r = run(fast(8, 8).pattern(Pattern::Transpose).load(0.15));
         assert!(!r.saturated);
         // Adaptive routing on transpose exercises multi-candidate choices.
         assert!(r.choice_fraction > 0.0);
@@ -996,23 +834,21 @@ mod tests {
 
     #[test]
     fn same_seed_reproduces_exactly() {
-        let a = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.25).run();
-        let b = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.25).run();
+        let a = run(fast(8, 8).load(0.25));
+        let b = run(fast(8, 8).load(0.25));
         assert_eq!(a.avg_latency, b.avg_latency);
         assert_eq!(a.cycles, b.cycles);
     }
 
-    fn faulty_updown(cfg: SimConfig) -> SimConfig {
-        let mut cfg = cfg.with_random_faults(3, 7);
-        cfg.algorithm = Algorithm::UpDownAdaptive;
-        cfg
+    fn faulty_updown(builder: ScenarioBuilder) -> ScenarioBuilder {
+        builder
+            .random_faults(3, 7)
+            .algorithm(Algorithm::UpDownAdaptive)
     }
 
     #[test]
     fn faulty_mesh_runs_to_drain_under_updown() {
-        let r = faulty_updown(fast(SimConfig::paper_adaptive(8, 8)))
-            .with_load(0.15)
-            .run();
+        let r = run(faulty_updown(fast(8, 8)).load(0.15));
         assert!(!r.saturated);
         assert_eq!(r.messages, 1_000);
         assert!(r.avg_latency > 0.0);
@@ -1020,11 +856,10 @@ mod tests {
 
     #[test]
     fn standalone_updown_runs_without_escape_vcs() {
-        let mut cfg = fast(SimConfig::paper_deterministic(4, 4))
-            .with_faults(&[(0, 1)])
-            .with_load(0.1);
-        cfg.algorithm = Algorithm::UpDown;
-        let r = cfg.run();
+        let r = run(deterministic(4, 4)
+            .faults(&[(0, 1)])
+            .load(0.1)
+            .algorithm(Algorithm::UpDown));
         assert!(!r.saturated);
         // Deterministic routing never has a choice to make.
         assert_eq!(r.choice_fraction, 0.0);
@@ -1034,20 +869,22 @@ mod tests {
     fn faulty_tables_agree_across_schemes() {
         // Full and economical-with-exceptions programs must simulate
         // bit-identically (the §5.2.2 claim, extended to faulty meshes).
-        let base = faulty_updown(fast(SimConfig::paper_adaptive(4, 4))).with_load(0.2);
-        let full = base.clone().with_table(TableKind::Full).run();
-        let econ = base.with_table(TableKind::Economical).run();
+        let base = faulty_updown(fast(4, 4)).load(0.2);
+        let full = run(base.clone().table(TableKind::Full));
+        let econ = run(base.table(TableKind::Economical));
         assert_eq!(full.avg_latency, econ.avg_latency);
         assert_eq!(full.cycles, econ.cycles);
         assert_eq!(full.flit_hops, econ.flit_hops);
     }
 
     #[test]
-    #[should_panic(expected = "cannot tolerate dead links")]
     fn classic_algorithms_reject_faults() {
-        let _ = fast(SimConfig::paper_adaptive(4, 4))
-            .with_faults(&[(0, 1)])
-            .run();
+        let err = fast(4, 4).faults(&[(0, 1)]).build().unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::FaultsNeedUpDown { .. }),
+            "{err}"
+        );
+        assert!(err.to_string().contains("cannot route around dead links"));
     }
 
     #[test]
@@ -1072,17 +909,19 @@ mod tests {
                     continue;
                 }
                 let algo = algorithm.build_on(&fmesh);
-                let compiled = if algo.deadlock_free_without_escape() {
-                    0
-                } else {
-                    algo.escape_subclasses(&mesh).max(1)
-                };
-                assert_eq!(
-                    algorithm.escape_vcs_needed(&mesh),
-                    compiled,
-                    "{} on {mesh}",
-                    algorithm.name()
-                );
+                for escape_vcs in [0, 1] {
+                    let compiled = if algo.deadlock_free_without_escape() && escape_vcs == 0 {
+                        0
+                    } else {
+                        algo.escape_subclasses(&mesh).max(1)
+                    };
+                    assert_eq!(
+                        algorithm.escape_vcs_needed(&mesh, escape_vcs),
+                        compiled,
+                        "{} on {mesh} with {escape_vcs} escape VC(s)",
+                        algorithm.name()
+                    );
+                }
             }
         }
     }
@@ -1095,20 +934,23 @@ mod tests {
 
     #[test]
     fn captured_trace_replays_bit_identically() {
-        let cfg = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.2);
-        let (original, trace) = cfg.run_capturing();
+        let scenario = fast(8, 8).load(0.2).build().unwrap();
+        let (original, trace) = scenario.run_capturing();
+        let cfg = scenario.config();
         assert_eq!(trace.len() as u64, cfg.warmup_msgs + cfg.measure_msgs);
-        let replay = cfg.with_trace(Arc::new(trace)).run();
+        let replay = run(scenario.to_builder().trace(Arc::new(trace)));
         assert_eq!(original, replay);
     }
 
     #[test]
     fn capture_covers_bursty_and_faulty_runs() {
-        let cfg = faulty_updown(fast(SimConfig::paper_adaptive(4, 4)))
-            .with_bursty(4, 2.0)
-            .with_load(0.15);
-        let (original, trace) = cfg.run_capturing();
-        let replay = cfg.with_trace(Arc::new(trace)).run();
+        let scenario = faulty_updown(fast(4, 4))
+            .bursty(4, 2.0)
+            .load(0.15)
+            .build()
+            .unwrap();
+        let (original, trace) = scenario.run_capturing();
+        let replay = run(scenario.to_builder().trace(Arc::new(trace)));
         assert_eq!(original, replay);
     }
 }

@@ -6,15 +6,17 @@
 //! drives the whole system cycle by cycle — the reconstruction of the
 //! paper's "PROUD network simulator".
 //!
-//! The experiment-facing entry point is [`scenario::Scenario`]: compose
+//! The one experiment-facing entry point is [`scenario::Scenario`]: compose
 //! topology, router, table scheme, routing algorithm, **workload**
 //! (synthetic, bursty, or trace replay — see [`lapses_traffic::workload`])
-//! and run policy through the validating builder, then run it (or compile
-//! it to the internal [`experiment::SimConfig`], the plain-data form the
-//! sweep runner executes) to obtain a [`stats::SimResult`] with the
-//! latency statistics the paper reports. Scenarios also round-trip
-//! through a text form, [`spec::ScenarioSpec`], and sweep along
-//! [`sweep::ScenarioAxis`] dimensions.
+//! and run policy through the validating builder, then run it — alone, or
+//! as a point of a [`sweep::SweepGrid`] swept along [`sweep::ScenarioAxis`]
+//! dimensions — to obtain a [`stats::SimResult`] with the latency
+//! statistics the paper reports. Invalid compositions are typed
+//! [`ScenarioError`]s at build time, so nothing that reaches the cycle
+//! loop can panic on its input. Scenarios also round-trip through a text
+//! form, [`spec::ScenarioSpec`]; [`Scenario::config`] exposes the compiled
+//! [`experiment::SimConfig`] read-only.
 //!
 //! # Example
 //!
@@ -53,9 +55,7 @@ mod delivery;
 mod messages;
 mod nic;
 
-pub use experiment::{
-    Algorithm, ArrivalKind, FaultsConfig, Pattern, SimConfig, TableKind, WorkloadKind,
-};
+pub use experiment::{Algorithm, ArrivalKind, FaultsConfig, Pattern, TableKind, WorkloadKind};
 pub use network::{Network, MAX_NODES};
 pub use report::SweepReport;
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError};

@@ -4,12 +4,14 @@
 //! topology, router microarchitecture, routing algorithm, table scheme,
 //! workload, and run policy. [`ScenarioBuilder`] composes the layers with
 //! checked setters and [`ScenarioBuilder::build`] returns every
-//! inconsistency as a typed [`ScenarioError`] instead of a mid-run panic;
-//! the result then *compiles* down to the [`SimConfig`]-shaped internals
-//! ([`Scenario::compile`]), so the cycle loop runs exactly the
-//! bytes it always ran — the paper-reference synthetic scenario is
-//! bit-identical to the historical `SimConfig` path (enforced by the
-//! `scenario_equivalence` integration test).
+//! inconsistency as a typed [`ScenarioError`] instead of a mid-run panic.
+//! A validated scenario is the only thing that can run
+//! ([`Scenario::run`], [`Scenario::run_capturing`]) or be swept
+//! ([`SweepGrid`](crate::sweep::SweepGrid)); its compiled form,
+//! [`Scenario::config`], is a read-only [`SimConfig`] view. The `.scn`
+//! text form ([`ScenarioSpec`](crate::spec::ScenarioSpec)) composes the
+//! same builder, and the golden fingerprints of the `scenario_equivalence`
+//! and `golden_fingerprints` integration tests pin the simulated outcome.
 //!
 //! # Example
 //!
@@ -29,12 +31,14 @@
 //! assert!(!result.saturated);
 //! ```
 
-use crate::experiment::{Algorithm, ArrivalKind, Pattern, SimConfig, TableKind, WorkloadKind};
+use crate::experiment::{
+    Algorithm, ArrivalKind, FaultsConfig, Pattern, SimConfig, TableKind, WorkloadKind,
+};
 use crate::network::MAX_NODES;
 use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
 use lapses_core::{RouterConfig, MAX_VC_SLOTS};
-use lapses_topology::{FaultError, Mesh};
+use lapses_topology::{FaultError, Mesh, MeshError};
 use lapses_traffic::workload::OnOffWorkload;
 use lapses_traffic::{Generator, LengthDistribution, Trace};
 use std::fmt;
@@ -157,6 +161,35 @@ pub enum ScenarioError {
     /// seeded-random (`FaultsConfig::Random`), so every count resolves
     /// deterministically.
     AxisNeedsRandomFaults,
+    /// A sweep axis named an invalid topology.
+    Topology(MeshError),
+    /// The table scheme cannot be programmed on the topology: interval
+    /// routing on a torus, or a meta-table whose cluster shape does not
+    /// tile the mesh.
+    TableTopology {
+        /// The table scheme's name.
+        table: &'static str,
+        /// Rendered topology ("8x8 torus").
+        topology: String,
+    },
+    /// The traffic pattern is not defined on the topology: too few nodes,
+    /// a bit permutation without the address bits it needs, or a hotspot
+    /// outside the mesh or with a probability outside `[0, 1]`.
+    PatternTopology {
+        /// The pattern.
+        pattern: Pattern,
+        /// Rendered topology ("3x5 mesh").
+        topology: String,
+    },
+    /// The message-length distribution is invalid (see
+    /// [`LengthDistribution::is_valid`]).
+    Lengths(LengthDistribution),
+    /// An arrival gap (the mean gap the load implies, or a bursty peak
+    /// gap) is below [`Generator::MIN_GAP`].
+    ArrivalGap {
+        /// The offending gap, in cycles.
+        gap: f64,
+    },
 }
 
 impl fmt::Display for ScenarioError {
@@ -250,17 +283,29 @@ impl fmt::Display for ScenarioError {
                 f,
                 "fault-count axis needs seeded random faults (random_faults)"
             ),
+            ScenarioError::Topology(e) => write!(f, "{e}"),
+            ScenarioError::TableTopology { table, topology } => {
+                write!(f, "{table} tables cannot be programmed on a {topology}")
+            }
+            ScenarioError::PatternTopology { pattern, topology } => {
+                write!(f, "{pattern:?} traffic is not defined on a {topology}")
+            }
+            ScenarioError::Lengths(lengths) => write!(f, "invalid message lengths {lengths:?}"),
+            ScenarioError::ArrivalGap { gap } => write!(
+                f,
+                "arrival gaps must be at least {} cycle, got {gap:.3e}",
+                Generator::MIN_GAP
+            ),
         }
     }
 }
 
 impl std::error::Error for ScenarioError {}
 
-/// A validated simulation scenario; compile it to a [`SimConfig`] or run
-/// it directly.
+/// A validated simulation scenario: run it, capture it, or sweep it.
 #[derive(Debug, Clone)]
 pub struct Scenario {
-    config: SimConfig,
+    config: Box<SimConfig>,
 }
 
 impl Scenario {
@@ -269,33 +314,33 @@ impl Scenario {
     /// normalized load.
     pub fn builder() -> ScenarioBuilder {
         ScenarioBuilder {
-            config: SimConfig::paper_adaptive(16, 16),
+            config: Box::new(SimConfig::reference()),
         }
     }
 
-    /// The compiled configuration, borrowed.
+    /// The compiled configuration, read-only.
     pub fn config(&self) -> &SimConfig {
         &self.config
     }
 
-    /// Compiles the scenario to the internal experiment configuration —
-    /// the form [`SimConfig::run`] and the sweep runner execute. The
-    /// compiled form is plain data; modifying it bypasses scenario
-    /// validation.
-    pub fn compile(&self) -> SimConfig {
-        self.config.clone()
-    }
-
     /// Runs the scenario to completion (or saturation cut-off).
     pub fn run(&self) -> SimResult {
-        self.config.run()
+        self.config.run(None)
     }
 
-    /// Runs the scenario while capturing every injected message as a
-    /// replayable [`Trace`] (see
-    /// [`SimConfig::run_capturing`](crate::SimConfig::run_capturing)).
+    /// Runs the scenario while recording every injected message as a
+    /// `cycle src dst len` trace event — the capture sink that closes the
+    /// replay loop: a captured synthetic run, re-run as a
+    /// [`WorkloadKind::Trace`] replay with the same message counts, is
+    /// bit-identical in delivered flits and messages (each node is polled
+    /// at most once per cycle and drains every due message in that poll,
+    /// so the injection interleaving reproduces exactly).
     pub fn run_capturing(&self) -> (SimResult, Trace) {
-        self.config.run_capturing()
+        let mut events = Vec::new();
+        let result = self.config.run(Some(&mut events));
+        let trace = Trace::from_events(self.config.mesh.node_count() as u32, events)
+            .expect("captured injections always form a valid trace");
+        (result, trace)
     }
 
     /// Reopens the scenario for modification; `build()` re-validates.
@@ -304,13 +349,25 @@ impl Scenario {
             config: self.config.clone(),
         }
     }
+
+    /// The same scenario under another master seed. A seed cannot make a
+    /// scenario invalid, so the sweep runner re-seeds points without
+    /// re-validating them.
+    pub(crate) fn reseeded(mut self, seed: u64) -> Scenario {
+        self.config.seed = seed;
+        self
+    }
 }
 
 /// Composes a [`Scenario`] layer by layer; every setter is infallible and
 /// [`ScenarioBuilder::build`] validates the whole composition at once.
+///
+/// The configuration is boxed: every setter and `build` moves the builder,
+/// and a pointer moves for free where the whole configuration would be
+/// copied each time.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    config: SimConfig,
+    config: Box<SimConfig>,
 }
 
 impl ScenarioBuilder {
@@ -330,7 +387,7 @@ impl ScenarioBuilder {
     /// Sets an arbitrary topology (any dimensionality, mesh or torus).
     /// The saturation backlog limit rescales with the node count.
     pub fn topology(mut self, mesh: Mesh) -> Self {
-        self.config = self.config.with_mesh(mesh);
+        self.config.set_mesh(mesh);
         self
     }
 
@@ -339,15 +396,19 @@ impl ScenarioBuilder {
     /// network stays connected; faulty scenarios need an up*/down*
     /// algorithm.
     pub fn faults(mut self, links: &[(u32, u32)]) -> Self {
-        self.config = self.config.with_faults(links);
+        self.config.faults = if links.is_empty() {
+            FaultsConfig::None
+        } else {
+            FaultsConfig::Links(links.to_vec())
+        };
         self
     }
 
     /// Kills `count` random links, drawn deterministically from `seed`
     /// and guaranteed connected (see
-    /// [`FaultsConfig::Random`](crate::experiment::FaultsConfig)).
+    /// [`FaultsConfig::Random`]).
     pub fn random_faults(mut self, count: usize, seed: u64) -> Self {
-        self.config = self.config.with_random_faults(count, seed);
+        self.config.faults = FaultsConfig::Random { count, seed };
         self
     }
 
@@ -476,10 +537,13 @@ impl ScenarioBuilder {
     /// Checks, in order: load sanity, measurement window, VC counts, the
     /// router's (port, VC) slot budget, the node-count limit, buffer depths,
     /// algorithm/topology compatibility, faults (valid links, an up*/down*
-    /// algorithm and a fault-capable table, connectivity), escape-VC
-    /// sufficiency for deadlock freedom, and workload-specific consistency
-    /// (Bernoulli gap ≥ 1 cycle, bursty OFF-silence positivity, trace node
-    /// count).
+    /// algorithm and a fault-capable table), table/topology compatibility,
+    /// connectivity, escape-VC sufficiency for deadlock freedom, and
+    /// workload-specific consistency: trace node count and length, or the
+    /// pattern/topology fit, valid message lengths, arrival gaps of at
+    /// least [`Generator::MIN_GAP`], a Bernoulli gap ≥ 1 cycle and bursty
+    /// OFF-silence positivity. Every check is a handful of comparisons
+    /// except the fault connectivity BFS.
     ///
     /// Validation compiles nothing: faults are checked with one
     /// connectivity BFS over the surviving links, and the escape-VC need
@@ -552,11 +616,17 @@ impl ScenarioBuilder {
                 algorithm: config.algorithm,
             });
         }
-        if (config.algorithm.fault_tolerant() || !faults.is_empty())
-            && !config.table.supports_faults()
-        {
+        // Any fault configuration — even an empty random draw — and any
+        // up*/down* algorithm take the irregular programming path.
+        if !config.classic_routing() && !config.table.supports_faults() {
             return Err(ScenarioError::FaultTable {
                 table: config.table.name(),
+            });
+        }
+        if config.classic_routing() && !config.table.supports(&config.mesh) {
+            return Err(ScenarioError::TableTopology {
+                table: config.table.name(),
+                topology: config.mesh.to_string(),
             });
         }
         if !faults.is_empty() {
@@ -564,7 +634,9 @@ impl ScenarioBuilder {
                 .check_connected(&config.mesh)
                 .map_err(ScenarioError::Faults)?;
         }
-        let needed = config.algorithm.escape_vcs_needed(&config.mesh);
+        let needed = config
+            .algorithm
+            .escape_vcs_needed(&config.mesh, router.escape_vcs);
         if router.escape_vcs < needed {
             return Err(ScenarioError::EscapeVcs {
                 algorithm: config.algorithm,
@@ -574,32 +646,7 @@ impl ScenarioBuilder {
         }
 
         match &config.workload {
-            WorkloadKind::Synthetic { arrivals } => {
-                if *arrivals == ArrivalKind::Bernoulli {
-                    let mean_gap = Generator::mean_gap_for_load(
-                        &config.mesh,
-                        config.load,
-                        config.lengths.mean(),
-                    );
-                    if mean_gap < 1.0 {
-                        return Err(ScenarioError::BernoulliGap { mean_gap });
-                    }
-                }
-            }
-            WorkloadKind::Bursty {
-                burst_len,
-                peak_gap,
-            } => {
-                let mean_gap =
-                    Generator::mean_gap_for_load(&config.mesh, config.load, config.lengths.mean());
-                if OnOffWorkload::off_mean_for(*burst_len, *peak_gap, mean_gap).is_none() {
-                    return Err(ScenarioError::BurstParams {
-                        burst_len: *burst_len,
-                        peak_gap: *peak_gap,
-                        mean_gap,
-                    });
-                }
-            }
+            // Trace replay carries its own destinations, lengths and timing.
             WorkloadKind::Trace(trace) => {
                 if trace.node_count() as usize != config.mesh.node_count() {
                     return Err(ScenarioError::TraceNodeCount {
@@ -616,10 +663,52 @@ impl ScenarioBuilder {
                 }
                 config.measure_msgs = config.measure_msgs.min(events - config.warmup_msgs);
             }
+            WorkloadKind::Synthetic { arrivals } => {
+                let mean_gap = check_generated(&config)?;
+                if *arrivals == ArrivalKind::Bernoulli && mean_gap < 1.0 {
+                    return Err(ScenarioError::BernoulliGap { mean_gap });
+                }
+            }
+            WorkloadKind::Bursty {
+                burst_len,
+                peak_gap,
+            } => {
+                let mean_gap = check_generated(&config)?;
+                if peak_gap.is_nan() || *peak_gap < Generator::MIN_GAP {
+                    return Err(ScenarioError::ArrivalGap { gap: *peak_gap });
+                }
+                if OnOffWorkload::off_mean_for(*burst_len, *peak_gap, mean_gap).is_none() {
+                    return Err(ScenarioError::BurstParams {
+                        burst_len: *burst_len,
+                        peak_gap: *peak_gap,
+                        mean_gap,
+                    });
+                }
+            }
         }
 
         Ok(Scenario { config })
     }
+}
+
+/// Checks what the synthetic and bursty sources draw from — the pattern,
+/// the length distribution and the mean gap the load implies — and returns
+/// that mean gap.
+fn check_generated(config: &SimConfig) -> Result<f64, ScenarioError> {
+    if !config.pattern.supports(&config.mesh) {
+        return Err(ScenarioError::PatternTopology {
+            pattern: config.pattern,
+            topology: config.mesh.to_string(),
+        });
+    }
+    if !config.lengths.is_valid() {
+        return Err(ScenarioError::Lengths(config.lengths));
+    }
+    let gap = config.mean_gap();
+    if gap < Generator::MIN_GAP {
+        return Err(ScenarioError::ArrivalGap { gap });
+    }
+    Ok(gap)
 }
 
 #[cfg(test)]
@@ -641,11 +730,22 @@ mod tests {
     #[test]
     fn default_builder_is_the_paper_reference() {
         let s = Scenario::builder().build().unwrap();
-        let reference = SimConfig::paper_adaptive(16, 16);
-        assert_eq!(s.config().mesh, reference.mesh);
-        assert_eq!(s.config().router, reference.router);
-        assert_eq!(s.config().seed, reference.seed);
-        assert_eq!(s.config().load, reference.load);
+        let cfg = s.config();
+        assert_eq!(cfg.mesh, Mesh::mesh_2d(16, 16));
+        assert_eq!(cfg.faults, FaultsConfig::None);
+        assert_eq!(cfg.router, RouterConfig::paper_adaptive());
+        assert_eq!(cfg.algorithm, Algorithm::Duato);
+        assert_eq!(cfg.table, TableKind::Full);
+        assert_eq!(cfg.pattern, Pattern::Uniform);
+        assert_eq!(cfg.workload, WorkloadKind::default());
+        assert_eq!(cfg.load, 0.2);
+        assert_eq!(cfg.lengths, LengthDistribution::Fixed(20));
+        assert_eq!((cfg.warmup_msgs, cfg.measure_msgs), (2_000, 20_000));
+        assert_eq!(cfg.seed, 20260611);
+        assert_eq!(cfg.link_delay, 1);
+        assert_eq!(cfg.max_cycles, 10_000_000);
+        assert_eq!(cfg.stall_window, 20_000);
+        assert_eq!(cfg.backlog_limit, 16 * 256);
     }
 
     #[test]
@@ -977,6 +1077,129 @@ mod tests {
             matches!(err, ScenarioError::Faults(FaultError::TooManyFaults { .. })),
             "{err:?}"
         );
+    }
+
+    #[test]
+    fn patterns_must_be_defined_on_the_topology() {
+        let on = |mesh: Mesh, pattern: Pattern| small().topology(mesh).pattern(pattern).build();
+        for (mesh, pattern) in [
+            (Mesh::mesh_2d(1, 1), Pattern::Uniform),
+            (Mesh::mesh_2d(4, 8), Pattern::Transpose),
+            (Mesh::mesh_2d(3, 5), Pattern::BitReversal),
+            (Mesh::mesh_2d(3, 5), Pattern::PerfectShuffle),
+            (Mesh::mesh_2d(3, 5), Pattern::BitComplement),
+        ] {
+            let topology = mesh.to_string();
+            assert_eq!(
+                on(mesh, pattern).unwrap_err(),
+                ScenarioError::PatternTopology { pattern, topology }
+            );
+        }
+        for (node, probability) in [(16, 0.2), (3, 1.5), (3, f64::NAN)] {
+            let pattern = Pattern::Hotspot { node, probability };
+            let err = on(Mesh::mesh_2d(4, 4), pattern).unwrap_err();
+            assert!(
+                matches!(err, ScenarioError::PatternTopology { .. }),
+                "{err}"
+            );
+            assert!(err.to_string().contains("Hotspot"), "{err}");
+        }
+        // Tornado is defined everywhere, and transpose needs an even number
+        // of address bits rather than a square mesh.
+        assert!(on(Mesh::mesh_2d(3, 5), Pattern::Tornado).is_ok());
+        assert!(on(Mesh::mesh_2d(2, 8), Pattern::Transpose).is_ok());
+        // Trace replay carries its own destinations: the pattern is unused.
+        let replay = small()
+            .pattern(Pattern::BitReversal)
+            .topology(Mesh::mesh_2d(3, 5))
+            .trace(tiny_trace(15))
+            .message_counts(0, 20);
+        assert!(replay.build().is_ok());
+    }
+
+    #[test]
+    fn message_lengths_are_validated() {
+        for lengths in [
+            LengthDistribution::Fixed(0),
+            LengthDistribution::UniformRange { min: 5, max: 3 },
+            LengthDistribution::Bimodal {
+                short: 5,
+                long: 10,
+                long_fraction: 1.5,
+            },
+        ] {
+            assert_eq!(
+                small().lengths(lengths).build().unwrap_err(),
+                ScenarioError::Lengths(lengths)
+            );
+        }
+        let lengths = LengthDistribution::UniformRange { min: 3, max: 3 };
+        assert!(small().lengths(lengths).build().is_ok());
+    }
+
+    #[test]
+    fn arrival_gaps_are_bounded_below() {
+        // 4x4 mesh, 20-flit messages: load 1e6 means 2e-5 cycles per
+        // message per node, a poll that could never finish.
+        let err = small().load(1e6).build().unwrap_err();
+        assert!(matches!(err, ScenarioError::ArrivalGap { .. }), "{err}");
+        let err = small().load(0.2).bursty(4, 1e-9).build().unwrap_err();
+        assert_eq!(err, ScenarioError::ArrivalGap { gap: 1e-9 });
+        // Overload well past saturation is still a valid (saturating) run.
+        assert!(small().load(50.0).build().is_ok());
+    }
+
+    #[test]
+    fn tables_must_be_programmable_on_the_topology() {
+        let torus = || small().topology(Mesh::torus_2d(4, 4)).vcs(4, 2);
+        for table in [TableKind::Interval, TableKind::MetaRows] {
+            let name = table.name();
+            assert_eq!(
+                torus().table(table).build().unwrap_err(),
+                ScenarioError::TableTopology {
+                    table: name,
+                    topology: "4x4 torus".into()
+                }
+            );
+        }
+        let err = small()
+            .table(TableKind::MetaBlocks(vec![3, 3]))
+            .build()
+            .unwrap_err();
+        assert!(matches!(err, ScenarioError::TableTopology { .. }), "{err}");
+        // Interval routing over up*/down* is programmed as run lists, which
+        // tori support.
+        let updown = torus().table(TableKind::Interval);
+        assert!(updown.algorithm(Algorithm::UpDown).build().is_ok());
+        // An empty random fault draw still takes the irregular path.
+        let err = small()
+            .random_faults(0, 1)
+            .table(TableKind::MetaRows)
+            .build()
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::FaultTable { table: "meta-rows" });
+    }
+
+    #[test]
+    fn escape_vcs_a_router_has_must_cover_the_dateline_classes() {
+        // Dimension-order routing needs no escape VCs, but on a torus any
+        // it is given carry two dateline classes.
+        let xy = || {
+            small()
+                .topology(Mesh::torus_2d(4, 4))
+                .algorithm(Algorithm::DimensionOrder)
+        };
+        assert_eq!(
+            xy().vcs(4, 1).build().unwrap_err(),
+            ScenarioError::EscapeVcs {
+                algorithm: Algorithm::DimensionOrder,
+                needed: 2,
+                have: 1
+            }
+        );
+        for escape in [0, 2] {
+            assert!(!xy().vcs(4, escape).build().unwrap().run().saturated);
+        }
     }
 
     #[test]

@@ -195,10 +195,22 @@ fn shape_to_string(shape: &[u16]) -> String {
         .join("x")
 }
 
-fn parse_shape(text: &str) -> Option<Vec<u16>> {
-    let shape: Option<Vec<u16>> = text.split('x').map(|k| k.parse().ok()).collect();
-    let shape = shape?;
-    (!shape.is_empty() && shape.iter().all(|&k| k >= 1)).then_some(shape)
+/// Parses a `KxKx…` shape that names a valid mesh (or torus); the error
+/// says why not.
+fn parse_shape(text: &str, torus: bool) -> Result<Vec<u16>, String> {
+    let shape: Vec<u16> = text
+        .split('x')
+        .map(|k| k.parse().ok())
+        .collect::<Option<_>>()
+        .ok_or_else(|| format!("bad shape {text:?}"))?;
+    Mesh::new(&shape, torus).map_err(|e| format!("bad shape {text:?}: {e}"))?;
+    Ok(shape)
+}
+
+/// Parses a finite number: NaN would break the exact round trip, and no
+/// key has a meaningful infinite value.
+fn parse_finite(text: &str) -> Option<f64> {
+    text.parse().ok().filter(|x: &f64| x.is_finite())
 }
 
 impl ScenarioSpec {
@@ -266,8 +278,7 @@ impl ScenarioSpec {
                         "torus" => true,
                         other => return Err(err(format!("unknown topology kind {other:?}"))),
                     };
-                    spec.shape = parse_shape(shape)
-                        .ok_or_else(|| err(format!("bad topology shape {shape:?}")))?;
+                    spec.shape = parse_shape(shape, spec.torus).map_err(err)?;
                 }
                 "faults" => {
                     if seen.contains(&"fault-count") || seen.contains(&"fault-seed") {
@@ -375,10 +386,9 @@ impl ScenarioSpec {
                         ["economical"] => TableKind::Economical,
                         ["meta-rows"] => TableKind::MetaRows,
                         ["interval"] => TableKind::Interval,
-                        ["meta-blocks", shape] => TableKind::MetaBlocks(
-                            parse_shape(shape)
-                                .ok_or_else(|| err(format!("bad block shape {shape:?}")))?,
-                        ),
+                        ["meta-blocks", shape] => {
+                            TableKind::MetaBlocks(parse_shape(shape, false).map_err(err)?)
+                        }
                         _ => return Err(err(format!("unknown table scheme {value:?}"))),
                     };
                 }
@@ -395,9 +405,8 @@ impl ScenarioSpec {
                             node: node
                                 .parse()
                                 .map_err(|_| err(format!("bad hotspot node {node:?}")))?,
-                            probability: prob
-                                .parse()
-                                .map_err(|_| err(format!("bad hotspot probability {prob:?}")))?,
+                            probability: parse_finite(prob)
+                                .ok_or_else(|| err(format!("bad hotspot probability {prob:?}")))?,
                         },
                         _ => return Err(err(format!("unknown pattern {value:?}"))),
                     };
@@ -414,9 +423,8 @@ impl ScenarioSpec {
                             burst_len: burst
                                 .parse()
                                 .map_err(|_| err(format!("bad burst length {burst:?}")))?,
-                            peak_gap: gap
-                                .parse()
-                                .map_err(|_| err(format!("bad peak gap {gap:?}")))?,
+                            peak_gap: parse_finite(gap)
+                                .ok_or_else(|| err(format!("bad peak gap {gap:?}")))?,
                         },
                         [kind, ..] if *kind == "trace" => {
                             let path = value["trace".len()..].trim();
@@ -429,9 +437,8 @@ impl ScenarioSpec {
                     };
                 }
                 "load" => {
-                    spec.load = value
-                        .parse()
-                        .map_err(|_| err(format!("bad load {value:?}")))?;
+                    spec.load =
+                        parse_finite(value).ok_or_else(|| err(format!("bad load {value:?}")))?;
                 }
                 "lengths" => {
                     spec.lengths = match fields.as_slice() {
@@ -445,9 +452,8 @@ impl ScenarioSpec {
                         ["bimodal", s, l, frac] => LengthDistribution::Bimodal {
                             short: s.parse().map_err(|_| err(format!("bad length {s:?}")))?,
                             long: l.parse().map_err(|_| err(format!("bad length {l:?}")))?,
-                            long_fraction: frac
-                                .parse()
-                                .map_err(|_| err(format!("bad fraction {frac:?}")))?,
+                            long_fraction: parse_finite(frac)
+                                .ok_or_else(|| err(format!("bad fraction {frac:?}")))?,
                         },
                         _ => return Err(err(format!("unknown length distribution {value:?}"))),
                     };
@@ -589,11 +595,11 @@ impl ScenarioSpec {
     /// file relative to `base_dir`. Call `.build()` on the result (or use
     /// [`ScenarioSpec::to_scenario`]) to validate.
     pub fn to_builder(&self, base_dir: &Path) -> Result<ScenarioBuilder, SpecError> {
-        let mesh = if self.torus {
-            Mesh::torus(&self.shape)
-        } else {
-            Mesh::mesh(&self.shape)
-        };
+        // A parsed shape is always valid; a hand-built spec may not be.
+        let mesh = Mesh::new(&self.shape, self.torus).map_err(|e| SpecError::Parse {
+            line: 0,
+            message: format!("bad topology: {e}"),
+        })?;
         let mut router = self.router.build().with_lookahead(self.lookahead);
         if let Some((total, escape)) = self.vcs {
             router.vcs_per_port = total;
@@ -648,10 +654,10 @@ mod tests {
         assert_eq!(spec, again);
 
         let scenario = spec.to_scenario(Path::new(".")).unwrap();
-        let reference = crate::SimConfig::paper_adaptive(16, 16);
-        assert_eq!(scenario.config().mesh, reference.mesh);
-        assert_eq!(scenario.config().router, reference.router);
-        assert_eq!(scenario.config().seed, reference.seed);
+        let reference = Scenario::builder().build().unwrap();
+        assert_eq!(scenario.config().mesh, reference.config().mesh);
+        assert_eq!(scenario.config().router, reference.config().router);
+        assert_eq!(scenario.config().seed, reference.config().seed);
     }
 
     #[test]
@@ -744,6 +750,36 @@ mod tests {
                 "{bad:?} gave {err:?}"
             );
         }
+    }
+
+    #[test]
+    fn invalid_shapes_and_non_finite_numbers_are_parse_errors() {
+        for (bad, says) in [
+            ("topology = torus 2x4", "at least 3"),
+            ("topology = mesh 1x1x1x1x1", "dimensionality"),
+            ("topology = mesh 65535x65535x2", "too large"),
+            ("topology = mesh 0x4", "positive"),
+            ("table = meta-blocks 1x1x1x1x1", "dimensionality"),
+            ("load = nan", "bad load"),
+            ("load = inf", "bad load"),
+            ("pattern = hotspot 3 NaN", "probability"),
+            ("workload = bursty 8 nan", "peak gap"),
+            ("lengths = bimodal 1 2 nan", "fraction"),
+        ] {
+            let err = ScenarioSpec::parse(bad).unwrap_err();
+            assert!(
+                matches!(err, SpecError::Parse { line: 1, .. }) && err.to_string().contains(says),
+                "{bad:?} gave {err}"
+            );
+        }
+        // A hand-built spec is checked when it is composed.
+        let spec = ScenarioSpec {
+            torus: true,
+            shape: vec![2, 4],
+            ..ScenarioSpec::default()
+        };
+        let err = spec.to_scenario(Path::new(".")).unwrap_err();
+        assert!(err.to_string().contains("at least 3"), "{err}");
     }
 
     #[test]

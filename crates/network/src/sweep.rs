@@ -2,19 +2,20 @@
 //!
 //! The paper's evaluation (Figs. 5/6, Tables 3/4) is a grid of independent
 //! simulation points: router configurations × traffic patterns × offered
-//! loads. Each point is a self-contained [`SimConfig::run`], so the grid is
-//! embarrassingly parallel; this module runs it on a pool of OS threads
-//! while keeping the output **bit-identical to a single-threaded run**:
+//! loads. Each point is a self-contained validated [`Scenario`], so the
+//! grid is embarrassingly parallel; this module runs it on a pool of OS
+//! threads while keeping the output **bit-identical to a single-threaded
+//! run**:
 //!
 //! * every point's seed is derived from the runner's master seed and the
 //!   point's position in the grid — never from thread identity or timing;
 //! * results are aggregated in grid order, not completion order;
-//! * the saturation cut-off (the sequential [`SimConfig::sweep`] stops a
-//!   series after its first "Sat." point) is enforced by *position*: a
-//!   worker skips a point only when some earlier point of the same series
-//!   has already saturated, and the final report truncates each series at
-//!   its first saturated point, so racing workers can only change how much
-//!   wasted work is avoided, never the report.
+//! * the saturation cut-off (a series stops after its first "Sat." point,
+//!   like the paper's figures) is enforced by *position*: a worker skips a
+//!   point only when some earlier point of the same series has already
+//!   saturated, and the final report truncates each series at its first
+//!   saturated point, so racing workers can only change how much wasted
+//!   work is avoided, never the report.
 //!
 //! # Work stealing
 //!
@@ -33,20 +34,25 @@
 //! # Example
 //!
 //! ```
-//! use lapses_network::{Pattern, SimConfig, SweepGrid, SweepRunner};
+//! use lapses_network::{Pattern, Scenario, ScenarioAxis, SweepGrid, SweepRunner};
 //!
-//! let base = SimConfig::paper_adaptive_lookahead(4, 4).with_message_counts(50, 300);
+//! let base = Scenario::builder().mesh_2d(4, 4).lookahead(true).message_counts(50, 300);
+//! let loads = ScenarioAxis::Load(vec![0.1, 0.2]);
+//! let uniform = base.clone().pattern(Pattern::Uniform).build()?;
+//! let transpose = base.pattern(Pattern::Transpose).build()?;
 //! let grid = SweepGrid::new()
-//!     .series("uniform", base.clone().with_pattern(Pattern::Uniform), &[0.1, 0.2])
-//!     .series("transpose", base.with_pattern(Pattern::Transpose), &[0.1, 0.2]);
+//!     .scenario_series("uniform", &uniform, &loads)?
+//!     .scenario_series("transpose", &transpose, &loads)?;
 //! let report = SweepRunner::new().with_threads(2).with_master_seed(7).run(&grid);
 //! assert_eq!(report.series().len(), 2);
+//! # Ok::<(), lapses_network::ScenarioError>(())
 //! ```
 
-use crate::experiment::{Algorithm, FaultsConfig, SimConfig, WorkloadKind};
+use crate::experiment::{Algorithm, FaultsConfig, WorkloadKind};
 use crate::report::SweepReport;
-use crate::scenario::{Scenario, ScenarioError};
+use crate::scenario::{Scenario, ScenarioBuilder, ScenarioError};
 use crate::stats::SimResult;
+use lapses_topology::Mesh;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
 
@@ -60,8 +66,8 @@ pub struct SweepPoint {
     /// load sweeps, or the swept [`ScenarioAxis`] value (burst length,
     /// node count, ...) for scenario grids.
     pub load: f64,
-    /// The full configuration to run.
-    pub config: SimConfig,
+    /// The validated scenario to run.
+    pub scenario: Scenario,
 }
 
 /// One swept dimension of a [`Scenario`] — the generalization of the
@@ -109,98 +115,67 @@ impl ScenarioAxis {
     /// Applies the axis to `base`, yielding the `(x, scenario)` points of
     /// one series — each re-validated through the scenario builder.
     fn apply(&self, base: &Scenario) -> Result<Vec<(f64, Scenario)>, ScenarioError> {
-        let ascending = |xs: &[f64]| xs.windows(2).all(|w| w[0] < w[1]);
-        let points: Vec<(f64, Scenario)> = match self {
-            ScenarioAxis::Load(loads) => {
-                // Trace replay carries its own timing and ignores the
-                // load field — a "load sweep" over it would just re-run
-                // the identical replay N times.
-                if matches!(base.config().workload, WorkloadKind::Trace(_)) {
-                    return Err(ScenarioError::AxisMismatch {
-                        axis: self.name(),
-                        workload: base.config().workload.name(),
-                    });
-                }
-                if !ascending(loads) {
-                    return Err(ScenarioError::AxisNotAscending { axis: self.name() });
-                }
-                loads
-                    .iter()
-                    .map(|&load| Ok((load, base.to_builder().load(load).build()?)))
-                    .collect::<Result<_, ScenarioError>>()?
-            }
-            ScenarioAxis::BurstLen(lens) => {
-                let WorkloadKind::Bursty { peak_gap, .. } = base.config().workload else {
-                    return Err(ScenarioError::AxisMismatch {
-                        axis: self.name(),
-                        workload: base.config().workload.name(),
-                    });
-                };
-                if !ascending(&lens.iter().map(|&l| l as f64).collect::<Vec<_>>()) {
-                    return Err(ScenarioError::AxisNotAscending { axis: self.name() });
-                }
-                lens.iter()
-                    .map(|&len| Ok((len as f64, base.to_builder().bursty(len, peak_gap).build()?)))
-                    .collect::<Result<_, ScenarioError>>()?
-            }
-            ScenarioAxis::MeshExtent(extents) => {
-                if matches!(base.config().workload, WorkloadKind::Trace(_)) {
-                    return Err(ScenarioError::AxisMismatch {
-                        axis: self.name(),
-                        workload: base.config().workload.name(),
-                    });
-                }
-                let nodes = |&(w, h): &(u16, u16)| w as f64 * h as f64;
-                if !ascending(&extents.iter().map(nodes).collect::<Vec<_>>()) {
-                    return Err(ScenarioError::AxisNotAscending { axis: self.name() });
-                }
-                let torus = base.config().mesh.is_torus();
-                extents
-                    .iter()
-                    .map(|&(w, h)| {
-                        let mesh = if torus {
-                            lapses_topology::Mesh::torus_2d(w, h)
-                        } else {
-                            lapses_topology::Mesh::mesh_2d(w, h)
-                        };
-                        Ok((
-                            (w as usize * h as usize) as f64,
-                            base.to_builder().topology(mesh).build()?,
-                        ))
-                    })
-                    .collect::<Result<_, ScenarioError>>()?
-            }
-            ScenarioAxis::Algorithm(algos) => algos
+        let cfg = base.config();
+        let mismatch = || ScenarioError::AxisMismatch {
+            axis: self.name(),
+            workload: cfg.workload.name(),
+        };
+        // Trace replay carries its own timing and node count, so neither a
+        // load nor a topology axis can change what it replays.
+        let trace = matches!(cfg.workload, WorkloadKind::Trace(_));
+        let points: Vec<(f64, ScenarioBuilder)> = match self {
+            ScenarioAxis::Load(_) | ScenarioAxis::MeshExtent(_) if trace => return Err(mismatch()),
+            ScenarioAxis::Load(loads) => loads
                 .iter()
-                .map(|&a| Ok((base.config().load, base.to_builder().algorithm(a).build()?)))
+                .map(|&load| (load, base.to_builder().load(load)))
+                .collect(),
+            ScenarioAxis::BurstLen(lens) => {
+                let WorkloadKind::Bursty { peak_gap, .. } = cfg.workload else {
+                    return Err(mismatch());
+                };
+                lens.iter()
+                    .map(|&len| (len as f64, base.to_builder().bursty(len, peak_gap)))
+                    .collect()
+            }
+            ScenarioAxis::MeshExtent(extents) => extents
+                .iter()
+                .map(|&(w, h)| {
+                    let mesh =
+                        Mesh::new(&[w, h], cfg.mesh.is_torus()).map_err(ScenarioError::Topology)?;
+                    Ok((w as f64 * h as f64, base.to_builder().topology(mesh)))
+                })
                 .collect::<Result<_, ScenarioError>>()?,
+            ScenarioAxis::Algorithm(algos) => {
+                return algos
+                    .iter()
+                    .map(|&a| Ok((cfg.load, base.to_builder().algorithm(a).build()?)))
+                    .collect();
+            }
             ScenarioAxis::FaultCount(counts) => {
-                let FaultsConfig::Random { seed, .. } = base.config().faults else {
+                let FaultsConfig::Random { seed, .. } = cfg.faults else {
                     return Err(ScenarioError::AxisNeedsRandomFaults);
                 };
-                if !ascending(&counts.iter().map(|&c| c as f64).collect::<Vec<_>>()) {
-                    return Err(ScenarioError::AxisNotAscending { axis: self.name() });
-                }
                 counts
                     .iter()
-                    .map(|&count| {
-                        Ok((
-                            count as f64,
-                            base.to_builder().random_faults(count, seed).build()?,
-                        ))
-                    })
-                    .collect::<Result<_, ScenarioError>>()?
+                    .map(|&count| (count as f64, base.to_builder().random_faults(count, seed)))
+                    .collect()
             }
         };
-        Ok(points)
+        if !points.windows(2).all(|w| w[0].0 < w[1].0) {
+            return Err(ScenarioError::AxisNotAscending { axis: self.name() });
+        }
+        points
+            .into_iter()
+            .map(|(x, builder)| Ok((x, builder.build()?)))
+            .collect()
     }
 }
 
-/// A grid of simulation points, grouped into labeled series.
+/// A grid of validated scenarios, grouped into labeled series.
 ///
-/// Within a series, points must be added in ascending-load order — that
-/// order defines the saturation cut-off (everything after the first
-/// saturated point is dropped, like the paper's figures).
+/// Within a series, grid order defines the saturation cut-off (everything
+/// after the first saturated point is dropped, like the paper's figures),
+/// which is why value axes must be strictly ascending.
 #[derive(Debug, Clone, Default)]
 pub struct SweepGrid {
     points: Vec<SweepPoint>,
@@ -210,40 +185,6 @@ impl SweepGrid {
     /// Creates an empty grid.
     pub fn new() -> SweepGrid {
         SweepGrid::default()
-    }
-
-    /// Adds one series: `base` swept across `loads`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `loads` is not strictly ascending — the saturation
-    /// cut-off truncates a series by position, so out-of-order loads
-    /// would silently drop stable points below a saturated one. Build
-    /// intentionally unordered series with [`SweepGrid::point`].
-    pub fn series(mut self, label: impl Into<String>, base: SimConfig, loads: &[f64]) -> SweepGrid {
-        assert!(
-            loads.windows(2).all(|w| w[0] < w[1]),
-            "series loads must be strictly ascending, got {loads:?}"
-        );
-        let label = label.into();
-        for &load in loads {
-            self.points.push(SweepPoint {
-                series: label.clone(),
-                load,
-                config: base.clone().with_load(load),
-            });
-        }
-        self
-    }
-
-    /// Adds a single fully-specified point.
-    pub fn point(mut self, label: impl Into<String>, load: f64, config: SimConfig) -> SweepGrid {
-        self.points.push(SweepPoint {
-            series: label.into(),
-            load,
-            config,
-        });
-        self
     }
 
     /// Adds one series by sweeping `base` along a [`ScenarioAxis`]. Every
@@ -272,7 +213,7 @@ impl SweepGrid {
             self.points.push(SweepPoint {
                 series,
                 load: x,
-                config: scenario.compile(),
+                scenario,
             });
         }
         Ok(self)
@@ -289,7 +230,7 @@ impl SweepGrid {
         self.points.push(SweepPoint {
             series: label.into(),
             load: x,
-            config: scenario.compile(),
+            scenario: scenario.clone(),
         });
         self
     }
@@ -314,7 +255,7 @@ impl SweepGrid {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CutoffPolicy {
     /// Drop them from the report and skip their execution when a lower
-    /// load has already saturated — matches [`SimConfig::sweep`].
+    /// load has already saturated.
     #[default]
     TruncateAtSaturation,
     /// Run and report every grid point, "Sat." cells included.
@@ -356,7 +297,7 @@ impl SweepRunner {
 
     /// Overrides every point's seed with one derived from `seed` and the
     /// point's grid position. Without this, each point keeps the seed its
-    /// `SimConfig` carries.
+    /// scenario carries.
     pub fn with_master_seed(mut self, seed: u64) -> SweepRunner {
         self.master_seed = Some(seed);
         self
@@ -370,11 +311,6 @@ impl SweepRunner {
 
     /// Runs every grid point and aggregates the results, series by series
     /// in first-appearance order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if any point's configuration is rejected by
-    /// [`SimConfig::run`] (e.g. adaptive routing without escape VCs).
     pub fn run(&self, grid: &SweepGrid) -> SweepReport {
         let jobs: Vec<Job> = self.plan(grid);
         let n = jobs.len();
@@ -406,7 +342,7 @@ impl SweepRunner {
                     {
                         continue; // a lower load already saturated: doomed point
                     }
-                    let result = job.config.run();
+                    let result = job.scenario.run();
                     if result.saturated {
                         sat_floor[job.series_id].fetch_min(job.series_pos, Ordering::Release);
                     }
@@ -427,9 +363,8 @@ impl SweepRunner {
     fn steal_order(&self, jobs: &[Job]) -> Vec<usize> {
         let mut order: Vec<usize> = (0..jobs.len()).collect();
         let cost = |j: &Job| {
-            j.config.load
-                * (j.config.warmup_msgs + j.config.measure_msgs) as f64
-                * j.config.mesh.node_count() as f64
+            let cfg = j.scenario.config();
+            cfg.load * (cfg.warmup_msgs + cfg.measure_msgs) as f64 * cfg.mesh.node_count() as f64
         };
         order.sort_by(|&a, &b| {
             cost(&jobs[b])
@@ -458,12 +393,12 @@ impl SweepRunner {
                 };
                 let series_pos = series_len[series_id];
                 series_len[series_id] += 1;
-                let mut config = p.config.clone();
-                if let Some(master) = self.master_seed {
-                    config.seed = derive_seed(master, i as u64);
-                }
+                let scenario = match self.master_seed {
+                    Some(master) => p.scenario.clone().reseeded(derive_seed(master, i as u64)),
+                    None => p.scenario.clone(),
+                };
                 Job {
-                    config,
+                    scenario,
                     series_id,
                     series_pos,
                 }
@@ -509,7 +444,7 @@ impl SweepRunner {
 }
 
 struct Job {
-    config: SimConfig,
+    scenario: Scenario,
     series_id: usize,
     series_pos: usize,
 }
@@ -527,52 +462,80 @@ mod tests {
     use super::*;
     use crate::experiment::Pattern;
 
-    fn tiny(pattern: Pattern) -> SimConfig {
-        SimConfig::paper_adaptive(4, 4)
-            .with_pattern(pattern)
-            .with_message_counts(30, 200)
+    fn tiny(pattern: Pattern) -> Scenario {
+        tiny_at(pattern, 0.2)
+    }
+
+    fn tiny_at(pattern: Pattern, load: f64) -> Scenario {
+        Scenario::builder()
+            .mesh_2d(4, 4)
+            .pattern(pattern)
+            .load(load)
+            .message_counts(30, 200)
+            .build()
+            .unwrap()
+    }
+
+    fn loads(xs: &[f64]) -> ScenarioAxis {
+        ScenarioAxis::Load(xs.to_vec())
     }
 
     #[test]
     fn grid_builder_counts_points() {
         let grid = SweepGrid::new()
-            .series("a", tiny(Pattern::Uniform), &[0.1, 0.2, 0.3])
-            .point("b", 0.1, tiny(Pattern::Transpose));
+            .scenario_series("a", &tiny(Pattern::Uniform), &loads(&[0.1, 0.2, 0.3]))
+            .unwrap()
+            .scenario_point("b", 0.1, &tiny(Pattern::Transpose));
         assert_eq!(grid.len(), 4);
         assert!(!grid.is_empty());
         assert_eq!(grid.points()[3].series, "b");
+        assert_eq!(grid.points()[1].scenario.config().load, 0.2);
     }
 
     #[test]
-    #[should_panic(expected = "strictly ascending")]
     fn unsorted_series_loads_rejected() {
-        let _ = SweepGrid::new().series("a", tiny(Pattern::Uniform), &[0.3, 0.1]);
+        let err = SweepGrid::new()
+            .scenario_series("a", &tiny(Pattern::Uniform), &loads(&[0.3, 0.1]))
+            .unwrap_err();
+        assert_eq!(err, ScenarioError::AxisNotAscending { axis: "load" });
     }
 
     #[test]
     fn master_seed_overrides_point_seeds() {
-        let grid = SweepGrid::new().series("a", tiny(Pattern::Uniform), &[0.1, 0.2]);
+        let grid = SweepGrid::new()
+            .scenario_series("a", &tiny(Pattern::Uniform), &loads(&[0.1, 0.2]))
+            .unwrap();
         let runner = SweepRunner::new().with_master_seed(99);
         let jobs = runner.plan(&grid);
-        assert_ne!(jobs[0].config.seed, jobs[1].config.seed);
-        assert_eq!(jobs[0].config.seed, derive_seed(99, 0));
+        assert_ne!(
+            jobs[0].scenario.config().seed,
+            jobs[1].scenario.config().seed
+        );
+        assert_eq!(jobs[0].scenario.config().seed, derive_seed(99, 0));
     }
 
     #[test]
     fn without_master_seed_point_seeds_survive() {
-        let grid = SweepGrid::new().series("a", tiny(Pattern::Uniform).with_seed(4242), &[0.1]);
+        let seeded = tiny(Pattern::Uniform)
+            .to_builder()
+            .seed(4242)
+            .build()
+            .unwrap();
+        let grid = SweepGrid::new()
+            .scenario_series("a", &seeded, &loads(&[0.1]))
+            .unwrap();
         let jobs = SweepRunner::new().plan(&grid);
-        assert_eq!(jobs[0].config.seed, 4242);
+        assert_eq!(jobs[0].scenario.config().seed, 4242);
     }
 
     #[test]
     fn steal_order_is_longest_expected_first_with_stable_ties() {
-        let base = tiny(Pattern::Uniform);
+        let at = |load| tiny_at(Pattern::Uniform, load);
         let grid = SweepGrid::new()
-            .point("a", 0.1, base.clone().with_load(0.1))
-            .point("a", 0.4, base.clone().with_load(0.4))
-            .point("a", 0.2, base.clone().with_load(0.2))
-            .point("b", 0.2, base.clone().with_load(0.2));
+            .scenario_point("a", 0.1, &at(0.1))
+            .scenario_point("a", 0.4, &at(0.4))
+            .scenario_point("a", 0.2, &at(0.2))
+            .scenario_point("b", 0.2, &at(0.2));
         let runner = SweepRunner::new();
         let jobs = runner.plan(&grid);
         // Highest load first; the two 0.2 points tie and keep grid order.
@@ -608,8 +571,8 @@ mod tests {
         assert_eq!(grid.len(), 3);
         assert_eq!(grid.points()[2].load, 2.0);
         assert_eq!(
-            grid.points()[2].config.faults,
-            crate::experiment::FaultsConfig::Random { count: 2, seed: 9 }
+            grid.points()[2].scenario.config().faults,
+            FaultsConfig::Random { count: 2, seed: 9 }
         );
 
         // Axis on a scenario without seeded random faults is rejected.
@@ -636,15 +599,38 @@ mod tests {
     }
 
     #[test]
+    fn mesh_extent_axis_rejects_invalid_shapes() {
+        let torus = Scenario::builder()
+            .topology(Mesh::torus_2d(4, 4))
+            .vcs(4, 2)
+            .message_counts(30, 200)
+            .build()
+            .unwrap();
+        let axis = ScenarioAxis::MeshExtent(vec![(2, 2), (4, 4)]);
+        assert_eq!(
+            SweepGrid::new()
+                .scenario_series("t", &torus, &axis)
+                .unwrap_err(),
+            ScenarioError::Topology(lapses_topology::MeshError::TorusExtent(2))
+        );
+    }
+
+    #[test]
     fn keep_all_reports_every_point() {
         // Load 3.0 on a 4x4 saturates (enough injections to trip the
         // backlog limit); KeepAll must still report 0.1 *after* it.
-        let overload = tiny(Pattern::Uniform).with_message_counts(200, 1_000);
-        // Deliberately descending loads, so built with point() — series()
-        // rejects unordered load axes.
+        let overload = |load| {
+            tiny_at(Pattern::Uniform, load)
+                .to_builder()
+                .message_counts(200, 1_000)
+                .build()
+                .unwrap()
+        };
+        // Deliberately descending loads, so built point by point — a load
+        // axis rejects unordered values.
         let grid = SweepGrid::new()
-            .point("a", 3.0, overload.clone().with_load(3.0))
-            .point("a", 0.1, overload.with_load(0.1));
+            .scenario_point("a", 3.0, &overload(3.0))
+            .scenario_point("a", 0.1, &overload(0.1));
         let report = SweepRunner::new()
             .with_threads(2)
             .with_master_seed(5)

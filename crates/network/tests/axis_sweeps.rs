@@ -213,7 +213,10 @@ fn extent_axis_preserves_torus_kind() {
         .scenario_series("t", &torus, &ScenarioAxis::MeshExtent(vec![(4, 4), (6, 6)]))
         .unwrap();
     for p in grid.points() {
-        assert!(p.config.mesh.is_torus());
-        assert!(matches!(p.config.workload, WorkloadKind::Synthetic { .. }));
+        assert!(p.scenario.config().mesh.is_torus());
+        assert!(matches!(
+            p.scenario.config().workload,
+            WorkloadKind::Synthetic { .. }
+        ));
     }
 }

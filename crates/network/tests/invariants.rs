@@ -5,7 +5,7 @@
 use lapses_core::tables::FullTable;
 use lapses_core::{RouterConfig, TableScheme};
 use lapses_network::network::Network;
-use lapses_network::{Pattern, SimConfig, TableKind};
+use lapses_network::{Pattern, Scenario, TableKind};
 use lapses_routing::DuatoAdaptive;
 use lapses_sim::Cycle;
 use lapses_topology::{Mesh, NodeId};
@@ -88,29 +88,31 @@ fn credits_conserve_on_3d_mesh() {
 
 #[test]
 fn torus_simulation_runs_to_completion() {
-    let mut cfg = SimConfig::paper_adaptive(16, 16)
-        .with_mesh(Mesh::torus_2d(8, 8))
-        .with_load(0.25)
-        .with_message_counts(200, 2_000)
-        .with_seed(5);
-    cfg.router = RouterConfig::paper_adaptive().with_vcs(4, 2);
-    let r = cfg.run();
+    let torus = |load| {
+        Scenario::builder()
+            .topology(Mesh::torus_2d(8, 8))
+            .load(load)
+            .message_counts(200, 2_000)
+            .seed(5)
+            .router(RouterConfig::paper_adaptive().with_vcs(4, 2))
+            .build()
+            .unwrap()
+            .run()
+    };
+    let r = torus(0.25);
     assert!(!r.saturated);
     assert_eq!(r.messages, 2_000);
     // Wrap links shorten the average path: compare at equal *absolute*
     // injection rates (the torus bisection is twice the mesh's, so
     // normalized load 0.1 on the torus equals 0.2 on the mesh).
-    let mut torus_lo = SimConfig::paper_adaptive(16, 16)
-        .with_mesh(Mesh::torus_2d(8, 8))
-        .with_load(0.1)
-        .with_message_counts(200, 2_000)
-        .with_seed(5);
-    torus_lo.router = RouterConfig::paper_adaptive().with_vcs(4, 2);
-    let torus_r = torus_lo.run();
-    let mesh_r = SimConfig::paper_adaptive(8, 8)
-        .with_load(0.2)
-        .with_message_counts(200, 2_000)
-        .with_seed(5)
+    let torus_r = torus(0.1);
+    let mesh_r = Scenario::builder()
+        .mesh_2d(8, 8)
+        .load(0.2)
+        .message_counts(200, 2_000)
+        .seed(5)
+        .build()
+        .unwrap()
         .run();
     assert!(
         torus_r.avg_latency < mesh_r.avg_latency,
@@ -127,12 +129,14 @@ fn meta_blocks_congest_cluster_boundary_links() {
     // disproportionate load. Compare the busiest link under meta-blocks vs
     // full tables at the same offered traffic.
     let max_util = |table: TableKind| {
-        SimConfig::paper_adaptive(16, 16)
-            .with_table(table)
-            .with_pattern(Pattern::Transpose)
-            .with_load(0.15)
-            .with_message_counts(300, 3_000)
-            .with_seed(9)
+        Scenario::builder()
+            .table(table)
+            .pattern(Pattern::Transpose)
+            .load(0.15)
+            .message_counts(300, 3_000)
+            .seed(9)
+            .build()
+            .unwrap()
             .run()
             .max_link_utilization
     };
@@ -147,12 +151,13 @@ fn meta_blocks_congest_cluster_boundary_links() {
 #[test]
 fn slow_table_ram_penalizes_full_tables_but_not_es_with_lookahead() {
     // End-to-end version of the Table 5 lookup-time argument.
-    let base = SimConfig::paper_adaptive(8, 8)
-        .with_load(0.15)
-        .with_message_counts(200, 2_000)
-        .with_seed(3);
-    let fast = base.clone().run();
-    let slow = base.clone().with_table_lookup_cycles(2).run();
+    let base = Scenario::builder()
+        .mesh_2d(8, 8)
+        .load(0.15)
+        .message_counts(200, 2_000)
+        .seed(3);
+    let fast = base.clone().build().unwrap().run();
+    let slow = base.table_lookup_cycles(2).build().unwrap().run();
     // One extra cycle per hop: ~6.25 routers on the average path.
     let delta = slow.avg_latency - fast.avg_latency;
     assert!(

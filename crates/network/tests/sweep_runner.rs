@@ -2,30 +2,50 @@
 //! thread counts, saturation cut-off propagation, and a smoke sweep over
 //! all four paper patterns.
 
-use lapses_network::{CutoffPolicy, Pattern, SimConfig, SweepGrid, SweepRunner};
+use lapses_network::{
+    CutoffPolicy, Pattern, Scenario, ScenarioAxis, ScenarioBuilder, SweepGrid, SweepRunner,
+};
 
-fn fast(width: u16, height: u16) -> SimConfig {
-    SimConfig::paper_adaptive_lookahead(width, height).with_message_counts(100, 800)
+fn fast(width: u16, height: u16) -> ScenarioBuilder {
+    Scenario::builder()
+        .mesh_2d(width, height)
+        .lookahead(true)
+        .message_counts(100, 800)
+}
+
+/// Adds one series: `base` swept across `loads`.
+fn series(
+    grid: SweepGrid,
+    label: impl Into<String>,
+    base: ScenarioBuilder,
+    loads: &[f64],
+) -> SweepGrid {
+    let base = base.build().expect("base scenario is valid");
+    grid.scenario_series(label, &base, &ScenarioAxis::Load(loads.to_vec()))
+        .expect("series points are valid")
 }
 
 /// Builds the acceptance-criterion grid: 12 points across three series.
 fn twelve_point_grid() -> SweepGrid {
-    SweepGrid::new()
-        .series(
-            "uniform",
-            fast(8, 8).with_pattern(Pattern::Uniform),
-            &[0.1, 0.2, 0.3, 0.4],
-        )
-        .series(
-            "transpose",
-            fast(8, 8).with_pattern(Pattern::Transpose),
-            &[0.1, 0.2, 0.3, 0.4],
-        )
-        .series(
-            "bit-reversal",
-            fast(8, 8).with_pattern(Pattern::BitReversal),
-            &[0.1, 0.2, 0.3, 0.4],
-        )
+    let loads = [0.1, 0.2, 0.3, 0.4];
+    let grid = series(
+        SweepGrid::new(),
+        "uniform",
+        fast(8, 8).pattern(Pattern::Uniform),
+        &loads,
+    );
+    let grid = series(
+        grid,
+        "transpose",
+        fast(8, 8).pattern(Pattern::Transpose),
+        &loads,
+    );
+    series(
+        grid,
+        "bit-reversal",
+        fast(8, 8).pattern(Pattern::BitReversal),
+        &loads,
+    )
 }
 
 #[test]
@@ -53,7 +73,7 @@ fn twelve_points_on_four_threads_match_single_thread_bit_for_bit() {
 
 #[test]
 fn master_seed_changes_results_and_reproduces_exactly() {
-    let grid = SweepGrid::new().series("u", fast(4, 4), &[0.15, 0.25]);
+    let grid = series(SweepGrid::new(), "u", fast(4, 4), &[0.15, 0.25]);
     let a = SweepRunner::new()
         .with_threads(2)
         .with_master_seed(1)
@@ -77,11 +97,11 @@ fn master_seed_changes_results_and_reproduces_exactly() {
 #[test]
 fn saturation_cutoff_propagates_to_the_report() {
     // Overload a 4x4 mesh so the series saturates mid-sweep; the two
-    // higher loads must be absent from the report, exactly like the
-    // sequential SimConfig::sweep.
-    let base = SimConfig::paper_adaptive(4, 4).with_message_counts(200, 1_200);
+    // higher loads must be absent from the report, like the paper's
+    // "Sat." cut-off.
+    let base = Scenario::builder().mesh_2d(4, 4).message_counts(200, 1_200);
     let loads = [0.2, 3.0, 4.0, 5.0];
-    let grid = SweepGrid::new().series("overload", base.clone(), &loads);
+    let grid = series(SweepGrid::new(), "overload", base, &loads);
 
     for threads in [1, 4] {
         let report = SweepRunner::new()
@@ -118,13 +138,14 @@ fn work_stealing_keeps_reports_bit_identical_across_thread_counts() {
     // watchdog) next to many short low-load points. Whatever order the
     // workers steal in, the report must be bit-identical across 1, 2 and
     // 8 threads — and the saturated series must still truncate correctly.
-    let short = SimConfig::paper_adaptive(4, 4).with_message_counts(50, 300);
-    let long = SimConfig::paper_adaptive(8, 8).with_message_counts(300, 6_000);
-    let mut grid = SweepGrid::new().series("saturated", long, &[3.0]);
+    let short = Scenario::builder().mesh_2d(4, 4).message_counts(50, 300);
+    let long = Scenario::builder().mesh_2d(8, 8).message_counts(300, 6_000);
+    let mut grid = series(SweepGrid::new(), "saturated", long, &[3.0]);
     for i in 0..6 {
-        grid = grid.series(
+        grid = series(
+            grid,
             format!("short-{i}"),
-            short.clone().with_pattern(Pattern::PAPER_FOUR[i % 4]),
+            short.clone().pattern(Pattern::PAPER_FOUR[i % 4]),
             &[0.1, 0.15],
         );
     }
@@ -155,9 +176,10 @@ fn work_stealing_keeps_reports_bit_identical_across_thread_counts() {
 fn smoke_sweep_covers_all_four_paper_patterns_on_8x8() {
     let mut grid = SweepGrid::new();
     for pattern in Pattern::PAPER_FOUR {
-        grid = grid.series(
+        grid = series(
+            grid,
             pattern.name(),
-            fast(8, 8).with_pattern(pattern),
+            fast(8, 8).pattern(pattern),
             &[0.1, 0.2],
         );
     }

@@ -4,13 +4,26 @@
 //! exactly because each node is polled at most once per cycle and drains
 //! all of its due messages in that one poll.
 
-use lapses_network::scenario::Scenario;
-use lapses_network::{ArrivalKind, Pattern, SimConfig};
+use lapses_network::scenario::{Scenario, ScenarioBuilder};
+use lapses_network::{ArrivalKind, Pattern, SimResult};
 use lapses_traffic::Trace;
 use std::sync::Arc;
 
-fn fast(cfg: SimConfig) -> SimConfig {
-    cfg.with_message_counts(100, 800).with_seed(321)
+fn fast() -> ScenarioBuilder {
+    Scenario::builder()
+        .mesh_2d(8, 8)
+        .message_counts(100, 800)
+        .seed(321)
+}
+
+/// Re-runs `scenario` as a replay of `trace`.
+fn replay(scenario: &Scenario, trace: Trace) -> SimResult {
+    scenario
+        .to_builder()
+        .trace(Arc::new(trace))
+        .build()
+        .unwrap()
+        .run()
 }
 
 /// Capture → replay must reproduce the run exactly, across arrival
@@ -23,19 +36,22 @@ fn synthetic_capture_replays_bit_identically() {
         ArrivalKind::Periodic,
     ] {
         for pattern in [Pattern::Uniform, Pattern::Transpose] {
-            let cfg = fast(SimConfig::paper_adaptive(8, 8))
-                .with_pattern(pattern)
-                .with_arrivals(arrivals)
-                .with_load(0.2);
-            let (original, trace) = cfg.run_capturing();
+            let scenario = fast()
+                .pattern(pattern)
+                .arrivals(arrivals)
+                .load(0.2)
+                .build()
+                .unwrap();
+            let (original, trace) = scenario.run_capturing();
+            let cfg = scenario.config();
             assert_eq!(
                 trace.len() as u64,
                 cfg.warmup_msgs + cfg.measure_msgs,
                 "capture records exactly the offered messages"
             );
-            let replay = cfg.with_trace(Arc::new(trace)).run();
             assert_eq!(
-                original, replay,
+                original,
+                replay(&scenario, trace),
                 "{pattern:?}/{arrivals:?} replay drifted from the live run"
             );
         }
@@ -47,21 +63,20 @@ fn synthetic_capture_replays_bit_identically() {
 /// reads).
 #[test]
 fn captured_trace_round_trips_through_text() {
-    let cfg = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.25);
-    let (original, trace) = cfg.run_capturing();
+    let scenario = fast().load(0.25).build().unwrap();
+    let (original, trace) = scenario.run_capturing();
     let text = trace.format();
     let reloaded = Trace::parse(&text, trace.node_count()).expect("formatted capture parses");
     assert_eq!(trace, reloaded);
-    let replay = cfg.with_trace(Arc::new(reloaded)).run();
-    assert_eq!(original, replay);
+    assert_eq!(original, replay(&scenario, reloaded));
 }
 
 /// Capturing must not perturb the run itself.
 #[test]
 fn capturing_does_not_change_the_run() {
-    let cfg = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.2);
-    let plain = cfg.run();
-    let (captured, _) = cfg.run_capturing();
+    let scenario = fast().load(0.2).build().unwrap();
+    let plain = scenario.run();
+    let (captured, _) = scenario.run_capturing();
     assert_eq!(plain, captured);
 }
 
@@ -79,11 +94,5 @@ fn bursty_lookahead_capture_replays() {
         .build()
         .unwrap();
     let (original, trace) = scenario.run_capturing();
-    let replay = scenario
-        .to_builder()
-        .trace(Arc::new(trace))
-        .build()
-        .unwrap()
-        .run();
-    assert_eq!(original, replay);
+    assert_eq!(original, replay(&scenario, trace));
 }

@@ -157,6 +157,16 @@ impl FaultSet {
             );
         }
         candidates.sort_unstable();
+        // Greedy deletion that keeps the network connected always ends on a
+        // spanning tree, so exactly `links - (nodes - 1)` links can die;
+        // answer a larger request without trying every candidate.
+        let placeable = candidates.len() + 1 - links.len();
+        if count > placeable {
+            return Err(FaultError::TooManyFaults {
+                requested: count,
+                placed: placeable,
+            });
+        }
         let mut rng = SimRng::from_seed(lapses_sim::rng::mix64(seed ^ 0xFA_017_5E7));
         // Fisher–Yates over the candidate order.
         for i in (1..candidates.len()).rev() {
@@ -177,12 +187,7 @@ impl FaultSet {
                 links[b.index()][pb] = a.0;
             }
         }
-        if chosen.len() < count {
-            return Err(FaultError::TooManyFaults {
-                requested: count,
-                placed: chosen.len(),
-            });
-        }
+        debug_assert_eq!(chosen.len(), count, "placeable faults always fit");
         chosen.sort_unstable();
         Ok(FaultSet { links: chosen })
     }

@@ -72,26 +72,32 @@ impl ClusterMap {
     /// analysis targets meshes; cluster "safe directions" are not defined
     /// under wrap-around).
     pub fn blocks(mesh: &Mesh, cluster_shape: &[u16]) -> ClusterMap {
-        assert!(!mesh.is_torus(), "cluster maps require a mesh, not a torus");
-        assert_eq!(
-            cluster_shape.len(),
-            mesh.dims(),
-            "cluster shape dimensionality mismatch"
+        assert!(
+            Self::tiles(mesh, cluster_shape),
+            "cluster shape {cluster_shape:?} does not tile the {mesh} \
+             (cluster maps require a mesh, not a torus)"
         );
-        let mut grid = Vec::with_capacity(mesh.dims());
-        for (d, (&c, &k)) in cluster_shape.iter().zip(mesh.shape()).enumerate() {
-            assert!(c > 0, "cluster extent must be positive");
-            assert!(
-                k % c == 0,
-                "cluster extent {c} does not tile dimension {d} of extent {k}"
-            );
-            grid.push(k / c);
-        }
         ClusterMap {
             mesh_shape: mesh.shape().to_vec(),
             cluster_shape: cluster_shape.to_vec(),
-            grid,
+            grid: cluster_shape
+                .iter()
+                .zip(mesh.shape())
+                .map(|(&c, &k)| k / c)
+                .collect(),
         }
+    }
+
+    /// Whether blocks of `cluster_shape` tile `mesh`: the mesh is not a
+    /// torus, the shape has its dimensionality, and every cluster extent
+    /// is positive and divides the mesh extent.
+    pub fn tiles(mesh: &Mesh, cluster_shape: &[u16]) -> bool {
+        !mesh.is_torus()
+            && cluster_shape.len() == mesh.dims()
+            && cluster_shape
+                .iter()
+                .zip(mesh.shape())
+                .all(|(&c, &k)| c > 0 && k % c == 0)
     }
 
     /// The paper's Fig. 8(a) labeling: each cluster is a full row (all of

@@ -46,7 +46,7 @@ mod sign;
 
 pub use coord::{Coord, MAX_DIMS};
 pub use fault::{FaultError, FaultSet, FaultyMesh};
-pub use mesh::Mesh;
+pub use mesh::{Mesh, MeshError};
 pub use port::{Direction, Port, PortSet, Sign};
 pub use sign::SignVec;
 

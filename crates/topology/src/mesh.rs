@@ -34,20 +34,79 @@ use std::fmt;
 pub struct Mesh {
     shape: Vec<u16>,
     torus: bool,
+    /// The product of `shape`, computed once by [`Mesh::new`]: scenario
+    /// validation and the traffic patterns ask for it again and again.
+    nodes: usize,
 }
 
+/// Why a shape names no valid mesh or torus.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MeshError {
+    /// The shape has no dimensions or more than [`MAX_DIMS`].
+    Dims(usize),
+    /// Some extent is zero.
+    ZeroExtent,
+    /// A torus extent is below 3: a wrap link in a 1- or 2-wide dimension
+    /// would duplicate a direct link and break neighbor uniqueness.
+    TorusExtent(u16),
+    /// The node count does not fit a `u32` node id.
+    TooManyNodes(u64),
+}
+
+impl fmt::Display for MeshError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MeshError::Dims(n) => {
+                write!(f, "mesh dimensionality must be 1..={MAX_DIMS}, got {n}")
+            }
+            MeshError::ZeroExtent => write!(f, "mesh extents must be positive"),
+            MeshError::TorusExtent(k) => {
+                write!(f, "torus extents must be at least 3, got {k}")
+            }
+            MeshError::TooManyNodes(n) => {
+                write!(f, "mesh too large: {n} nodes do not fit 32-bit node ids")
+            }
+        }
+    }
+}
+
+impl std::error::Error for MeshError {}
+
 impl Mesh {
+    /// Creates an n-dimensional mesh (`torus = false`) or torus with the
+    /// given per-dimension extents, or says why the shape is invalid.
+    pub fn new(shape: &[u16], torus: bool) -> Result<Mesh, MeshError> {
+        if shape.is_empty() || shape.len() > MAX_DIMS {
+            return Err(MeshError::Dims(shape.len()));
+        }
+        if shape.contains(&0) {
+            return Err(MeshError::ZeroExtent);
+        }
+        if let Some(&k) = shape.iter().find(|&&k| torus && k < 3) {
+            return Err(MeshError::TorusExtent(k));
+        }
+        let nodes: u64 = shape.iter().map(|&k| k as u64).product();
+        if nodes > u32::MAX as u64 {
+            return Err(MeshError::TooManyNodes(nodes));
+        }
+        Ok(Mesh {
+            shape: shape.to_vec(),
+            torus,
+            nodes: nodes as usize,
+        })
+    }
+
     /// Creates an n-dimensional mesh with the given per-dimension extents.
     ///
     /// # Panics
     ///
-    /// Panics if `shape` is empty, longer than [`MAX_DIMS`], or any extent
-    /// is zero.
+    /// Panics if [`Mesh::new`] rejects the shape: it is empty, longer than
+    /// [`MAX_DIMS`], has a zero extent, or has more than `u32::MAX` nodes.
     // The name mirrors `Mesh::torus` and reads well at call sites
     // (`Mesh::mesh(&[4, 4, 4])`), so keep it despite the clippy style lint.
     #[allow(clippy::self_named_constructors)]
     pub fn mesh(shape: &[u16]) -> Mesh {
-        Self::with_wrap(shape, false)
+        Self::new(shape, false).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// Creates an n-dimensional torus (mesh with wrap-around links).
@@ -55,30 +114,9 @@ impl Mesh {
     /// # Panics
     ///
     /// Panics under the same conditions as [`Mesh::mesh`], and additionally
-    /// if any extent is less than 3 — a wrap link in a 2-wide dimension
-    /// would duplicate the direct link and break neighbor uniqueness.
+    /// if any extent is less than 3 (see [`MeshError::TorusExtent`]).
     pub fn torus(shape: &[u16]) -> Mesh {
-        for &k in shape {
-            assert!(k >= 3, "torus extents must be at least 3, got {k}");
-        }
-        Self::with_wrap(shape, true)
-    }
-
-    fn with_wrap(shape: &[u16], torus: bool) -> Mesh {
-        assert!(
-            !shape.is_empty() && shape.len() <= MAX_DIMS,
-            "mesh dimensionality must be 1..={MAX_DIMS}"
-        );
-        assert!(
-            shape.iter().all(|&k| k > 0),
-            "mesh extents must be positive"
-        );
-        let nodes: u64 = shape.iter().map(|&k| k as u64).product();
-        assert!(nodes <= u32::MAX as u64, "mesh too large");
-        Mesh {
-            shape: shape.to_vec(),
-            torus,
-        }
+        Self::new(shape, true).unwrap_or_else(|e| panic!("{e}"))
     }
 
     /// The paper's evaluation topology family: a `width × height` 2-D mesh.
@@ -125,8 +163,9 @@ impl Mesh {
     }
 
     /// Total node count.
+    #[inline]
     pub fn node_count(&self) -> usize {
-        self.shape.iter().map(|&k| k as usize).product()
+        self.nodes
     }
 
     /// Ports per router: one local port plus two per dimension (the paper's
@@ -479,6 +518,20 @@ mod tests {
         // 4 wide, 8 tall: cut the Y dimension -> 4 channels across.
         let m = Mesh::mesh_2d(4, 8);
         assert_eq!(m.bisection_channels(), 4);
+    }
+
+    #[test]
+    fn invalid_shapes_are_typed_errors() {
+        assert_eq!(Mesh::new(&[], false), Err(MeshError::Dims(0)));
+        assert_eq!(Mesh::new(&[1; 5], false), Err(MeshError::Dims(5)));
+        assert_eq!(Mesh::new(&[4, 0], false), Err(MeshError::ZeroExtent));
+        assert_eq!(Mesh::new(&[2, 4], true), Err(MeshError::TorusExtent(2)));
+        assert_eq!(
+            Mesh::new(&[65535, 65535, 2], false),
+            Err(MeshError::TooManyNodes(65535 * 65535 * 2))
+        );
+        assert_eq!(Mesh::new(&[2, 4], false), Ok(Mesh::mesh_2d(2, 4)));
+        assert_eq!(Mesh::new(&[3, 4], true), Ok(Mesh::torus_2d(3, 4)));
     }
 
     #[test]

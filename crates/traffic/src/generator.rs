@@ -56,6 +56,14 @@ pub struct Generator {
 }
 
 impl Generator {
+    /// The smallest inter-arrival gap, in cycles, a workload may be
+    /// configured with (as its mean gap, or a bursty source's peak gap). A
+    /// poll returns every message due by its cycle in one batch, so the gap
+    /// bounds the batch: at 1/16 cycle a node offers 16 messages per
+    /// cycle, which fills a network's saturation backlog in its first
+    /// cycle, and as the gap vanishes a single poll never finishes.
+    pub const MIN_GAP: f64 = 1.0 / 16.0;
+
     /// Creates a generator for node `src` with its own random stream.
     pub fn new(src: NodeId, rng: SimRng) -> Self {
         Generator {

@@ -36,20 +36,33 @@ impl LengthDistribution {
     /// The paper's default: 20-flit messages.
     pub const PAPER_DEFAULT: LengthDistribution = LengthDistribution::Fixed(20);
 
+    /// Whether the parameters are consistent: every length at least one
+    /// flit, an ordered range, and a long fraction in `[0, 1]`.
+    pub fn is_valid(&self) -> bool {
+        match *self {
+            LengthDistribution::Fixed(len) => len >= 1,
+            LengthDistribution::UniformRange { min, max } => min >= 1 && min <= max,
+            LengthDistribution::Bimodal {
+                short,
+                long,
+                long_fraction,
+            } => short >= 1 && long >= 1 && (0.0..=1.0).contains(&long_fraction),
+        }
+    }
+
     /// Draws a message length in flits (always at least 1).
     ///
     /// # Panics
     ///
-    /// Panics if the distribution parameters are invalid (zero lengths,
-    /// inverted range, or a fraction outside `[0, 1]`).
+    /// Panics if the distribution is not [valid](Self::is_valid).
     pub fn sample(&self, rng: &mut SimRng) -> u32 {
         match *self {
             LengthDistribution::Fixed(len) => {
-                assert!(len >= 1, "message length must be at least 1 flit");
+                assert!(self.is_valid(), "message length must be at least 1 flit");
                 len
             }
             LengthDistribution::UniformRange { min, max } => {
-                assert!(min >= 1 && min <= max, "invalid length range");
+                assert!(self.is_valid(), "invalid length range");
                 rng.range(min as u64, max as u64 + 1) as u32
             }
             LengthDistribution::Bimodal {
@@ -57,11 +70,7 @@ impl LengthDistribution {
                 long,
                 long_fraction,
             } => {
-                assert!(short >= 1 && long >= 1, "message length must be at least 1");
-                assert!(
-                    (0.0..=1.0).contains(&long_fraction),
-                    "long_fraction must be in [0, 1]"
-                );
+                assert!(self.is_valid(), "invalid bimodal lengths");
                 if rng.chance(long_fraction) {
                     long
                 } else {

@@ -37,18 +37,16 @@ pub trait TrafficPattern: fmt::Debug + Send + Sync {
     }
 }
 
-/// Number of address bits of a power-of-two network.
-///
-/// # Panics
-///
-/// Panics if the node count is not a power of two.
-fn address_bits(mesh: &Mesh) -> u32 {
+/// Number of address bits of a network the bit-permutation patterns are
+/// defined on — a power-of-two node count of at least two — or `None`.
+pub fn address_bits(mesh: &Mesh) -> Option<u32> {
     let n = mesh.node_count();
-    assert!(
-        n.is_power_of_two(),
-        "bit-permutation patterns need a power-of-two node count, got {n}"
-    );
-    n.trailing_zeros()
+    (n >= 2 && n.is_power_of_two()).then(|| n.trailing_zeros())
+}
+
+/// [`address_bits`] of a network a pattern is about to permute.
+fn checked_address_bits(mesh: &Mesh) -> u32 {
+    address_bits(mesh).expect("bit-permutation patterns need a power-of-two node count of 2+")
 }
 
 /// Node-uniform traffic: each message picks a destination uniformly among
@@ -63,6 +61,12 @@ impl Uniform {
     pub fn new() -> Self {
         Uniform { _priv: () }
     }
+
+    /// Whether uniform traffic is defined on `mesh`: every source needs
+    /// another node to send to.
+    pub fn supports(mesh: &Mesh) -> bool {
+        mesh.node_count() >= 2
+    }
 }
 
 impl TrafficPattern for Uniform {
@@ -71,8 +75,11 @@ impl TrafficPattern for Uniform {
     }
 
     fn destination(&self, mesh: &Mesh, src: NodeId, rng: &mut SimRng) -> Option<NodeId> {
+        debug_assert!(
+            Self::supports(mesh),
+            "uniform traffic needs at least two nodes"
+        );
         let n = mesh.node_count() as u64;
-        debug_assert!(n > 1, "uniform traffic needs at least two nodes");
         // Draw from [0, n-1) and skip over src to exclude self-traffic
         // without rejection sampling.
         let raw = rng.below(n - 1) as u32;
@@ -92,6 +99,12 @@ impl Transpose {
     pub fn new() -> Self {
         Transpose { _priv: () }
     }
+
+    /// Whether transpose is defined on `mesh`: a bit-permutation network
+    /// (see [`address_bits`]) with an even number of address bits.
+    pub fn supports(mesh: &Mesh) -> bool {
+        address_bits(mesh).is_some_and(|bits| bits.is_multiple_of(2))
+    }
 }
 
 impl TrafficPattern for Transpose {
@@ -100,12 +113,13 @@ impl TrafficPattern for Transpose {
     }
 
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
-        let bits = address_bits(mesh);
         assert!(
-            bits.is_multiple_of(2),
-            "transpose needs an even number of address bits, got {bits}"
+            Self::supports(mesh),
+            "transpose needs a power-of-two node count with an even number of address bits, \
+             got {} nodes",
+            mesh.node_count()
         );
-        let half = bits / 2;
+        let half = mesh.node_count().trailing_zeros() / 2;
         let mask = (1u32 << half) - 1;
         let dest = NodeId(((src.0 & mask) << half) | (src.0 >> half));
         (dest != src).then_some(dest)
@@ -132,7 +146,7 @@ impl TrafficPattern for BitReversal {
     }
 
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
-        let bits = address_bits(mesh);
+        let bits = checked_address_bits(mesh);
         let dest = NodeId(src.0.reverse_bits() >> (32 - bits));
         (dest != src).then_some(dest)
     }
@@ -159,7 +173,7 @@ impl TrafficPattern for PerfectShuffle {
     }
 
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
-        let bits = address_bits(mesh);
+        let bits = checked_address_bits(mesh);
         let mask = (1u32 << bits) - 1;
         let dest = NodeId(((src.0 << 1) | (src.0 >> (bits - 1))) & mask);
         (dest != src).then_some(dest)
@@ -186,7 +200,7 @@ impl TrafficPattern for BitComplement {
     }
 
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
-        let bits = address_bits(mesh);
+        let bits = checked_address_bits(mesh);
         let mask = (1u32 << bits) - 1;
         Some(NodeId(!src.0 & mask))
     }
@@ -241,7 +255,7 @@ impl Hotspot {
     /// Panics if `probability` is outside `[0, 1]`.
     pub fn new(hotspot: NodeId, probability: f64) -> Self {
         assert!(
-            (0.0..=1.0).contains(&probability),
+            is_probability(probability),
             "hotspot probability must be in [0, 1]"
         );
         Hotspot {
@@ -250,6 +264,22 @@ impl Hotspot {
             uniform: Uniform::new(),
         }
     }
+}
+
+impl Hotspot {
+    /// Whether a hotspot pattern aimed at `hotspot` with hotspot
+    /// probability `probability` is defined on `mesh`: the hotspot is a
+    /// node of `mesh`, the probability lies in `[0, 1]`, and uniform
+    /// traffic (the rest of the messages) is defined.
+    pub fn supports(mesh: &Mesh, hotspot: NodeId, probability: f64) -> bool {
+        Uniform::supports(mesh)
+            && hotspot.index() < mesh.node_count()
+            && is_probability(probability)
+    }
+}
+
+fn is_probability(p: f64) -> bool {
+    (0.0..=1.0).contains(&p)
 }
 
 impl TrafficPattern for Hotspot {

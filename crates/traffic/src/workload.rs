@@ -8,7 +8,7 @@
 //! are provided:
 //!
 //! * [`SyntheticWorkload`] — the classic pattern × arrival-process ×
-//!   length-distribution generator (the seed `SimConfig` path, bit-for-bit);
+//!   length-distribution generator, the paper's traffic;
 //! * [`OnOffWorkload`] — an ON/OFF bursty source: geometric-length bursts
 //!   at a fixed peak rate separated by exponential silences, normalized to
 //!   the same long-run offered load as the synthetic source;
@@ -57,10 +57,9 @@ pub trait Workload: fmt::Debug + Send {
 /// The classic synthetic source: one [`Generator`] per node driving a
 /// traffic pattern, an arrival process, and a length distribution.
 ///
-/// Construction reproduces the historical experiment-loop wiring exactly —
-/// a master stream seeded with `traffic_seed`, forked once per node in node
-/// order — so a run driven through this workload is bit-identical to the
-/// seed `SimConfig` path.
+/// Construction forks a master stream seeded with `traffic_seed` once per
+/// node, in node order. That wiring is what the golden fingerprints of the
+/// simulator pin, so it must not change.
 pub struct SyntheticWorkload {
     mesh: Mesh,
     pattern: Box<dyn TrafficPattern>,

@@ -27,10 +27,11 @@
 //!
 //! Experiments are described as [`Scenario`](network::scenario::Scenario)s:
 //! a validated composition of topology, router, routing algorithm, table
-//! scheme, **workload**, and run policy that *compiles* to the internal
-//! [`SimConfig`](network::SimConfig) the cycle loop executes. One point —
-//! the paper's LA-ADAPT router on a small mesh, uniform traffic at 20% of
-//! bisection saturation:
+//! scheme, **workload**, and run policy. A built scenario is the only
+//! thing that runs or sweeps, so an inconsistent composition is a typed
+//! [`ScenarioError`](network::ScenarioError) at build time, never a
+//! mid-run panic. One point — the paper's LA-ADAPT router on a small
+//! mesh, uniform traffic at 20% of bisection saturation:
 //!
 //! ```
 //! use lapses::prelude::*;
@@ -53,8 +54,8 @@
 //! (`.bursty(burst_len, peak_gap)`), or replay of a recorded
 //! `cycle src dst len` text trace (`.trace(...)`,
 //! [`traffic::Trace`]). Any run can *record* such a trace while it
-//! executes ([`network::SimConfig::run_capturing`]) — a captured
-//! synthetic run replayed as a trace is bit-identical. Validation
+//! executes ([`Scenario::run_capturing`](network::Scenario::run_capturing))
+//! — a captured synthetic run replayed as a trace is bit-identical. Validation
 //! catches inconsistent compositions — escape-VC shortages, turn models
 //! on tori, impossible burst shapes, invalid fault sets — as typed
 //! errors instead of mid-run panics.
@@ -178,8 +179,8 @@ pub mod prelude {
     pub use lapses_core::{PipelineModel, RouterConfig};
     pub use lapses_network::{
         Algorithm, ArrivalKind, CutoffPolicy, FaultsConfig, Pattern, Scenario, ScenarioAxis,
-        ScenarioBuilder, ScenarioError, ScenarioSpec, SimConfig, SimResult, SpecError, SweepGrid,
-        SweepReport, SweepRunner, TableKind, WorkloadKind,
+        ScenarioBuilder, ScenarioError, ScenarioSpec, SimResult, SpecError, SweepGrid, SweepReport,
+        SweepRunner, TableKind, WorkloadKind,
     };
     pub use lapses_routing::{DimensionOrder, DuatoAdaptive, RoutingAlgorithm, UpDown};
     pub use lapses_sim::{Cycle, SimRng};

@@ -4,17 +4,34 @@
 
 use lapses::prelude::*;
 
-fn fast(cfg: SimConfig) -> SimConfig {
-    cfg.with_message_counts(300, 2_500).with_seed(2026)
+/// The paper's adaptive PROUD router (`NO LA, ADAPT`) on a
+/// `width × height` mesh, at test-sized message counts.
+fn adaptive(width: u16, height: u16) -> ScenarioBuilder {
+    Scenario::builder()
+        .mesh_2d(width, height)
+        .message_counts(300, 2_500)
+        .seed(2026)
+}
+
+/// The deterministic PROUD router (`NO LA, DET`): XY routing with all
+/// four VCs usable.
+fn deterministic(width: u16, height: u16) -> ScenarioBuilder {
+    adaptive(width, height)
+        .algorithm(Algorithm::DimensionOrder)
+        .router(RouterConfig::paper_deterministic())
+}
+
+fn run(builder: ScenarioBuilder) -> SimResult {
+    builder.build().unwrap().run()
 }
 
 #[test]
 fn all_four_router_configs_deliver_on_all_paper_patterns() {
-    let makers: [fn(u16, u16) -> SimConfig; 4] = [
-        SimConfig::paper_deterministic,
-        SimConfig::paper_deterministic_lookahead,
-        SimConfig::paper_adaptive,
-        SimConfig::paper_adaptive_lookahead,
+    let makers: [fn(u16, u16) -> ScenarioBuilder; 4] = [
+        deterministic,
+        |w, h| deterministic(w, h).lookahead(true),
+        adaptive,
+        |w, h| adaptive(w, h).lookahead(true),
     ];
     for mk in makers {
         for pattern in [
@@ -23,7 +40,7 @@ fn all_four_router_configs_deliver_on_all_paper_patterns() {
             Pattern::BitReversal,
             Pattern::PerfectShuffle,
         ] {
-            let r = fast(mk(8, 8)).with_pattern(pattern).with_load(0.15).run();
+            let r = run(mk(8, 8).pattern(pattern).load(0.15));
             assert!(
                 !r.saturated,
                 "{pattern:?} saturated at low load — simulator bug"
@@ -38,10 +55,8 @@ fn all_four_router_configs_deliver_on_all_paper_patterns() {
 fn lookahead_gain_is_one_cycle_per_hop_at_zero_load() {
     // At vanishingly small load the LA gain must equal the average hop
     // count plus one (one saved stage per traversed router).
-    let proud = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.02).run();
-    let la = fast(SimConfig::paper_adaptive_lookahead(8, 8))
-        .with_load(0.02)
-        .run();
+    let proud = run(adaptive(8, 8).load(0.02));
+    let la = run(adaptive(8, 8).lookahead(true).load(0.02));
     // Uniform 8x8: mean distance = 2 * (64-1)/(3*8) = 5.25 hops,
     // 6.25 routers on average.
     let gain = proud.avg_latency - la.avg_latency;
@@ -53,16 +68,14 @@ fn lookahead_gain_is_one_cycle_per_hop_at_zero_load() {
 
 #[test]
 fn adaptive_beats_deterministic_on_transpose_at_load() {
-    let det = fast(SimConfig::paper_deterministic(16, 16))
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.3)
-        .with_message_counts(500, 5_000)
-        .run();
-    let adpt = fast(SimConfig::paper_adaptive(16, 16))
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.3)
-        .with_message_counts(500, 5_000)
-        .run();
+    let det = run(deterministic(16, 16)
+        .pattern(Pattern::Transpose)
+        .load(0.3)
+        .message_counts(500, 5_000));
+    let adpt = run(adaptive(16, 16)
+        .pattern(Pattern::Transpose)
+        .load(0.3)
+        .message_counts(500, 5_000));
     assert!(
         adpt.avg_latency * 1.4 < det.avg_latency,
         "adaptive {} should be well under deterministic {}",
@@ -76,16 +89,14 @@ fn economical_storage_is_bit_identical_to_full_table() {
     // The §5.2.2 claim, end to end: same relation + same seed => exactly
     // the same simulation.
     for pattern in [Pattern::Uniform, Pattern::Transpose] {
-        let full = fast(SimConfig::paper_adaptive(8, 8))
-            .with_table(TableKind::Full)
-            .with_pattern(pattern)
-            .with_load(0.3)
-            .run();
-        let econ = fast(SimConfig::paper_adaptive(8, 8))
-            .with_table(TableKind::Economical)
-            .with_pattern(pattern)
-            .with_load(0.3)
-            .run();
+        let full = run(adaptive(8, 8)
+            .table(TableKind::Full)
+            .pattern(pattern)
+            .load(0.3));
+        let econ = run(adaptive(8, 8)
+            .table(TableKind::Economical)
+            .pattern(pattern)
+            .load(0.3));
         assert_eq!(full.avg_latency, econ.avg_latency, "{pattern:?}");
         assert_eq!(full.cycles, econ.cycles, "{pattern:?}");
         assert_eq!(full.max_latency, econ.max_latency, "{pattern:?}");
@@ -95,16 +106,14 @@ fn economical_storage_is_bit_identical_to_full_table() {
 #[test]
 fn meta_blocks_loses_to_meta_rows_on_transpose() {
     // The paper's counter-intuitive Table 4 result.
-    let rows = fast(SimConfig::paper_adaptive(16, 16))
-        .with_table(TableKind::MetaRows)
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.2)
-        .run();
-    let blocks = fast(SimConfig::paper_adaptive(16, 16))
-        .with_table(TableKind::MetaBlocks(vec![4, 4]))
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.2)
-        .run();
+    let rows = run(adaptive(16, 16)
+        .table(TableKind::MetaRows)
+        .pattern(Pattern::Transpose)
+        .load(0.2));
+    let blocks = run(adaptive(16, 16)
+        .table(TableKind::MetaBlocks(vec![4, 4]))
+        .pattern(Pattern::Transpose)
+        .load(0.2));
     let blocks_latency = if blocks.saturated {
         f64::INFINITY
     } else {
@@ -120,20 +129,17 @@ fn meta_blocks_loses_to_meta_rows_on_transpose() {
 
 #[test]
 fn interval_routing_behaves_like_a_deterministic_router() {
-    let r = fast(SimConfig::paper_deterministic(8, 8))
-        .with_table(TableKind::Interval)
-        .with_load(0.2)
-        .run();
+    let r = run(deterministic(8, 8).table(TableKind::Interval).load(0.2));
     assert!(!r.saturated);
     assert_eq!(r.choice_fraction, 0.0, "interval routing has no choices");
 }
 
 #[test]
 fn turn_model_routing_runs_without_escape_vcs() {
-    let mut cfg = fast(SimConfig::paper_adaptive(8, 8)).with_load(0.2);
-    cfg.algorithm = Algorithm::NorthLast;
-    cfg.router = RouterConfig::paper_deterministic(); // 0 escape VCs
-    let r = cfg.run();
+    let r = run(adaptive(8, 8)
+        .load(0.2)
+        .algorithm(Algorithm::NorthLast)
+        .router(RouterConfig::paper_deterministic())); // 0 escape VCs
     assert!(!r.saturated);
     assert_eq!(r.escape_fraction, 0.0);
 }
@@ -141,10 +147,10 @@ fn turn_model_routing_runs_without_escape_vcs() {
 #[test]
 fn results_reproduce_exactly_across_runs() {
     let mk = || {
-        fast(SimConfig::paper_adaptive_lookahead(8, 8))
-            .with_pattern(Pattern::BitReversal)
-            .with_load(0.25)
-            .run()
+        run(adaptive(8, 8)
+            .lookahead(true)
+            .pattern(Pattern::BitReversal)
+            .load(0.25))
     };
     let a = mk();
     let b = mk();
@@ -156,12 +162,12 @@ fn results_reproduce_exactly_across_runs() {
 #[test]
 fn different_seeds_give_statistically_close_latencies() {
     let at = |seed: u64| {
-        SimConfig::paper_adaptive(8, 8)
-            .with_load(0.2)
-            .with_message_counts(300, 3_000)
-            .with_seed(seed)
-            .run()
-            .avg_latency
+        run(Scenario::builder()
+            .mesh_2d(8, 8)
+            .load(0.2)
+            .message_counts(300, 3_000)
+            .seed(seed))
+        .avg_latency
     };
     let a = at(1);
     let b = at(2);
@@ -173,13 +179,12 @@ fn different_seeds_give_statistically_close_latencies() {
 
 #[test]
 fn hotspot_traffic_congests_the_hotspot_links() {
-    let r = fast(SimConfig::paper_adaptive(8, 8))
-        .with_pattern(Pattern::Hotspot {
+    let r = run(adaptive(8, 8)
+        .pattern(Pattern::Hotspot {
             node: 27,
             probability: 0.2,
         })
-        .with_load(0.15)
-        .run();
+        .load(0.15));
     assert!(!r.saturated);
     // The hotspot drives the busiest link well above the average.
     assert!(r.max_link_utilization > 0.1);
@@ -187,10 +192,7 @@ fn hotspot_traffic_congests_the_hotspot_links() {
 
 #[test]
 fn escape_channels_engage_under_pressure() {
-    let r = fast(SimConfig::paper_adaptive(8, 8))
-        .with_pattern(Pattern::Transpose)
-        .with_load(0.4)
-        .run();
+    let r = run(adaptive(8, 8).pattern(Pattern::Transpose).load(0.4));
     // At high adaptive load some headers must fall back to escape VCs.
     assert!(r.escape_fraction > 0.0, "escape VCs never engaged");
 }

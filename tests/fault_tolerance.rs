@@ -133,15 +133,17 @@ proptest! {
         }
 
         // (c) A short run over the compiled economical tables drains.
-        let mut cfg = SimConfig::paper_adaptive(4, 4)
-            .with_mesh(mesh)
-            .with_table(TableKind::Economical)
-            .with_load(0.12)
-            .with_message_counts(30, 250)
-            .with_seed(run_seed);
-        cfg.algorithm = Algorithm::UpDownAdaptive;
-        cfg.faults = FaultsConfig::Random { count, seed: fault_seed };
-        let r = cfg.run();
+        let r = Scenario::builder()
+            .topology(mesh)
+            .table(TableKind::Economical)
+            .load(0.12)
+            .message_counts(30, 250)
+            .seed(run_seed)
+            .algorithm(Algorithm::UpDownAdaptive)
+            .random_faults(count, fault_seed)
+            .build()
+            .expect("the instance resolved above is a valid scenario")
+            .run();
         prop_assert!(!r.saturated, "faulty instance failed to drain");
         prop_assert_eq!(r.messages, 250);
     }
@@ -276,12 +278,15 @@ fn fault_count_sweep_is_bit_identical_across_threads() {
 /// faults field is `None` or an explicitly empty random draw.
 #[test]
 fn empty_fault_sets_cost_nothing() {
-    let reference = SimConfig::paper_adaptive(8, 8)
-        .with_load(0.2)
-        .with_message_counts(200, 1_000);
-    let a = reference.run();
-    let mut b_cfg = reference.clone();
-    b_cfg.faults = FaultsConfig::Random { count: 0, seed: 99 };
-    let b = b_cfg.run();
-    assert_eq!(a, b);
+    let reference = Scenario::builder()
+        .mesh_2d(8, 8)
+        .load(0.2)
+        .message_counts(200, 1_000);
+    let a = reference.clone().build().unwrap().run();
+    let b_scenario = reference.random_faults(0, 99).build().unwrap();
+    assert_eq!(
+        b_scenario.config().faults,
+        FaultsConfig::Random { count: 0, seed: 99 }
+    );
+    assert_eq!(a, b_scenario.run());
 }

@@ -226,11 +226,14 @@ proptest! {
         lookahead in any::<bool>(),
         load_pct in 5u32..30,
     ) {
-        let r = SimConfig::paper_adaptive(4, 4)
-            .with_lookahead(lookahead)
-            .with_load(load_pct as f64 / 100.0)
-            .with_message_counts(20, 150)
-            .with_seed(seed)
+        let r = Scenario::builder()
+            .mesh_2d(4, 4)
+            .lookahead(lookahead)
+            .load(load_pct as f64 / 100.0)
+            .message_counts(20, 150)
+            .seed(seed)
+            .build()
+            .unwrap()
             .run();
         prop_assert!(!r.saturated);
         prop_assert_eq!(r.messages, 150);
