@@ -1,6 +1,6 @@
 //! Link and credit-return transport with fixed delays.
 
-use lapses_core::{FlitKind, MsgRef};
+use lapses_core::{Flit, FlitKind, MsgRef};
 use lapses_sim::Cycle;
 use lapses_topology::{NodeId, Port};
 
@@ -53,6 +53,46 @@ pub(crate) struct EjectRecord {
 /// never the flit itself.
 pub(crate) type ArrivalEvent = WireAddr;
 
+/// The traffic one shard of the network launches toward another during
+/// one cycle (see the `network` module docs): payloads reserved in the
+/// other shard's input rings, arrival events and credits. The receiving
+/// shard applies it at the start of its next cycle, scheduling the events
+/// and credits as if they had been sent during `launched`.
+#[derive(Debug)]
+pub(crate) struct Outbox {
+    /// `StepSink::transfer` payloads, addressed to an input `(node, port,
+    /// vc)` of the receiving shard, in reservation order.
+    pub reserves: Vec<(WireAddr, Flit)>,
+    pub events: Vec<ArrivalEvent>,
+    pub credits: Vec<CreditDelivery>,
+    /// The cycle this traffic was launched in.
+    pub launched: Cycle,
+}
+
+impl Outbox {
+    /// An empty outbox with room for `n` records of each kind, so the
+    /// thread filling it never allocates.
+    pub fn with_capacity(n: usize) -> Outbox {
+        Outbox {
+            reserves: Vec::with_capacity(n),
+            events: Vec::with_capacity(n),
+            credits: Vec::with_capacity(n),
+            launched: Cycle::ZERO,
+        }
+    }
+
+    pub fn is_empty(&self) -> bool {
+        self.reserves.is_empty() && self.events.is_empty() && self.credits.is_empty()
+    }
+
+    /// Empties the outbox, keeping its capacity.
+    pub fn clear(&mut self) {
+        self.reserves.clear();
+        self.events.clear();
+        self.credits.clear();
+    }
+}
+
 /// Fixed-latency pipelines for flits and credits.
 ///
 /// Implemented as per-cycle buckets in a ring: scheduling is O(1) and each
@@ -82,24 +122,28 @@ pub(crate) struct DeliveryQueues {
 
 impl DeliveryQueues {
     /// Creates queues with the given one-way delays in cycles (the paper's
-    /// link delay is 1; credits also take one cycle back).
+    /// link delay is 1; credits also take one cycle back), every bucket
+    /// pre-sized for `per_cycle` records.
     ///
     /// # Panics
     ///
     /// Panics if either delay is zero (same-cycle delivery would break the
     /// stage ordering).
-    pub fn new(flit_delay: u64, credit_delay: u64) -> DeliveryQueues {
+    pub fn new(flit_delay: u64, credit_delay: u64, per_cycle: usize) -> DeliveryQueues {
         assert!(flit_delay >= 1, "links need at least one cycle of delay");
         assert!(
             credit_delay >= 1,
             "credits need at least one cycle of delay"
         );
+        fn buckets<T>(delay: u64, per_cycle: usize) -> Vec<Vec<T>> {
+            (0..=delay).map(|_| Vec::with_capacity(per_cycle)).collect()
+        }
         DeliveryQueues {
             flit_delay,
             credit_delay,
-            events: (0..=flit_delay).map(|_| Vec::new()).collect(),
-            ejects: (0..=flit_delay).map(|_| Vec::new()).collect(),
-            credits: (0..=credit_delay).map(|_| Vec::new()).collect(),
+            events: buckets(flit_delay, per_cycle),
+            ejects: buckets(flit_delay, per_cycle),
+            credits: buckets(credit_delay, per_cycle),
             in_flight_flits: 0,
             flit_now: 0,
             flit_slot: 0,
@@ -224,7 +268,7 @@ mod tests {
 
     #[test]
     fn flits_arrive_after_the_link_delay() {
-        let mut q = DeliveryQueues::new(1, 1);
+        let mut q = DeliveryQueues::new(1, 1, 0);
         q.send_event(Cycle::new(5), event(0));
         q.send_eject(
             Cycle::new(5),
@@ -247,7 +291,7 @@ mod tests {
 
     #[test]
     fn longer_delays_are_honored() {
-        let mut q = DeliveryQueues::new(3, 2);
+        let mut q = DeliveryQueues::new(3, 2, 0);
         q.send_event(Cycle::new(10), event(1));
         q.send_credit(
             Cycle::new(10),
@@ -261,7 +305,7 @@ mod tests {
 
     #[test]
     fn same_cycle_deliveries_keep_fifo_order() {
-        let mut q = DeliveryQueues::new(1, 1);
+        let mut q = DeliveryQueues::new(1, 1, 0);
         for vc in 0..3 {
             q.send_event(Cycle::new(0), event(vc));
         }
@@ -271,7 +315,7 @@ mod tests {
 
     #[test]
     fn swap_reuses_the_buffer_capacity() {
-        let mut q = DeliveryQueues::new(1, 1);
+        let mut q = DeliveryQueues::new(1, 1, 0);
         for vc in 0..4 {
             q.send_event(Cycle::new(0), event(vc));
         }
@@ -289,6 +333,6 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one cycle")]
     fn zero_delay_rejected() {
-        let _ = DeliveryQueues::new(0, 1);
+        let _ = DeliveryQueues::new(0, 1, 0);
     }
 }

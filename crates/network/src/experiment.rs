@@ -587,11 +587,9 @@ impl SimConfig {
         (algo, program)
     }
 
-    /// Runs the point to completion (or saturation cut-off), recording every
-    /// injected message into `capture` when one is given. Reached only
-    /// through [`Scenario::run`](crate::scenario::Scenario::run) and
-    /// [`Scenario::run_capturing`](crate::scenario::Scenario::run_capturing).
-    pub(crate) fn run(&self, mut capture: Option<&mut Vec<TraceEvent>>) -> SimResult {
+    /// Builds the point's network: routing and tables compiled, and the
+    /// routers' escape subclasses set from the routing relation.
+    pub(crate) fn build_network(&self) -> Network {
         let (algo, program) = self.build_routing();
         let mut router_cfg = self.router.clone();
         router_cfg.escape_subclasses = algo.escape_subclasses(&self.mesh).max(1);
@@ -603,15 +601,21 @@ impl SimConfig {
         } else if router_cfg.escape_vcs == 0 {
             router_cfg.escape_subclasses = 1;
         }
-
-        let mut net = Network::new(
+        Network::new(
             self.mesh.clone(),
             router_cfg,
             program,
             self.link_delay,
             self.seed,
-        );
+        )
+    }
 
+    /// Runs the point to completion (or saturation cut-off), recording every
+    /// injected message into `capture` when one is given. Reached only
+    /// through [`Scenario::run`](crate::scenario::Scenario::run) and
+    /// [`Scenario::run_capturing`](crate::scenario::Scenario::run_capturing).
+    pub(crate) fn run(&self, mut capture: Option<&mut Vec<TraceEvent>>) -> SimResult {
+        let mut net = self.build_network();
         let mut workload = self.build_workload();
 
         let mut phase = PhaseController::new(self.warmup_msgs, self.measure_msgs);

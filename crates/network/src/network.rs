@@ -3,7 +3,8 @@
 //! # The activity-tracked scheduler
 //!
 //! `Network::step` only visits components that can possibly do work this
-//! cycle, tracked in two word-packed bitsets ([`crate::active`]):
+//! cycle, tracked per shard (see below) in two word-packed bitsets
+//! ([`crate::active`]) over the shard's node range:
 //!
 //! * **Routers** are active exactly while they hold at least one flit
 //!   (input-buffered or staged). A flitless router's step is a no-op by
@@ -22,10 +23,11 @@
 //!   receiving router;
 //! * a **message offer** wakes the source NIC;
 //! * an **injection credit** returning to the local port wakes the NIC;
-//! * router-to-router **credits** are applied immediately to the upstream
-//!   router's counters and need no wake: only a router that also holds
-//!   flits can act on them, and such a router is already active.
+//! * router-to-router **credits** are applied to the upstream router's
+//!   counters and need no wake: only a router that also holds flits can
+//!   act on them, and such a router is already active.
 //!
+//! Every wake-up is set by the shard that owns the woken component.
 //! Quiescence therefore implies no observable events: with no flits in
 //! routers, no deliveries on the wires and no injectable NIC work, no
 //! component's step could change any state, so idle cycles cost O(1).
@@ -64,24 +66,89 @@
 //! most one flit per cycle). Ejections are the exception: they accumulate
 //! floating-point latency statistics, whose summation order must not
 //! change, so they are sampled in launch (FIFO) order.
+//!
+//! # The sharded cycle loop
+//!
+//! Routers interact only over links, and every link takes at least one
+//! cycle: an arrival commits `link_delay + 1` cycles after its launch and
+//! a credit one cycle after. The network is therefore split into
+//! **shards**, contiguous node ranges of equal size. A shard owns its
+//! range's routers and NICs, its delivery rings (arrival events and
+//! credits bound for its routers, ejections from them), its active sets
+//! and its commit-batching scratch, and runs the whole cycle for its range:
+//! router walk, arrival commits, credits and NIC injection. Shard 0 runs
+//! on the thread calling [`Network::step`]; every further shard runs on a
+//! helper thread of its own. A one-shard network runs the same
+//! `Shard::step` inline.
+//!
+//! * **Mailboxes.** Three things can cross a shard boundary: a payload
+//!   reservation (`StepSink::transfer`), an arrival event and a credit.
+//!   The sending shard collects them per destination shard in an
+//!   `Outbox` and posts it when its cycle ends; the owning shard applies
+//!   it when its next cycle starts, reserving the payloads and scheduling
+//!   the events and credits into its rings stamped with their launch
+//!   cycle. Offers for a helper's NICs wait on the calling thread and are
+//!   handed over with the next cycle's start.
+//! * **One barrier per cycle.** The calling thread releases the helpers,
+//!   steps shard 0, and waits until every helper has finished the cycle.
+//!   Mailboxes alternate between two slots by step parity, so a cycle's
+//!   outbox is never the one being read. Waiting spins briefly, then
+//!   yields, and an idle helper parks, so an idle network holds no core.
+//! * **The calling thread keeps the statistics.** The message records,
+//!   latency statistics and backlog counter stay with the caller. Each
+//!   shard reports its cycle's ejections, head-injection stamps, tail
+//!   count, progress flag and flit count, and the reports are absorbed in
+//!   shard order, which is node order, so floating-point sums see the same
+//!   sequence as a one-shard run.
+//!
+//! **Why the result is exact.** A reserved payload stays invisible until
+//! its commit, and its slot `head + len + pending` is stable under
+//! everything the owning router does meanwhile, so reserving it at the
+//! start of the next cycle instead of mid-walk changes nothing a router
+//! can observe; it is applied before its launch can even leave the
+//! upstream VC multiplexor. Every input (port, VC) has one upstream
+//! router, so its reservations and arrivals keep their FIFO order.
+//! Commits and credits at one router commute across ports, so an arrival
+//! batch that lists remote arrivals after local ones commits to the same
+//! state. Everything that crosses is consumed at least one cycle after it
+//! was launched. The per-cycle pins below run at 1, 2 and 3 shards with
+//! unchanged hashes.
+//!
+//! **Shard count.** The process keeps one budget of spare cores,
+//! `available_parallelism() - 1`, shared with [`crate::SweepRunner`]
+//! workers (see [`crate::SweepRunner::with_threads`]). [`Network::new`]
+//! takes `min(spare, nodes / MIN_SHARD_NODES - 1)` helpers and returns
+//! them when the network is dropped.
 
 use crate::active::ActiveSet;
-use crate::delivery::{ArrivalEvent, CreditDelivery, DeliveryQueues, EjectRecord};
+use crate::delivery::{ArrivalEvent, CreditDelivery, DeliveryQueues, EjectRecord, Outbox};
 use crate::messages::{MessageRecord, MessageStore};
-use crate::nic::{Message, Nic};
+use crate::nic::{Message, Nic, Offer};
+use crate::sweep::CoreClaim;
 use lapses_core::router::RouterStats;
 use lapses_core::router::StepSink;
 use lapses_core::router::INFINITE_CREDITS;
-use lapses_core::{Flit, Router, RouterConfig, RouterTable, TableScheme};
+use lapses_core::{Flit, MsgRef, Router, RouterConfig, RouterTable, TableScheme};
 use lapses_sim::{Cycle, Histogram, RunningStats, SimRng};
 use lapses_topology::{Mesh, NodeId, Port};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
+use std::thread::{self, JoinHandle};
+use std::time::{Duration, Instant};
 
 /// The exclusive limit on a network's node count: the packed wire
 /// addresses of the credit and arrival rings hold a node in 22 bits.
 /// [`Network::new`] panics at or past it; scenario validation reports it
 /// as a typed error first.
 pub const MAX_NODES: usize = 1 << 22;
+
+/// Nodes per shard when the shard count is automatic: a network takes one
+/// helper thread per `MIN_SHARD_NODES` nodes beyond the first
+/// `MIN_SHARD_NODES`, while spare cores last. Measured on a 2-core host
+/// with uniform LA-PROUD traffic: two shards ran an 8×8 mesh at 0.93× the
+/// speed of one at load 0.2 (1.26× at 0.6), and 9×9 to 16×16 meshes at
+/// 1.19–1.80× at both loads, so 64 nodes stay whole and 80 split.
+const MIN_SHARD_NODES: usize = 40;
 
 /// What happened during one network cycle — the inputs the measurement
 /// loop needs for phase and watchdog bookkeeping.
@@ -101,13 +168,21 @@ pub struct CycleSummary {
 /// protocol live in [`crate::experiment`].
 pub struct Network {
     mesh: Mesh,
-    /// Cached `mesh.ports_per_router()` for the per-visit hot path.
-    ports: usize,
-    routers: Vec<Router>,
-    nics: Vec<Nic>,
-    queues: DeliveryQueues,
-    program: Arc<dyn TableScheme>,
-    lookahead: bool,
+    /// Nodes per shard: node `n` lives in shard `n / span`.
+    span: usize,
+    /// Shard 0, stepped on the calling thread.
+    local: Shard,
+    /// Shards 1.., each stepped on its own thread.
+    helpers: Vec<Helper>,
+    /// The spare cores the helpers run on.
+    _cores: CoreClaim,
+    ledger: Ledger,
+    cycles_run: u64,
+}
+
+/// The statistics and counters the calling thread keeps for the whole
+/// network, fed by the shards' per-cycle [`Report`]s.
+struct Ledger {
     /// Per-message bookkeeping (source, timestamps, measured flag) behind
     /// the flits' `MsgRef` handles.
     messages: MessageStore,
@@ -117,26 +192,145 @@ pub struct Network {
     /// Total latency (generation → tail ejection) of measured messages.
     total_latency: RunningStats,
     histogram: Histogram,
-    /// Downstream node per `(node, direction port)` — `u32::MAX` for edge
-    /// ports. Precomputed so the per-launch hot path never re-derives
-    /// coordinates.
-    neighbors: Vec<u32>,
-    cycles_run: u64,
     measured_flits_ejected: u64,
-    /// Routers currently holding flits (see the module docs).
-    router_active: ActiveSet,
-    /// NICs with injectable work (see the module docs).
-    nic_active: ActiveSet,
-    /// Flits currently inside routers — the incremental mirror of
-    /// "any router non-empty", kept for O(1) [`Network::has_traffic`].
-    router_flits: u64,
     /// Messages offered but not yet fully streamed into their source
     /// router — the incremental mirror of summing NIC backlogs, kept for
     /// O(1) [`Network::backlog`].
     backlog_msgs: u64,
+    /// Flits inside routers or on wires after the last cycle (the sum of
+    /// the shards' reports), kept for O(1) [`Network::has_traffic`].
+    flits: u64,
+}
+
+impl Ledger {
+    /// Absorbs one shard's report of cycle `now`, leaving it empty.
+    fn absorb(&mut self, report: &mut Report, now: Cycle, summary: &mut CycleSummary) {
+        for e in report.ejects.drain(..) {
+            self.eject(e, now, summary);
+        }
+        for rec in report.heads.drain(..) {
+            // Network latency starts when the head enters the router.
+            self.messages.get_mut(rec).injected_at = now;
+        }
+        self.backlog_msgs -= report.tails;
+        self.flits += report.flits;
+        summary.moved |= report.moved;
+    }
+
+    /// Ejection into the NIC sink: samples measured tails into the
+    /// latency statistics and retires the message record.
+    #[inline]
+    fn eject(&mut self, e: EjectRecord, now: Cycle, summary: &mut CycleSummary) {
+        let rec = *self.messages.get(e.rec);
+        if rec.measured {
+            self.measured_flits_ejected += 1;
+        }
+        if e.kind.is_tail() {
+            if rec.measured {
+                let net_latency = now.duration_since(rec.injected_at) as f64;
+                let total = now.duration_since(rec.created_at) as f64;
+                self.latency.record(net_latency);
+                self.total_latency.record(total);
+                self.histogram.record(net_latency);
+                summary.measured_deliveries += 1;
+            }
+            self.messages.retire(e.rec);
+        }
+        summary.moved = true;
+    }
+}
+
+/// What one shard's cycle produced for the calling thread.
+#[derive(Debug, Default)]
+struct Report {
+    /// Ejections due this cycle, in launch order.
+    ejects: Vec<EjectRecord>,
+    /// Messages whose head entered a router this cycle.
+    heads: Vec<MsgRef>,
+    /// Messages whose tail entered a router this cycle.
+    tails: u64,
+    /// Whether any router moved or any NIC injected.
+    moved: bool,
+    /// Flits in the shard's routers and on its wires after the cycle,
+    /// arrival events posted to other shards included.
+    flits: u64,
+}
+
+impl Report {
+    fn with_capacity(n: usize) -> Report {
+        Report {
+            ejects: Vec::with_capacity(n),
+            heads: Vec::with_capacity(n),
+            ..Report::default()
+        }
+    }
+}
+
+/// The mailbox slots between shards, indexed `[parity][src][dst]`: a
+/// shard posts its cycle's outboxes to the slots of its step parity, and
+/// the receivers drain them at the start of the next step, so the two
+/// parities never meet. Each slot is locked once per cycle by each side,
+/// never at the same time.
+#[derive(Debug)]
+struct Mail {
+    shards: usize,
+    slots: Vec<Mutex<Outbox>>,
+}
+
+impl Mail {
+    fn slot(&self, parity: u64, src: usize, dst: usize) -> MutexGuard<'_, Outbox> {
+        let i = (parity as usize * self.shards + src) * self.shards + dst;
+        self.slots[i]
+            .lock()
+            .expect("a shard panicked holding its mailbox")
+    }
+
+    /// Arrival events posted but not yet scheduled by their receivers.
+    fn in_flight(&self) -> usize {
+        self.slots
+            .iter()
+            .map(|s| s.lock().expect("mailbox poisoned").events.len())
+            .sum()
+    }
+}
+
+/// One contiguous node range of the network and everything that moves
+/// flits within it (see the module docs).
+struct Shard {
+    /// Position in node order; shard 0 runs on the calling thread.
+    id: usize,
+    /// First node of the range.
+    lo: usize,
+    /// Nodes per shard, as in [`Network`].
+    span: usize,
+    /// Cached `mesh.ports_per_router()` for the per-visit hot path.
+    ports: usize,
+    routers: Vec<Router>,
+    nics: Vec<Nic>,
+    queues: DeliveryQueues,
+    /// Downstream node per `(node - lo, direction port)` — `u32::MAX` for
+    /// edge ports. Precomputed so the per-launch hot path never re-derives
+    /// coordinates.
+    neighbors: Vec<u32>,
+    /// Routers currently holding flits (see the module docs).
+    router_active: ActiveSet,
+    /// NICs with injectable work (see the module docs).
+    nic_active: ActiveSet,
+    /// Flits currently inside the shard's routers.
+    router_flits: u64,
+    /// The table program, for the look-ahead entries of offered heads.
+    program: Arc<dyn TableScheme>,
+    lookahead: bool,
+    /// Offers handed over for this cycle.
+    offers: Vec<Offer>,
+    /// This cycle's traffic for each other shard (own entry unused).
+    outboxes: Vec<Outbox>,
+    mail: Arc<Mail>,
+    /// Steps taken so far; its parity picks the mailbox slots.
+    steps: u64,
+    report: Report,
     /// Reused per-cycle scratch buffers (hot-loop allocation avoidance).
     scratch_events: Vec<ArrivalEvent>,
-    scratch_ejects: Vec<EjectRecord>,
     scratch_credits: Vec<CreditDelivery>,
     /// Per node: (first, last) chained arrival index this cycle, kept as
     /// one pair so each arrival touches a single cache location
@@ -154,10 +348,14 @@ const NONE: u32 = u32::MAX;
 
 /// The network's implementation of [`StepSink`]: payloads, launches and
 /// credits go straight from the router pipeline stages onto the wires —
-/// no staging buffer, no second copy.
+/// no staging buffer, no second copy. Traffic for another shard goes to
+/// its outbox instead.
 struct WireSink<'a> {
     now: Cycle,
+    /// The stepped router, as an index into the shard.
     node: usize,
+    lo: usize,
+    span: usize,
     ports: usize,
     /// The routers before / after the one being stepped (disjoint
     /// borrows), so a launch can reserve the downstream input slot.
@@ -165,9 +363,24 @@ struct WireSink<'a> {
     right: &'a mut [Router],
     queues: &'a mut DeliveryQueues,
     neighbors: &'a [u32],
-    nics: &'a mut [Nic],
+    nic: &'a mut Nic,
     nic_active: &'a mut ActiveSet,
     router_flits: &'a mut u64,
+    outboxes: &'a mut [Outbox],
+}
+
+impl WireSink<'_> {
+    /// Whether global node `n` belongs to this shard.
+    #[inline]
+    fn is_local(&self, n: usize) -> bool {
+        n.wrapping_sub(self.lo) < self.left.len() + 1 + self.right.len()
+    }
+
+    /// The outbox toward the shard owning global node `n`.
+    #[inline]
+    fn outbox(&mut self, n: usize) -> &mut Outbox {
+        &mut self.outboxes[n / self.span]
+    }
 }
 
 impl StepSink for WireSink<'_> {
@@ -194,13 +407,17 @@ impl StepSink for WireSink<'_> {
         let neighbor = self.neighbors[self.node * self.ports + out_port.index()];
         debug_assert_ne!(neighbor, u32::MAX, "transfer over a missing link");
         let dir = out_port.direction().expect("transfer is never local");
+        let in_port = Port::from(dir.opposite());
         let n = neighbor as usize;
-        let downstream = if n < self.node {
-            &mut self.left[n]
+        let i = n.wrapping_sub(self.lo);
+        if i < self.node {
+            self.left[i].reserve_flit(in_port, vc, flit);
+        } else if let Some(r) = self.right.get_mut(i.wrapping_sub(self.node + 1)) {
+            r.reserve_flit(in_port, vc, flit);
         } else {
-            &mut self.right[n - self.node - 1]
-        };
-        downstream.reserve_flit(Port::from(dir.opposite()), vc, flit);
+            let addr = ArrivalEvent::new(NodeId(neighbor), in_port, vc as u8);
+            self.outbox(n).reserves.push((addr, flit));
+        }
     }
 
     #[inline]
@@ -211,10 +428,12 @@ impl StepSink for WireSink<'_> {
         let neighbor = self.neighbors[self.node * self.ports + port.index()];
         debug_assert_ne!(neighbor, u32::MAX, "launch over a missing link");
         let dir = port.direction().expect("reserved launches are never local");
-        self.queues.send_event(
-            self.now,
-            ArrivalEvent::new(NodeId(neighbor), Port::from(dir.opposite()), vc as u8),
-        );
+        let event = ArrivalEvent::new(NodeId(neighbor), Port::from(dir.opposite()), vc as u8);
+        if self.is_local(neighbor as usize) {
+            self.queues.send_event(self.now, event);
+        } else {
+            self.outbox(neighbor as usize).events.push(event);
+        }
     }
 
     #[inline]
@@ -222,184 +441,49 @@ impl StepSink for WireSink<'_> {
         match in_port.direction() {
             None => {
                 // Injection credit: may unfreeze a credit-starved NIC.
-                self.nics[self.node].credit(vc);
+                self.nic.credit(vc);
                 self.nic_active.insert(self.node);
             }
             Some(dir) => {
                 let upstream = self.neighbors[self.node * self.ports + in_port.index()];
                 debug_assert_ne!(upstream, u32::MAX, "credit over a missing link");
-                self.queues.send_credit(
-                    self.now,
-                    CreditDelivery::new(NodeId(upstream), Port::from(dir.opposite()), vc as u8),
-                );
-            }
-        }
-    }
-}
-
-impl std::fmt::Debug for Network {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Network")
-            .field("mesh", &self.mesh)
-            .field("scheme", &self.program.name())
-            .field("cycles_run", &self.cycles_run)
-            .finish_non_exhaustive()
-    }
-}
-
-impl Network {
-    /// Builds the network: a router per node programmed with `program`, a
-    /// NIC per node, and credits wired to the downstream buffer depths.
-    pub fn new(
-        mesh: Mesh,
-        router_cfg: RouterConfig,
-        program: Arc<dyn TableScheme>,
-        link_delay: u64,
-        seed: u64,
-    ) -> Network {
-        assert_eq!(
-            program.mesh(),
-            &mesh,
-            "table program compiled for a different topology"
-        );
-        assert!(
-            mesh.node_count() < MAX_NODES,
-            "mesh exceeds the packed wire-address budget"
-        );
-        router_cfg.validate();
-        let mut rng = SimRng::from_seed(seed);
-        let ports = mesh.ports_per_router();
-        let vcs = router_cfg.vcs_per_port;
-        let lookahead = router_cfg.pipeline.is_lookahead();
-
-        let mut routers: Vec<Router> = mesh
-            .nodes()
-            .map(|node| {
-                Router::new(
-                    node,
-                    ports,
-                    router_cfg.clone(),
-                    RouterTable::new(Arc::clone(&program), node),
-                    rng.fork(node.0 as u64),
-                )
-            })
-            .collect();
-
-        // Wire credits: direction ports get the neighbor's input buffer
-        // depth, edge ports get zero (never routed to), the ejection port
-        // is an infinite sink.
-        let direction_ports: Vec<Port> = mesh.direction_ports().collect();
-        for node in mesh.nodes() {
-            for &port in &direction_ports {
-                let dir = port.direction().expect("direction port");
-                let credits = if mesh.neighbor(node, dir).is_some() {
-                    router_cfg.input_buffer_flits as u32
+                let credit =
+                    CreditDelivery::new(NodeId(upstream), Port::from(dir.opposite()), vc as u8);
+                if self.is_local(upstream as usize) {
+                    self.queues.send_credit(self.now, credit);
                 } else {
-                    0
-                };
-                for v in 0..vcs {
-                    routers[node.index()].set_credits(port, v, credits);
-                }
-            }
-            for v in 0..vcs {
-                routers[node.index()].set_credits(Port::LOCAL, v, INFINITE_CREDITS);
-            }
-        }
-
-        let nics = mesh
-            .nodes()
-            .map(|_| Nic::new(vcs, router_cfg.input_buffer_flits))
-            .collect();
-
-        let node_count = mesh.node_count();
-        let mut neighbors = vec![u32::MAX; node_count * ports];
-        for node in mesh.nodes() {
-            for &port in &direction_ports {
-                let dir = port.direction().expect("direction port");
-                if let Some(n) = mesh.neighbor(node, dir) {
-                    neighbors[node.index() * ports + port.index()] = n.0;
+                    self.outbox(upstream as usize).credits.push(credit);
                 }
             }
         }
-        Network {
-            ports,
-            routers,
-            nics,
-            // A flit launched by the VC mux spends `link_delay` cycles on
-            // the wire and lands in the downstream buffer during the next
-            // cycle's sync stage, so each hop costs the paper's
-            // 5 (router) + 1 (link) cycles under PROUD. Credits ride the
-            // reverse wire in one cycle.
-            queues: DeliveryQueues::new(link_delay + 1, 1),
-            program,
-            lookahead,
-            messages: MessageStore::new(),
-            latency: RunningStats::new(),
-            total_latency: RunningStats::new(),
-            histogram: Histogram::new(4.0, 2048),
-            neighbors,
-            cycles_run: 0,
-            measured_flits_ejected: 0,
-            router_active: ActiveSet::new(node_count),
-            nic_active: ActiveSet::new(node_count),
-            router_flits: 0,
-            backlog_msgs: 0,
-            scratch_events: Vec::new(),
-            scratch_ejects: Vec::new(),
-            scratch_credits: Vec::new(),
-            batch_link: vec![(NONE, NONE); node_count],
-            batch_next: Vec::new(),
-            batch_touched: Vec::new(),
-            mesh,
-        }
     }
+}
 
-    /// The topology.
-    pub fn mesh(&self) -> &Mesh {
-        &self.mesh
-    }
-
-    /// Queues a message at its source NIC. Look-ahead headers get the
-    /// source router's candidate entry attached (the injection-time lookup
-    /// the SGI SPIDER performs at the source).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `src == dest` (patterns never generate self-traffic) or
-    /// `length` is zero.
-    pub fn offer_message(
-        &mut self,
-        src: NodeId,
-        dest: NodeId,
-        length: u32,
-        now: Cycle,
-        measured: bool,
-    ) {
-        assert_ne!(src, dest, "self-addressed message");
-        let rec = self.messages.alloc(MessageRecord {
-            src,
-            dest,
-            length,
-            measured,
-            created_at: now,
-            // Re-stamped when the head actually enters the router.
-            injected_at: now,
+impl Shard {
+    /// Queues an offered message at its source NIC, attaching the source
+    /// router's look-ahead entry to LA-PROUD heads (the injection-time
+    /// lookup the SGI SPIDER performs at the source).
+    fn enqueue(&mut self, offer: Offer) {
+        let i = offer.src.index() - self.lo;
+        self.nics[i].enqueue(Message {
+            rec: offer.rec,
+            dest: offer.dest,
+            length: offer.length,
+            lookahead: self
+                .lookahead
+                .then(|| self.program.entry(offer.src, offer.dest)),
         });
-        let lookahead = self.lookahead.then(|| self.program.entry(src, dest));
-        self.nics[src.index()].enqueue(Message {
-            rec,
-            dest,
-            length,
-            lookahead,
-        });
-        self.backlog_msgs += 1;
-        self.nic_active.insert(src.index());
+        self.nic_active.insert(i);
     }
 
-    /// Runs one cycle: active routers step, link and credit arrivals are
-    /// delivered, active NICs inject, and ejected tails are sampled.
-    pub fn step(&mut self, now: Cycle) -> CycleSummary {
-        let mut summary = CycleSummary::default();
+    /// Runs one cycle of the shard: inbound mail and offers are applied,
+    /// active routers step, link and credit arrivals are delivered, active
+    /// NICs inject, and the outboxes are posted. Leaves the cycle's
+    /// [`Report`] in `self.report`, whose vectors must be empty on entry.
+    fn step(&mut self, now: Cycle) {
+        self.receive();
+        self.report.moved = false;
+        self.report.tails = 0;
 
         // 1. Active routers advance one cycle; payloads, launches and
         //    credits enter the wires. No router bit is *set* during this
@@ -409,23 +493,17 @@ impl Network {
         for w in 0..self.router_active.word_count() {
             let mut word = self.router_active.word(w);
             while word != 0 {
-                let node = w * 64 + word.trailing_zeros() as usize;
+                let i = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                self.step_router(node, now, &mut summary);
+                self.step_router(i, now);
             }
         }
 
         // 2. Arrivals due this cycle (swapped out of the ring buckets, not
-        //    copied): ejections are sampled in launch order, link arrivals
-        //    are committed per destination router and wake it (see the
-        //    module docs).
-        let mut ejects = std::mem::take(&mut self.scratch_ejects);
-        self.queues.swap_ejects(now, &mut ejects);
-        for e in &ejects {
-            self.eject(e.rec, e.kind, now, &mut summary);
-        }
-        ejects.clear();
-        self.scratch_ejects = ejects;
+        //    copied): ejections go to the report in launch order, link
+        //    arrivals are committed per destination router and wake it
+        //    (see the module docs).
+        self.queues.swap_ejects(now, &mut self.report.ejects);
         let mut events = std::mem::take(&mut self.scratch_events);
         self.queues.swap_events(now, &mut events);
         self.commit_batched(&events, now);
@@ -434,7 +512,7 @@ impl Network {
         let mut credits = std::mem::take(&mut self.scratch_credits);
         self.queues.swap_credits(now, &mut credits);
         for c in credits.drain(..) {
-            self.routers[c.node()].accept_credit(c.port(), c.vc());
+            self.routers[c.node() - self.lo].accept_credit(c.port(), c.vc());
         }
         self.scratch_credits = credits;
 
@@ -443,14 +521,57 @@ impl Network {
         for w in 0..self.nic_active.word_count() {
             let mut word = self.nic_active.word(w);
             while word != 0 {
-                let node = w * 64 + word.trailing_zeros() as usize;
+                let i = w * 64 + word.trailing_zeros() as usize;
                 word &= word - 1;
-                self.inject_from_nic(node, now, &mut summary);
+                self.inject_from_nic(i, now);
             }
         }
 
-        self.cycles_run += 1;
-        summary
+        let posted = self.post(now);
+        self.report.flits = self.router_flits + self.queues.in_flight() as u64 + posted;
+        self.steps += 1;
+    }
+
+    /// Enqueues the handed-over offers and applies the mail other shards
+    /// posted during the previous step.
+    fn receive(&mut self) {
+        let mut offers = std::mem::take(&mut self.offers);
+        for offer in offers.drain(..) {
+            self.enqueue(offer);
+        }
+        self.offers = offers;
+        let parity = (self.steps + 1) & 1;
+        for src in (0..self.mail.shards).filter(|&s| s != self.id) {
+            let mut mail = self.mail.slot(parity, src, self.id);
+            for &(addr, flit) in &mail.reserves {
+                self.routers[addr.node() - self.lo].reserve_flit(addr.port(), addr.vc(), flit);
+            }
+            for &e in &mail.events {
+                self.queues.send_event(mail.launched, e);
+            }
+            for &c in &mail.credits {
+                self.queues.send_credit(mail.launched, c);
+            }
+            mail.clear();
+        }
+    }
+
+    /// Posts this cycle's outboxes to the receivers' mailbox slots and
+    /// returns the number of arrival events posted.
+    fn post(&mut self, now: Cycle) -> u64 {
+        let parity = self.steps & 1;
+        let mut events = 0;
+        for (dst, out) in self.outboxes.iter_mut().enumerate() {
+            if out.is_empty() {
+                continue;
+            }
+            events += out.events.len() as u64;
+            out.launched = now;
+            let mut slot = self.mail.slot(parity, self.id, dst);
+            debug_assert!(slot.is_empty(), "mailbox slot not drained");
+            std::mem::swap(&mut *slot, out);
+        }
+        events
     }
 
     /// Commits a cycle's arrival events as per-router batches: one
@@ -462,7 +583,7 @@ impl Network {
             self.batch_next.resize(events.len(), NONE);
         }
         for (i, e) in events.iter().enumerate() {
-            let node = e.node();
+            let node = e.node() - self.lo;
             let i = i as u32;
             let link = &mut self.batch_link[node];
             if link.1 == NONE {
@@ -494,119 +615,531 @@ impl Network {
         self.batch_touched = touched;
     }
 
-    /// Ejection into the NIC sink: samples measured tails into the
-    /// latency statistics and retires the message record.
-    #[inline]
-    fn eject(
-        &mut self,
-        handle: lapses_core::MsgRef,
-        kind: lapses_core::FlitKind,
-        now: Cycle,
-        summary: &mut CycleSummary,
-    ) {
-        let rec = *self.messages.get(handle);
-        if rec.measured {
-            self.measured_flits_ejected += 1;
-        }
-        if kind.is_tail() {
-            if rec.measured {
-                let net_latency = now.duration_since(rec.injected_at) as f64;
-                let total = now.duration_since(rec.created_at) as f64;
-                self.latency.record(net_latency);
-                self.total_latency.record(total);
-                self.histogram.record(net_latency);
-                summary.measured_deliveries += 1;
-            }
-            self.messages.retire(handle);
-        }
-        summary.moved = true;
-    }
-
-    /// Steps one router, streaming its launches and credits onto the
-    /// wires as the stages produce them ([`WireSink`]). Clears the
-    /// router's active bit once it holds no flits.
-    fn step_router(&mut self, node: usize, now: Cycle, summary: &mut CycleSummary) {
-        let ports = self.ports;
-        let (left, rest) = self.routers.split_at_mut(node);
+    /// Steps router `i` of the shard, streaming its launches and credits
+    /// onto the wires as the stages produce them ([`WireSink`]). Clears
+    /// the router's active bit once it holds no flits.
+    fn step_router(&mut self, i: usize, now: Cycle) {
+        let (left, rest) = self.routers.split_at_mut(i);
         let (router, right) = rest.split_first_mut().expect("node index in range");
         let mut sink = WireSink {
             now,
-            node,
-            ports,
+            node: i,
+            lo: self.lo,
+            span: self.span,
+            ports: self.ports,
             left,
             right,
             queues: &mut self.queues,
             neighbors: &self.neighbors,
-            nics: &mut self.nics,
+            nic: &mut self.nics[i],
             nic_active: &mut self.nic_active,
             router_flits: &mut self.router_flits,
+            outboxes: &mut self.outboxes,
         };
-        summary.moved |= router.step_with(now, &mut sink);
+        self.report.moved |= router.step_with(now, &mut sink);
         if router.is_empty() {
-            self.router_active.remove(node);
+            self.router_active.remove(i);
         }
     }
 
-    /// Polls one NIC for an injection, wakes the router on delivery, and
-    /// refreshes the NIC's active bit.
-    fn inject_from_nic(&mut self, node: usize, now: Cycle, summary: &mut CycleSummary) {
-        if let Some((vc, flit)) = self.nics[node].inject() {
+    /// Polls NIC `i` of the shard for an injection, wakes the router on
+    /// delivery, and refreshes the NIC's active bit.
+    fn inject_from_nic(&mut self, i: usize, now: Cycle) {
+        if let Some((vc, flit)) = self.nics[i].inject() {
             if flit.kind.is_head() {
-                // Network latency starts when the head enters the router.
-                self.messages.get_mut(flit.rec).injected_at = now;
+                self.report.heads.push(flit.rec);
             }
             if flit.kind.is_tail() {
-                self.backlog_msgs -= 1;
+                self.report.tails += 1;
             }
-            self.routers[node].accept_flit(Port::LOCAL, vc, flit, now);
+            self.routers[i].accept_flit(Port::LOCAL, vc, flit, now);
             self.router_flits += 1;
-            self.router_active.insert(node);
-            summary.moved = true;
+            self.router_active.insert(i);
+            self.report.moved = true;
         }
-        if !self.nics[node].has_injectable() {
-            self.nic_active.remove(node);
+        if !self.nics[i].has_injectable() {
+            self.nic_active.remove(i);
+        }
+    }
+}
+
+/// How long to spin before yielding while waiting for the other side of
+/// the per-cycle barrier: long enough to cover the calling thread's work
+/// between two steps.
+const SPIN: Duration = Duration::from_micros(20);
+/// How long an idle helper yields before it parks.
+const YIELD: Duration = Duration::from_millis(1);
+
+/// A waiter's back-off: spin for [`SPIN`], then yield now and then, until
+/// [`YIELD`] has passed and a helper may park.
+#[derive(Default)]
+struct Backoff {
+    spins: u32,
+    since: Option<Instant>,
+}
+
+impl Backoff {
+    /// Waits a moment; returns whether the waiter has waited long enough
+    /// to park.
+    fn snooze(&mut self) -> bool {
+        if self.spins < 64 {
+            self.spins += 1;
+            std::hint::spin_loop();
+            return false;
+        }
+        self.spins = 0;
+        let waited = self.since.get_or_insert_with(Instant::now).elapsed();
+        if waited < SPIN {
+            return false;
+        }
+        // Past the spin phase every call yields.
+        self.spins = 64;
+        thread::yield_now();
+        waited >= YIELD
+    }
+}
+
+/// What the calling thread and one helper share. `go` and `done` form the
+/// per-cycle barrier: each is stored with `Release` by one side and loaded
+/// with `Acquire` by the other, so a released helper sees the exchange and
+/// the mailboxes as they were when its cycle was released, and the calling
+/// thread sees everything the helper wrote during the cycle, the
+/// mailboxes posted for the next cycle included. `stop` pairs the same
+/// way with the helper's last load.
+struct Link {
+    /// Cycles released so far; the helper runs one step per increment.
+    go: AtomicU64,
+    /// Cycles the helper has finished.
+    done: AtomicU64,
+    /// Set when the network is dropped.
+    stop: AtomicBool,
+    /// The cycle to run and its offers, handed in; the cycle's report,
+    /// handed back. Locked once per cycle by each side, never at the same
+    /// time.
+    exchange: Mutex<Exchange>,
+}
+
+struct Exchange {
+    now: Cycle,
+    offers: Vec<Offer>,
+    report: Report,
+}
+
+/// A shard stepped on its own thread.
+struct Helper {
+    /// Locked by the helper while it steps, and by the calling thread
+    /// only between steps (statistics and quiescence checks).
+    shard: Arc<Mutex<Shard>>,
+    link: Arc<Link>,
+    thread: Option<JoinHandle<()>>,
+    /// Offers for this shard's NICs since the last step.
+    offers: Vec<Offer>,
+}
+
+impl Helper {
+    fn spawn(shard: Shard) -> Helper {
+        let capacity = shard.routers.len();
+        let shard = Arc::new(Mutex::new(shard));
+        let link = Arc::new(Link {
+            go: AtomicU64::new(0),
+            done: AtomicU64::new(0),
+            stop: AtomicBool::new(false),
+            exchange: Mutex::new(Exchange {
+                now: Cycle::ZERO,
+                offers: Vec::with_capacity(capacity),
+                report: Report::with_capacity(capacity),
+            }),
+        });
+        let thread = thread::Builder::new()
+            .name("lapses-shard".into())
+            .spawn({
+                let (shard, link) = (Arc::clone(&shard), Arc::clone(&link));
+                move || helper_main(&shard, &link)
+            })
+            .expect("failed to spawn a network shard thread");
+        Helper {
+            shard,
+            link,
+            thread: Some(thread),
+            offers: Vec::with_capacity(capacity),
+        }
+    }
+
+    /// Hands the cycle's offers over and releases step number `epoch`.
+    fn release(&mut self, epoch: u64, now: Cycle) {
+        {
+            let mut ex = self.link.exchange.lock().expect("shard exchange poisoned");
+            ex.now = now;
+            std::mem::swap(&mut ex.offers, &mut self.offers);
+        }
+        self.link.go.store(epoch, Ordering::Release);
+        if let Some(t) = &self.thread {
+            t.thread().unpark();
+        }
+    }
+
+    /// Waits until the helper has finished step `epoch`. A helper that
+    /// died instead re-raises its panic here.
+    fn wait(&mut self, epoch: u64) {
+        let mut backoff = Backoff::default();
+        while self.link.done.load(Ordering::Acquire) != epoch {
+            backoff.snooze();
+            let thread = self.thread.take_if(|t| t.is_finished());
+            match thread.map(JoinHandle::join) {
+                Some(Err(panic)) => std::panic::resume_unwind(panic),
+                Some(Ok(())) => panic!("network shard thread exited mid-run"),
+                None if self.thread.is_none() => panic!("network shard thread is gone"),
+                None => {}
+            }
+        }
+    }
+}
+
+/// A helper thread: steps its shard once per released cycle until the
+/// network is dropped.
+fn helper_main(shard: &Mutex<Shard>, link: &Link) {
+    let mut seen = 0;
+    loop {
+        let mut backoff = Backoff::default();
+        let epoch = loop {
+            if link.stop.load(Ordering::Acquire) {
+                return;
+            }
+            let go = link.go.load(Ordering::Acquire);
+            if go != seen {
+                break go;
+            }
+            if backoff.snooze() {
+                thread::park();
+            }
+        };
+        seen = epoch;
+        let mut shard = shard.lock().expect("shard poisoned");
+        let now = {
+            let mut ex = link.exchange.lock().expect("shard exchange poisoned");
+            std::mem::swap(&mut shard.offers, &mut ex.offers);
+            ex.now
+        };
+        shard.step(now);
+        {
+            let mut ex = link.exchange.lock().expect("shard exchange poisoned");
+            std::mem::swap(&mut shard.report, &mut ex.report);
+        }
+        drop(shard);
+        link.done.store(epoch, Ordering::Release);
+    }
+}
+
+#[cfg(test)]
+thread_local! {
+    /// A shard count forced on networks built on this thread (0: automatic).
+    static FORCED_SHARDS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) };
+}
+
+/// Runs `f` with every network it builds on this thread split into
+/// `shards` shards, whatever the core budget says.
+#[cfg(test)]
+pub(crate) fn with_shards<R>(shards: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            FORCED_SHARDS.set(self.0);
+        }
+    }
+    let _restore = Restore(FORCED_SHARDS.replace(shards));
+    f()
+}
+
+/// The shard count for a network of `nodes` nodes and the spare cores its
+/// helpers run on.
+fn plan_shards(nodes: usize) -> (usize, CoreClaim) {
+    #[cfg(test)]
+    {
+        let forced = FORCED_SHARDS.get();
+        if forced > 0 {
+            return (forced.min(nodes), CoreClaim::take(0));
+        }
+    }
+    let cores = CoreClaim::take((nodes / MIN_SHARD_NODES).saturating_sub(1));
+    (cores.cores() + 1, cores)
+}
+
+impl std::fmt::Debug for Network {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("Network")
+            .field("mesh", &self.mesh)
+            .field("scheme", &self.local.program.name())
+            .field("shards", &(self.helpers.len() + 1))
+            .field("cycles_run", &self.cycles_run)
+            .finish_non_exhaustive()
+    }
+}
+
+impl Network {
+    /// Builds the network: a router per node programmed with `program`, a
+    /// NIC per node, and credits wired to the downstream buffer depths.
+    /// A network of 80 nodes or more also starts a helper thread per
+    /// further shard while spare cores last (see the module docs);
+    /// dropping the network joins them.
+    pub fn new(
+        mesh: Mesh,
+        router_cfg: RouterConfig,
+        program: Arc<dyn TableScheme>,
+        link_delay: u64,
+        seed: u64,
+    ) -> Network {
+        assert_eq!(
+            program.mesh(),
+            &mesh,
+            "table program compiled for a different topology"
+        );
+        assert!(
+            mesh.node_count() < MAX_NODES,
+            "mesh exceeds the packed wire-address budget"
+        );
+        router_cfg.validate();
+        let mut rng = SimRng::from_seed(seed);
+        let ports = mesh.ports_per_router();
+        let vcs = router_cfg.vcs_per_port;
+        let lookahead = router_cfg.pipeline.is_lookahead();
+
+        // Wire credits: direction ports get the neighbor's input buffer
+        // depth, edge ports get zero (never routed to), the ejection port
+        // is an infinite sink.
+        let direction_ports: Vec<Port> = mesh.direction_ports().collect();
+        let mut router = |node: NodeId| {
+            let mut r = Router::new(
+                node,
+                ports,
+                router_cfg.clone(),
+                RouterTable::new(Arc::clone(&program), node),
+                rng.fork(node.0 as u64),
+            );
+            for &port in &direction_ports {
+                let dir = port.direction().expect("direction port");
+                let credits = if mesh.neighbor(node, dir).is_some() {
+                    router_cfg.input_buffer_flits as u32
+                } else {
+                    0
+                };
+                for v in 0..vcs {
+                    r.set_credits(port, v, credits);
+                }
+            }
+            for v in 0..vcs {
+                r.set_credits(Port::LOCAL, v, INFINITE_CREDITS);
+            }
+            r
+        };
+
+        let node_count = mesh.node_count();
+        let (shards, mut cores) = plan_shards(node_count);
+        let span = node_count.div_ceil(shards);
+        let shards = node_count.div_ceil(span);
+        cores.keep(shards - 1);
+        let mail = Arc::new(Mail {
+            shards,
+            slots: (0..2 * shards * shards)
+                .map(|_| Mutex::new(Outbox::with_capacity(span)))
+                .collect(),
+        });
+        // Every shard is built here, in node order (the router RNG forks
+        // depend on it), so all its buffers come from this thread.
+        let mut ranges = (0..shards).map(|id| {
+            let lo = id * span;
+            let nodes = (lo..node_count.min(lo + span)).map(|i| NodeId(i as u32));
+            let n = nodes.len();
+            let mut neighbors = vec![u32::MAX; n * ports];
+            for (i, node) in nodes.clone().enumerate() {
+                for &port in &direction_ports {
+                    let dir = port.direction().expect("direction port");
+                    if let Some(nb) = mesh.neighbor(node, dir) {
+                        neighbors[i * ports + port.index()] = nb.0;
+                    }
+                }
+            }
+            Shard {
+                id,
+                lo,
+                span,
+                ports,
+                routers: nodes.map(&mut router).collect(),
+                nics: (0..n)
+                    .map(|_| Nic::new(vcs, router_cfg.input_buffer_flits))
+                    .collect(),
+                // A flit launched by the VC mux spends `link_delay` cycles on
+                // the wire and lands in the downstream buffer during the next
+                // cycle's sync stage, so each hop costs the paper's 5
+                // (router) + 1 (link) cycles under PROUD. Credits ride the
+                // reverse wire in one cycle.
+                queues: DeliveryQueues::new(link_delay + 1, 1, n * ports),
+                neighbors,
+                router_active: ActiveSet::new(n),
+                nic_active: ActiveSet::new(n),
+                router_flits: 0,
+                program: Arc::clone(&program),
+                lookahead,
+                offers: Vec::with_capacity(n),
+                outboxes: (0..shards)
+                    .map(|dst| Outbox::with_capacity(if dst == id { 0 } else { span }))
+                    .collect(),
+                mail: Arc::clone(&mail),
+                steps: 0,
+                report: Report::with_capacity(n),
+                scratch_events: Vec::with_capacity(n * ports),
+                scratch_credits: Vec::with_capacity(n * ports),
+                batch_link: vec![(NONE, NONE); n],
+                batch_next: vec![NONE; n * ports],
+                batch_touched: Vec::with_capacity(n),
+            }
+        });
+        let local = ranges.next().expect("at least one shard");
+        let helpers = ranges.map(Helper::spawn).collect();
+
+        Network {
+            mesh,
+            span,
+            local,
+            helpers,
+            _cores: cores,
+            ledger: Ledger {
+                messages: MessageStore::new(),
+                latency: RunningStats::new(),
+                total_latency: RunningStats::new(),
+                histogram: Histogram::new(4.0, 2048),
+                measured_flits_ejected: 0,
+                backlog_msgs: 0,
+                flits: 0,
+            },
+            cycles_run: 0,
+        }
+    }
+
+    /// The topology.
+    pub fn mesh(&self) -> &Mesh {
+        &self.mesh
+    }
+
+    /// Queues a message at its source NIC. Look-ahead headers get the
+    /// source router's candidate entry attached (the injection-time lookup
+    /// the SGI SPIDER performs at the source).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src == dest` (patterns never generate self-traffic) or
+    /// `length` is zero.
+    pub fn offer_message(
+        &mut self,
+        src: NodeId,
+        dest: NodeId,
+        length: u32,
+        now: Cycle,
+        measured: bool,
+    ) {
+        assert_ne!(src, dest, "self-addressed message");
+        assert!(length > 0, "empty message");
+        let rec = self.ledger.messages.alloc(MessageRecord {
+            src,
+            dest,
+            length,
+            measured,
+            created_at: now,
+            // Re-stamped when the head actually enters the router.
+            injected_at: now,
+        });
+        let offer = Offer {
+            rec,
+            src,
+            dest,
+            length,
+        };
+        let i = src.index();
+        if i < self.span {
+            self.local.enqueue(offer);
+        } else {
+            self.helpers[i / self.span - 1].offers.push(offer);
+        }
+        self.ledger.backlog_msgs += 1;
+    }
+
+    /// Runs one cycle: every shard steps its routers, delivers its link
+    /// and credit arrivals and injects from its NICs (see the module
+    /// docs), then the shards' ejections are sampled in node order.
+    pub fn step(&mut self, now: Cycle) -> CycleSummary {
+        let epoch = self.cycles_run + 1;
+        for h in &mut self.helpers {
+            h.release(epoch, now);
+        }
+        self.local.step(now);
+
+        let mut summary = CycleSummary::default();
+        self.ledger.flits = 0;
+        self.ledger
+            .absorb(&mut self.local.report, now, &mut summary);
+        for h in &mut self.helpers {
+            h.wait(epoch);
+            let mut ex = h.link.exchange.lock().expect("shard exchange poisoned");
+            self.ledger.absorb(&mut ex.report, now, &mut summary);
+        }
+        self.cycles_run = epoch;
+        summary
+    }
+
+    /// Runs `f` on every shard in node order. Helpers' shards are locked,
+    /// which only happens between steps, while the helpers wait.
+    fn for_each_shard(&self, mut f: impl FnMut(&Shard)) {
+        f(&self.local);
+        for h in &self.helpers {
+            f(&h.shard.lock().expect("a network shard thread panicked"));
         }
     }
 
     /// Messages waiting or streaming at the NICs (the watchdog's backlog).
     /// O(1): maintained incrementally by offers and tail injections.
     pub fn backlog(&self) -> u64 {
-        self.backlog_msgs
+        self.ledger.backlog_msgs
     }
 
     /// Whether any flit is anywhere in the system (for stall detection).
     /// O(1): wires, router occupancy and NIC backlog are all counters.
     pub fn has_traffic(&self) -> bool {
-        self.queues.in_flight() > 0 || self.router_flits > 0 || self.backlog_msgs > 0
+        self.ledger.flits > 0 || self.ledger.backlog_msgs > 0
     }
 
     /// The O(n) ground truth behind [`Network::has_traffic`], used by
     /// [`Network::assert_quiescent`] and the counter-invariant tests.
     fn scan_traffic(&self) -> bool {
-        self.queues.in_flight() > 0
-            || self.nics.iter().any(|n| !n.is_idle())
-            || self.routers.iter().any(|r| !r.is_empty())
+        let mut traffic =
+            self.local.mail.in_flight() > 0 || self.helpers.iter().any(|h| !h.offers.is_empty());
+        self.for_each_shard(|s| {
+            traffic |= s.queues.in_flight() > 0
+                || s.nics.iter().any(|n| !n.is_idle())
+                || s.routers.iter().any(|r| !r.is_empty());
+        });
+        traffic
     }
 
     /// The O(n) ground truth behind [`Network::backlog`].
     #[cfg(test)]
     fn scan_backlog(&self) -> u64 {
-        self.nics.iter().map(|n| n.backlog() as u64).sum()
+        let mut backlog: u64 = self.helpers.iter().map(|h| h.offers.len() as u64).sum();
+        self.for_each_shard(|s| backlog += s.nics.iter().map(|n| n.backlog() as u64).sum::<u64>());
+        backlog
     }
 
     /// Network-latency statistics of measured messages.
     pub fn latency(&self) -> &RunningStats {
-        &self.latency
+        &self.ledger.latency
     }
 
     /// Total-latency (including source queueing) statistics.
     pub fn total_latency(&self) -> &RunningStats {
-        &self.total_latency
+        &self.ledger.total_latency
     }
 
     /// Latency histogram for percentile estimation.
     pub fn histogram(&self) -> &Histogram {
-        &self.histogram
+        &self.ledger.histogram
     }
 
     /// Cycles simulated so far.
@@ -616,21 +1149,23 @@ impl Network {
 
     /// Measured flits ejected so far.
     pub fn measured_flits_ejected(&self) -> u64 {
-        self.measured_flits_ejected
+        self.ledger.measured_flits_ejected
     }
 
     /// Aggregated router activity counters.
     pub fn router_stats(&self) -> RouterStats {
         let mut total = RouterStats::default();
-        for r in &self.routers {
-            let s = r.stats();
-            total.flits_switched += s.flits_switched;
-            total.headers_routed += s.headers_routed;
-            total.adaptive_allocations += s.adaptive_allocations;
-            total.escape_allocations += s.escape_allocations;
-            total.selection_stall_cycles += s.selection_stall_cycles;
-            total.multi_candidate_decisions += s.multi_candidate_decisions;
-        }
+        self.for_each_shard(|shard| {
+            for r in &shard.routers {
+                let s = r.stats();
+                total.flits_switched += s.flits_switched;
+                total.headers_routed += s.headers_routed;
+                total.adaptive_allocations += s.adaptive_allocations;
+                total.escape_allocations += s.escape_allocations;
+                total.selection_stall_cycles += s.selection_stall_cycles;
+                total.multi_candidate_decisions += s.multi_candidate_decisions;
+            }
+        });
         total
     }
 
@@ -648,44 +1183,74 @@ impl Network {
     /// conditions is violated. Intended for tests and drained simulations.
     pub fn assert_quiescent(&self) {
         assert!(!self.scan_traffic(), "network still holds traffic");
-        assert_eq!(self.router_flits, 0, "router flit counter drifted");
-        assert_eq!(self.backlog_msgs, 0, "backlog counter drifted");
-        assert_eq!(self.messages.live(), 0, "message records leaked");
-        let depth = self.routers[0].config().input_buffer_flits as u32;
-        for node in self.mesh.nodes() {
-            let router = &self.routers[node.index()];
-            for port in self.mesh.direction_ports() {
-                let dir = port.direction().expect("direction port");
-                if self.mesh.neighbor(node, dir).is_none() {
-                    continue;
-                }
-                for v in 0..router.config().vcs_per_port {
-                    let credits = router.credits(port, v);
-                    assert_eq!(
-                        credits, depth,
-                        "credit leak at {node} {port} vc{v}: {credits} of {depth}"
-                    );
+        assert_eq!(self.ledger.flits, 0, "router flit counter drifted");
+        assert_eq!(self.ledger.backlog_msgs, 0, "backlog counter drifted");
+        assert_eq!(self.ledger.messages.live(), 0, "message records leaked");
+        self.for_each_shard(|shard| {
+            assert_eq!(shard.router_flits, 0, "router flit counter drifted");
+            for router in &shard.routers {
+                let node = router.node();
+                let depth = router.config().input_buffer_flits as u32;
+                for port in self.mesh.direction_ports() {
+                    let dir = port.direction().expect("direction port");
+                    if self.mesh.neighbor(node, dir).is_none() {
+                        continue;
+                    }
+                    for v in 0..router.config().vcs_per_port {
+                        let credits = router.credits(port, v);
+                        assert_eq!(
+                            credits, depth,
+                            "credit leak at {node} {port} vc{v}: {credits} of {depth}"
+                        );
+                    }
                 }
             }
-        }
+        });
     }
 
     /// Per-link flit counts as `(node, port, flits)` for utilization
     /// analysis (e.g. the meta-table cluster-boundary congestion).
     pub fn link_loads(&self) -> impl Iterator<Item = (NodeId, Port, u64)> + '_ {
         let ports = self.mesh.ports_per_router();
-        self.routers.iter().flat_map(move |r| {
-            (0..ports).map(move |p| {
-                let port = Port::from_index(p);
-                (r.node(), port, r.link_flits(port))
-            })
-        })
+        let mut loads = Vec::with_capacity(self.mesh.node_count() * ports);
+        self.for_each_shard(|shard| {
+            for r in &shard.routers {
+                for p in 0..ports {
+                    let port = Port::from_index(p);
+                    loads.push((r.node(), port, r.link_flits(port)));
+                }
+            }
+        });
+        loads.into_iter()
+    }
+}
+
+impl Drop for Network {
+    /// Stops and joins the helper threads, also when a run is abandoned
+    /// mid-flight.
+    fn drop(&mut self) {
+        for h in &self.helpers {
+            h.link.stop.store(true, Ordering::Release);
+            if let Some(t) = &h.thread {
+                t.thread().unpark();
+            }
+        }
+        for h in &mut self.helpers {
+            if let Some(t) = h.thread.take() {
+                // A helper's panic has already been reported (or is being
+                // re-raised on this thread); dropping must not raise it
+                // again.
+                let _ = t.join();
+            }
+        }
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
+    use crate::{Algorithm, TableKind};
     use lapses_core::tables::FullTable;
     use lapses_routing::DuatoAdaptive;
 
@@ -816,17 +1381,36 @@ mod tests {
         RouterConfig::paper_adaptive().with_lookahead(lookahead)
     }
 
-    /// Steps a 4×4 network of `cfg` routers for `cycles` cycles, calling
-    /// `traffic` before each cycle to offer that cycle's messages, and
-    /// hashes every cycle's summary, traffic flag and backlog, then the
-    /// final router statistics, latency bits and per-link loads. The
-    /// traffic must have drained by the last cycle.
+    /// Steps a 4×4 network of `cfg` routers for `cycles` cycles at 1, 2
+    /// and 3 shards (3 has a middle shard with two boundaries), and returns
+    /// the [`trace_hash`] every shard count must agree on.
     fn cycle_trace_hash(
         cfg: RouterConfig,
         cycles: u64,
         traffic: impl Fn(&mut Network, u64),
     ) -> u64 {
-        let mut net = small_net(cfg);
+        let hashes: Vec<u64> = (1..=3)
+            .map(|shards| {
+                with_shards(shards, || {
+                    let net = small_net(cfg.clone());
+                    assert_eq!(net.helpers.len() + 1, shards);
+                    trace_hash(net, cycles, &traffic)
+                })
+            })
+            .collect();
+        assert!(
+            hashes.iter().all(|&h| h == hashes[0]),
+            "hashes at 1, 2 and 3 shards differ: {hashes:x?}"
+        );
+        hashes[0]
+    }
+
+    /// Steps `net` for `cycles` cycles, calling `traffic` before each cycle
+    /// to offer that cycle's messages, and hashes every cycle's summary,
+    /// traffic flag and backlog, then the final router statistics, latency
+    /// bits and per-link loads. The traffic must have drained by the last
+    /// cycle.
+    fn trace_hash(mut net: Network, cycles: u64, traffic: impl Fn(&mut Network, u64)) -> u64 {
         let mut h = 0xcbf2_9ce4_8422_2325;
         for t in 0..cycles {
             traffic(&mut net, t);
@@ -991,26 +1575,29 @@ mod tests {
 
     #[test]
     fn incremental_counters_match_scans_mid_flight() {
-        let mut net = small_net(RouterConfig::paper_adaptive());
-        let mesh = net.mesh().clone();
-        for src in mesh.nodes() {
-            let dest = NodeId((src.0 + 7) % 16);
-            if dest != src {
-                net.offer_message(src, dest, 12, Cycle::ZERO, true);
-            }
+        for shards in 1..=3 {
+            with_shards(shards, || {
+                let mut net = small_net(RouterConfig::paper_adaptive());
+                let mut saw_traffic = false;
+                for t in 0..5_000 {
+                    // A second wave lands while the first is in flight, so
+                    // offers wait for helpers between steps.
+                    if t == 0 || t == 30 {
+                        offer_wave(&mut net, t, 12, |s| s + 7 + t as u32);
+                        assert_eq!(net.backlog(), net.scan_backlog(), "offers at {t}");
+                    }
+                    net.step(Cycle::new(t));
+                    assert_eq!(net.backlog(), net.scan_backlog(), "cycle {t}");
+                    assert_eq!(net.has_traffic(), net.scan_traffic(), "cycle {t}");
+                    saw_traffic |= net.has_traffic();
+                    if !net.has_traffic() {
+                        break;
+                    }
+                }
+                assert!(saw_traffic, "test never observed in-flight traffic");
+                net.assert_quiescent();
+            });
         }
-        let mut saw_traffic = false;
-        for t in 0..5_000 {
-            net.step(Cycle::new(t));
-            assert_eq!(net.backlog(), net.scan_backlog(), "cycle {t}");
-            assert_eq!(net.has_traffic(), net.scan_traffic(), "cycle {t}");
-            saw_traffic |= net.has_traffic();
-            if !net.has_traffic() {
-                break;
-            }
-        }
-        assert!(saw_traffic, "test never observed in-flight traffic");
-        net.assert_quiescent();
     }
 
     #[test]
@@ -1063,5 +1650,150 @@ mod tests {
     fn self_traffic_rejected() {
         let mut net = small_net(RouterConfig::paper_adaptive());
         net.offer_message(NodeId(0), NodeId(0), 4, Cycle::ZERO, true);
+    }
+
+    // Shard equivalence: the per-cycle pins above already run at 1, 2 and
+    // 3 shards on 4×4 meshes. The tests below repeat the comparison on
+    // meshes the automatic shard count splits, and at scenario level.
+
+    /// Per-cycle hash of `scenario`'s network at `shards` shards, under
+    /// `cycles / 3` cycles of scattered offers (about eleven messages per
+    /// cycle from rotating sources) followed by a drain.
+    fn scenario_trace_hash(scenario: &Scenario, shards: usize, cycles: u64) -> u64 {
+        with_shards(shards, || {
+            let net = scenario.config().build_network();
+            assert_eq!(net.helpers.len() + 1, shards);
+            let n = net.mesh().node_count() as u64;
+            let stride = n / 11;
+            trace_hash(net, cycles, |net, t| {
+                if t >= cycles / 3 {
+                    return;
+                }
+                for src in (t % stride..n).step_by(stride as usize) {
+                    let dest = (src * 31 + t * 17 + 5) % n;
+                    if dest != src {
+                        let len = 4 + (src + t) as u32 % 5;
+                        net.offer_message(
+                            NodeId(src as u32),
+                            NodeId(dest as u32),
+                            len,
+                            Cycle::new(t),
+                            true,
+                        );
+                    }
+                }
+            })
+        })
+    }
+
+    #[test]
+    fn two_shards_match_one_cycle_for_cycle_on_a_16x16_mesh() {
+        let scenario = Scenario::builder().lookahead(true).build().unwrap();
+        assert_eq!(
+            scenario_trace_hash(&scenario, 1, 800),
+            scenario_trace_hash(&scenario, 2, 800)
+        );
+    }
+
+    #[test]
+    fn two_shards_match_one_cycle_for_cycle_on_a_faulty_32x32_mesh() {
+        let scenario = Scenario::builder()
+            .mesh_2d(32, 32)
+            .random_faults(64, 1999)
+            .algorithm(Algorithm::UpDownAdaptive)
+            .table(TableKind::Economical)
+            .lookahead(true)
+            .build()
+            .unwrap();
+        assert_eq!(
+            scenario_trace_hash(&scenario, 1, 900),
+            scenario_trace_hash(&scenario, 2, 900)
+        );
+    }
+
+    #[test]
+    fn scenarios_of_every_kind_run_identically_on_two_shards() {
+        let small = || Scenario::builder().message_counts(100, 600).load(0.3);
+        let synthetic = small().mesh_2d(8, 8).lookahead(true).build().unwrap();
+        let (_, trace) = synthetic.run_capturing();
+        let kinds = [
+            ("PROUD mesh", small().mesh_2d(8, 8)),
+            ("LA-PROUD mesh", small().mesh_2d(8, 8).lookahead(true)),
+            ("torus", small().torus_2d(6, 6).vcs(4, 2).lookahead(true)),
+            ("3-D mesh", small().topology(Mesh::mesh_3d(4, 4, 4))),
+            (
+                "faulty up*/down*",
+                small()
+                    .mesh_2d(8, 8)
+                    .random_faults(8, 5)
+                    .algorithm(Algorithm::UpDownAdaptive)
+                    .table(TableKind::Economical),
+            ),
+            ("trace replay", small().mesh_2d(8, 8).trace(Arc::new(trace))),
+        ];
+        for (kind, builder) in kinds {
+            let scenario = builder.build().unwrap();
+            let one = with_shards(1, || scenario.run());
+            let two = with_shards(2, || scenario.run());
+            assert!(one.messages > 0, "{kind}: nothing measured");
+            assert_eq!(one, two, "{kind}");
+        }
+    }
+
+    /// Runs `f` on router `node` of a helper's shard, between steps.
+    fn with_helper_router<R>(net: &Network, node: usize, f: impl FnOnce(&mut Router) -> R) -> R {
+        let h = &net.helpers[node / net.span - 1];
+        let mut shard = h.shard.lock().unwrap();
+        let lo = shard.lo;
+        f(&mut shard.routers[node - lo])
+    }
+
+    #[test]
+    #[should_panic(expected = "overflow")]
+    fn a_helper_panic_surfaces_on_the_calling_thread() {
+        // Node 8 opens the second of two shards on a 4×4 mesh. Forged
+        // credits toward node 9 trip a flow-control assert on the helper
+        // thread: a credit overflow (debug) or, once node 8 overruns 9's
+        // input ring while 9's ejection port is contended, a ring overflow.
+        with_shards(2, || {
+            let mut net = small_net(RouterConfig::paper_adaptive());
+            let px = Port::from(lapses_topology::Direction::plus(0));
+            with_helper_router(&net, 8, |r| {
+                for v in 0..r.config().vcs_per_port {
+                    r.set_credits(px, v, 1_000);
+                }
+            });
+            for src in [8, 10, 13] {
+                for _ in 0..20 {
+                    net.offer_message(NodeId(src), NodeId(9), 20, Cycle::ZERO, true);
+                }
+            }
+            for t in 0..5_000 {
+                net.step(Cycle::new(t));
+            }
+        });
+    }
+
+    #[test]
+    fn dropping_a_network_mid_run_joins_its_helpers() {
+        with_shards(3, || {
+            let mut net = small_net(RouterConfig::paper_adaptive());
+            offer_wave(&mut net, 0, 12, |s| s + 7);
+            for t in 0..40 {
+                net.step(Cycle::new(t));
+            }
+            assert!(net.has_traffic(), "the run should still be in flight");
+            let held: Vec<_> = net
+                .helpers
+                .iter()
+                .map(|h| (Arc::downgrade(&h.shard), Arc::downgrade(&h.link)))
+                .collect();
+            assert_eq!(held.len(), 2);
+            drop(net);
+            // The helper threads held the only other references.
+            for (shard, link) in held {
+                assert!(shard.upgrade().is_none() && link.upgrade().is_none());
+            }
+        });
     }
 }

@@ -33,6 +33,17 @@ impl Message {
     }
 }
 
+/// A message offered at its source NIC, before the look-ahead entry is
+/// attached: what an offer for another shard's NIC carries across threads
+/// (the owning shard looks the entry up itself).
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Offer {
+    pub rec: MsgRef,
+    pub src: NodeId,
+    pub dest: NodeId,
+    pub length: u32,
+}
+
 /// One injection virtual channel: the message currently streaming into
 /// the router on this VC plus its credit pool, kept together so the
 /// per-cycle injection scan touches one contiguous record per VC instead

@@ -82,6 +82,8 @@ pub enum ScenarioError {
         /// Output staging depth per VC, in flits.
         output: usize,
     },
+    /// The table lookup is set to take zero cycles; it takes at least one.
+    ZeroLookupCycles,
     /// The routing algorithm needs more escape VCs than the router has.
     EscapeVcs {
         /// The algorithm.
@@ -221,6 +223,9 @@ impl fmt::Display for ScenarioError {
                  got input {input} and output {output}",
                 u16::MAX
             ),
+            ScenarioError::ZeroLookupCycles => {
+                write!(f, "table lookup takes at least one cycle, got 0")
+            }
             ScenarioError::EscapeVcs {
                 algorithm,
                 needed,
@@ -439,9 +444,10 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the table-lookup latency in cycles.
+    /// Sets the table-lookup latency in cycles (at least 1, checked by
+    /// [`ScenarioBuilder::build`]).
     pub fn table_lookup_cycles(mut self, cycles: u32) -> Self {
-        self.config.router = self.config.router.with_table_lookup_cycles(cycles);
+        self.config.router.table_lookup_cycles = cycles;
         self
     }
 
@@ -591,6 +597,9 @@ impl ScenarioBuilder {
             .is_some_and(|ring| ring <= u16::MAX as usize);
         if input == 0 || output == 0 || !ring_fits {
             return Err(ScenarioError::BufferDepth { input, output });
+        }
+        if router.table_lookup_cycles == 0 {
+            return Err(ScenarioError::ZeroLookupCycles);
         }
 
         if config.algorithm.requires_2d_mesh()
@@ -837,6 +846,24 @@ mod tests {
         }
         // The largest ring that fits 16 bits is accepted.
         assert!(with(65_000, 535).build().is_ok());
+    }
+
+    #[test]
+    fn zero_lookup_cycles_is_an_error_not_a_panic() {
+        assert_eq!(
+            small().table_lookup_cycles(0).build().unwrap_err(),
+            ScenarioError::ZeroLookupCycles
+        );
+        let router = RouterConfig {
+            table_lookup_cycles: 0,
+            ..RouterConfig::paper_adaptive()
+        };
+        assert_eq!(
+            small().router(router).build().unwrap_err(),
+            ScenarioError::ZeroLookupCycles
+        );
+        let slow = small().table_lookup_cycles(3).build().unwrap();
+        assert_eq!(slow.config().router.table_lookup_cycles, 3);
     }
 
     #[test]

@@ -54,7 +54,7 @@ use crate::scenario::{Scenario, ScenarioBuilder, ScenarioError};
 use crate::stats::SimResult;
 use lapses_topology::Mesh;
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 
 /// One cell of a sweep grid: a fully-specified simulation point plus the
 /// series (curve) it belongs to in the final report.
@@ -262,6 +262,52 @@ pub enum CutoffPolicy {
     KeepAll,
 }
 
+/// A claim on the process's spare cores: the cores beyond the first that
+/// no sweep worker or network shard is using. The budget starts at
+/// `available_parallelism() - 1`; a claim takes what it can and returns it
+/// when dropped.
+#[derive(Debug)]
+pub(crate) struct CoreClaim(usize);
+
+impl CoreClaim {
+    fn budget() -> &'static AtomicUsize {
+        static SPARE: OnceLock<AtomicUsize> = OnceLock::new();
+        SPARE.get_or_init(|| {
+            let cores = std::thread::available_parallelism().map_or(1, |n| n.get());
+            AtomicUsize::new(cores - 1)
+        })
+    }
+
+    /// Claims up to `want` spare cores (possibly none).
+    pub fn take(want: usize) -> CoreClaim {
+        let taken = Self::budget()
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |spare| {
+                Some(spare - spare.min(want))
+            })
+            .map_or(0, |spare| spare.min(want));
+        CoreClaim(taken)
+    }
+
+    /// Cores held by this claim.
+    pub fn cores(&self) -> usize {
+        self.0
+    }
+
+    /// Returns all but `keep` of the claimed cores to the budget.
+    pub fn keep(&mut self, keep: usize) {
+        if keep < self.0 {
+            Self::budget().fetch_add(self.0 - keep, Ordering::AcqRel);
+            self.0 = keep;
+        }
+    }
+}
+
+impl Drop for CoreClaim {
+    fn drop(&mut self) {
+        self.keep(0);
+    }
+}
+
 /// Executes a [`SweepGrid`] on a thread pool.
 ///
 /// The same master seed always produces the same [`SweepReport`],
@@ -290,6 +336,15 @@ impl SweepRunner {
     }
 
     /// Sets the worker-thread count (clamped to at least 1).
+    ///
+    /// Workers and the network shards inside one run share the process's
+    /// cores: while [`SweepRunner::run`] executes, every worker beyond the
+    /// first holds one of the spare cores (`available_parallelism() - 1`
+    /// in all), and a network large enough to shard takes helper threads
+    /// only from the cores left over (see the `network` module docs). So
+    /// one worker lets each point use the spare cores, and as many workers
+    /// as cores run every point on a single thread. The report is the same
+    /// either way.
     pub fn with_threads(mut self, threads: usize) -> SweepRunner {
         self.threads = threads.max(1);
         self
@@ -328,8 +383,10 @@ impl SweepRunner {
         let next = AtomicUsize::new(0);
         let slots: Vec<Mutex<Option<SimResult>>> = (0..n).map(|_| Mutex::new(None)).collect();
 
+        let workers = self.threads.min(n.max(1));
+        let _cores = CoreClaim::take(workers - 1);
         std::thread::scope(|scope| {
-            for _ in 0..self.threads.min(n.max(1)) {
+            for _ in 0..workers {
                 scope.spawn(|| loop {
                     let pos = next.fetch_add(1, Ordering::Relaxed);
                     if pos >= n {
