@@ -69,6 +69,16 @@ pub enum PathSelection {
 }
 
 impl PathSelection {
+    /// Every heuristic, in declaration order, with default parameters.
+    pub const ALL: [PathSelection; 6] = [
+        PathSelection::StaticXy,
+        PathSelection::Random,
+        PathSelection::MinMux,
+        PathSelection::Lfu(LfuCounting::PerFlit),
+        PathSelection::Lru,
+        PathSelection::MaxCredit(CreditAggregate::Sum),
+    ];
+
     /// The five heuristics of the paper's Fig. 6, in presentation order.
     pub fn paper_five() -> [PathSelection; 5] {
         [

@@ -40,7 +40,7 @@
 //! staging rings keep kind bytes, plus cold parts for the ejection port.
 //! Each (port, VC) owns the fixed arena segment
 //! `flat_index * cap .. (flat_index + 1) * cap`, used as a ring whose
-//! cursor lives in the VC's [`InputVc`]/[`OutputVc`] header; cursors wrap
+//! cursor lives in the VC's `InputVc`/`OutputVc` header; cursors wrap
 //! with a compare instead of a modulo so the hot path never divides.
 //!
 //! A slot's lifecycle per hop: a flit lands in the input ring either via
@@ -498,11 +498,6 @@ impl Router {
     /// Current credits of output `(port, vc)`.
     pub fn credits(&self, port: Port, vc: usize) -> u32 {
         self.outputs[self.out_idx(port, vc)].credits
-    }
-
-    /// Occupancy of input buffer `(port, vc)` in flits.
-    pub fn input_occupancy(&self, port: Port, vc: usize) -> usize {
-        self.inputs[self.in_idx(port, vc)].len as usize
     }
 
     /// Whether the router holds no flits at all (input or staged).

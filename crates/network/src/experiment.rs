@@ -52,6 +52,17 @@ pub enum Algorithm {
 }
 
 impl Algorithm {
+    /// Every algorithm, in declaration order.
+    pub const ALL: [Algorithm; 7] = [
+        Algorithm::DimensionOrder,
+        Algorithm::Duato,
+        Algorithm::NorthLast,
+        Algorithm::WestFirst,
+        Algorithm::NegativeFirst,
+        Algorithm::UpDown,
+        Algorithm::UpDownAdaptive,
+    ];
+
     /// Instantiates the routing relation.
     ///
     /// # Panics
@@ -136,8 +147,7 @@ impl Algorithm {
 
 /// Which links of the topology are dead for a run.
 ///
-/// Faults are resolved to a validated
-/// [`FaultSet`](lapses_topology::FaultSet) when the run (or scenario
+/// Faults are resolved to a validated [`FaultSet`] when the run (or scenario
 /// validation) needs them; resolution depends only on the topology and
 /// this configuration, never on scheduling, so sweep reports over faulty
 /// scenarios stay bit-identical across thread counts.
@@ -191,6 +201,13 @@ pub enum ArrivalKind {
 }
 
 impl ArrivalKind {
+    /// Every arrival process, in declaration order.
+    pub const ALL: [ArrivalKind; 3] = [
+        ArrivalKind::Exponential,
+        ArrivalKind::Bernoulli,
+        ArrivalKind::Periodic,
+    ];
+
     /// Instantiates the process at the given mean gap.
     pub fn build(self, mean_gap: f64) -> Box<dyn ArrivalProcess> {
         match self {
@@ -289,6 +306,17 @@ impl Pattern {
         Pattern::PerfectShuffle,
     ];
 
+    /// Every pattern without parameters (all but [`Pattern::Hotspot`]).
+    pub const ALL: [Pattern; 7] = [
+        Pattern::Uniform,
+        Pattern::Transpose,
+        Pattern::BitReversal,
+        Pattern::PerfectShuffle,
+        Pattern::BitComplement,
+        Pattern::Tornado,
+        Pattern::NearestNeighbor,
+    ];
+
     /// Instantiates the pattern.
     pub fn build(self) -> Box<dyn TrafficPattern> {
         match self {
@@ -306,20 +334,19 @@ impl Pattern {
     }
 
     /// Whether the pattern is defined on `mesh` (see the `supports`
-    /// predicates of [`lapses_traffic::patterns`]). Tornado and
-    /// nearest-neighbor traffic are defined everywhere; a source they map
-    /// nowhere simply never injects.
+    /// predicates of [`lapses_traffic::patterns`]): some source injects.
     pub(crate) fn supports(self, mesh: &Mesh) -> bool {
         match self {
             Pattern::Uniform => patterns::Uniform::supports(mesh),
             Pattern::Transpose => patterns::Transpose::supports(mesh),
-            Pattern::BitReversal | Pattern::PerfectShuffle | Pattern::BitComplement => {
-                patterns::address_bits(mesh).is_some()
-            }
+            Pattern::BitReversal => patterns::BitReversal::supports(mesh),
+            Pattern::PerfectShuffle => patterns::PerfectShuffle::supports(mesh),
+            Pattern::BitComplement => patterns::BitComplement::supports(mesh),
+            Pattern::Tornado => patterns::Tornado::supports(mesh),
             Pattern::Hotspot { node, probability } => {
                 patterns::Hotspot::supports(mesh, NodeId(node), probability)
             }
-            Pattern::Tornado | Pattern::NearestNeighbor => true,
+            Pattern::NearestNeighbor => patterns::NearestNeighbor::supports(mesh),
         }
     }
 
@@ -356,6 +383,14 @@ pub enum TableKind {
 }
 
 impl TableKind {
+    /// Every scheme without parameters (all but [`TableKind::MetaBlocks`]).
+    pub const ALL: [TableKind; 4] = [
+        TableKind::Full,
+        TableKind::Economical,
+        TableKind::MetaRows,
+        TableKind::Interval,
+    ];
+
     /// Compiles the table program for a topology and algorithm.
     pub fn build(&self, mesh: &Mesh, algo: &dyn RoutingAlgorithm) -> Arc<dyn TableScheme> {
         match self {
@@ -440,7 +475,7 @@ fn backlog_limit_for(mesh: &Mesh) -> u64 {
 /// Only [`Scenario::config`](crate::scenario::Scenario::config) hands one
 /// out, so every `SimConfig` the cycle loop sees has passed
 /// [`ScenarioBuilder::build`](crate::scenario::ScenarioBuilder::build).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 #[non_exhaustive]
 pub struct SimConfig {
     /// Topology (the paper: 16×16 mesh).
@@ -565,15 +600,15 @@ impl SimConfig {
         self.faults.is_none() && !self.algorithm.fault_tolerant()
     }
 
-    /// Resolves the routing relation and table program, compiling faults
-    /// down to table contents. The fault-free classic path is untouched —
-    /// same calls, same bytes — so runs configured before faults existed
-    /// stay bit-identical.
-    fn build_routing(&self) -> (Box<dyn RoutingAlgorithm>, Arc<dyn TableScheme>) {
+    /// Compiles the routing relation into the table program, compiling
+    /// faults down to table contents. The fault-free classic path is
+    /// untouched — same calls, same bytes — so runs configured before faults
+    /// existed stay bit-identical.
+    fn build_program(&self) -> Arc<dyn TableScheme> {
         if self.classic_routing() {
-            let algo = self.algorithm.build();
-            let program = self.table.build(&self.mesh, algo.as_ref());
-            return (algo, program);
+            return self
+                .table
+                .build(&self.mesh, self.algorithm.build().as_ref());
         }
         const CHECKED: &str = "ScenarioBuilder::build checks faults resolve and stay connected";
         let faults = self.faults.resolve(&self.mesh).expect(CHECKED);
@@ -582,25 +617,23 @@ impl SimConfig {
             "ScenarioBuilder::build checks that faults come with an up*/down* algorithm"
         );
         let fmesh = Arc::new(FaultyMesh::new(self.mesh.clone(), faults).expect(CHECKED));
-        let algo = self.algorithm.build_on(&fmesh);
-        let program = self.table.build_faulty(&fmesh, algo.as_ref());
-        (algo, program)
+        self.table
+            .build_faulty(&fmesh, self.algorithm.build_on(&fmesh).as_ref())
     }
 
     /// Builds the point's network: routing and tables compiled, and the
-    /// routers' escape subclasses set from the routing relation.
+    /// routers' escape subclasses set by [`Algorithm::escape_vcs_needed`].
     pub(crate) fn build_network(&self) -> Network {
-        let (algo, program) = self.build_routing();
+        let program = self.build_program();
         let mut router_cfg = self.router.clone();
-        router_cfg.escape_subclasses = algo.escape_subclasses(&self.mesh).max(1);
-        if !algo.deadlock_free_without_escape() {
-            assert!(
-                router_cfg.escape_vcs >= router_cfg.escape_subclasses,
-                "ScenarioBuilder::build checks escape-VC sufficiency"
-            );
-        } else if router_cfg.escape_vcs == 0 {
-            router_cfg.escape_subclasses = 1;
-        }
+        let needed = self
+            .algorithm
+            .escape_vcs_needed(&self.mesh, router_cfg.escape_vcs);
+        assert!(
+            router_cfg.escape_vcs >= needed,
+            "ScenarioBuilder::build checks escape-VC sufficiency"
+        );
+        router_cfg.escape_subclasses = needed.max(1);
         Network::new(
             self.mesh.clone(),
             router_cfg,
@@ -893,27 +926,18 @@ mod tests {
 
     #[test]
     fn escape_vc_needs_match_the_compiled_relations() {
-        let all = [
-            Algorithm::DimensionOrder,
-            Algorithm::Duato,
-            Algorithm::NorthLast,
-            Algorithm::WestFirst,
-            Algorithm::NegativeFirst,
-            Algorithm::UpDown,
-            Algorithm::UpDownAdaptive,
-        ];
         for mesh in [
             Mesh::mesh_2d(4, 4),
             Mesh::torus_2d(4, 4),
             Mesh::mesh_3d(3, 3, 3),
         ] {
             let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), FaultSet::empty()).unwrap());
-            for algorithm in all {
+            for algorithm in Algorithm::ALL {
                 if algorithm.requires_2d_mesh() && (mesh.dims() != 2 || mesh.is_torus()) {
                     continue;
                 }
                 let algo = algorithm.build_on(&fmesh);
-                for escape_vcs in [0, 1] {
+                for escape_vcs in [0, 1, 2] {
                     let compiled = if algo.deadlock_free_without_escape() && escape_vcs == 0 {
                         0
                     } else {

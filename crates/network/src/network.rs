@@ -4,7 +4,7 @@
 //!
 //! `Network::step` only visits components that can possibly do work this
 //! cycle, tracked per shard (see below) in two word-packed bitsets
-//! ([`crate::active`]) over the shard's node range:
+//! (the private `active` module) over the shard's node range:
 //!
 //! * **Routers** are active exactly while they hold at least one flit
 //!   (input-buffered or staged). A flitless router's step is a no-op by
@@ -48,7 +48,7 @@
 //! the input-arena slot it will occupy on arrival** when it wins the
 //! crossbar (`Router::reserve_flit` — the slot is computable then and
 //! stable until arrival), and its VC-multiplexor launch sends only a
-//! packed 4-byte [`crate::delivery::ArrivalEvent`] down the delay ring.
+//! packed 4-byte `ArrivalEvent` down the delay ring.
 //! When the link delay elapses, the cycle loop chains that cycle's events
 //! by destination router and commits them router by router
 //! (`Router::commit_flit` flips the flit visible): each receiving router's

@@ -372,7 +372,7 @@ impl Scenario {
 /// copied each time.
 #[derive(Debug, Clone)]
 pub struct ScenarioBuilder {
-    config: Box<SimConfig>,
+    pub(crate) config: Box<SimConfig>,
 }
 
 impl ScenarioBuilder {
@@ -632,7 +632,9 @@ impl ScenarioBuilder {
                 table: config.table.name(),
             });
         }
-        if config.classic_routing() && !config.table.supports(&config.mesh) {
+        // A classic algorithm has no dead links to route around (checked
+        // above), so its table must suit the topology on either path.
+        if !config.algorithm.fault_tolerant() && !config.table.supports(&config.mesh) {
             return Err(ScenarioError::TableTopology {
                 table: config.table.name(),
                 topology: config.mesh.to_string(),
@@ -1115,6 +1117,12 @@ mod tests {
             (Mesh::mesh_2d(3, 5), Pattern::BitReversal),
             (Mesh::mesh_2d(3, 5), Pattern::PerfectShuffle),
             (Mesh::mesh_2d(3, 5), Pattern::BitComplement),
+            // Patterns under which no source would inject.
+            (Mesh::mesh_2d(2, 1), Pattern::PerfectShuffle),
+            (Mesh::mesh_2d(2, 1), Pattern::BitReversal),
+            (Mesh::mesh_2d(1, 4), Pattern::Tornado),
+            (Mesh::mesh_2d(2, 4), Pattern::Tornado),
+            (Mesh::mesh_2d(1, 1), Pattern::NearestNeighbor),
         ] {
             let topology = mesh.to_string();
             assert_eq!(
@@ -1131,7 +1139,7 @@ mod tests {
             );
             assert!(err.to_string().contains("Hotspot"), "{err}");
         }
-        // Tornado is defined everywhere, and transpose needs an even number
+        // Tornado needs a row of three nodes, and transpose an even number
         // of address bits rather than a square mesh.
         assert!(on(Mesh::mesh_2d(3, 5), Pattern::Tornado).is_ok());
         assert!(on(Mesh::mesh_2d(2, 8), Pattern::Transpose).is_ok());
@@ -1189,6 +1197,17 @@ mod tests {
                 }
             );
         }
+        // A classic algorithm keeps its table constraints on the irregular
+        // path an empty random fault draw takes: interval run lists cannot
+        // encode the torus dateline classes.
+        let empty_draw = torus().random_faults(0, 1).table(TableKind::Interval);
+        assert_eq!(
+            empty_draw.build().unwrap_err(),
+            ScenarioError::TableTopology {
+                table: "interval",
+                topology: "4x4 torus".into()
+            }
+        );
         let err = small()
             .table(TableKind::MetaBlocks(vec![3, 3]))
             .build()

@@ -3,8 +3,12 @@
 //!
 //! The format is deliberately tiny and hand-rolled (no serde in this
 //! workspace): one `key = value` per line, `#` comments, every key
-//! optional with the paper-reference default. [`ScenarioSpec::parse`] and
-//! [`ScenarioSpec::format`] round-trip exactly —
+//! optional with the paper-reference default. A spec is a codec for the
+//! unvalidated configuration a [`ScenarioBuilder`] holds:
+//! [`ScenarioSpec::parse`] applies each key to the reference configuration
+//! [`Scenario::builder`] starts from, and [`ScenarioSpec::format`] renders
+//! every key back from it. Selector values are the `name()`s of the
+//! selector types. The two round-trip exactly —
 //! `parse(format(spec)) == spec` — which the `scenario_specs` tests and
 //! the CI `scenarios` step enforce on the committed `examples/scenarios/
 //! *.scn` files.
@@ -15,13 +19,12 @@
 //! faults = (85 86), (120 136)           # optional dead links ...
 //! # fault-count = 3                     # ... or a seeded random set
 //! # fault-seed = 7
-//! router = adaptive
 //! lookahead = true
-//! vcs = 4 1
+//! vcs = 4 1                             # total and escape VCs per port
 //! path-selection = static-xy
 //! algorithm = duato
-//! table = full
-//! pattern = uniform
+//! table = full                          # or: meta-blocks 4x4
+//! pattern = uniform                     # or: hotspot 27 0.05
 //! workload = synthetic exponential     # or: bursty 8 2 | trace path.trace
 //! load = 0.2
 //! lengths = fixed 20                   # or: uniform 5 50 | bimodal 5 50 0.2
@@ -30,117 +33,35 @@
 //! seed = 20260611
 //! ```
 
-use crate::experiment::{Algorithm, ArrivalKind, FaultsConfig, Pattern, TableKind};
+use crate::experiment::{
+    Algorithm, ArrivalKind, FaultsConfig, Pattern, SimConfig, TableKind, WorkloadKind,
+};
 use crate::scenario::{Scenario, ScenarioBuilder, ScenarioError};
-use lapses_core::psh::{CreditAggregate, LfuCounting, PathSelection};
-use lapses_core::RouterConfig;
+use lapses_core::psh::PathSelection;
 use lapses_topology::Mesh;
 use lapses_traffic::{LengthDistribution, Trace, TraceError};
 use std::fmt;
 use std::path::Path;
 use std::sync::Arc;
 
-/// Router microarchitecture preset named in a spec file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RouterPreset {
-    /// [`RouterConfig::paper_adaptive`]: 4 VCs, 1 escape.
-    Adaptive,
-    /// [`RouterConfig::paper_deterministic`]: 4 VCs, no escape class.
-    Deterministic,
-}
-
-impl RouterPreset {
-    fn name(self) -> &'static str {
-        match self {
-            RouterPreset::Adaptive => "adaptive",
-            RouterPreset::Deterministic => "deterministic",
-        }
-    }
-
-    fn build(self) -> RouterConfig {
-        match self {
-            RouterPreset::Adaptive => RouterConfig::paper_adaptive(),
-            RouterPreset::Deterministic => RouterConfig::paper_deterministic(),
-        }
-    }
-}
-
-/// The workload clause of a spec. Trace workloads carry the file path as
-/// written; the file is only opened by [`ScenarioSpec::to_scenario`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum WorkloadSpec {
-    /// `workload = synthetic <arrivals>`.
-    Synthetic(ArrivalKind),
-    /// `workload = bursty <burst_len> <peak_gap>`.
-    Bursty {
-        /// Mean messages per ON burst.
-        burst_len: u32,
-        /// Cycles between messages within a burst.
-        peak_gap: f64,
-    },
-    /// `workload = trace <path>` (relative paths resolve against the
-    /// base directory passed to [`ScenarioSpec::to_scenario`]).
-    Trace(String),
-}
-
-/// A parsed scenario spec: the typed value of every key, with paper
-/// defaults for the absent ones.
+/// A parsed scenario spec: the unvalidated configuration of a
+/// [`ScenarioBuilder`], with the reference value for every absent key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ScenarioSpec {
-    /// Topology: torus flag plus per-dimension extents.
-    pub torus: bool,
-    /// Mesh shape, e.g. `[16, 16]`.
-    pub shape: Vec<u16>,
-    /// Dead links: explicit `faults = (a b), ...` pairs or a seeded
-    /// random set (`fault-count` / `fault-seed`).
-    pub faults: FaultsConfig,
-    /// Router preset.
-    pub router: RouterPreset,
-    /// LA-PROUD vs PROUD.
-    pub lookahead: bool,
-    /// Total and escape VCs per port, when overriding the preset.
-    pub vcs: Option<(usize, usize)>,
-    /// Path-selection heuristic.
-    pub path_selection: PathSelection,
-    /// Routing algorithm.
-    pub algorithm: Algorithm,
-    /// Table storage scheme.
-    pub table: TableKind,
-    /// Traffic pattern.
-    pub pattern: Pattern,
-    /// Message source.
-    pub workload: WorkloadSpec,
-    /// Normalized offered load.
-    pub load: f64,
-    /// Message length distribution.
-    pub lengths: LengthDistribution,
-    /// Warm-up injections.
-    pub warmup: u64,
-    /// Measured injections.
-    pub measure: u64,
-    /// Master seed.
-    pub seed: u64,
+    config: Box<SimConfig>,
+    /// The `workload = trace <path>` path as written (relative paths
+    /// resolve against the base directory given to
+    /// [`ScenarioSpec::to_builder`], which is the only place the file is
+    /// opened).
+    trace: Option<String>,
 }
 
 impl Default for ScenarioSpec {
+    /// The reference scenario [`Scenario::builder`] starts from.
     fn default() -> Self {
         ScenarioSpec {
-            torus: false,
-            shape: vec![16, 16],
-            faults: FaultsConfig::None,
-            router: RouterPreset::Adaptive,
-            lookahead: false,
-            vcs: None,
-            path_selection: PathSelection::StaticXy,
-            algorithm: Algorithm::Duato,
-            table: TableKind::Full,
-            pattern: Pattern::Uniform,
-            workload: WorkloadSpec::Synthetic(ArrivalKind::Exponential),
-            load: 0.2,
-            lengths: LengthDistribution::PAPER_DEFAULT,
-            warmup: 2_000,
-            measure: 20_000,
-            seed: 20260611,
+            config: Box::new(SimConfig::reference()),
+            trace: None,
         }
     }
 }
@@ -187,6 +108,26 @@ impl From<ScenarioError> for SpecError {
     }
 }
 
+/// Every key, in the order [`ScenarioSpec::format`] writes them.
+const KEYS: [&str; 16] = [
+    "topology",
+    "faults",
+    "fault-count",
+    "fault-seed",
+    "lookahead",
+    "vcs",
+    "path-selection",
+    "algorithm",
+    "table",
+    "pattern",
+    "workload",
+    "load",
+    "lengths",
+    "warmup",
+    "measure",
+    "seed",
+];
+
 fn shape_to_string(shape: &[u16]) -> String {
     shape
         .iter()
@@ -195,16 +136,15 @@ fn shape_to_string(shape: &[u16]) -> String {
         .join("x")
 }
 
-/// Parses a `KxKx…` shape that names a valid mesh (or torus); the error
-/// says why not.
-fn parse_shape(text: &str, torus: bool) -> Result<Vec<u16>, String> {
+/// Parses a `KxKx…` shape into a valid mesh (or torus); the error says
+/// why not.
+fn parse_mesh(text: &str, torus: bool) -> Result<Mesh, String> {
     let shape: Vec<u16> = text
         .split('x')
         .map(|k| k.parse().ok())
         .collect::<Option<_>>()
         .ok_or_else(|| format!("bad shape {text:?}"))?;
-    Mesh::new(&shape, torus).map_err(|e| format!("bad shape {text:?}: {e}"))?;
-    Ok(shape)
+    Mesh::new(&shape, torus).map_err(|e| format!("bad shape {text:?}: {e}"))
 }
 
 /// Parses a finite number: NaN would break the exact round trip, and no
@@ -213,11 +153,24 @@ fn parse_finite(text: &str) -> Option<f64> {
     text.parse().ok().filter(|x: &f64| x.is_finite())
 }
 
+/// The selectors with parameters, for their names.
+const HOTSPOT: Pattern = Pattern::Hotspot {
+    node: 0,
+    probability: 0.0,
+};
+const META_BLOCKS: TableKind = TableKind::MetaBlocks(Vec::new());
+
+/// The entry of a selector's spelling table whose `name()` is `text`.
+fn named<T: Clone>(all: &[T], name: impl Fn(&T) -> &'static str, text: &str) -> Option<T> {
+    all.iter().find(|v| name(v) == text).cloned()
+}
+
 impl ScenarioSpec {
     /// Parses spec text. Unknown keys, duplicate keys and malformed
     /// values are reported with their line number.
     pub fn parse(text: &str) -> Result<ScenarioSpec, SpecError> {
         let mut spec = ScenarioSpec::default();
+        let c = &mut *spec.config;
         let mut seen: Vec<&str> = Vec::new();
         // `fault-seed` may precede `fault-count` in the file; remember it
         // (with its line, for the error when no count ever shows up) and
@@ -237,29 +190,10 @@ impl ScenarioSpec {
             if value.is_empty() {
                 return Err(err(format!("key {key:?} has no value")));
             }
-            let canonical = [
-                "topology",
-                "faults",
-                "fault-count",
-                "fault-seed",
-                "router",
-                "lookahead",
-                "vcs",
-                "path-selection",
-                "algorithm",
-                "table",
-                "pattern",
-                "workload",
-                "load",
-                "lengths",
-                "warmup",
-                "measure",
-                "seed",
-            ]
-            .iter()
-            .find(|k| **k == key)
-            .copied()
-            .ok_or_else(|| err(format!("unknown key {key:?}")))?;
+            let canonical = KEYS
+                .into_iter()
+                .find(|k| *k == key)
+                .ok_or_else(|| err(format!("unknown key {key:?}")))?;
             if seen.contains(&canonical) {
                 return Err(err(format!("duplicate key {key:?}")));
             }
@@ -273,12 +207,12 @@ impl ScenarioSpec {
                             "topology must be `mesh WxH` or `torus WxH`, got {value:?}"
                         )));
                     };
-                    spec.torus = match *kind {
+                    let torus = match *kind {
                         "mesh" => false,
                         "torus" => true,
                         other => return Err(err(format!("unknown topology kind {other:?}"))),
                     };
-                    spec.shape = parse_shape(shape, spec.torus).map_err(err)?;
+                    c.set_mesh(parse_mesh(shape, torus).map_err(err)?);
                 }
                 "faults" => {
                     if seen.contains(&"fault-count") || seen.contains(&"fault-seed") {
@@ -305,7 +239,7 @@ impl ScenarioSpec {
                             .map_err(|_| err(format!("bad fault node {b:?}")))?;
                         pairs.push((a, b));
                     }
-                    spec.faults = FaultsConfig::Links(pairs);
+                    c.faults = FaultsConfig::Links(pairs);
                 }
                 "fault-count" => {
                     if seen.contains(&"faults") {
@@ -318,7 +252,7 @@ impl ScenarioSpec {
                         .map_err(|_| err(format!("bad fault count {value:?}")))?;
                     // Default seed 1; a fault-seed key (before or after)
                     // overrides it below.
-                    spec.faults = FaultsConfig::Random { count, seed: 1 };
+                    c.faults = FaultsConfig::Random { count, seed: 1 };
                 }
                 "fault-seed" => {
                     if seen.contains(&"faults") {
@@ -331,17 +265,11 @@ impl ScenarioSpec {
                         .map_err(|_| err(format!("bad fault seed {value:?}")))?;
                     fault_seed = Some((seed, line));
                 }
-                "router" => {
-                    spec.router = match value {
-                        "adaptive" => RouterPreset::Adaptive,
-                        "deterministic" => RouterPreset::Deterministic,
-                        other => return Err(err(format!("unknown router preset {other:?}"))),
-                    };
-                }
                 "lookahead" => {
-                    spec.lookahead = value
+                    let lookahead = value
                         .parse()
                         .map_err(|_| err(format!("lookahead must be true/false, got {value:?}")))?;
+                    c.router = c.router.clone().with_lookahead(lookahead);
                 }
                 "vcs" => {
                     let [total, escape] = fields.as_slice() else {
@@ -349,99 +277,74 @@ impl ScenarioSpec {
                             "vcs must be `<total> <escape>`, got {value:?}"
                         )));
                     };
-                    let total = total
+                    c.router.vcs_per_port = total
                         .parse()
                         .map_err(|_| err(format!("bad VC count {total:?}")))?;
-                    let escape = escape
+                    c.router.escape_vcs = escape
                         .parse()
                         .map_err(|_| err(format!("bad escape VC count {escape:?}")))?;
-                    spec.vcs = Some((total, escape));
                 }
                 "path-selection" => {
-                    spec.path_selection = match value {
-                        "static-xy" => PathSelection::StaticXy,
-                        "random" => PathSelection::Random,
-                        "min-mux" => PathSelection::MinMux,
-                        "lfu" => PathSelection::Lfu(LfuCounting::default()),
-                        "lru" => PathSelection::Lru,
-                        "max-credit" => PathSelection::MaxCredit(CreditAggregate::default()),
-                        other => return Err(err(format!("unknown path selection {other:?}"))),
-                    };
+                    c.router.path_selection = named(&PathSelection::ALL, |p| p.name(), value)
+                        .ok_or_else(|| err(format!("unknown path selection {value:?}")))?;
                 }
                 "algorithm" => {
-                    spec.algorithm = match value {
-                        "dimension-order" => Algorithm::DimensionOrder,
-                        "duato" => Algorithm::Duato,
-                        "north-last" => Algorithm::NorthLast,
-                        "west-first" => Algorithm::WestFirst,
-                        "negative-first" => Algorithm::NegativeFirst,
-                        "up-down" => Algorithm::UpDown,
-                        "up-down-adaptive" => Algorithm::UpDownAdaptive,
-                        other => return Err(err(format!("unknown algorithm {other:?}"))),
-                    };
+                    c.algorithm = named(&Algorithm::ALL, |a| a.name(), value)
+                        .ok_or_else(|| err(format!("unknown algorithm {value:?}")))?;
                 }
                 "table" => {
-                    spec.table = match fields.as_slice() {
-                        ["full"] => TableKind::Full,
-                        ["economical"] => TableKind::Economical,
-                        ["meta-rows"] => TableKind::MetaRows,
-                        ["interval"] => TableKind::Interval,
-                        ["meta-blocks", shape] => {
-                            TableKind::MetaBlocks(parse_shape(shape, false).map_err(err)?)
+                    c.table = match fields.as_slice() {
+                        [kind, shape] if *kind == META_BLOCKS.name() => {
+                            let clusters = parse_mesh(shape, false).map_err(err)?;
+                            TableKind::MetaBlocks(clusters.shape().to_vec())
                         }
-                        _ => return Err(err(format!("unknown table scheme {value:?}"))),
+                        _ => named(&TableKind::ALL, TableKind::name, value)
+                            .ok_or_else(|| err(format!("unknown table scheme {value:?}")))?,
                     };
                 }
                 "pattern" => {
-                    spec.pattern = match fields.as_slice() {
-                        ["uniform"] => Pattern::Uniform,
-                        ["transpose"] => Pattern::Transpose,
-                        ["bit-reversal"] => Pattern::BitReversal,
-                        ["perfect-shuffle"] => Pattern::PerfectShuffle,
-                        ["bit-complement"] => Pattern::BitComplement,
-                        ["tornado"] => Pattern::Tornado,
-                        ["nearest-neighbor"] => Pattern::NearestNeighbor,
-                        ["hotspot", node, prob] => Pattern::Hotspot {
+                    c.pattern = match fields.as_slice() {
+                        [kind, node, prob] if *kind == HOTSPOT.name() => Pattern::Hotspot {
                             node: node
                                 .parse()
                                 .map_err(|_| err(format!("bad hotspot node {node:?}")))?,
                             probability: parse_finite(prob)
                                 .ok_or_else(|| err(format!("bad hotspot probability {prob:?}")))?,
                         },
-                        _ => return Err(err(format!("unknown pattern {value:?}"))),
+                        _ => named(&Pattern::ALL, |p| p.name(), value)
+                            .ok_or_else(|| err(format!("unknown pattern {value:?}")))?,
                     };
                 }
-                "workload" => {
-                    spec.workload = match fields.as_slice() {
-                        ["synthetic", arrivals] => WorkloadSpec::Synthetic(match *arrivals {
-                            "exponential" => ArrivalKind::Exponential,
-                            "bernoulli" => ArrivalKind::Bernoulli,
-                            "periodic" => ArrivalKind::Periodic,
-                            other => return Err(err(format!("unknown arrival process {other:?}"))),
-                        }),
-                        ["bursty", burst, gap] => WorkloadSpec::Bursty {
+                "workload" => match fields.as_slice() {
+                    ["synthetic", arrivals] => {
+                        let arrivals = named(&ArrivalKind::ALL, |a| a.name(), arrivals)
+                            .ok_or_else(|| err(format!("unknown arrival process {arrivals:?}")))?;
+                        c.workload = WorkloadKind::Synthetic { arrivals };
+                    }
+                    ["bursty", burst, gap] => {
+                        c.workload = WorkloadKind::Bursty {
                             burst_len: burst
                                 .parse()
                                 .map_err(|_| err(format!("bad burst length {burst:?}")))?,
                             peak_gap: parse_finite(gap)
                                 .ok_or_else(|| err(format!("bad peak gap {gap:?}")))?,
-                        },
-                        [kind, ..] if *kind == "trace" => {
-                            let path = value["trace".len()..].trim();
-                            if path.is_empty() {
-                                return Err(err("trace workload needs a path".into()));
-                            }
-                            WorkloadSpec::Trace(path.to_string())
+                        };
+                    }
+                    [kind, ..] if *kind == "trace" => {
+                        let path = value["trace".len()..].trim();
+                        if path.is_empty() {
+                            return Err(err("trace workload needs a path".into()));
                         }
-                        _ => return Err(err(format!("unknown workload {value:?}"))),
-                    };
-                }
+                        spec.trace = Some(path.to_string());
+                    }
+                    _ => return Err(err(format!("unknown workload {value:?}"))),
+                },
                 "load" => {
-                    spec.load =
+                    c.load =
                         parse_finite(value).ok_or_else(|| err(format!("bad load {value:?}")))?;
                 }
                 "lengths" => {
-                    spec.lengths = match fields.as_slice() {
+                    c.lengths = match fields.as_slice() {
                         ["fixed", n] => LengthDistribution::Fixed(
                             n.parse().map_err(|_| err(format!("bad length {n:?}")))?,
                         ),
@@ -459,17 +362,17 @@ impl ScenarioSpec {
                     };
                 }
                 "warmup" => {
-                    spec.warmup = value
+                    c.warmup_msgs = value
                         .parse()
                         .map_err(|_| err(format!("bad warmup count {value:?}")))?;
                 }
                 "measure" => {
-                    spec.measure = value
+                    c.measure_msgs = value
                         .parse()
                         .map_err(|_| err(format!("bad measure count {value:?}")))?;
                 }
                 "seed" => {
-                    spec.seed = value
+                    c.seed = value
                         .parse()
                         .map_err(|_| err(format!("bad seed {value:?}")))?;
                 }
@@ -477,7 +380,7 @@ impl ScenarioSpec {
             }
         }
         if let Some((seed, line)) = fault_seed {
-            match &mut spec.faults {
+            match &mut c.faults {
                 FaultsConfig::Random { seed: s, .. } => *s = seed,
                 _ => {
                     return Err(SpecError::Parse {
@@ -503,6 +406,7 @@ impl ScenarioSpec {
     /// Renders the spec in canonical form: every key, fixed order. The
     /// round-trip `parse(format(spec)) == spec` holds exactly.
     pub fn format(&self) -> String {
+        let c = &*self.config;
         let mut out = String::from("# LAPSES scenario\n");
         let mut kv = |k: &str, v: String| {
             out.push_str(k);
@@ -510,19 +414,13 @@ impl ScenarioSpec {
             out.push_str(&v);
             out.push('\n');
         };
+        let kind = if c.mesh.is_torus() { "torus" } else { "mesh" };
         kv(
             "topology",
-            format!(
-                "{} {}",
-                if self.torus { "torus" } else { "mesh" },
-                shape_to_string(&self.shape)
-            ),
+            format!("{kind} {}", shape_to_string(c.mesh.shape())),
         );
-        match &self.faults {
+        match &c.faults {
             FaultsConfig::None => {}
-            // An empty explicit list means "no faults": skip the key, or
-            // `faults = ` (no value) would fail to re-parse.
-            FaultsConfig::Links(pairs) if pairs.is_empty() => {}
             FaultsConfig::Links(pairs) => kv(
                 "faults",
                 pairs
@@ -536,46 +434,52 @@ impl ScenarioSpec {
                 kv("fault-seed", seed.to_string());
             }
         }
-        kv("router", self.router.name().to_string());
-        kv("lookahead", self.lookahead.to_string());
-        if let Some((total, escape)) = self.vcs {
-            kv("vcs", format!("{total} {escape}"));
-        }
-        kv("path-selection", self.path_selection.name().to_string());
-        kv("algorithm", self.algorithm.name().to_string());
+        kv("lookahead", c.router.pipeline.is_lookahead().to_string());
+        kv(
+            "vcs",
+            format!("{} {}", c.router.vcs_per_port, c.router.escape_vcs),
+        );
+        kv("path-selection", c.router.path_selection.name().to_string());
+        kv("algorithm", c.algorithm.name().to_string());
         kv(
             "table",
-            match &self.table {
+            match &c.table {
                 TableKind::MetaBlocks(shape) => {
-                    format!("meta-blocks {}", shape_to_string(shape))
+                    format!("{} {}", c.table.name(), shape_to_string(shape))
                 }
                 other => other.name().to_string(),
             },
         );
         kv(
             "pattern",
-            match self.pattern {
+            match c.pattern {
                 Pattern::Hotspot { node, probability } => {
-                    format!("hotspot {node} {probability}")
+                    format!("{} {node} {probability}", c.pattern.name())
                 }
                 other => other.name().to_string(),
             },
         );
         kv(
             "workload",
-            match &self.workload {
-                WorkloadSpec::Synthetic(arrivals) => format!("synthetic {}", arrivals.name()),
-                WorkloadSpec::Bursty {
-                    burst_len,
-                    peak_gap,
-                } => format!("bursty {burst_len} {peak_gap}"),
-                WorkloadSpec::Trace(path) => format!("trace {path}"),
+            match (&self.trace, &c.workload) {
+                (Some(path), _) => format!("trace {path}"),
+                (None, WorkloadKind::Synthetic { arrivals }) => {
+                    format!("synthetic {}", arrivals.name())
+                }
+                (
+                    None,
+                    WorkloadKind::Bursty {
+                        burst_len,
+                        peak_gap,
+                    },
+                ) => format!("bursty {burst_len} {peak_gap}"),
+                (None, WorkloadKind::Trace(_)) => unreachable!("a spec names its trace by path"),
             },
         );
-        kv("load", self.load.to_string());
+        kv("load", c.load.to_string());
         kv(
             "lengths",
-            match self.lengths {
+            match c.lengths {
                 LengthDistribution::Fixed(n) => format!("fixed {n}"),
                 LengthDistribution::UniformRange { min, max } => format!("uniform {min} {max}"),
                 LengthDistribution::Bimodal {
@@ -585,55 +489,26 @@ impl ScenarioSpec {
                 } => format!("bimodal {short} {long} {long_fraction}"),
             },
         );
-        kv("warmup", self.warmup.to_string());
-        kv("measure", self.measure.to_string());
-        kv("seed", self.seed.to_string());
+        kv("warmup", c.warmup_msgs.to_string());
+        kv("measure", c.measure_msgs.to_string());
+        kv("seed", c.seed.to_string());
         out
     }
 
-    /// Composes the spec into a [`ScenarioBuilder`], loading any trace
-    /// file relative to `base_dir`. Call `.build()` on the result (or use
+    /// The spec's [`ScenarioBuilder`], loading any trace file relative to
+    /// `base_dir`. Call `.build()` on the result (or use
     /// [`ScenarioSpec::to_scenario`]) to validate.
     pub fn to_builder(&self, base_dir: &Path) -> Result<ScenarioBuilder, SpecError> {
-        // A parsed shape is always valid; a hand-built spec may not be.
-        let mesh = Mesh::new(&self.shape, self.torus).map_err(|e| SpecError::Parse {
-            line: 0,
-            message: format!("bad topology: {e}"),
-        })?;
-        let mut router = self.router.build().with_lookahead(self.lookahead);
-        if let Some((total, escape)) = self.vcs {
-            router.vcs_per_port = total;
-            router.escape_vcs = escape;
-        }
-        router.path_selection = self.path_selection;
-
-        let builder = Scenario::builder().topology(mesh.clone()).router(router);
-        let builder = match &self.faults {
-            FaultsConfig::None => builder,
-            FaultsConfig::Links(pairs) => builder.faults(pairs),
-            FaultsConfig::Random { count, seed } => builder.random_faults(*count, *seed),
+        let builder = ScenarioBuilder {
+            config: self.config.clone(),
         };
-        let mut builder = builder
-            .algorithm(self.algorithm)
-            .table(self.table.clone())
-            .pattern(self.pattern)
-            .load(self.load)
-            .lengths(self.lengths)
-            .message_counts(self.warmup, self.measure)
-            .seed(self.seed);
-        builder = match &self.workload {
-            WorkloadSpec::Synthetic(arrivals) => builder.arrivals(*arrivals),
-            WorkloadSpec::Bursty {
-                burst_len,
-                peak_gap,
-            } => builder.bursty(*burst_len, *peak_gap),
-            WorkloadSpec::Trace(path) => {
-                let resolved = base_dir.join(path);
-                let trace = Trace::load(resolved, mesh.node_count() as u32)?;
-                builder.trace(Arc::new(trace))
+        Ok(match &self.trace {
+            None => builder,
+            Some(path) => {
+                let nodes = self.config.mesh.node_count() as u32;
+                builder.trace(Arc::new(Trace::load(base_dir.join(path), nodes)?))
             }
-        };
-        Ok(builder)
+        })
     }
 
     /// Composes and validates the spec into a runnable [`Scenario`].
@@ -646,74 +521,96 @@ impl ScenarioSpec {
 mod tests {
     use super::*;
 
+    fn parse(text: &str) -> ScenarioSpec {
+        ScenarioSpec::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"))
+    }
+
+    /// `parse(format(spec)) == spec`, and `format` is a fixed point.
+    fn assert_round_trips(spec: &ScenarioSpec) {
+        let text = spec.format();
+        let again = parse(&text);
+        assert_eq!(*spec, again, "{text}");
+        assert_eq!(text, again.format());
+    }
+
     #[test]
     fn default_spec_round_trips_and_builds_the_reference() {
         let spec = ScenarioSpec::default();
-        let text = spec.format();
-        let again = ScenarioSpec::parse(&text).unwrap();
-        assert_eq!(spec, again);
-
+        assert_round_trips(&spec);
         let scenario = spec.to_scenario(Path::new(".")).unwrap();
         let reference = Scenario::builder().build().unwrap();
-        assert_eq!(scenario.config().mesh, reference.config().mesh);
-        assert_eq!(scenario.config().router, reference.config().router);
-        assert_eq!(scenario.config().seed, reference.config().seed);
+        assert_eq!(scenario.config(), reference.config());
     }
 
     #[test]
     fn empty_text_is_all_defaults() {
-        assert_eq!(ScenarioSpec::parse("").unwrap(), ScenarioSpec::default());
-        assert_eq!(
-            ScenarioSpec::parse("# only comments\n\n").unwrap(),
-            ScenarioSpec::default()
-        );
+        assert_eq!(parse(""), ScenarioSpec::default());
+        assert_eq!(parse("# only comments\n\n"), ScenarioSpec::default());
     }
 
     #[test]
     fn rich_spec_round_trips() {
-        let spec = ScenarioSpec {
-            torus: true,
-            shape: vec![8, 8],
-            faults: FaultsConfig::None,
-            router: RouterPreset::Adaptive,
-            lookahead: true,
-            vcs: Some((4, 2)),
-            path_selection: PathSelection::Lru,
-            algorithm: Algorithm::Duato,
-            table: TableKind::MetaBlocks(vec![4, 4]),
-            pattern: Pattern::Hotspot {
-                node: 27,
-                probability: 0.05,
-            },
-            workload: WorkloadSpec::Bursty {
+        let spec = parse(
+            "topology = torus 8x8\nlookahead = true\nvcs = 4 2\npath-selection = lru\n\
+             table = meta-blocks 4x4\npattern = hotspot 27 0.05\nworkload = bursty 8 2.5\n\
+             load = 0.35\nlengths = bimodal 5 50 0.2\nwarmup = 123\nmeasure = 4567\nseed = 42\n",
+        );
+        assert_round_trips(&spec);
+        let c = &spec.config;
+        assert!(c.mesh.is_torus() && c.router.pipeline.is_lookahead());
+        assert_eq!((c.router.vcs_per_port, c.router.escape_vcs), (4, 2));
+        assert_eq!(c.table, TableKind::MetaBlocks(vec![4, 4]));
+        assert_eq!(
+            c.workload,
+            WorkloadKind::Bursty {
                 burst_len: 8,
-                peak_gap: 2.5,
-            },
-            load: 0.35,
-            lengths: LengthDistribution::Bimodal {
-                short: 5,
-                long: 50,
-                long_fraction: 0.2,
-            },
-            warmup: 123,
-            measure: 4567,
-            seed: 42,
-        };
-        let again = ScenarioSpec::parse(&spec.format()).unwrap();
-        assert_eq!(spec, again);
-        // And a second round through format is byte-stable.
-        assert_eq!(spec.format(), again.format());
+                peak_gap: 2.5
+            }
+        );
+    }
+
+    #[test]
+    fn every_selector_spelling_parses_to_its_variant() {
+        for algorithm in Algorithm::ALL {
+            let spec = parse(&format!("algorithm = {}", algorithm.name()));
+            assert_eq!(spec.config.algorithm, algorithm);
+            assert_round_trips(&spec);
+        }
+        for psh in PathSelection::ALL {
+            let spec = parse(&format!("path-selection = {}", psh.name()));
+            assert_eq!(spec.config.router.path_selection, psh);
+        }
+        for table in TableKind::ALL {
+            let spec = parse(&format!("table = {}", table.name()));
+            assert_eq!(spec.config.table, table);
+        }
+        for pattern in Pattern::ALL {
+            let spec = parse(&format!("pattern = {}", pattern.name()));
+            assert_eq!(spec.config.pattern, pattern);
+        }
+        for arrivals in ArrivalKind::ALL {
+            let spec = parse(&format!("workload = synthetic {}", arrivals.name()));
+            assert_eq!(spec.config.workload, WorkloadKind::Synthetic { arrivals });
+        }
+    }
+
+    #[test]
+    fn router_key_is_retired() {
+        // `router = deterministic` was `vcs = 4 0`; the key is gone.
+        let err = ScenarioSpec::parse("router = adaptive").unwrap_err();
+        assert!(err.to_string().contains("unknown key"), "{err}");
+        let det = parse("vcs = 4 0").to_builder(Path::new(".")).unwrap();
+        assert_eq!(
+            det.config.router,
+            lapses_core::RouterConfig::paper_deterministic()
+        );
     }
 
     #[test]
     fn trace_paths_survive_the_round_trip() {
-        let spec = ScenarioSpec {
-            workload: WorkloadSpec::Trace("fixtures/small.trace".into()),
-            shape: vec![4, 4],
-            ..ScenarioSpec::default()
-        };
-        let again = ScenarioSpec::parse(&spec.format()).unwrap();
-        assert_eq!(spec, again);
+        let spec = parse("topology = mesh 4x4\nworkload = trace fixtures/small.trace\n");
+        assert_eq!(spec.trace.as_deref(), Some("fixtures/small.trace"));
+        assert_round_trips(&spec);
     }
 
     #[test]
@@ -737,7 +634,10 @@ mod tests {
             "lookahead = yes",
             "vcs = 4",
             "algorithm = zigzag",
+            "path-selection = lfu per-flit",
+            "table = meta-rows 4x4",
             "pattern = hotspot 3",
+            "workload = synthetic",
             "workload = bursty 8",
             "workload = trace",
             "load = heavy",
@@ -772,67 +672,54 @@ mod tests {
                 "{bad:?} gave {err}"
             );
         }
-        // A hand-built spec is checked when it is composed.
-        let spec = ScenarioSpec {
-            torus: true,
-            shape: vec![2, 4],
-            ..ScenarioSpec::default()
-        };
-        let err = spec.to_scenario(Path::new(".")).unwrap_err();
-        assert!(err.to_string().contains("at least 3"), "{err}");
     }
 
     #[test]
     fn fault_links_round_trip() {
-        let spec = ScenarioSpec {
-            shape: vec![4, 4],
-            faults: FaultsConfig::Links(vec![(1, 2), (5, 9)]),
-            algorithm: Algorithm::UpDownAdaptive,
-            ..ScenarioSpec::default()
-        };
+        let spec =
+            parse("topology = mesh 4x4\nfaults = (1 2), (5 9)\nalgorithm = up-down-adaptive\n");
+        assert_eq!(
+            spec.config.faults,
+            FaultsConfig::Links(vec![(1, 2), (5, 9)])
+        );
         let text = spec.format();
         assert!(text.contains("faults = (1 2), (5 9)"), "{text}");
         assert!(text.contains("algorithm = up-down-adaptive"), "{text}");
-        let again = ScenarioSpec::parse(&text).unwrap();
-        assert_eq!(spec, again);
-        assert_eq!(text, again.format());
+        assert_round_trips(&spec);
         assert!(spec.to_scenario(Path::new(".")).is_ok());
     }
 
     #[test]
     fn empty_explicit_fault_list_formats_parseably() {
-        // `Links(vec![])` means "no faults": format must skip the key
-        // (an empty `faults =` value would fail to re-parse).
-        let spec = ScenarioSpec {
-            faults: FaultsConfig::Links(Vec::new()),
-            ..ScenarioSpec::default()
-        };
-        let text = spec.format();
-        assert!(!text.contains("faults"), "{text}");
-        assert_eq!(
-            ScenarioSpec::parse(&text).unwrap().faults,
-            FaultsConfig::None
-        );
+        // A fault-free spec writes no fault key (an empty `faults =` value
+        // would fail to re-parse), and a spec cannot name an empty list.
+        let text = ScenarioSpec::default().format();
+        assert!(!text.contains("fault"), "{text}");
+        assert_eq!(parse(&text).config.faults, FaultsConfig::None);
+        assert!(ScenarioSpec::parse("faults =").is_err());
     }
 
     #[test]
     fn random_faults_round_trip() {
-        let spec = ScenarioSpec {
-            shape: vec![8, 8],
-            faults: FaultsConfig::Random { count: 3, seed: 7 },
-            algorithm: Algorithm::UpDown,
-            ..ScenarioSpec::default()
-        };
+        let spec =
+            parse("topology = mesh 8x8\nfault-count = 3\nfault-seed = 7\nalgorithm = up-down\n");
+        assert_eq!(
+            spec.config.faults,
+            FaultsConfig::Random { count: 3, seed: 7 }
+        );
         let text = spec.format();
         assert!(text.contains("fault-count = 3") && text.contains("fault-seed = 7"));
-        assert_eq!(ScenarioSpec::parse(&text).unwrap(), spec);
+        assert_round_trips(&spec);
         // fault-seed may precede fault-count.
         let reordered =
             "fault-seed = 7\nfault-count = 3\nalgorithm = up-down\ntopology = mesh 8x8\n";
-        assert_eq!(ScenarioSpec::parse(reordered).unwrap().faults, spec.faults);
+        assert_eq!(parse(reordered), spec);
         // Omitted fault-seed defaults to 1.
-        let defaulted = ScenarioSpec::parse("fault-count = 2\n").unwrap();
-        assert_eq!(defaulted.faults, FaultsConfig::Random { count: 2, seed: 1 });
+        let defaulted = parse("fault-count = 2\n");
+        assert_eq!(
+            defaulted.config.faults,
+            FaultsConfig::Random { count: 2, seed: 1 }
+        );
     }
 
     #[test]
@@ -858,7 +745,7 @@ mod tests {
 
     #[test]
     fn vc_slot_budget_errors_surface_as_scenario_errors() {
-        let spec = ScenarioSpec::parse("topology = mesh 4x4\nvcs = 13 1\n").unwrap();
+        let spec = parse("topology = mesh 4x4\nvcs = 13 1\n");
         let err = spec.to_scenario(Path::new(".")).unwrap_err();
         assert!(
             matches!(
@@ -871,7 +758,7 @@ mod tests {
 
     #[test]
     fn node_count_limit_errors_surface_as_scenario_errors() {
-        let spec = ScenarioSpec::parse("topology = mesh 2048x2048\n").unwrap();
+        let spec = parse("topology = mesh 2048x2048\n");
         let err = spec.to_scenario(Path::new(".")).unwrap_err();
         assert!(
             matches!(
@@ -887,12 +774,8 @@ mod tests {
 
     #[test]
     fn fault_validation_errors_surface_as_scenario_errors() {
-        let spec = ScenarioSpec {
-            shape: vec![4, 4],
-            faults: FaultsConfig::Links(vec![(0, 5)]), // diagonal: no link
-            algorithm: Algorithm::UpDownAdaptive,
-            ..ScenarioSpec::default()
-        };
+        // A diagonal pair names no link.
+        let spec = parse("topology = mesh 4x4\nfaults = (0 5)\nalgorithm = up-down-adaptive\n");
         let err = spec.to_scenario(Path::new(".")).unwrap_err();
         assert!(matches!(err, SpecError::Scenario(_)), "{err:?}");
         assert!(err.to_string().contains("names no link"));
@@ -901,21 +784,14 @@ mod tests {
     #[test]
     fn scenario_validation_errors_surface() {
         // A torus with the default single escape VC is invalid.
-        let spec = ScenarioSpec {
-            torus: true,
-            shape: vec![4, 4],
-            ..ScenarioSpec::default()
-        };
+        let spec = parse("topology = torus 4x4\n");
         let err = spec.to_scenario(Path::new(".")).unwrap_err();
         assert!(matches!(err, SpecError::Scenario(_)), "{err:?}");
     }
 
     #[test]
     fn missing_trace_file_surfaces_as_trace_error() {
-        let spec = ScenarioSpec {
-            workload: WorkloadSpec::Trace("does-not-exist.trace".into()),
-            ..ScenarioSpec::default()
-        };
+        let spec = parse("workload = trace does-not-exist.trace\n");
         let err = spec.to_scenario(Path::new("/nonexistent")).unwrap_err();
         assert!(matches!(err, SpecError::Trace(_)), "{err:?}");
     }

@@ -188,21 +188,6 @@ impl ChannelGraph {
         })
     }
 
-    /// CDG of an algorithm's adaptive relation over a faulty instance.
-    pub fn adaptive_network_faulty(
-        fmesh: &FaultyMesh,
-        algo: &dyn RoutingAlgorithm,
-    ) -> ChannelGraph {
-        let mesh = fmesh.mesh();
-        Self::for_faulty_relation(fmesh, 1, |here, dest| {
-            algo.candidates(mesh, here, dest)
-                .iter()
-                .filter_map(Port::direction)
-                .map(|d| (d, 0))
-                .collect()
-        })
-    }
-
     /// Number of channels (graph vertices).
     pub fn channel_count(&self) -> usize {
         self.adjacency.len()

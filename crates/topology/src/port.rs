@@ -111,17 +111,6 @@ impl Direction {
         }
     }
 
-    /// Direction along `dim` with the polarity of `sign`.
-    ///
-    /// Returns `None` for [`Sign::Zero`], which names no direction.
-    pub fn from_sign(dim: usize, sign: Sign) -> Option<Direction> {
-        match sign {
-            Sign::Plus => Some(Direction::plus(dim)),
-            Sign::Minus => Some(Direction::minus(dim)),
-            Sign::Zero => None,
-        }
-    }
-
     /// The dimension this direction travels along.
     #[inline]
     pub fn dim(self) -> usize {

@@ -16,9 +16,6 @@ use std::fmt;
 /// integer clock passes the next arrival, so fractional rates are honored
 /// exactly in the long run.
 pub trait ArrivalProcess: fmt::Debug + Send + Sync {
-    /// A short name for reports.
-    fn name(&self) -> &'static str;
-
     /// Mean gap between messages, in cycles.
     fn mean_gap(&self) -> f64;
 
@@ -45,10 +42,6 @@ impl Exponential {
 }
 
 impl ArrivalProcess for Exponential {
-    fn name(&self) -> &'static str {
-        "exponential"
-    }
-
     fn mean_gap(&self) -> f64 {
         self.mean
     }
@@ -78,10 +71,6 @@ impl Bernoulli {
 }
 
 impl ArrivalProcess for Bernoulli {
-    fn name(&self) -> &'static str {
-        "bernoulli"
-    }
-
     fn mean_gap(&self) -> f64 {
         self.mean
     }
@@ -113,10 +102,6 @@ impl Periodic {
 }
 
 impl ArrivalProcess for Periodic {
-    fn name(&self) -> &'static str {
-        "periodic"
-    }
-
     fn mean_gap(&self) -> f64 {
         self.gap
     }
@@ -174,12 +159,5 @@ mod tests {
     #[should_panic(expected = "positive")]
     fn exponential_rejects_zero_mean() {
         let _ = Exponential::new(0.0);
-    }
-
-    #[test]
-    fn names_are_stable() {
-        assert_eq!(Exponential::new(1.0).name(), "exponential");
-        assert_eq!(Bernoulli::new(2.0).name(), "bernoulli");
-        assert_eq!(Periodic::new(1.0).name(), "periodic");
     }
 }

@@ -18,9 +18,6 @@ use std::fmt;
 /// under transpose); those sources do not inject, which the trait signals
 /// by returning `None`.
 pub trait TrafficPattern: fmt::Debug + Send + Sync {
-    /// A short name for reports ("uniform", "transpose", ...).
-    fn name(&self) -> &'static str;
-
     /// The destination for a message from `src`, or `None` when `src` does
     /// not inject under this pattern.
     fn destination(&self, mesh: &Mesh, src: NodeId, rng: &mut SimRng) -> Option<NodeId>;
@@ -42,6 +39,12 @@ pub trait TrafficPattern: fmt::Debug + Send + Sync {
 pub fn address_bits(mesh: &Mesh) -> Option<u32> {
     let n = mesh.node_count();
     (n >= 2 && n.is_power_of_two()).then(|| n.trailing_zeros())
+}
+
+/// Whether `mesh` has at least two address bits: a one-bit address is its
+/// own reversal and its own rotation, so no source would inject.
+fn two_address_bits(mesh: &Mesh) -> bool {
+    address_bits(mesh).is_some_and(|bits| bits >= 2)
 }
 
 /// [`address_bits`] of a network a pattern is about to permute.
@@ -70,10 +73,6 @@ impl Uniform {
 }
 
 impl TrafficPattern for Uniform {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-
     fn destination(&self, mesh: &Mesh, src: NodeId, rng: &mut SimRng) -> Option<NodeId> {
         debug_assert!(
             Self::supports(mesh),
@@ -108,10 +107,6 @@ impl Transpose {
 }
 
 impl TrafficPattern for Transpose {
-    fn name(&self) -> &'static str {
-        "transpose"
-    }
-
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
         assert!(
             Self::supports(mesh),
@@ -138,13 +133,15 @@ impl BitReversal {
     pub fn new() -> Self {
         BitReversal { _priv: () }
     }
+
+    /// Whether bit-reversal is defined on `mesh`: a bit-permutation
+    /// network (see [`address_bits`]) with at least two address bits.
+    pub fn supports(mesh: &Mesh) -> bool {
+        two_address_bits(mesh)
+    }
 }
 
 impl TrafficPattern for BitReversal {
-    fn name(&self) -> &'static str {
-        "bit-reversal"
-    }
-
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
         let bits = checked_address_bits(mesh);
         let dest = NodeId(src.0.reverse_bits() >> (32 - bits));
@@ -165,13 +162,15 @@ impl PerfectShuffle {
     pub fn new() -> Self {
         PerfectShuffle { _priv: () }
     }
+
+    /// Whether perfect-shuffle is defined on `mesh`: a bit-permutation
+    /// network (see [`address_bits`]) with at least two address bits.
+    pub fn supports(mesh: &Mesh) -> bool {
+        two_address_bits(mesh)
+    }
 }
 
 impl TrafficPattern for PerfectShuffle {
-    fn name(&self) -> &'static str {
-        "perfect-shuffle"
-    }
-
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
         let bits = checked_address_bits(mesh);
         let mask = (1u32 << bits) - 1;
@@ -192,13 +191,15 @@ impl BitComplement {
     pub fn new() -> Self {
         BitComplement { _priv: () }
     }
+
+    /// Whether bit-complement is defined on `mesh`: a bit-permutation
+    /// network (see [`address_bits`]).
+    pub fn supports(mesh: &Mesh) -> bool {
+        address_bits(mesh).is_some()
+    }
 }
 
 impl TrafficPattern for BitComplement {
-    fn name(&self) -> &'static str {
-        "bit-complement"
-    }
-
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
         let bits = checked_address_bits(mesh);
         let mask = (1u32 << bits) - 1;
@@ -218,13 +219,15 @@ impl Tornado {
     pub fn new() -> Self {
         Tornado { _priv: () }
     }
+
+    /// Whether tornado is defined on `mesh`: a row of at least three
+    /// nodes, so the hop count `⌈k/2⌉ - 1` is positive.
+    pub fn supports(mesh: &Mesh) -> bool {
+        mesh.extent(0) >= 3
+    }
 }
 
 impl TrafficPattern for Tornado {
-    fn name(&self) -> &'static str {
-        "tornado"
-    }
-
     fn destination(&self, mesh: &Mesh, src: NodeId, _rng: &mut SimRng) -> Option<NodeId> {
         let coord = mesh.coord_of(src);
         let k = mesh.extent(0);
@@ -283,10 +286,6 @@ fn is_probability(p: f64) -> bool {
 }
 
 impl TrafficPattern for Hotspot {
-    fn name(&self) -> &'static str {
-        "hotspot"
-    }
-
     fn destination(&self, mesh: &Mesh, src: NodeId, rng: &mut SimRng) -> Option<NodeId> {
         if rng.chance(self.probability) && src != self.hotspot {
             Some(self.hotspot)
@@ -307,13 +306,15 @@ impl NearestNeighbor {
     pub fn new() -> Self {
         NearestNeighbor { _priv: () }
     }
+
+    /// Whether nearest-neighbor traffic is defined on `mesh`: every
+    /// source needs an adjacent node.
+    pub fn supports(mesh: &Mesh) -> bool {
+        mesh.node_count() >= 2
+    }
 }
 
 impl TrafficPattern for NearestNeighbor {
-    fn name(&self) -> &'static str {
-        "nearest-neighbor"
-    }
-
     fn destination(&self, mesh: &Mesh, src: NodeId, rng: &mut SimRng) -> Option<NodeId> {
         let neighbors: Vec<NodeId> = mesh
             .direction_ports()
@@ -426,8 +427,8 @@ mod tests {
         for p in &pats {
             for src in m.nodes() {
                 if let Some(d) = p.destination(&m, src, &mut rng) {
-                    assert!(d.index() < m.node_count(), "{} out of range", p.name());
-                    assert_ne!(d, src, "{} self-traffic", p.name());
+                    assert!(d.index() < m.node_count(), "{p:?} out of range");
+                    assert_ne!(d, src, "{p:?} self-traffic");
                 }
             }
         }
@@ -484,5 +485,52 @@ mod tests {
         let m = Mesh::mesh_2d(3, 3);
         let mut rng = SimRng::from_seed(0);
         let _ = BitReversal::new().destination(&m, NodeId(0), &mut rng);
+    }
+
+    /// Every mesh and torus of 1–3 dimensions with extents 1–4 that
+    /// `Mesh::new` accepts.
+    fn small_topologies() -> Vec<Mesh> {
+        let mut shapes: Vec<Vec<u16>> = vec![vec![]];
+        let mut all = Vec::new();
+        for _ in 0..3 {
+            shapes = shapes
+                .iter()
+                .flat_map(|s| (1..=4).map(move |k| [s.as_slice(), &[k]].concat()))
+                .collect();
+            for shape in &shapes {
+                all.extend([false, true].map(|torus| Mesh::new(shape, torus).ok()));
+            }
+        }
+        all.into_iter().flatten().collect()
+    }
+
+    #[test]
+    fn supported_patterns_always_inject() {
+        for m in small_topologies() {
+            let cases: [(bool, Box<dyn TrafficPattern>); 8] = [
+                (Uniform::supports(&m), Box::new(Uniform::new())),
+                (Transpose::supports(&m), Box::new(Transpose::new())),
+                (BitReversal::supports(&m), Box::new(BitReversal::new())),
+                (
+                    PerfectShuffle::supports(&m),
+                    Box::new(PerfectShuffle::new()),
+                ),
+                (BitComplement::supports(&m), Box::new(BitComplement::new())),
+                (Tornado::supports(&m), Box::new(Tornado::new())),
+                (
+                    Hotspot::supports(&m, NodeId(0), 0.5),
+                    Box::new(Hotspot::new(NodeId(0), 0.5)),
+                ),
+                (
+                    NearestNeighbor::supports(&m),
+                    Box::new(NearestNeighbor::new()),
+                ),
+            ];
+            for (supported, pattern) in cases {
+                if supported {
+                    assert!(pattern.injecting_fraction(&m) > 0.0, "{pattern:?} on {m}");
+                }
+            }
+        }
     }
 }

@@ -209,7 +209,7 @@ impl Trace {
 
     /// Builds a validated trace directly from recorded events — the
     /// capture-sink path, enforcing the same invariants as
-    /// [`Trace::parse`] (shared via [`validate_record`]). Error "line"
+    /// [`Trace::parse`] (shared via `validate_record`). Error "line"
     /// numbers are 1-based event indices.
     pub fn from_events(node_count: u32, events: Vec<TraceEvent>) -> Result<Trace, TraceError> {
         let mut previous = 0u64;

@@ -53,12 +53,9 @@ fn main() {
         "The same scenario as a spec file (see examples/scenarios/*.scn \
          and the scenario_from_spec example):\n"
     );
-    // Scenario specs are the text form of the builder above.
-    let spec = ScenarioSpec {
-        lookahead: true,
-        warmup: 1_000,
-        measure: 10_000,
-        ..ScenarioSpec::default()
-    };
+    // Scenario specs are the text form of the builder above: absent keys
+    // keep the reference values, and `format` writes every key.
+    let spec = ScenarioSpec::parse("lookahead = true\nwarmup = 1000\nmeasure = 10000\n")
+        .expect("the spec is valid");
     print!("{}", spec.format());
 }

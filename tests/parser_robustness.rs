@@ -55,7 +55,6 @@ const KEYS: &[&str] = &[
     "faults",
     "fault-count",
     "fault-seed",
-    "router",
     "lookahead",
     "vcs",
     "path-selection",
@@ -123,13 +122,6 @@ fn value(g: &mut Gen, key: &str) -> String {
             })
             .collect::<Vec<_>>()
             .join(", "),
-        "router" => g
-            .pick(&[
-                "adaptive",
-                "deterministic",
-                if edge { "fast" } else { "adaptive" },
-            ])
-            .to_string(),
         "lookahead" => g
             .pick(&["true", "false", if edge { "yes" } else { "true" }])
             .to_string(),
@@ -366,6 +358,7 @@ fn former_panics_are_typed_errors() {
         "topology = mesh 4x8\npattern = transpose",
         "topology = mesh 3x5\npattern = bit-reversal",
         "topology = mesh 3x5\npattern = perfect-shuffle",
+        "topology = mesh 1x4\npattern = tornado",
         "topology = mesh 4x4\npattern = hotspot 16 0.2",
         "topology = mesh 4x4\npattern = hotspot 3 1.5",
         // Found by the property tests above.
