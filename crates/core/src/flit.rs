@@ -9,8 +9,9 @@
 //!
 //! # The lean hot path
 //!
-//! Flits are the unit the simulator copies most: every hop moves one
-//! through an input buffer, a staging buffer and a link pipeline.
+//! Flits are the unit the simulator hands around most: a NIC builds one
+//! per injected flit, and every hop hands one from a router's crossbar to
+//! the network, which files it into the next router.
 //! [`Flit`] is therefore a 16-byte `Copy` POD holding only
 //! what the router datapath reads — position, destination, the head's
 //! look-ahead routing state, and the [`MsgRef`] handle the ejection
@@ -21,28 +22,26 @@
 //! wormhole switching keeps a message's flits in order on one VC, so a
 //! flit's position is fully described by its [`FlitKind`].
 //!
-//! # Structure-of-arrays buffering
+//! # Header-only routing state
 //!
-//! On the wire a flit travels as one [`Flit`] value, but *inside a
-//! router* the buffers hold it split three ways ([`Flit::split`] /
-//! [`Flit::assemble`]):
+//! On the wire and at the router's sink and NIC boundaries a flit travels
+//! as one [`Flit`] value, but *inside a router* it is stored in two parts
+//! (see the `router` module docs):
 //!
-//! * the **hot** part is just the [`FlitKind`] — the one field every
-//!   pipeline stage branches on (is this a head? a tail?). The router
-//!   keeps these in a dense one-byte-per-slot array, so the per-cycle
-//!   stage walk reads 1 byte per occupancy check;
-//! * the **cold** part ([`ColdFlit`]) is the 8-byte `(rec, dest)` pair
-//!   every flit carries, in a parallel side array that head decoding
-//!   (routing reads `dest`), launches and ejections touch;
-//! * the **look-ahead** entry lives in a third side array that only heads
-//!   in LA-PROUD routers write or read (§3.2, Fig. 4(b): only the header
-//!   carries routing state). Body and tail flits never carry one.
+//! * the [`FlitKind`] — the one field every pipeline stage branches on (is
+//!   this a head? a tail?) — is the only per-slot storage: a dense
+//!   one-byte-per-slot ring per virtual channel;
+//! * the routing state — `rec`, `dest` and the look-ahead entry — is
+//!   stored **once per message, with its head** (§3.2, Fig. 4(b): only
+//!   the header carries routing state). Body and tail flits follow the
+//!   path the head reserved, so a router rebuilds them from the record of
+//!   the message streaming through their virtual channel.
 //!
-//! A body or tail hop therefore moves 9 bytes. The split is lossless
-//! (`assemble(split(f)) == f`, enforced by a round-trip test below), and
-//! the router drops a look-ahead only where it is always `None` (non-head
+//! A body or tail hop therefore moves one byte. Rebuilding is lossless:
+//! every flit of a message carries the same `rec` and `dest`, and the
+//! router drops a look-ahead only where it is always `None` (non-head
 //! flits, and every flit in a PROUD router); that is what lets the router
-//! arenas change layout without changing a single simulated bit.
+//! storage change layout without changing a single simulated bit.
 
 use crate::tables::RouteEntry;
 use lapses_topology::NodeId;
@@ -117,44 +116,7 @@ pub struct Flit {
     pub lookahead: Option<RouteEntry>,
 }
 
-/// The cold part of a flit in a structure-of-arrays buffer: the 8 bytes
-/// every flit carries besides its [`FlitKind`]. Read by head decoding
-/// (routing needs `dest`) and when a launch reassembles the full
-/// [`Flit`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ColdFlit {
-    /// Handle to the per-message record.
-    pub rec: MsgRef,
-    /// Destination node of the message.
-    pub dest: NodeId,
-}
-
 impl Flit {
-    /// Splits a flit into its hot ([`FlitKind`]), cold and look-ahead parts
-    /// for structure-of-arrays storage.
-    #[inline]
-    pub fn split(self) -> (FlitKind, ColdFlit, Option<RouteEntry>) {
-        (
-            self.kind,
-            ColdFlit {
-                rec: self.rec,
-                dest: self.dest,
-            },
-            self.lookahead,
-        )
-    }
-
-    /// Reassembles a flit from its parts (inverse of [`Flit::split`]).
-    #[inline]
-    pub fn assemble(kind: FlitKind, cold: ColdFlit, lookahead: Option<RouteEntry>) -> Flit {
-        Flit {
-            rec: cold.rec,
-            dest: cold.dest,
-            kind,
-            lookahead,
-        }
-    }
-
     /// Builds the flits of a message, in injection order, none carrying
     /// look-ahead information.
     ///
@@ -226,27 +188,15 @@ mod tests {
     #[test]
     fn flit_stays_a_small_pod() {
         // The whole point of the lean hot path: a flit must stay two
-        // machine words so buffer moves are cheap memcpys. The budget is
-        // 16 bytes (rec + dest + kind + compact look-ahead), and a body or
-        // tail router slot is the kind byte plus the 8-byte cold part.
+        // machine words so sink and NIC hand-offs are cheap memcpys. The
+        // budget is 16 bytes (rec + dest + kind + compact look-ahead), and
+        // a router slot is the kind byte alone.
         assert!(
             std::mem::size_of::<Flit>() <= 16,
             "Flit grew to {} bytes — keep bookkeeping in the message record",
             std::mem::size_of::<Flit>()
         );
-        assert_eq!(std::mem::size_of::<ColdFlit>(), 8);
         assert_eq!(std::mem::size_of::<FlitKind>(), 1);
-    }
-
-    #[test]
-    fn split_assemble_round_trips() {
-        use crate::tables::RouteEntry;
-        let mut flits = Flit::message(MsgRef(9), NodeId(6), 3);
-        flits[0].lookahead = Some(RouteEntry::local());
-        for f in flits {
-            let (kind, cold, lookahead) = f.split();
-            assert_eq!(Flit::assemble(kind, cold, lookahead), f);
-        }
     }
 
     #[test]

@@ -48,7 +48,7 @@ pub mod tables;
 mod arbiter;
 
 pub use config::{PipelineModel, RouterConfig};
-pub use flit::{ColdFlit, Flit, FlitKind, MsgRef};
+pub use flit::{Flit, FlitKind, MsgRef};
 pub use psh::PathSelection;
 pub use router::{Router, StepOutputs, StepSink, MAX_VC_SLOTS};
 pub use tables::{RouteEntry, RouterTable, TableScheme};

@@ -29,37 +29,46 @@
 //! returns a credit upstream (with the link's one-cycle delay, handled by
 //! the network layer).
 //!
-//! # The SoA flit arenas and the slot lifecycle
+//! # Kind rings and head records
 //!
-//! All flit storage lives in contiguous **structure-of-arrays arenas**
-//! (see [`crate::flit`]). The input rings keep three parallel arrays: a
-//! dense one-byte-per-slot array of [`FlitKind`]s — the hot part every
-//! stage branches on — an array of 8-byte [`ColdFlit`]s (`rec`, `dest`),
-//! and, in LA-PROUD routers only, an array of look-ahead entries that
-//! only heads write or read (PROUD allocates it empty). The output
-//! staging rings keep kind bytes, plus cold parts for the ejection port.
-//! Each (port, VC) owns the fixed arena segment
-//! `flat_index * cap .. (flat_index + 1) * cap`, used as a ring whose
-//! cursor lives in the VC's `InputVc`/`OutputVc` header; cursors wrap
-//! with a compare instead of a modulo so the hot path never divides.
+//! A router stores a flit in two places (see [`crate::flit`]). Every
+//! buffered flit is one [`FlitKind`] byte in a dense kind ring — the hot
+//! part every stage branches on. The routing state of a message — its
+//! record handle, destination and, in LA-PROUD, the look-ahead entry —
+//! is stored **once, with its head** (§3.2: only the header carries
+//! routing state):
 //!
-//! A slot's lifecycle per hop: a flit lands in the input ring either via
-//! [`Router::accept_flit`] (split and written at the tail on arrival —
-//! NIC injection) or over the zero-copy wire, where the upstream crossbar
-//! pre-writes the payload into the exact slot it will occupy
+//! * each input VC keeps the records of its queued heads in ring order
+//!   (a `VecDeque` that grows with the heads actually queued, so a
+//!   20-flit message costs one record, not 20 slots), plus the record of
+//!   the message now streaming out of it;
+//! * each ejection VC keeps the record handle of the message it carries
+//!   (its destination is this router).
+//!
+//! Each (port, VC) owns the fixed kind-ring segment
+//! `flat_index * cap .. (flat_index + 1) * cap`, whose cursor lives in
+//! the VC's `InputVc`/`OutputVc` header; cursors wrap with a compare
+//! instead of a modulo so the hot path never divides.
+//!
+//! A flit's lifecycle per hop: it lands in the input ring either via
+//! [`Router::accept_flit`] (written at the tail on arrival — NIC
+//! injection) or over the zero-copy wire, where the upstream crossbar
+//! pre-writes the kind byte into the exact slot it will occupy
 //! ([`Router::reserve_flit`]) and the link-delay-later arrival merely
 //! flips it visible ([`Router::commit_flit`]) — both are the **SY**
-//! stage. The **XB** winner hands its payload to the sink
-//! ([`StepSink::transfer`], which reserves it downstream), stages only
-//! the kind byte for the VC multiplexor, and frees the input slot
-//! (returning a credit upstream); the **VM** grant pops the staging head
-//! and announces the launch ([`StepSink::launch_reserved`]). Only the
-//! ejection port keeps payloads in the staging ring: its XB winner copies
-//! the kind byte and cold part to the staging tail (an ejecting head
-//! carries no look-ahead) and its VM grant reassembles the flit for
-//! [`StepSink::launch`]. A body or tail flit thus moves 9 bytes per hop.
+//! stage, and both append a head's record. **SA** rewrites the front
+//! record's look-ahead entry in place. The **XB** winner pops its kind
+//! byte; a head also moves its record from the queue to the VC's
+//! streaming record. A flit bound for a neighbor is rebuilt from the kind
+//! byte and the streaming record and handed to the sink
+//! ([`StepSink::transfer`], which reserves it downstream); the XB stages
+//! only the kind byte for the VC multiplexor and frees the input slot
+//! (returning a credit upstream). The **VM** grant pops the staging head
+//! and announces the launch ([`StepSink::launch_reserved`]), or, on the
+//! ejection port, rebuilds the flit from the ejection VC's record for
+//! [`StepSink::launch`]. A body or tail flit thus moves one byte per hop.
 //! Routing (**TL**/**SA**) reads only the ring head's kind byte plus, for
-//! heads, the cold `dest` and the look-ahead entry.
+//! heads, the front record.
 //!
 //! # The cycle walk
 //!
@@ -75,7 +84,7 @@
 
 use crate::arbiter::rr_grant_mask;
 use crate::config::RouterConfig;
-use crate::flit::{ColdFlit, Flit, FlitKind};
+use crate::flit::{Flit, FlitKind, MsgRef};
 use crate::psh::{PathSelector, PortStatus};
 use crate::tables::{RouteEntry, RouterTable};
 use lapses_sim::{Cycle, SimRng};
@@ -107,9 +116,9 @@ const MAX_PORTS: usize = lapses_topology::MAX_DIMS * 2 + 1;
 /// validation reports it as a typed error first.
 pub const MAX_VC_SLOTS: usize = 64;
 
-/// Per-VC input state. The flit storage itself lives in the router's
-/// SoA input arenas; this header only carries the ring cursor and the
-/// routing state — 24 packed bytes, so one cache line covers a port.
+/// Per-VC input state. The flits themselves live in the router's kind
+/// rings and head records; this header only carries the ring cursor and
+/// the routing state — 24 packed bytes, so one cache line covers a port.
 #[derive(Debug, Clone, Copy)]
 struct InputVc {
     state: VcState,
@@ -119,11 +128,11 @@ struct InputVc {
     /// cycle the in-flight table lookup completes and allocation may
     /// first be attempted.
     ready_at: u64,
-    /// Ring cursor into this VC's arena segment.
+    /// Ring cursor into this VC's kind-ring segment.
     head: u16,
     /// Buffered flits.
     len: u16,
-    /// Flits whose payload is already written behind `len` by
+    /// Flits already filed behind `len` by
     /// [`Router::reserve_flit`] but not yet visible (still "on the
     /// wire"); made visible in FIFO order by [`Router::commit_flit`].
     pending: u16,
@@ -137,14 +146,14 @@ const IDLE_INPUT: InputVc = InputVc {
     pending: 0,
 };
 
-/// Per-VC output state; staged flits live in the SoA output arenas.
+/// Per-VC output state; staged flits live in the output kind rings.
 #[derive(Debug, Clone, Copy)]
 struct OutputVc {
     /// Input VC currently holding this output VC, `(port, vc)`.
     owner: Option<(u8, u8)>,
     /// Free buffer slots at the downstream input VC.
     credits: u32,
-    /// Ring cursor into this VC's arena segment.
+    /// Ring cursor into this VC's kind-ring segment.
     head: u16,
     /// Staged flits.
     len: u16,
@@ -157,11 +166,33 @@ const IDLE_OUTPUT: OutputVc = OutputVc {
     len: 0,
 };
 
-/// Cold-part value used only to initialize arena slots; never observed.
-const COLD_FILLER: ColdFlit = ColdFlit {
-    rec: crate::flit::MsgRef(u32::MAX),
+/// A message's routing state, stored once per message with its head.
+#[derive(Debug, Clone, Copy)]
+struct HeadRec {
+    rec: MsgRef,
+    dest: NodeId,
+    /// The entry for the router the head is in (LA-PROUD only; `None` in
+    /// PROUD routers).
+    lookahead: Option<RouteEntry>,
+}
+
+/// Record value of a VC that has streamed nothing yet; never observed.
+const NO_REC: HeadRec = HeadRec {
+    rec: MsgRef(u32::MAX),
     dest: NodeId(u32::MAX),
+    lookahead: None,
 };
+
+/// The head records of one input VC.
+#[derive(Debug, Clone)]
+struct InputRecs {
+    /// Records of the heads in the ring (visible or reserved), in ring
+    /// order.
+    queued: VecDeque<HeadRec>,
+    /// Record of the message whose head last left the ring: the message
+    /// its body and tail flits belong to.
+    streaming: HeadRec,
+}
 
 /// A flit entering a link this cycle.
 #[derive(Debug, Clone, Copy)]
@@ -346,17 +377,13 @@ pub struct Router {
     /// Kind bytes of the input-VC flit rings, one contiguous segment per
     /// VC (`vc_index * in_ring ..`).
     in_kind: Box<[FlitKind]>,
-    /// Cold parts (`rec`, `dest`) of the input rings.
-    in_cold: Box<[ColdFlit]>,
-    /// Look-ahead entries of the input rings, written and read at head
-    /// slots only; empty in PROUD routers, whose heads carry none.
-    in_la: Box<[Option<RouteEntry>]>,
     /// Kind bytes of the output staging rings.
     out_kind: Box<[FlitKind]>,
-    /// Cold parts of the ejection port's staging rings — the only
-    /// staged payloads (neighbor-bound payloads wait downstream). The
-    /// local port is port 0, so its arena slots lead the kind arena's.
-    out_cold: Box<[ColdFlit]>,
+    /// Per input VC: the head records (see the module docs).
+    in_recs: Box<[InputRecs]>,
+    /// Per ejection VC: the record handle of the message it carries. The
+    /// local port is port 0, so ejection VC `v` is output VC `v`.
+    eject_rec: Box<[MsgRef]>,
     selector: PathSelector,
     rng: SimRng,
     stats: RouterStats,
@@ -412,7 +439,6 @@ impl Router {
         let in_ring = in_cap.checked_add(out_cap).expect("ring fits u16");
         let in_slots = ports * vcs * in_ring as usize;
         let out_slots = ports * vcs * out_cap as usize;
-        let lookahead = cfg.pipeline.is_lookahead();
         Router {
             in_occupied: 0,
             out_occupied: 0,
@@ -436,7 +462,7 @@ impl Router {
             in_ring,
             vcs: vcs as u8,
             ports: ports as u8,
-            lookahead,
+            lookahead: cfg.pipeline.is_lookahead(),
             vm_next: [0; MAX_PORTS],
             xb_in_next: [0; MAX_PORTS],
             xb_out_next: [0; MAX_PORTS],
@@ -445,10 +471,16 @@ impl Router {
             inputs: [IDLE_INPUT; MAX_VC_SLOTS],
             outputs: [IDLE_OUTPUT; MAX_VC_SLOTS],
             in_kind: vec![FlitKind::Body; in_slots].into_boxed_slice(),
-            in_cold: vec![COLD_FILLER; in_slots].into_boxed_slice(),
-            in_la: vec![None; if lookahead { in_slots } else { 0 }].into_boxed_slice(),
             out_kind: vec![FlitKind::Body; out_slots].into_boxed_slice(),
-            out_cold: vec![COLD_FILLER; vcs * out_cap as usize].into_boxed_slice(),
+            in_recs: vec![
+                InputRecs {
+                    queued: VecDeque::new(),
+                    streaming: NO_REC,
+                };
+                ports * vcs
+            ]
+            .into_boxed_slice(),
+            eject_rec: vec![NO_REC.rec; vcs].into_boxed_slice(),
             selector: PathSelector::new(cfg.path_selection, ports),
             rng,
             stats: RouterStats::default(),
@@ -507,6 +539,13 @@ impl Router {
         self.in_occupied == 0 && self.out_occupied == 0
     }
 
+    /// Head records queued in the input VCs — one per head still in an
+    /// input ring, visible or reserved. Zero in a drained router: a record
+    /// left behind would mean a head vanished without its record.
+    pub fn head_records(&self) -> usize {
+        self.in_recs.iter().map(|r| r.queued.len()).sum()
+    }
+
     #[inline]
     fn in_idx(&self, port: Port, vc: usize) -> usize {
         debug_assert!(port.index() < self.ports() && vc < self.vcs as usize);
@@ -519,74 +558,71 @@ impl Router {
         port.index() * self.vcs as usize + vc
     }
 
-    // Ring-buffer primitives over the SoA flit arenas. Each VC owns the
-    // arena segment `idx * cap .. (idx + 1) * cap`; cursors wrap with a
-    // compare instead of a modulo so the hot path never divides.
+    // Ring-buffer primitives over the kind rings. Each VC owns the
+    // segment `idx * cap .. (idx + 1) * cap`; cursors wrap with a compare
+    // instead of a modulo so the hot path never divides.
 
+    /// Files `flit` behind the first `behind` flits (visible or reserved)
+    /// of input ring `idx`: its kind byte in that slot and, for a head,
+    /// its record at the back of the VC's queue — which keeps the records
+    /// in ring order, since flits are filed in ring order.
     #[inline]
-    fn ibuf_push(&mut self, idx: usize, flit: Flit) {
+    fn in_write(&mut self, idx: usize, behind: u16, flit: Flit) {
         let cap = self.in_ring;
-        let vc = &mut self.inputs[idx];
-        debug_assert!(vc.len < cap, "input ring overflow");
-        let mut slot = vc.head + vc.len;
+        let mut slot = self.inputs[idx].head + behind;
         if slot >= cap {
             slot -= cap;
         }
-        vc.len += 1;
-        self.in_write(idx * cap as usize + slot as usize, flit);
-    }
-
-    /// Writes `flit` into input arena slot `slot`: the kind byte and cold
-    /// part always, the look-ahead entry only for LA-PROUD heads.
-    #[inline]
-    fn in_write(&mut self, slot: usize, flit: Flit) {
-        let (kind, cold, lookahead) = flit.split();
-        self.in_kind[slot] = kind;
-        self.in_cold[slot] = cold;
-        if self.lookahead && kind.is_head() {
-            self.in_la[slot] = lookahead;
+        self.in_kind[idx * cap as usize + slot as usize] = flit.kind;
+        if flit.kind.is_head() {
+            self.in_recs[idx].queued.push_back(HeadRec {
+                rec: flit.rec,
+                dest: flit.dest,
+                lookahead: flit.lookahead.filter(|_| self.lookahead),
+            });
         }
     }
 
-    /// Reassembles the flit in input arena slot `slot` (inverse of
-    /// [`Router::in_write`]; non-heads and PROUD heads carry no
-    /// look-ahead).
+    /// The record of the head at the front of input ring `idx`.
     #[inline]
-    fn in_read(&self, slot: usize) -> Flit {
-        let kind = self.in_kind[slot];
-        let lookahead = if self.lookahead && kind.is_head() {
-            self.in_la[slot]
-        } else {
-            None
-        };
-        Flit::assemble(kind, self.in_cold[slot], lookahead)
+    fn front_rec(&self, idx: usize) -> &HeadRec {
+        self.in_recs[idx]
+            .queued
+            .front()
+            .expect("a queued head has a record")
     }
 
-    /// Arena index of input ring `idx`'s front slot (requires `len > 0`).
+    /// Kind-ring index of input ring `idx`'s front slot (requires
+    /// `len > 0`).
     #[inline]
     fn ibuf_front_slot(&self, idx: usize) -> usize {
         debug_assert!(self.inputs[idx].len > 0, "no front flit");
         idx * self.in_ring as usize + self.inputs[idx].head as usize
     }
 
-    /// Advances input ring `in_idx` past its front slot (the flit's
-    /// payload has already gone wherever it was needed).
+    /// Pops the front kind byte of input ring `in_idx`. A head also moves
+    /// its record from the queue to the VC's streaming record, which
+    /// then describes every flit up to the tail.
     #[inline]
-    fn ibuf_advance(&mut self, in_idx: usize) {
+    fn ibuf_pop(&mut self, in_idx: usize) -> FlitKind {
+        let kind = self.in_kind[self.ibuf_front_slot(in_idx)];
         let cap = self.in_ring;
         let ivc = &mut self.inputs[in_idx];
-        debug_assert!(ivc.len > 0, "input ring underflow");
         ivc.head += 1;
         if ivc.head == cap {
             ivc.head = 0;
         }
         ivc.len -= 1;
+        if kind.is_head() {
+            let recs = &mut self.in_recs[in_idx];
+            recs.streaming = recs.queued.pop_front().expect("a queued head has a record");
+        }
+        kind
     }
 
-    /// Pushes a kind byte onto staging ring `out_idx`, returning the
-    /// arena slot (so ejection-port callers can fill the cold half).
+    /// Pushes a kind byte onto staging ring `out_idx`.
     #[inline]
-    fn obuf_push_kind(&mut self, out_idx: usize, kind: FlitKind) -> usize {
+    fn obuf_push_kind(&mut self, out_idx: usize, kind: FlitKind) {
         let ocap = self.out_cap;
         let ovc = &mut self.outputs[out_idx];
         debug_assert!(ovc.len < ocap, "staging ring overflow");
@@ -595,24 +631,7 @@ impl Router {
             oslot -= ocap;
         }
         ovc.len += 1;
-        let oslot = out_idx * ocap as usize + oslot as usize;
-        self.out_kind[oslot] = kind;
-        oslot
-    }
-
-    /// Pops the front of input ring `in_idx` and pushes it onto staging
-    /// ring `out_idx`, copying the kind byte and cold part directly (the
-    /// full [`Flit`] is never reassembled mid-router, and an ejecting head
-    /// carries no look-ahead). Returns the moved flit's kind. The ejection
-    /// port's crossbar move.
-    #[inline]
-    fn move_in_to_out(&mut self, in_idx: usize, out_idx: usize) -> FlitKind {
-        let islot = self.ibuf_front_slot(in_idx);
-        let kind = self.in_kind[islot];
-        self.ibuf_advance(in_idx);
-        let oslot = self.obuf_push_kind(out_idx, kind);
-        self.out_cold[oslot] = self.in_cold[islot];
-        kind
+        self.out_kind[out_idx * ocap as usize + oslot as usize] = kind;
     }
 
     /// SY stage: a flit injected by the local network interface lands in
@@ -630,12 +649,18 @@ impl Router {
     /// arrives without look-ahead information.
     pub fn accept_flit(&mut self, port: Port, vc: usize, flit: Flit, now: Cycle) {
         let idx = self.in_idx(port, vc);
+        let len = self.inputs[idx].len;
         assert!(
-            self.inputs[idx].len < self.in_cap,
+            len < self.in_cap,
             "input buffer overflow at {} {port} vc{vc}: flow control violated",
             self.node
         );
-        self.ibuf_push(idx, flit);
+        debug_assert_eq!(
+            self.inputs[idx].pending, 0,
+            "injection behind a reservation"
+        );
+        self.in_write(idx, len, flit);
+        self.inputs[idx].len += 1;
         self.in_occupied |= 1 << idx;
         self.in_ports |= 1 << port.index();
         if self.lookahead {
@@ -643,17 +668,18 @@ impl Router {
         }
     }
 
-    /// Writes a flit's parts into the input ring slot it will occupy on
-    /// arrival **without making it visible**: the reservation half of the
+    /// Files a flit into the input ring slot it will occupy on arrival
+    /// **without making it visible**: the reservation half of the
     /// zero-copy wire (see the `lapses-network` module docs), performed
     /// when the flit wins the *upstream* crossbar. The slot is
     /// `head + len + pending`, which is stable under everything that can
     /// happen between reservation and arrival — pops advance `head` while
     /// shrinking `len`, earlier commits trade `pending` for `len` — so
-    /// the payload lands exactly where [`Router::commit_flit`] will
-    /// expose it, and nothing reads past `len` in the meantime. The ring
-    /// segment is sized `in_cap + out_cap`, covering every credited
-    /// launch plus every upstream-staged flit.
+    /// the kind byte lands exactly where [`Router::commit_flit`] will
+    /// expose it, and nothing reads past `len` in the meantime. A head's
+    /// record joins the back of the VC's queue. The ring segment is sized
+    /// `in_cap + out_cap`, covering every credited launch plus every
+    /// upstream-staged flit.
     ///
     /// # Panics
     ///
@@ -661,19 +687,15 @@ impl Router {
     /// or launched more than flow control ever allows).
     pub fn reserve_flit(&mut self, port: Port, vc: usize, flit: Flit) {
         let idx = self.in_idx(port, vc);
-        let cap = self.in_ring;
         let ivc = &mut self.inputs[idx];
+        let behind = ivc.len + ivc.pending;
         assert!(
-            ivc.len + ivc.pending < cap,
+            behind < self.in_ring,
             "input ring overflow at {} {port} vc{vc}: flow control violated",
             self.node
         );
-        let mut slot = ivc.head + ivc.len + ivc.pending;
-        if slot >= cap {
-            slot -= cap;
-        }
         ivc.pending += 1;
-        self.in_write(idx * cap as usize + slot as usize, flit);
+        self.in_write(idx, behind, flit);
     }
 
     /// Makes the oldest reserved flit at `(port, vc)` visible — the wire
@@ -788,9 +810,9 @@ impl Router {
         );
         let Some(v) = granted else { return false };
         let idx = base + v;
-        // Pop the staging ring's front: the kind byte always, the cold
-        // part only for ejections — a neighbor-bound payload already sits
-        // in the downstream input ring.
+        // Pop the staging ring's front kind byte: a neighbor-bound
+        // payload already sits in the downstream input ring, and an
+        // ejection is rebuilt from its VC's record.
         let ocap = self.out_cap;
         let (slot, was_full) = {
             let ovc = &mut self.outputs[idx];
@@ -842,7 +864,15 @@ impl Router {
         }
         let port = Port::from_index(p);
         if port.is_local() {
-            sink.launch(port, v, Flit::assemble(kind, self.out_cold[slot], None));
+            // The ejecting message's destination is this router, and an
+            // ejecting head carries no look-ahead.
+            let flit = Flit {
+                rec: self.eject_rec[v],
+                dest: self.node,
+                kind,
+                lookahead: None,
+            };
+            sink.launch(port, v, flit);
         } else {
             sink.launch_reserved(port, v);
         }
@@ -899,19 +929,25 @@ impl Router {
             let of = prop_of[ip] as usize;
             debug_assert!(prop_op[ip] as usize == op && of != u16::MAX as usize);
             let in_idx = ip * vcs + iv;
-            let kind = if op != Port::LOCAL.index() {
-                // Zero-copy wire: hand the payload to the sink (it goes
-                // straight into the downstream input ring) and stage only
-                // the kind byte for the VC multiplexor.
-                let flit = self.in_read(self.ibuf_front_slot(in_idx));
-                let kind = flit.kind;
+            let kind = self.ibuf_pop(in_idx);
+            let msg = self.in_recs[in_idx].streaming;
+            if op != Port::LOCAL.index() {
+                // Zero-copy wire: hand the flit, rebuilt from the streaming
+                // record, to the sink (it goes straight into the downstream
+                // input ring); only a head carries the look-ahead entry.
+                let flit = Flit {
+                    rec: msg.rec,
+                    dest: msg.dest,
+                    kind,
+                    lookahead: if kind.is_head() { msg.lookahead } else { None },
+                };
                 sink.transfer(Port::from_index(op), of - op * vcs, flit);
-                self.ibuf_advance(in_idx);
-                self.obuf_push_kind(of, kind);
-                kind
-            } else {
-                self.move_in_to_out(in_idx, of)
-            };
+            } else if kind.is_head() {
+                debug_assert_eq!(msg.dest, self.node, "ejecting a message for another node");
+                self.eject_rec[of] = msg.rec;
+            }
+            // Stage only the kind byte for the VC multiplexor.
+            self.obuf_push_kind(of, kind);
             if self.inputs[in_idx].len == 0 {
                 self.in_occupied &= !(1 << in_idx);
                 if (self.in_occupied >> (ip * vcs)) & vcmask == 0 {
@@ -950,17 +986,25 @@ impl Router {
     /// rewrites the header. Returns whether the allocation succeeded.
     fn sa_allocate(&mut self, idx: usize, entry: &RouteEntry) -> bool {
         let vcs = self.vcs as usize;
-        let slot = self.ibuf_front_slot(idx);
-        debug_assert!(self.in_kind[slot].is_head(), "selection on a non-head flit");
+        debug_assert!(
+            self.in_kind[self.ibuf_front_slot(idx)].is_head(),
+            "selection on a non-head flit"
+        );
         match self.try_allocate(entry) {
             Some((out_port, out_vc, used_escape)) => {
                 let of = out_port.index() * vcs + out_vc;
                 self.outputs[of].owner = Some(((idx / vcs) as u8, (idx % vcs) as u8));
                 self.owner_free &= !(1 << of);
                 if self.lookahead {
-                    let dest = self.in_cold[slot].dest;
-                    self.in_la[slot] =
-                        (!out_port.is_local()).then(|| self.table.lookahead_entry(out_port, dest));
+                    // The concurrent next-hop lookup rewrites the header's
+                    // record in place.
+                    let table = &self.table;
+                    let head = self.in_recs[idx]
+                        .queued
+                        .front_mut()
+                        .expect("a queued head has a record");
+                    head.lookahead =
+                        (!out_port.is_local()).then(|| table.lookahead_entry(out_port, head.dest));
                 }
                 self.inputs[idx].state = VcState::Active {
                     out_port,
@@ -995,11 +1039,10 @@ impl Router {
         if now.as_u64() < self.inputs[idx].ready_at || self.inputs[idx].len == 0 {
             return;
         }
-        let slot = self.ibuf_front_slot(idx);
-        if !self.in_kind[slot].is_head() {
+        if !self.in_kind[self.ibuf_front_slot(idx)].is_head() {
             return;
         }
-        let entry = self.table.entry(self.in_cold[slot].dest);
+        let entry = self.table.entry(self.front_rec(idx).dest);
         // The k-cycle lookup starting now completes at now + k; the
         // selection stage may fire from that cycle on (k = 1 recovers
         // the classic one-cycle TL stage).
@@ -1114,21 +1157,20 @@ impl Router {
         if self.inputs[idx].state != VcState::Idle || self.inputs[idx].len == 0 {
             return;
         }
-        let slot = self.ibuf_front_slot(idx);
-        if !self.in_kind[slot].is_head() {
+        if !self.in_kind[self.ibuf_front_slot(idx)].is_head() {
             return;
         }
-        let entry = self.in_la[slot].unwrap_or_else(|| {
+        let head = self.front_rec(idx);
+        let entry = head.lookahead.unwrap_or_else(|| {
             panic!(
-                "LA-PROUD header {} arrived at {} without look-ahead info",
-                self.in_read(slot),
-                self.node
+                "LA-PROUD header #{} ->{} arrived at {} without look-ahead info",
+                head.rec.0, head.dest, self.node
             )
         });
         debug_assert_eq!(
             (entry.candidates, entry.escape),
             {
-                let direct = self.table.entry(self.in_cold[slot].dest);
+                let direct = self.table.entry(head.dest);
                 (direct.candidates, direct.escape)
             },
             "carried look-ahead disagrees with a direct lookup at {}",
@@ -1380,11 +1422,11 @@ mod tests {
     #[test]
     fn proud_headers_do_not_carry_lookahead() {
         let mut r = line_router(RouterConfig::paper_adaptive());
-        let flits = message(3, 1);
+        // A PROUD router drops a carried entry instead of forwarding it.
+        let flits = with_lookahead(message(3, 1), &r);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
         let launches = run(&mut r, 1, 6);
         assert!(launches[0].1.flit.lookahead.is_none());
-        assert!(r.in_la.is_empty(), "PROUD stores no look-ahead entries");
     }
 
     #[test]
@@ -1649,9 +1691,9 @@ mod tests {
     }
 
     #[test]
-    fn soa_arenas_keep_lookahead_rewrites_on_the_cold_side() {
-        // SA writes the next hop's entry into the cold half in place; the
-        // launched header must carry it even though XB only copies halves.
+    fn lookahead_rewrite_edits_the_head_record_in_place() {
+        // SA writes the next hop's entry into the queued head record; the
+        // launched header must carry it, the tail none.
         let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(true));
         let flits = with_lookahead(message(3, 2), &r);
         for f in &flits {
@@ -1661,5 +1703,140 @@ mod tests {
         assert_eq!(launches.len(), 2);
         assert!(launches[0].1.flit.lookahead.is_some(), "head keeps entry");
         assert!(launches[1].1.flit.lookahead.is_none(), "tail carries none");
+    }
+
+    #[test]
+    fn head_records_follow_their_messages() {
+        // Single-flit and mixed-length messages arrive over the zero-copy
+        // wire on two VCs of the -d0 port, reservations interleaved with
+        // commits and pops, so a ring holds several heads at once. Every
+        // launched flit — toward +d0 or into the ejection port — must be
+        // the fed one, with the next hop's entry on LA-PROUD heads.
+        let mesh = Mesh::mesh(&[4]);
+        let program = FullTable::program(&mesh, &DuatoAdaptive::new());
+        let minus = Port::from(Direction::minus(0));
+        // (record, input VC, destination, length); node 1 ejects.
+        let msgs = [
+            (1u32, 0usize, 3u32, 1u32),
+            (2, 0, 1, 1),
+            (3, 0, 3, 3),
+            (4, 0, 1, 2),
+            (5, 1, 2, 1),
+            (6, 1, 1, 4),
+            (7, 0, 3, 1),
+            (8, 1, 3, 2),
+            (9, 0, 1, 1),
+            (10, 1, 1, 1),
+        ];
+        for lookahead in [false, true] {
+            let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(lookahead));
+            let mut feed = [VecDeque::new(), VecDeque::new()];
+            let mut expected = vec![Vec::new(); msgs.len() + 1];
+            for &(m, vc, dest, len) in &msgs {
+                let mut flits = Flit::message(MsgRef(m), NodeId(dest), len);
+                if lookahead {
+                    flits[0].lookahead = Some(r.table.entry(NodeId(dest)));
+                }
+                for f in &flits {
+                    let next_hop = (lookahead && f.kind.is_head() && dest != 1)
+                        .then(|| program.entry(NodeId(2), NodeId(dest)));
+                    expected[m as usize].push(Flit {
+                        lookahead: next_hop,
+                        ..*f
+                    });
+                }
+                feed[vc].extend(flits);
+            }
+            let mut pending = [0; 2];
+            let mut launched = vec![Vec::new(); msgs.len() + 1];
+            let mut most_heads = 0;
+            let mut out = StepOutputs::default();
+            for t in 0..120u64 {
+                for vc in 0..2 {
+                    if t % 3 != 2 {
+                        if let Some(f) = feed[vc].pop_front() {
+                            r.reserve_flit(minus, vc, f);
+                            pending[vc] += 1;
+                        }
+                    }
+                    if t % 2 == 0 && pending[vc] > 0 {
+                        r.commit_flit(minus, vc, Cycle::new(t));
+                        pending[vc] -= 1;
+                    }
+                }
+                most_heads = most_heads.max(r.head_records());
+                r.step_into(Cycle::new(t), &mut out);
+                for l in &out.launches {
+                    launched[l.flit.rec.0 as usize].push(l.flit);
+                    if !l.port.is_local() {
+                        r.accept_credit(l.port, l.vc);
+                    }
+                }
+            }
+            assert_eq!(launched, expected, "lookahead {lookahead}");
+            assert!(most_heads >= 4, "only {most_heads} heads queued at once");
+            assert!(r.is_empty());
+            assert_eq!(r.head_records(), 0, "a head record was left behind");
+        }
+    }
+
+    /// Bytes `r` owns: the struct itself plus its kind rings and head
+    /// records (the table program is shared by every router and not
+    /// counted). Independent of the host's speed, so CI can pin it.
+    fn footprint_bytes(r: &Router) -> usize {
+        use std::mem::size_of;
+        let queued: usize = r.in_recs.iter().map(|q| q.queued.capacity()).sum();
+        size_of::<Router>()
+            + (r.in_kind.len() + r.out_kind.len()) * size_of::<FlitKind>()
+            + r.in_recs.len() * size_of::<InputRecs>()
+            + queued * size_of::<HeadRec>()
+            + r.eject_rec.len() * size_of::<MsgRef>()
+    }
+
+    /// The paper router at the centre of a 4×4 mesh: 5 ports × 4 VCs.
+    fn paper_router(cfg: RouterConfig) -> Router {
+        let mesh = Mesh::mesh_2d(4, 4);
+        let program: Arc<dyn TableScheme> =
+            Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let node = NodeId(5);
+        Router::new(
+            node,
+            mesh.ports_per_router(),
+            cfg,
+            RouterTable::new(program, node),
+            SimRng::from_seed(1),
+        )
+    }
+
+    /// Bytes of a fresh paper router on a 64-bit host: the 2928-byte
+    /// struct, 800 + 400 kind bytes, 20 × 48 bytes of head-record queues
+    /// and 4 × 4 bytes of ejection records.
+    const FOOTPRINT: usize = 5104;
+
+    #[test]
+    fn router_footprint_is_pinned() {
+        // A body or tail slot is one kind byte: routing state lives once
+        // per message, with its head. Deeper input buffers grow the router
+        // by the added kind bytes only (5 ports × 4 VCs × 10 slots), in
+        // PROUD and LA-PROUD alike.
+        let paper = RouterConfig::paper_adaptive();
+        let deeper = RouterConfig {
+            input_buffer_flits: 30,
+            ..paper.clone()
+        };
+        for lookahead in [false, true] {
+            let base = footprint_bytes(&paper_router(paper.clone().with_lookahead(lookahead)));
+            let grown = footprint_bytes(&paper_router(deeper.clone().with_lookahead(lookahead)));
+            assert_eq!(grown - base, 5 * 4 * 10, "lookahead {lookahead}");
+            assert_eq!(base, FOOTPRINT, "lookahead {lookahead}");
+        }
+        // A queued 20-flit message costs one head record — at most the
+        // queue's first allocation of four — not 20 slots of state.
+        let mut r = paper_router(paper);
+        for f in Flit::message(MsgRef(1), NodeId(6), 20) {
+            r.accept_flit(Port::LOCAL, 0, f, Cycle::ZERO);
+        }
+        assert_eq!(r.head_records(), 1);
+        assert!(footprint_bytes(&r) - FOOTPRINT <= 4 * std::mem::size_of::<HeadRec>());
     }
 }

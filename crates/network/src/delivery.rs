@@ -47,10 +47,11 @@ pub(crate) struct EjectRecord {
     pub kind: FlitKind,
 }
 
-/// An arrival notification for a flit whose payload was already written
-/// into the destination router's input arena at reservation time
-/// (`Router::reserve_flit`): the wire carries a 4-byte address per flit,
-/// never the flit itself.
+/// An arrival notification for a flit already filed into the destination
+/// router's input ring at reservation time (`Router::reserve_flit`: the
+/// kind byte in its slot and, for a head, the message's record in the
+/// VC's queue): the wire carries a 4-byte address per flit, never the
+/// flit itself.
 pub(crate) type ArrivalEvent = WireAddr;
 
 /// The traffic one shard of the network launches toward another during
@@ -154,9 +155,15 @@ impl DeliveryQueues {
 
     /// Advances the event ring's "current slot" cursor to `now`. The cycle
     /// loop moves one cycle at a time, so this is one wrapping increment.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `now` is before the cursor, in release builds too: an
+    /// event stamped earlier would silently land `flit_now - now` buckets
+    /// late.
     #[inline]
     fn flit_slot_at(&mut self, now: u64) -> usize {
-        debug_assert!(now >= self.flit_now, "delivery time went backwards");
+        assert!(now >= self.flit_now, "delivery time went backwards");
         while self.flit_now < now {
             self.flit_now += 1;
             self.flit_slot += 1;
@@ -167,10 +174,11 @@ impl DeliveryQueues {
         self.flit_slot
     }
 
-    /// Advances the credit ring's cursor to `now`.
+    /// Advances the credit ring's cursor to `now`, panicking like
+    /// `flit_slot_at` on a credit stamped before it.
     #[inline]
     fn credit_slot_at(&mut self, now: u64) -> usize {
-        debug_assert!(now >= self.credit_now, "delivery time went backwards");
+        assert!(now >= self.credit_now, "delivery time went backwards");
         while self.credit_now < now {
             self.credit_now += 1;
             self.credit_slot += 1;
@@ -328,6 +336,25 @@ mod tests {
         // an empty buffer without touching the allocator.
         q.swap_events(Cycle::new(2), &mut buf);
         assert!(buf.is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery time went backwards")]
+    fn event_stamped_before_the_cursor_panics() {
+        let mut q = DeliveryQueues::new(2, 1, 0);
+        let _ = arrivals(&mut q, 7);
+        q.send_event(Cycle::new(6), event(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "delivery time went backwards")]
+    fn credit_stamped_before_the_cursor_panics() {
+        let mut q = DeliveryQueues::new(1, 1, 0);
+        let _ = q.take_credits(Cycle::new(4));
+        q.send_credit(
+            Cycle::new(3),
+            CreditDelivery::new(NodeId(0), Port::LOCAL, 0),
+        );
     }
 
     #[test]

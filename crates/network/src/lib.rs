@@ -56,7 +56,7 @@ mod messages;
 mod nic;
 
 pub use experiment::{Algorithm, ArrivalKind, FaultsConfig, Pattern, TableKind, WorkloadKind};
-pub use network::{Network, MAX_NODES};
+pub use network::{Network, MAX_LINK_DELAY, MAX_NODES};
 pub use report::SweepReport;
 pub use scenario::{Scenario, ScenarioBuilder, ScenarioError};
 pub use spec::{ScenarioSpec, SpecError};

@@ -44,10 +44,11 @@
 //!
 //! # The zero-copy wire and batched commits
 //!
-//! A flit bound for a neighbor router writes its payload **directly into
-//! the input-arena slot it will occupy on arrival** when it wins the
-//! crossbar (`Router::reserve_flit` — the slot is computable then and
-//! stable until arrival), and its VC-multiplexor launch sends only a
+//! A flit bound for a neighbor router is filed **directly into the
+//! input-ring slot it will occupy on arrival** when it wins the crossbar
+//! (`Router::reserve_flit` — the slot is computable then and stable until
+//! arrival; the slot keeps the kind byte, and a head's routing state joins
+//! the VC's head-record queue), and its VC-multiplexor launch sends only a
 //! packed 4-byte `ArrivalEvent` down the delay ring.
 //! When the link delay elapses, the cycle loop chains that cycle's events
 //! by destination router and commits them router by router
@@ -141,6 +142,13 @@ use std::time::{Duration, Instant};
 /// [`Network::new`] panics at or past it; scenario validation reports it
 /// as a typed error first.
 pub const MAX_NODES: usize = 1 << 22;
+
+/// The largest link delay a network accepts, in cycles. Every cycle of
+/// delay adds a delivery-ring bucket per shard, each pre-sized for a
+/// record per (node, port), so the delay bounds memory up front.
+/// [`Network::new`] panics past it; scenario validation reports it as a
+/// typed error first.
+pub const MAX_LINK_DELAY: u64 = 256;
 
 /// Nodes per shard when the shard count is automatic: a network takes one
 /// helper thread per `MIN_SHARD_NODES` nodes beyond the first
@@ -897,6 +905,10 @@ impl Network {
             mesh.node_count() < MAX_NODES,
             "mesh exceeds the packed wire-address budget"
         );
+        assert!(
+            link_delay <= MAX_LINK_DELAY,
+            "link delay {link_delay} exceeds {MAX_LINK_DELAY} cycles"
+        );
         router_cfg.validate();
         let mut rng = SimRng::from_seed(seed);
         let ports = mesh.ports_per_router();
@@ -1172,7 +1184,8 @@ impl Network {
     /// Asserts the network is fully quiescent and flow control balanced:
     /// no flits anywhere, every NIC idle, every wired output VC's credit
     /// counter restored to the downstream buffer depth, the incremental
-    /// activity counters back at zero, and no message record leaked.
+    /// activity counters back at zero, and no message record or router
+    /// head record leaked.
     ///
     /// Catching a credit leak here means some flit consumed buffer space
     /// that was never returned — the classic wormhole flow-control bug.
@@ -1190,6 +1203,8 @@ impl Network {
             assert_eq!(shard.router_flits, 0, "router flit counter drifted");
             for router in &shard.routers {
                 let node = router.node();
+                let left = router.head_records();
+                assert_eq!(left, 0, "{left} head record(s) left behind at {node}");
                 let depth = router.config().input_buffer_flits as u32;
                 for port in self.mesh.direction_ports() {
                     let dir = port.direction().expect("direction port");
@@ -1609,6 +1624,40 @@ mod tests {
             assert_eq!(summary.measured_deliveries, 0);
         }
         assert!(!net.has_traffic());
+        net.assert_quiescent();
+    }
+
+    #[test]
+    fn drained_network_leaves_no_head_records() {
+        // Single-flit and mixed-length messages from every node, under
+        // both pipelines: once drained, no router holds a head record
+        // (`assert_quiescent` counts them).
+        for lookahead in [false, true] {
+            let mut net = small_net(paper(lookahead));
+            offer_wave(&mut net, 0, 1, |s| s + 5);
+            offer_wave(&mut net, 0, 3, |s| s * 7 + 2);
+            offer_wave(&mut net, 0, 1, |s| 15 - s);
+            offer_wave(&mut net, 0, 9, |s| s + 11);
+            for t in 0..5_000 {
+                net.step(Cycle::new(t));
+                if !net.has_traffic() {
+                    break;
+                }
+            }
+            assert!(!net.has_traffic(), "traffic should have drained");
+            net.assert_quiescent();
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "head record(s) left behind at n5")]
+    fn quiescence_catches_a_stranded_head_record() {
+        // A head filed into an input ring but never delivered leaves its
+        // record behind while no flit is visible anywhere.
+        let mut net = small_net(RouterConfig::paper_adaptive());
+        let head = Flit::message(MsgRef(0), NodeId(6), 1)[0];
+        let east = Port::from(lapses_topology::Direction::plus(0));
+        net.local.routers[5].reserve_flit(east, 0, head);
         net.assert_quiescent();
     }
 

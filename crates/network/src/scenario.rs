@@ -34,7 +34,7 @@
 use crate::experiment::{
     Algorithm, ArrivalKind, FaultsConfig, Pattern, SimConfig, TableKind, WorkloadKind,
 };
-use crate::network::MAX_NODES;
+use crate::network::{MAX_LINK_DELAY, MAX_NODES};
 use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
 use lapses_core::{RouterConfig, MAX_VC_SLOTS};
@@ -84,6 +84,13 @@ pub enum ScenarioError {
     },
     /// The table lookup is set to take zero cycles; it takes at least one.
     ZeroLookupCycles,
+    /// The link delay exceeds [`MAX_LINK_DELAY`] cycles.
+    LinkDelay {
+        /// The configured delay, in cycles.
+        delay: u64,
+        /// The inclusive limit ([`MAX_LINK_DELAY`]).
+        limit: u64,
+    },
     /// The routing algorithm needs more escape VCs than the router has.
     EscapeVcs {
         /// The algorithm.
@@ -225,6 +232,9 @@ impl fmt::Display for ScenarioError {
             ),
             ScenarioError::ZeroLookupCycles => {
                 write!(f, "table lookup takes at least one cycle, got 0")
+            }
+            ScenarioError::LinkDelay { delay, limit } => {
+                write!(f, "link delay must be at most {limit} cycles, got {delay}")
             }
             ScenarioError::EscapeVcs {
                 algorithm,
@@ -526,7 +536,9 @@ impl ScenarioBuilder {
         self
     }
 
-    /// Sets the link traversal delay in cycles.
+    /// Sets the link traversal delay in cycles: a launched flit commits
+    /// `delay + 1` cycles later (0 gives the paper's Table 2 timing;
+    /// validated at build against [`MAX_LINK_DELAY`]).
     pub fn link_delay(mut self, delay: u64) -> Self {
         self.config.link_delay = delay;
         self
@@ -542,6 +554,7 @@ impl ScenarioBuilder {
     ///
     /// Checks, in order: load sanity, measurement window, VC counts, the
     /// router's (port, VC) slot budget, the node-count limit, buffer depths,
+    /// the table-lookup latency, the link-delay limit,
     /// algorithm/topology compatibility, faults (valid links, an up*/down*
     /// algorithm and a fault-capable table), table/topology compatibility,
     /// connectivity, escape-VC sufficiency for deadlock freedom, and
@@ -600,6 +613,12 @@ impl ScenarioBuilder {
         }
         if router.table_lookup_cycles == 0 {
             return Err(ScenarioError::ZeroLookupCycles);
+        }
+        if config.link_delay > MAX_LINK_DELAY {
+            return Err(ScenarioError::LinkDelay {
+                delay: config.link_delay,
+                limit: MAX_LINK_DELAY,
+            });
         }
 
         if config.algorithm.requires_2d_mesh()
@@ -866,6 +885,27 @@ mod tests {
         );
         let slow = small().table_lookup_cycles(3).build().unwrap();
         assert_eq!(slow.config().router.table_lookup_cycles, 3);
+    }
+
+    #[test]
+    fn link_delays_past_the_limit_are_errors_not_panics() {
+        // `u64::MAX` once overflowed `link_delay + 1` in `Network::new`,
+        // and a billion cycles pre-sized a billion ring buckets.
+        for delay in [MAX_LINK_DELAY + 1, 1_000_000_000, u64::MAX] {
+            assert_eq!(
+                small().link_delay(delay).build().unwrap_err(),
+                ScenarioError::LinkDelay {
+                    delay,
+                    limit: MAX_LINK_DELAY
+                }
+            );
+        }
+        for delay in [0, MAX_LINK_DELAY] {
+            let scenario = small().link_delay(delay).build().unwrap();
+            assert_eq!(scenario.config().link_delay, delay);
+        }
+        let err = small().link_delay(u64::MAX).build().unwrap_err();
+        assert!(err.to_string().contains("at most 256 cycles"), "{err}");
     }
 
     #[test]

@@ -31,6 +31,7 @@
 //! warmup = 2000
 //! measure = 20000
 //! seed = 20260611
+//! link-delay = 1                       # 0 gives the paper's Table 2 timing
 //! ```
 
 use crate::experiment::{
@@ -109,7 +110,7 @@ impl From<ScenarioError> for SpecError {
 }
 
 /// Every key, in the order [`ScenarioSpec::format`] writes them.
-const KEYS: [&str; 16] = [
+const KEYS: [&str; 17] = [
     "topology",
     "faults",
     "fault-count",
@@ -126,6 +127,7 @@ const KEYS: [&str; 16] = [
     "warmup",
     "measure",
     "seed",
+    "link-delay",
 ];
 
 fn shape_to_string(shape: &[u16]) -> String {
@@ -376,6 +378,11 @@ impl ScenarioSpec {
                         .parse()
                         .map_err(|_| err(format!("bad seed {value:?}")))?;
                 }
+                "link-delay" => {
+                    c.link_delay = value
+                        .parse()
+                        .map_err(|_| err(format!("bad link delay {value:?}")))?;
+                }
                 _ => unreachable!("key was canonicalized above"),
             }
         }
@@ -492,6 +499,7 @@ impl ScenarioSpec {
         kv("warmup", c.warmup_msgs.to_string());
         kv("measure", c.measure_msgs.to_string());
         kv("seed", c.seed.to_string());
+        kv("link-delay", c.link_delay.to_string());
         out
     }
 
@@ -567,6 +575,35 @@ mod tests {
                 peak_gap: 2.5
             }
         );
+    }
+
+    #[test]
+    fn link_delay_key_sets_the_delay() {
+        assert_eq!(ScenarioSpec::default().config.link_delay, 1);
+        let spec = parse("topology = mesh 4x4\nlink-delay = 0\n");
+        assert_eq!(spec.config.link_delay, 0);
+        assert_round_trips(&spec);
+        assert!(spec.format().contains("link-delay = 0\n"));
+        let built = spec.to_scenario(Path::new(".")).unwrap();
+        assert_eq!(built.config().link_delay, 0);
+        for bad in ["-1", "1.5", "x", "18446744073709551616"] {
+            let text = format!("link-delay = {bad}");
+            assert!(
+                matches!(
+                    ScenarioSpec::parse(&text),
+                    Err(SpecError::Parse { line: 1, .. })
+                ),
+                "{text}"
+            );
+        }
+        let too_long = parse("link-delay = 257");
+        assert!(matches!(
+            too_long.to_scenario(Path::new(".")),
+            Err(SpecError::Scenario(ScenarioError::LinkDelay {
+                delay: 257,
+                ..
+            }))
+        ));
     }
 
     #[test]

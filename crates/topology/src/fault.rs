@@ -34,6 +34,7 @@
 //! assert_eq!(fmesh.distance(NodeId(5), NodeId(6)), 3);
 //! ```
 
+use crate::coord::MAX_DIMS;
 use crate::mesh::Mesh;
 use crate::port::{Direction, Port, PortSet, MAX_PORTS};
 use crate::NodeId;
@@ -144,9 +145,27 @@ impl FaultSet {
     /// always yields the same set — sweep reports built from random fault
     /// sets stay bit-identical across thread counts.
     ///
-    /// Each trial cuts the link out of one surviving-link table and runs a
-    /// BFS over it with reused buffers, restoring the link on rejection.
+    /// Each trial cuts the link `a`–`b` out of one surviving-link table,
+    /// restoring it on rejection. The table is connected before every
+    /// trial, so it stays connected exactly when `a` still reaches `b`: a
+    /// bidirectional search from both endpoints decides that without
+    /// visiting the whole network.
     pub fn random(mesh: &Mesh, count: usize, seed: u64) -> Result<FaultSet, FaultError> {
+        let mut search = Meet::default();
+        FaultSet::draw(mesh, count, seed, |links, a, b| {
+            search.connects(links, a, b)
+        })
+    }
+
+    /// The seeded greedy draw behind [`FaultSet::random`], keeping a cut
+    /// link `a`–`b` when `still_connected(links, a, b)` says the table
+    /// without it is connected.
+    fn draw(
+        mesh: &Mesh,
+        count: usize,
+        seed: u64,
+        mut still_connected: impl FnMut(&[[u32; MAX_PORTS]], NodeId, NodeId) -> bool,
+    ) -> Result<FaultSet, FaultError> {
         let mut links = mesh_links(mesh);
         let mut candidates = Vec::new();
         for (node, row) in links.iter().enumerate() {
@@ -174,13 +193,12 @@ impl FaultSet {
             candidates.swap(i, j);
         }
         let mut chosen = Vec::with_capacity(count);
-        let mut bfs = Bfs::default();
         for (a, b) in candidates {
             if chosen.len() == count {
                 break;
             }
             let (pa, pb) = cut(&mut links, a, b).expect("candidates are links");
-            if bfs.reachable_from_zero(&links) == links.len() {
+            if still_connected(&links, a, b) {
                 chosen.push((a, b));
             } else {
                 links[a.index()][pa] = b.0;
@@ -248,20 +266,48 @@ fn are_linked(mesh: &Mesh, a: NodeId, b: NodeId) -> bool {
 const NO_LINK: u32 = u32::MAX;
 
 /// Per node, the neighbor id behind each port index over the links of
-/// `mesh`, [`NO_LINK`] where there is none.
+/// `mesh`, [`NO_LINK`] where there is none. Built from index strides (the
+/// neighbors along dimension `d` sit `stride[d]` ids away, and the wrap
+/// link `(k - 1) * stride[d]` away) with the coordinates kept by an
+/// odometer, so no node pays a coordinate round trip.
 fn mesh_links(mesh: &Mesh) -> Vec<[u32; MAX_PORTS]> {
-    mesh.nodes()
-        .map(|node| {
-            let mut row = [NO_LINK; MAX_PORTS];
-            for port in mesh.direction_ports() {
-                let dir = port.direction().expect("direction port");
-                if let Some(nb) = mesh.neighbor(node, dir) {
-                    row[port.index()] = nb.0;
-                }
+    let shape = mesh.shape();
+    let mut strides = [0u32; MAX_DIMS];
+    let mut stride = 1u32;
+    for (d, &k) in shape.iter().enumerate() {
+        strides[d] = stride;
+        stride *= k as u32;
+    }
+    let mut coord = [0u16; MAX_DIMS];
+    let mut links = Vec::with_capacity(mesh.node_count());
+    for node in 0..mesh.node_count() as u32 {
+        let mut row = [NO_LINK; MAX_PORTS];
+        for (d, &k) in shape.iter().enumerate() {
+            let (c, stride) = (coord[d], strides[d]);
+            let wrap = (k as u32 - 1) * stride;
+            let plus = Port::from(Direction::plus(d)).index();
+            let minus = Port::from(Direction::minus(d)).index();
+            if c + 1 < k {
+                row[plus] = node + stride;
+            } else if mesh.is_torus() {
+                row[plus] = node - wrap;
             }
-            row
-        })
-        .collect()
+            if c > 0 {
+                row[minus] = node - stride;
+            } else if mesh.is_torus() {
+                row[minus] = node + wrap;
+            }
+        }
+        links.push(row);
+        for (c, &k) in coord.iter_mut().zip(shape) {
+            *c += 1;
+            if *c < k {
+                break;
+            }
+            *c = 0;
+        }
+    }
+    links
 }
 
 /// Removes the link `a`–`b` from both endpoints' rows and returns the two
@@ -320,6 +366,68 @@ impl Bfs {
             }
         }
         self.queue.len()
+    }
+}
+
+/// Reusable bidirectional-search state over a surviving-link table.
+/// Marks are stamped with a per-search generation, so a search touches
+/// only the nodes it visits — no whole-network clear between trials.
+#[derive(Default)]
+struct Meet {
+    /// Per node: the stamp of the last search side that reached it.
+    mark: Vec<u32>,
+    /// Searches so far; search `g` stamps its sides `2g` and `2g + 1`.
+    /// A draw makes one search per candidate link, far fewer than 2³¹.
+    generation: u32,
+    /// Per side: the nodes reached in the last level.
+    frontier: [Vec<u32>; 2],
+    next: Vec<u32>,
+}
+
+impl Meet {
+    /// Whether `a` reaches `b` over `links`. Searches from both ends one
+    /// BFS level at a time, always growing the smaller frontier: a cut that
+    /// strands a small component is refuted once that component is
+    /// exhausted, and a cut with a short detour is confirmed where the two
+    /// searches meet.
+    fn connects(&mut self, links: &[[u32; MAX_PORTS]], a: NodeId, b: NodeId) -> bool {
+        self.generation += 1;
+        self.mark.resize(links.len(), 0);
+        let stamp = [2 * self.generation, 2 * self.generation + 1];
+        let Meet {
+            mark,
+            frontier,
+            next,
+            ..
+        } = self;
+        for (side, node) in [a, b].into_iter().enumerate() {
+            mark[node.index()] = stamp[side];
+            frontier[side].clear();
+            frontier[side].push(node.0);
+        }
+        loop {
+            let side = usize::from(frontier[1].len() < frontier[0].len());
+            if frontier[side].is_empty() {
+                return false;
+            }
+            next.clear();
+            for &node in &frontier[side] {
+                for &nb in &links[node as usize] {
+                    if nb == NO_LINK {
+                        continue;
+                    }
+                    let seen = mark[nb as usize];
+                    if seen == stamp[1 - side] {
+                        return true;
+                    }
+                    if seen != stamp[side] {
+                        mark[nb as usize] = stamp[side];
+                        next.push(nb);
+                    }
+                }
+            }
+            std::mem::swap(&mut frontier[side], next);
+        }
     }
 }
 
@@ -625,6 +733,77 @@ mod tests {
             (949, 950), (985, 986), (993, 994), (996, 997),
         ];
         assert_eq!(draw(Mesh::mesh_2d(32, 32), 64, 1999), faulty32);
+    }
+
+    /// Small topologies of every kind the draw supports.
+    fn assorted_topologies() -> Vec<Mesh> {
+        vec![
+            Mesh::mesh_2d(8, 8),
+            Mesh::mesh_2d(5, 5),
+            Mesh::mesh_2d(2, 2),
+            Mesh::mesh_2d(7, 3),
+            Mesh::torus_2d(4, 4),
+            Mesh::torus_2d(5, 3),
+            Mesh::mesh(&[9]),
+            Mesh::torus(&[7]),
+            Mesh::mesh_3d(3, 3, 3),
+            Mesh::mesh(&[4, 1, 3]),
+            Mesh::torus(&[3, 3, 3]),
+        ]
+    }
+
+    #[test]
+    fn stride_table_matches_mesh_neighbors() {
+        for mesh in assorted_topologies() {
+            let table = mesh_links(&mesh);
+            for node in mesh.nodes() {
+                let mut row = [NO_LINK; MAX_PORTS];
+                for port in mesh.direction_ports() {
+                    if let Some(nb) = mesh.neighbor(node, port.direction().unwrap()) {
+                        row[port.index()] = nb.0;
+                    }
+                }
+                assert_eq!(table[node.index()], row, "{mesh} {node}");
+            }
+        }
+    }
+
+    /// The whole-network predicate the bidirectional search replaced:
+    /// after each cut, every node is still reachable from node 0.
+    fn random_by_whole_network_bfs(
+        mesh: &Mesh,
+        count: usize,
+        seed: u64,
+    ) -> Result<FaultSet, FaultError> {
+        let mut bfs = Bfs::default();
+        FaultSet::draw(mesh, count, seed, |links, _, _| {
+            bfs.reachable_from_zero(links) == links.len()
+        })
+    }
+
+    #[test]
+    fn bidirectional_search_draws_the_whole_network_sets() {
+        let mut draws = 0;
+        for mesh in assorted_topologies() {
+            let links = mesh_links(&mesh)
+                .iter()
+                .flatten()
+                .filter(|&&nb| nb != NO_LINK)
+                .count()
+                / 2;
+            let placeable = links + 1 - mesh.node_count();
+            for count in [1, 3, placeable / 2, placeable, placeable + 1] {
+                for seed in 0..8 {
+                    assert_eq!(
+                        FaultSet::random(&mesh, count, seed),
+                        random_by_whole_network_bfs(&mesh, count, seed),
+                        "{mesh}, {count} faults, seed {seed}"
+                    );
+                    draws += 1;
+                }
+            }
+        }
+        assert_eq!(draws, 11 * 5 * 8);
     }
 
     #[test]

@@ -139,14 +139,15 @@
 //! word-packed active sets that flit deliveries, message offers and
 //! credit returns keep up to date (see the scheduler invariants in
 //! [`network::network`]). Flits are sized by what the datapath reads:
-//! a 16-byte `Copy` POD on the wire, and inside a router a kind byte plus
-//! an 8-byte `(record handle, destination)` pair, with the look-ahead
-//! entry stored only for heads — so a body or tail flit moves 9 bytes
-//! per hop. The per-message bookkeeping (source, timestamps, measurement
-//! flag) lives in a slab of per-message records, NICs queue one compact
-//! descriptor per message and build each flit as they inject it, and
-//! launches stream from the router pipeline straight onto the wires
-//! through [`core::StepSink`] with no intermediate staging.
+//! a 16-byte `Copy` POD at the router's boundaries, and inside a router
+//! one kind byte per buffer slot. A message's routing state (record
+//! handle, destination, look-ahead entry) is stored once, with its head,
+//! as in the paper's header-only routing — so a body or tail flit moves
+//! one byte per hop. The per-message bookkeeping (source, timestamps,
+//! measurement flag) lives in a slab of per-message records, NICs queue
+//! one compact descriptor per message and build each flit as they inject
+//! it, and launches stream from the router pipeline straight onto the
+//! wires through [`core::StepSink`] with no intermediate staging.
 //! There is one cycle loop: one router walk, one delivery protocol and one
 //! scheduler. Its simulated behaviour is pinned bit for bit by golden
 //! fingerprints in the `golden_fingerprints`, `scheduler_equivalence` and

@@ -1,0 +1,70 @@
+//! Paper fidelity: numbers the simulator must reproduce from the paper.
+//!
+//! Table 2 gives the header pipeline of the PROUD router as five stages
+//! per router and of LA-PROUD as four. A single-flit message on an idle
+//! network pays exactly those stages at each of the `h + 1` routers on an
+//! `h`-hop path when links take no extra cycle (`link_delay(0)`): `5h + 5`
+//! and `4h + 4` cycles. The default `link_delay(1)` adds one cycle per
+//! router: `6h + 6` and `5h + 5`.
+
+use lapses::prelude::*;
+use lapses::traffic::TraceEvent;
+use std::path::Path;
+use std::sync::Arc;
+
+/// A trace holding one single-flit message on an 8×8 mesh, injected at
+/// cycle 0 from node 0 toward a node `hops` hops away.
+fn one_message(hops: u16) -> Arc<Trace> {
+    let mesh = Mesh::mesh_2d(8, 8);
+    let dest = mesh.id_at(&[hops.div_ceil(2), hops / 2]).unwrap();
+    assert_eq!(mesh.distance(NodeId(0), dest), hops as u32);
+    let event = TraceEvent {
+        cycle: 0,
+        src: 0,
+        dest: dest.0,
+        length: 1,
+    };
+    Arc::new(Trace::from_events(64, vec![event]).unwrap())
+}
+
+/// The latency of [`one_message`] through `builder`'s router.
+fn latency(builder: ScenarioBuilder, hops: u16) -> f64 {
+    let result = builder
+        .mesh_2d(8, 8)
+        .trace(one_message(hops))
+        .message_counts(0, 1)
+        .build()
+        .unwrap()
+        .run();
+    assert_eq!(result.messages, 1);
+    result.avg_latency
+}
+
+#[test]
+fn table2_header_stages_per_hop() {
+    for hops in 1..=6u16 {
+        let h = hops as f64;
+        for (lookahead, stages) in [(false, 5.0), (true, 4.0)] {
+            let paper = Scenario::builder().lookahead(lookahead).link_delay(0);
+            assert_eq!(
+                latency(paper, hops),
+                stages * (h + 1.0),
+                "{hops} hops, lookahead {lookahead}, paper timing"
+            );
+            let default = Scenario::builder().lookahead(lookahead);
+            assert_eq!(
+                latency(default, hops),
+                (stages + 1.0) * (h + 1.0),
+                "{hops} hops, lookahead {lookahead}, default link delay"
+            );
+        }
+    }
+}
+
+#[test]
+fn table2_timing_through_a_spec() {
+    let spec =
+        ScenarioSpec::parse("topology = mesh 8x8\nlookahead = true\nlink-delay = 0\n").unwrap();
+    let builder = spec.to_builder(Path::new(".")).unwrap();
+    assert_eq!(latency(builder, 4), 4.0 * 5.0);
+}

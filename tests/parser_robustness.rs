@@ -67,6 +67,7 @@ const KEYS: &[&str] = &[
     "warmup",
     "measure",
     "seed",
+    "link-delay",
 ];
 const COUNTS: &[&str] = &["0", "1", "2", "3", "5", "8", "20", "64"];
 const EDGE_COUNTS: &[&str] = &["-1", "4000000000", "99999999999999999999", "x", "1.5"];
@@ -194,6 +195,13 @@ fn value(g: &mut Gen, key: &str) -> String {
             _ => format!("bimodal {} {} {}", count(g), count(g), float(g)),
         },
         "load" => float(g),
+        "link-delay" => g
+            .pick(if edge {
+                &["257", "1000000000", "18446744073709551615", "-1", "x"]
+            } else {
+                &["0", "1", "1", "2", "3", "256"]
+            })
+            .to_string(),
         _ => count(g),
     }
 }
@@ -332,6 +340,19 @@ proptest! {
     }
 }
 
+/// A link delay survives parse → format → parse and reaches the run.
+#[test]
+fn link_delay_round_trips_into_the_run() {
+    for delay in [0u64, 1, 2] {
+        let text = format!("topology = mesh 4x4\nlink-delay = {delay}\nwarmup = 2\nmeasure = 8\n");
+        let spec = ScenarioSpec::parse(&text).unwrap();
+        assert_eq!(ScenarioSpec::parse(&spec.format()).unwrap(), spec);
+        let scenario = spec.to_scenario(&base_dir()).unwrap();
+        assert_eq!(scenario.config().link_delay, delay);
+        assert_eq!(scenario.run().messages, 8);
+    }
+}
+
 /// Inputs that once panicked (inside `Mesh` constructors, `lapses_traffic`,
 /// table programming or the router's VC checks), allocated without bound
 /// (a huge fault count) or made one workload poll generate millions of
@@ -369,6 +390,9 @@ fn former_panics_are_typed_errors() {
         "topology = torus 4x4\nalgorithm = dimension-order",
         "topology = mesh 4x4\nload = 1e9",
         "topology = mesh 1x5x4x4\nfault-count = 4000000000",
+        // Overflowed `link_delay + 1` / pre-sized a billion ring buckets.
+        "topology = mesh 4x4\nlink-delay = 18446744073709551615",
+        "topology = mesh 4x4\nlink-delay = 1000000000",
     ];
     for text in scenario_errors {
         let spec = ScenarioSpec::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
