@@ -102,8 +102,9 @@ fn main() {
     knees.save_csv("burst_knee");
 
     let mut latency = Table::new(&["burst len", "avg latency @0.3", "p95 @0.3"]);
-    let burst_axis = lapses_bench::series_points(&report, "latency vs burst");
-    for (x, r) in &burst_axis {
+    // `build_grid` adds the burst-length series last.
+    let burst_axis = report.series().last().expect("the grid has series");
+    for (x, r) in &burst_axis.points {
         latency.row(vec![
             format!("{x:.0}"),
             r.latency_cell(),

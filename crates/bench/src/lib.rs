@@ -1,16 +1,18 @@
-//! Shared helpers for the LAPSES benchmark harness.
+//! The LAPSES benchmark harness.
 //!
-//! Every bench target regenerates one table or figure of the paper's
-//! evaluation and prints it in the paper's layout (plus a CSV copy under
-//! the workspace-root `bench_results/` — see [`bench_results_dir`]).
-//! Message counts default to a fast profile; set
-//! `LAPSES_WARMUP_MSGS=10000 LAPSES_MEASURE_MSGS=400000` to run the paper's
-//! full protocol.
+//! [`paper`] defines the paper's simulated experiments (Figs. 5 and 6,
+//! Tables 3 and 4) once, with the paper's values and claims; the `paper`
+//! bench renders them. Every bench prints its tables in the paper's
+//! layout, plus a CSV copy under the workspace-root `bench_results/` (see
+//! [`bench_results_dir`]). Message counts default to a fast profile; set
+//! `LAPSES_WARMUP_MSGS=10000 LAPSES_MEASURE_MSGS=400000` to run the
+//! paper's full protocol.
 
 use lapses_network::scenario::ScenarioBuilder;
-use lapses_network::{SimResult, SweepReport};
 use std::fmt::Write as _;
 use std::path::PathBuf;
+
+pub mod paper;
 
 /// The canonical output directory for every bench artifact:
 /// `bench_results/` at the **workspace root**, regardless of the working
@@ -30,59 +32,27 @@ pub fn bench_results_dir() -> PathBuf {
         .join("bench_results")
 }
 
-/// The paper's per-pattern load axes (Figs. 5 and 6 x-ranges). Sweeps stop
-/// early at saturation, so the upper entries are upper bounds.
-pub fn paper_loads(pattern: lapses_network::Pattern) -> &'static [f64] {
-    use lapses_network::Pattern;
-    match pattern {
-        Pattern::Uniform => &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9],
-        Pattern::Transpose => &[0.1, 0.2, 0.3, 0.4, 0.5],
-        Pattern::BitReversal => &[0.1, 0.2, 0.3, 0.4],
-        Pattern::PerfectShuffle => &[0.1, 0.2, 0.3, 0.4, 0.5, 0.6],
-        _ => &[0.1, 0.2, 0.3, 0.4, 0.5],
-    }
+/// Applies the [`bench_counts`] to a scenario builder.
+pub fn with_bench_counts_scenario(builder: ScenarioBuilder) -> ScenarioBuilder {
+    let (warmup, measure) = bench_counts();
+    builder.message_counts(warmup, measure)
 }
 
-/// Applies the benches' message counts to a scenario builder: a fast
-/// profile of 500 warm-up and 6,000 measured messages, overridden by the
-/// `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS` environment variables so
-/// the paper's full protocol runs on demand without recompiling.
-pub fn with_bench_counts_scenario(builder: ScenarioBuilder) -> ScenarioBuilder {
+/// The benches' (warm-up, measured) message counts: a fast profile of 500
+/// and 6,000, overridden by the `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS`
+/// environment variables so the paper's full protocol runs on demand
+/// without recompiling.
+pub fn bench_counts() -> (u64, u64) {
     let env = |name: &str, default: u64| {
         std::env::var(name)
             .ok()
             .and_then(|v| v.parse().ok())
             .unwrap_or(default)
     };
-    builder.message_counts(
+    (
         env("LAPSES_WARMUP_MSGS", 500),
         env("LAPSES_MEASURE_MSGS", 6_000),
     )
-}
-
-/// Extracts one labeled series from a [`SweepRunner`] report as the
-/// `(load, result)` points the table-building code consumes.
-///
-/// # Panics
-///
-/// Panics when the label is absent — the grid-building and table-building
-/// loops in each bench construct labels independently, and a silent empty
-/// column would masquerade as universal saturation if they ever drift.
-///
-/// [`SweepRunner`]: lapses_network::SweepRunner
-pub fn series_points(report: &SweepReport, label: &str) -> Vec<(f64, SimResult)> {
-    report
-        .series()
-        .iter()
-        .find(|s| s.label == label)
-        .unwrap_or_else(|| {
-            panic!(
-                "no series labeled {label:?} in the report (have: {:?})",
-                report.series().iter().map(|s| &s.label).collect::<Vec<_>>()
-            )
-        })
-        .points
-        .clone()
 }
 
 /// A simple fixed-width text table that prints like the paper's.
@@ -167,11 +137,6 @@ impl Table {
     }
 }
 
-/// Formats a latency / "Sat." cell with a percentage relative to `base`.
-pub fn pct_over(value: f64, base: f64) -> String {
-    format!("{:+.1}%", (value - base) / base * 100.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -187,12 +152,6 @@ mod tests {
     }
 
     #[test]
-    fn pct_formats_sign() {
-        assert_eq!(pct_over(110.0, 100.0), "+10.0%");
-        assert_eq!(pct_over(90.0, 100.0), "-10.0%");
-    }
-
-    #[test]
     fn bench_results_dir_is_workspace_rooted() {
         let dir = bench_results_dir();
         assert!(dir.ends_with("bench_results"));
@@ -202,12 +161,5 @@ mod tests {
             "{} is not the workspace root",
             root.display()
         );
-    }
-
-    #[test]
-    fn loads_match_paper_axes() {
-        use lapses_network::Pattern;
-        assert_eq!(paper_loads(Pattern::Uniform).len(), 9);
-        assert_eq!(paper_loads(Pattern::BitReversal).last(), Some(&0.4));
     }
 }

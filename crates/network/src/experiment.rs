@@ -506,7 +506,9 @@ pub struct SimConfig {
     pub measure_msgs: u64,
     /// Master random seed.
     pub seed: u64,
-    /// Link traversal delay in cycles (the paper: 1).
+    /// Link traversal delay in cycles. The paper's Table 2 timing is 0
+    /// (`tests/paper_fidelity.rs`); the default stays 1 because the
+    /// golden results are recorded at it.
     pub link_delay: u64,
     /// Hard cycle cap (safety net).
     pub max_cycles: u64,

@@ -129,8 +129,11 @@
 //! ```
 //!
 //! The `lapses-bench` crate regenerates every table and figure of the
-//! paper's evaluation on top of the same scenario + sweep engine; run
-//! e.g. `cargo bench -p lapses-bench --bench fig5_lookahead`.
+//! paper's evaluation on top of the same scenario + sweep engine. Its
+//! `paper` module defines Figs. 5 and 6 and Tables 3 and 4 once, with the
+//! paper's values and claims; `cargo bench -p lapses-bench --bench paper
+//! -- fig5` renders one of them, and `tests/paper_fidelity.rs` checks
+//! their claims.
 //!
 //! # Performance
 //!

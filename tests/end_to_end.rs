@@ -104,30 +104,6 @@ fn economical_storage_is_bit_identical_to_full_table() {
 }
 
 #[test]
-fn meta_blocks_loses_to_meta_rows_on_transpose() {
-    // The paper's counter-intuitive Table 4 result.
-    let rows = run(adaptive(16, 16)
-        .table(TableKind::MetaRows)
-        .pattern(Pattern::Transpose)
-        .load(0.2));
-    let blocks = run(adaptive(16, 16)
-        .table(TableKind::MetaBlocks(vec![4, 4]))
-        .pattern(Pattern::Transpose)
-        .load(0.2));
-    let blocks_latency = if blocks.saturated {
-        f64::INFINITY
-    } else {
-        blocks.avg_latency
-    };
-    assert!(
-        blocks_latency > rows.avg_latency,
-        "blocks {} should trail rows {}",
-        blocks_latency,
-        rows.avg_latency
-    );
-}
-
-#[test]
 fn interval_routing_behaves_like_a_deterministic_router() {
     let r = run(deterministic(8, 8).table(TableKind::Interval).load(0.2));
     assert!(!r.saturated);

@@ -6,9 +6,13 @@
 //! `h`-hop path when links take no extra cycle (`link_delay(0)`): `5h + 5`
 //! and `4h + 4` cycles. The default `link_delay(1)` adds one cycle per
 //! router: `6h + 6` and `5h + 5`.
+//!
+//! Figs. 5 and 6 and Tables 3 and 4 are defined once, with their claims,
+//! in `lapses_bench::paper`; this suite runs each one's claimed rows.
 
 use lapses::prelude::*;
 use lapses::traffic::TraceEvent;
+use lapses_bench::paper;
 use std::path::Path;
 use std::sync::Arc;
 
@@ -67,4 +71,27 @@ fn table2_timing_through_a_spec() {
         ScenarioSpec::parse("topology = mesh 8x8\nlookahead = true\nlink-delay = 0\n").unwrap();
     let builder = spec.to_builder(Path::new(".")).unwrap();
     assert_eq!(latency(builder, 4), 4.0 * 5.0);
+}
+
+/// Every registered paper experiment, run on the rows its claims name at
+/// 300 warm-up / 3000 measured messages from the default seed, meets
+/// every claim. Each table is printed (`--nocapture` shows them) and
+/// repeated in the failure message.
+#[test]
+fn paper_experiments_meet_their_claims() {
+    let mut failures = String::new();
+    for experiment in paper::all() {
+        let experiment = experiment.checked();
+        let outcome = experiment.run(300, 3_000);
+        let table = outcome.table().render();
+        println!("{}\n{table}", experiment.title);
+        let violations = outcome.check();
+        if !violations.is_empty() {
+            failures += &format!("{}\n{table}", experiment.title);
+            for violation in violations {
+                failures += &format!("  {violation}\n");
+            }
+        }
+    }
+    assert!(failures.is_empty(), "paper claims not met:\n{failures}");
 }
