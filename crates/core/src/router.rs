@@ -48,7 +48,10 @@
 //! Each (port, VC) owns the fixed kind-ring segment
 //! `flat_index * cap .. (flat_index + 1) * cap`, whose cursor lives in
 //! the VC's `InputVc`/`OutputVc` header; cursors wrap with a compare
-//! instead of a modulo so the hot path never divides.
+//! instead of a modulo so the hot path never divides. The header arrays,
+//! like the rings, hold one entry per live `(port, VC)` — 20 in the
+//! paper router — rather than one per [`MAX_VC_SLOTS`] slot, which only
+//! bounds the width of the occupancy masks.
 //!
 //! A flit's lifecycle per hop: it lands in the input ring either via
 //! [`Router::accept_flit`] (written at the tail on arrival — NIC
@@ -369,11 +372,11 @@ pub struct Router {
     /// counted here — in state the launch already touches — instead of in
     /// a network-global array the hot path would miss on.
     link_flits: [u64; MAX_PORTS],
-    /// Per-VC input cursors + routing state, inline (no pointer chase);
-    /// only the first `ports * vcs` entries are live.
-    inputs: [InputVc; MAX_VC_SLOTS],
-    /// Per-VC output cursors + credits, inline.
-    outputs: [OutputVc; MAX_VC_SLOTS],
+    /// Per-VC input cursors + routing state, one per `(port, VC)` (flat
+    /// index).
+    inputs: Box<[InputVc]>,
+    /// Per-VC output cursors + credits, one per `(port, VC)`.
+    outputs: Box<[OutputVc]>,
     /// Kind bytes of the input-VC flit rings, one contiguous segment per
     /// VC (`vc_index * in_ring ..`).
     in_kind: Box<[FlitKind]>,
@@ -468,8 +471,8 @@ impl Router {
             xb_out_next: [0; MAX_PORTS],
             vc_alloc_next: [0; MAX_PORTS],
             link_flits: [0; MAX_PORTS],
-            inputs: [IDLE_INPUT; MAX_VC_SLOTS],
-            outputs: [IDLE_OUTPUT; MAX_VC_SLOTS],
+            inputs: vec![IDLE_INPUT; ports * vcs].into_boxed_slice(),
+            outputs: vec![IDLE_OUTPUT; ports * vcs].into_boxed_slice(),
             in_kind: vec![FlitKind::Body; in_slots].into_boxed_slice(),
             out_kind: vec![FlitKind::Body; out_slots].into_boxed_slice(),
             in_recs: vec![
@@ -1787,6 +1790,8 @@ mod tests {
         use std::mem::size_of;
         let queued: usize = r.in_recs.iter().map(|q| q.queued.capacity()).sum();
         size_of::<Router>()
+            + r.inputs.len() * size_of::<InputVc>()
+            + r.outputs.len() * size_of::<OutputVc>()
             + (r.in_kind.len() + r.out_kind.len()) * size_of::<FlitKind>()
             + r.in_recs.len() * size_of::<InputRecs>()
             + queued * size_of::<HeadRec>()
@@ -1808,10 +1813,11 @@ mod tests {
         )
     }
 
-    /// Bytes of a fresh paper router on a 64-bit host: the 2928-byte
-    /// struct, 800 + 400 kind bytes, 20 × 48 bytes of head-record queues
-    /// and 4 × 4 bytes of ejection records.
-    const FOOTPRINT: usize = 5104;
+    /// Bytes of a fresh paper router on a 64-bit host: the 656-byte
+    /// struct, 20 × 24 input and 20 × 12 output VC headers (one per live
+    /// `(port, VC)`, not [`MAX_VC_SLOTS`]), 800 + 400 kind bytes, 20 × 48
+    /// bytes of head-record queues and 4 × 4 bytes of ejection records.
+    const FOOTPRINT: usize = 3552;
 
     #[test]
     fn router_footprint_is_pinned() {

@@ -81,7 +81,7 @@ impl EconomicalTable {
                 let entry = if node == dest {
                     RouteEntry::local()
                 } else {
-                    let mut candidates = algo.candidates(mesh, node, dest);
+                    let (mut candidates, escape, _) = algo.route(mesh, node, dest);
                     if mesh.is_torus() {
                         // At an exactly-half-way torus tie both directions
                         // are minimal, but a sign can encode only one; keep
@@ -98,7 +98,7 @@ impl EconomicalTable {
                     }
                     RouteEntry {
                         candidates,
-                        escape: algo.escape_port(mesh, node, dest),
+                        escape,
                         // The stored subclass is for the mesh case; torus
                         // lookups recompute it positionally in `entry()`.
                         escape_subclass: 0,
@@ -171,15 +171,7 @@ impl EconomicalTable {
             row.clear();
             let mut keys = 0;
             for dest in mesh.nodes() {
-                let entry = if node == dest {
-                    RouteEntry::local()
-                } else {
-                    RouteEntry {
-                        candidates: algo.candidates(mesh, node, dest),
-                        escape: algo.escape_port(mesh, node, dest),
-                        escape_subclass: algo.escape_subclass(mesh, node, dest) as u8,
-                    }
-                };
+                let entry = RouteEntry::compile(algo, mesh, node, dest);
                 let key = entry_key(entry, ports);
                 keys = keys.max(key + 1);
                 row.push((entry, key, signs.index(node, dest)));

@@ -37,17 +37,10 @@ impl FullTable {
     pub fn program(mesh: &Mesh, algo: &dyn RoutingAlgorithm) -> FullTable {
         let mut entries = Vec::with_capacity(mesh.node_count() * mesh.node_count());
         for node in mesh.nodes() {
-            entries.extend(mesh.nodes().map(|dest| {
-                if node == dest {
-                    RouteEntry::local()
-                } else {
-                    RouteEntry {
-                        candidates: algo.candidates(mesh, node, dest),
-                        escape: algo.escape_port(mesh, node, dest),
-                        escape_subclass: algo.escape_subclass(mesh, node, dest) as u8,
-                    }
-                }
-            }));
+            entries.extend(
+                mesh.nodes()
+                    .map(|dest| RouteEntry::compile(algo, mesh, node, dest)),
+            );
         }
         FullTable {
             mesh: mesh.clone(),

@@ -23,6 +23,7 @@
 //! their slice of the program through [`RouterTable`], which also serves
 //! the look-ahead queries (the entry at a *neighbor*, §3.2).
 
+use lapses_routing::RoutingAlgorithm;
 use lapses_topology::{Mesh, NodeId, Port, PortSet};
 use std::fmt;
 use std::sync::Arc;
@@ -76,6 +77,26 @@ impl RouteEntry {
             candidates: PortSet::EMPTY,
             escape: None,
             escape_subclass: 0,
+        }
+    }
+
+    /// The entry `algo` programs at `node` for `dest`: [`RouteEntry::local`]
+    /// at the destination, else the algorithm's
+    /// [`route`](RoutingAlgorithm::route).
+    pub(crate) fn compile(
+        algo: &dyn RoutingAlgorithm,
+        mesh: &Mesh,
+        node: NodeId,
+        dest: NodeId,
+    ) -> RouteEntry {
+        if node == dest {
+            return RouteEntry::local();
+        }
+        let (candidates, escape, escape_subclass) = algo.route(mesh, node, dest);
+        RouteEntry {
+            candidates,
+            escape,
+            escape_subclass: escape_subclass as u8,
         }
     }
 

@@ -47,6 +47,20 @@ pub trait RoutingAlgorithm: fmt::Debug + Send + Sync {
         0
     }
 
+    /// [`candidates`](RoutingAlgorithm::candidates),
+    /// [`escape_port`](RoutingAlgorithm::escape_port) and
+    /// [`escape_subclass`](RoutingAlgorithm::escape_subclass) at once: what
+    /// a routing table stores for a `(here, dest)` pair. Algorithms whose
+    /// escape is picked from the same productive ports as their
+    /// candidates override it to derive those ports once per pair.
+    fn route(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> (PortSet, Option<Port>, usize) {
+        (
+            self.candidates(mesh, here, dest),
+            self.escape_port(mesh, here, dest),
+            self.escape_subclass(mesh, here, dest),
+        )
+    }
+
     /// Number of escape subclasses the algorithm needs on this topology.
     fn escape_subclasses(&self, mesh: &Mesh) -> usize {
         if mesh.is_torus() {
@@ -60,21 +74,6 @@ pub trait RoutingAlgorithm: fmt::Debug + Send + Sync {
     /// channels optional (true for deterministic and turn-model routing).
     fn deadlock_free_without_escape(&self) -> bool {
         false
-    }
-}
-
-/// Picks the minimal direction along `dim`, preferring the positive
-/// direction on a torus half-way tie so the choice is deterministic.
-fn dor_direction(mesh: &Mesh, here: NodeId, dest: NodeId, dim: usize) -> Option<Direction> {
-    let productive = mesh.productive_ports(here, dest);
-    let plus = Port::from(Direction::plus(dim));
-    let minus = Port::from(Direction::minus(dim));
-    if productive.contains(plus) {
-        Some(Direction::plus(dim))
-    } else if productive.contains(minus) {
-        Some(Direction::minus(dim))
-    } else {
-        None
     }
 }
 
@@ -123,12 +122,27 @@ impl RoutingAlgorithm for DimensionOrder {
             .map_or(PortSet::EMPTY, PortSet::single)
     }
 
+    /// The lowest-index productive port. Ports run `+0, −0, +1, −1, …`,
+    /// so that is the first unresolved dimension, in its positive
+    /// direction on a torus half-way tie.
     fn escape_port(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> Option<Port> {
-        (0..mesh.dims()).find_map(|dim| dor_direction(mesh, here, dest, dim).map(Port::from))
+        mesh.productive_ports(here, dest).first()
     }
 
     fn escape_subclass(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> usize {
+        if !mesh.is_torus() {
+            return 0;
+        }
         torus_dateline_subclass(mesh, here, dest, self.escape_port(mesh, here, dest))
+    }
+
+    fn route(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> (PortSet, Option<Port>, usize) {
+        let escape = self.escape_port(mesh, here, dest);
+        (
+            escape.map_or(PortSet::EMPTY, PortSet::single),
+            escape,
+            torus_dateline_subclass(mesh, here, dest, escape),
+        )
     }
 
     fn deadlock_free_without_escape(&self) -> bool {
@@ -220,6 +234,18 @@ impl RoutingAlgorithm for DuatoAdaptive {
 
     fn escape_subclass(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> usize {
         self.escape.escape_subclass(mesh, here, dest)
+    }
+
+    /// The productive ports, once: the escape is their lowest-index port
+    /// (see [`DimensionOrder`]).
+    fn route(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> (PortSet, Option<Port>, usize) {
+        let candidates = mesh.productive_ports(here, dest);
+        let escape = candidates.first();
+        (
+            candidates,
+            escape,
+            torus_dateline_subclass(mesh, here, dest, escape),
+        )
     }
 }
 
@@ -377,6 +403,78 @@ mod tests {
         );
         assert_eq!(xy.escape_port(&m, here, here), None);
         assert!(xy.candidates(&m, here, here).is_empty());
+    }
+
+    /// The escape port against dimension order spelled out on
+    /// coordinates: the first dimension whose coordinates differ, in the
+    /// shorter direction (`+` on a torus half-way tie).
+    #[test]
+    fn escape_resolves_dimensions_in_order_on_meshes_and_tori() {
+        for m in [
+            Mesh::mesh_2d(5, 4),
+            Mesh::mesh_3d(3, 4, 2),
+            Mesh::torus_2d(4, 5),
+            Mesh::torus(&[3, 4, 6]),
+        ] {
+            let xy = DimensionOrder::new();
+            for here in m.nodes() {
+                for dest in m.nodes() {
+                    let (h, d) = (m.coord_of(here), m.coord_of(dest));
+                    let want = (0..m.dims()).find(|&i| h[i] != d[i]).map(|i| {
+                        let k = m.extent(i);
+                        let fwd = (d[i] + k - h[i]) % k;
+                        let plus = if m.is_torus() {
+                            fwd <= k - fwd
+                        } else {
+                            d[i] > h[i]
+                        };
+                        Port::from(if plus {
+                            Direction::plus(i)
+                        } else {
+                            Direction::minus(i)
+                        })
+                    });
+                    assert_eq!(xy.escape_port(&m, here, dest), want, "{m} {here}->{dest}");
+                    assert_eq!(
+                        xy.escape_subclass(&m, here, dest),
+                        torus_dateline_subclass(&m, here, dest, want),
+                        "{m} {here}->{dest}"
+                    );
+                }
+            }
+        }
+    }
+
+    /// The one-call `route` of every algorithm that overrides it agrees
+    /// with the three separate queries, on meshes and tori.
+    #[test]
+    fn route_is_the_three_queries_at_once() {
+        let algos: [&dyn RoutingAlgorithm; 3] = [
+            &DimensionOrder::new(),
+            &DuatoAdaptive::new(),
+            &TurnModel::new(TurnModelKind::NorthLast),
+        ];
+        for m in [
+            Mesh::mesh_2d(5, 4),
+            Mesh::torus_2d(4, 5),
+            Mesh::torus(&[3, 4, 6]),
+        ] {
+            for algo in algos {
+                if algo.name() == "North-Last" && m.is_torus() {
+                    continue;
+                }
+                for here in m.nodes() {
+                    for dest in m.nodes() {
+                        let separate = (
+                            algo.candidates(&m, here, dest),
+                            algo.escape_port(&m, here, dest),
+                            algo.escape_subclass(&m, here, dest),
+                        );
+                        assert_eq!(algo.route(&m, here, dest), separate, "{} {m}", algo.name());
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -21,18 +21,20 @@
 //!   property the test-suite walks exhaustively and the CDG machinery
 //!   re-proves per instance);
 //! * in **adaptive** mode ([`UpDown::adaptive`]) the candidate set is the
-//!   surviving minimal ports of the faulty graph
-//!   ([`FaultyMesh::productive_ports`]), with the up*/down* route as the
-//!   Duato-style escape — Silla & Duato's minimal-adaptive protocol for
-//!   irregular topologies.
+//!   surviving minimal ports of the faulty graph (what
+//!   [`FaultyMesh::productive_ports`] answers), with the up*/down* route
+//!   as the Duato-style escape — Silla & Duato's minimal-adaptive
+//!   protocol for irregular topologies.
 //!
-//! Routes are precomputed at construction: the up*/down* order comes from
-//! the faulty mesh's precomputed distances to the root, then each
-//! destination takes one reverse BFS, one rank-ordered scan and one
-//! port-choice pass, all reading the faulty mesh's surviving-link table —
-//! O(n² · ports) for n nodes. The [`RoutingAlgorithm`] queries used by
-//! table programming are then O(1) loads (adaptive candidates are
-//! [`FaultyMesh::productive_ports`], O(ports)).
+//! Routes are precomputed at construction. The up*/down* order comes
+//! from one BFS from the root. Each destination then takes a BFS over
+//! the surviving links (adaptive only: its hop distances give the
+//! minimal ports), a reverse BFS over the down links, one rank-ordered
+//! scan and one port-choice pass — O(n² · ports) time for n nodes, with
+//! O(n) scratch reused across destinations. What is kept is at most two
+//! bytes per `(node, destination)`: the escape port's index and, in
+//! adaptive mode, the minimal ports as a direction-port bitmask. The
+//! [`RoutingAlgorithm`] queries used by table programming are O(1) loads.
 //!
 //! # Example
 //!
@@ -65,6 +67,11 @@ pub struct UpDown {
     rank: Vec<u32>,
     /// Flattened `esc[dest * n + node]`: the escape port's index.
     esc: Vec<u8>,
+    /// Adaptive only (empty otherwise), flattened like `esc`: the minimal
+    /// ports as a bitmask of the direction ports, bit `i` for port index
+    /// `i + 1` — the local port is never a candidate, so the eight
+    /// direction ports of a 4-D topology fit one byte.
+    minimal: Vec<u8>,
 }
 
 impl UpDown {
@@ -84,35 +91,48 @@ impl UpDown {
 
     fn build(fmesh: Arc<FaultyMesh>, adaptive: bool) -> UpDown {
         let n = fmesh.node_count();
-        let by_rank = Self::rank_order(&fmesh);
+        // Nodes in up*/down* order: BFS level from the root (node 0), ties
+        // by node id.
+        let level = fmesh.distances_from(NodeId(0));
+        let mut by_rank: Vec<u32> = (0..n as u32).collect();
+        by_rank.sort_unstable_by_key(|&v| (level[v as usize], v));
         let mut rank = vec![0u32; n];
         for (r, &v) in by_rank.iter().enumerate() {
             rank[v as usize] = r as u32;
         }
+        let links = Oriented::new(&fmesh, &rank);
 
         let mut esc = vec![0u8; n * n];
+        let mut minimal = if adaptive {
+            vec![0u8; n * n]
+        } else {
+            Vec::new()
+        };
+        let mut dist = vec![u32::MAX; n];
         let mut dist_down = vec![u32::MAX; n];
         let mut cost = vec![u32::MAX; n];
-        let mut queue: Vec<NodeId> = Vec::with_capacity(n);
-        for (dest, esc_row) in esc.chunks_exact_mut(n.max(1)).enumerate() {
-            // Shortest down-only distance to `dest`: reverse BFS relaxing
-            // predecessors u of x whose link u→x is a down link
-            // (rank[u] < rank[x]).
-            dist_down.fill(u32::MAX);
-            dist_down[dest] = 0;
-            queue.clear();
-            queue.push(NodeId(dest as u32));
-            let mut head = 0;
-            while let Some(&x) = queue.get(head) {
-                head += 1;
-                let d = dist_down[x.index()] + 1;
-                for (_, u) in fmesh.links(x) {
-                    if rank[u.index()] < rank[x.index()] && dist_down[u.index()] == u32::MAX {
-                        dist_down[u.index()] = d;
-                        queue.push(u);
-                    }
-                }
+        let mut queue = Vec::with_capacity(n);
+        for dest in 0..n {
+            let row = dest * n..(dest + 1) * n;
+            if adaptive {
+                // Minimal ports: a BFS from `dest` meets every link u→x
+                // that ends one hop closer to `dest` as x–u with u one
+                // level further out.
+                let bits = &mut minimal[row.clone()];
+                bfs(
+                    &mut dist,
+                    &mut queue,
+                    dest,
+                    |x| links.all(x),
+                    |u, p| {
+                        bits[u] |= 1 << ((p - 1) ^ 1);
+                    },
+                );
             }
+            // Shortest down-only distance to `dest`: a reverse BFS from
+            // `dest` to the up-neighbors u of each reached x, whose link
+            // u→x is a down link.
+            bfs(&mut dist_down, &mut queue, dest, |x| links.up(x), |_, _| {});
 
             // Up-phase cost: cheapest legal up*…down* route length. Up
             // links point to strictly smaller ranks, so one increasing-rank
@@ -121,44 +141,40 @@ impl UpDown {
             // links — and every other node keeps its tree parent as an
             // up-neighbor).
             for &v in &by_rank {
-                let v = NodeId(v);
-                let mut best = dist_down[v.index()];
-                for (_, w) in fmesh.links(v) {
-                    if rank[w.index()] < rank[v.index()] {
-                        best = best.min(cost[w.index()].saturating_add(1));
-                    }
+                let v = v as usize;
+                let mut best = dist_down[v];
+                for &w in links.up(v).1 {
+                    best = best.min(cost[w as usize].saturating_add(1));
                 }
-                cost[v.index()] = best;
+                cost[v] = best;
             }
 
             // The positional escape choice: down if possible, else the
             // cheapest up link; ties break on the lowest port index.
-            for (node, slot) in esc_row.iter_mut().enumerate() {
+            for (node, slot) in esc[row].iter_mut().enumerate() {
                 if node == dest {
                     continue;
                 }
                 let here_down = dist_down[node];
-                let mut chosen: Option<(u32, Port)> = None;
-                for (p, nb) in fmesh.links(NodeId(node as u32)) {
-                    let key = if here_down != u32::MAX {
-                        // Down phase: a down link one step closer on the
-                        // down-only metric.
-                        (rank[nb.index()] > rank[node] && dist_down[nb.index()] == here_down - 1)
-                            .then_some(0)
-                    } else if rank[nb.index()] < rank[node] {
-                        // Up phase: rank the up links by total route cost.
-                        Some(cost[nb.index()])
-                    } else {
-                        None
-                    };
-                    if let Some(k) = key {
-                        if chosen.is_none_or(|(bk, _)| k < bk) {
-                            chosen = Some((k, p));
-                        }
-                    }
-                }
-                let (_, port) = chosen.expect("connected faulty mesh always has an up*/down* hop");
-                *slot = port.index() as u8;
+                let port = if here_down != u32::MAX {
+                    // Down phase: the first down link one step closer on
+                    // the down-only metric.
+                    let (ports, nbs) = links.down(node);
+                    ports
+                        .iter()
+                        .zip(nbs)
+                        .find(|&(_, &nb)| dist_down[nb as usize] == here_down - 1)
+                        .map(|(&p, _)| p)
+                } else {
+                    // Up phase: the up link of least total route cost.
+                    let (ports, nbs) = links.up(node);
+                    ports
+                        .iter()
+                        .zip(nbs)
+                        .min_by_key(|&(_, &nb)| cost[nb as usize])
+                        .map(|(&p, _)| p)
+                };
+                *slot = port.expect("connected faulty mesh always has an up*/down* hop");
             }
         }
 
@@ -167,16 +183,8 @@ impl UpDown {
             adaptive,
             rank,
             esc,
+            minimal,
         }
-    }
-
-    /// Nodes in up*/down* order: BFS level from the root (node 0), ties by
-    /// node id — the total order that classifies every link as up or down.
-    /// The levels are the faulty mesh's hop distances from the root.
-    fn rank_order(fmesh: &FaultyMesh) -> Vec<u32> {
-        let mut order: Vec<u32> = (0..fmesh.node_count() as u32).collect();
-        order.sort_unstable_by_key(|&v| (fmesh.distance(NodeId(0), NodeId(v)), v));
-        order
     }
 
     /// The faulty topology this program was compiled for.
@@ -199,6 +207,12 @@ impl UpDown {
         self.rank[to.index()] < self.rank[from.index()]
     }
 
+    /// Index of the `(here, dest)` pair in the flattened per-pair arrays.
+    #[inline]
+    fn slot(&self, here: NodeId, dest: NodeId) -> usize {
+        dest.index() * self.rank.len() + here.index()
+    }
+
     /// Table programming passes the program's own mesh by reference, so
     /// the pointer test settles the check without comparing shapes.
     #[inline]
@@ -207,6 +221,98 @@ impl UpDown {
             std::ptr::eq(mesh, self.fmesh.mesh()) || mesh == self.fmesh.mesh(),
             "up*/down* program was compiled for a different topology"
         );
+    }
+}
+
+/// The surviving links of every node, oriented by an up*/down* order:
+/// per node its up links (toward a smaller rank), then its down links,
+/// each group in ascending port order. Build-time scratch, O(n · ports).
+struct Oriented {
+    /// Node `v`'s links are `first[v]..first[v + 1]`, its down links from
+    /// `down[v]` on.
+    first: Vec<u32>,
+    down: Vec<u32>,
+    port: Vec<u8>,
+    nb: Vec<u32>,
+}
+
+impl Oriented {
+    fn new(fmesh: &FaultyMesh, rank: &[u32]) -> Oriented {
+        let n = fmesh.node_count();
+        let mut o = Oriented {
+            first: Vec::with_capacity(n + 1),
+            down: Vec::with_capacity(n),
+            port: Vec::new(),
+            nb: Vec::new(),
+        };
+        for v in 0..n {
+            o.first.push(o.nb.len() as u32);
+            let links = || fmesh.links(NodeId(v as u32));
+            let up = |w: NodeId| rank[w.index()] < rank[v];
+            for (p, w) in links().filter(|&(_, w)| up(w)) {
+                o.port.push(p.index() as u8);
+                o.nb.push(w.0);
+            }
+            o.down.push(o.nb.len() as u32);
+            for (p, w) in links().filter(|&(_, w)| !up(w)) {
+                o.port.push(p.index() as u8);
+                o.nb.push(w.0);
+            }
+        }
+        o.first.push(o.nb.len() as u32);
+        o
+    }
+
+    /// Ports and neighbors of the links `from..to`.
+    fn slice(&self, from: u32, to: u32) -> (&[u8], &[u32]) {
+        let r = from as usize..to as usize;
+        (&self.port[r.clone()], &self.nb[r])
+    }
+
+    fn all(&self, v: usize) -> (&[u8], &[u32]) {
+        self.slice(self.first[v], self.first[v + 1])
+    }
+
+    fn up(&self, v: usize) -> (&[u8], &[u32]) {
+        self.slice(self.first[v], self.down[v])
+    }
+
+    fn down(&self, v: usize) -> (&[u8], &[u32]) {
+        self.slice(self.down[v], self.first[v + 1])
+    }
+}
+
+/// Breadth-first search from `src` over the links `next(x)` (ports and
+/// neighbors) of each reached node `x`: fills `dist` with the hop
+/// counts, `u32::MAX` where not reached, and calls `level(u, p)` for
+/// every followed link `x → u` through port `p` that ends one level
+/// further out. `queue` is reused scratch.
+fn bfs<'a>(
+    dist: &mut [u32],
+    queue: &mut Vec<u32>,
+    src: usize,
+    next: impl Fn(usize) -> (&'a [u8], &'a [u32]),
+    mut level: impl FnMut(usize, u8),
+) {
+    dist.fill(u32::MAX);
+    dist[src] = 0;
+    queue.clear();
+    queue.push(src as u32);
+    let mut head = 0;
+    while let Some(&x) = queue.get(head) {
+        head += 1;
+        let d = dist[x as usize] + 1;
+        let (ports, nbs) = next(x as usize);
+        for (&p, &u) in ports.iter().zip(nbs) {
+            let du = &mut dist[u as usize];
+            if *du == u32::MAX {
+                *du = d;
+                queue.push(u);
+            }
+            if *du == d {
+                level(u as usize, p);
+            }
+        }
     }
 }
 
@@ -225,7 +331,8 @@ impl RoutingAlgorithm for UpDown {
             return PortSet::EMPTY;
         }
         if self.adaptive {
-            self.fmesh.productive_ports(here, dest)
+            let bits = self.minimal[self.slot(here, dest)];
+            PortSet::from_bits(u16::from(bits) << 1)
         } else {
             self.escape_port(mesh, here, dest)
                 .map_or(PortSet::EMPTY, PortSet::single)
@@ -237,10 +344,7 @@ impl RoutingAlgorithm for UpDown {
         if here == dest {
             return None;
         }
-        let n = self.fmesh.node_count();
-        Some(Port::from_index(
-            self.esc[dest.index() * n + here.index()] as usize,
-        ))
+        Some(Port::from_index(self.esc[self.slot(here, dest)] as usize))
     }
 
     /// Up*/down* needs no dateline classes, even on a torus: the up/down
@@ -410,6 +514,26 @@ mod tests {
                     walk(&ud, src, dest);
                 }
             }
+        }
+    }
+
+    /// What a compile keeps on the benchmark's 32×32 mesh with 64
+    /// faults: one escape byte per `(node, destination)`, a second byte
+    /// of minimal ports when adaptive, and a 4-byte rank per node.
+    #[test]
+    fn compile_state_is_at_most_two_bytes_per_pair() {
+        let mesh = Mesh::mesh_2d(32, 32);
+        let faults = FaultSet::random(&mesh, 64, 1999).unwrap();
+        let fmesh = Arc::new(FaultyMesh::new(mesh, faults).unwrap());
+        let n = fmesh.node_count();
+        for (ud, per_pair) in [
+            (UpDown::new(Arc::clone(&fmesh)), 1),
+            (UpDown::adaptive(Arc::clone(&fmesh)), 2),
+        ] {
+            let heap = ud.rank.capacity() * std::mem::size_of::<u32>()
+                + ud.esc.capacity()
+                + ud.minimal.capacity();
+            assert_eq!(heap, per_pair * n * n + 4 * n, "adaptive {}", ud.adaptive);
         }
     }
 

@@ -27,8 +27,8 @@ pub const MAX_DIMS: usize = 4;
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 pub struct Coord {
-    dims: u8,
-    c: [u16; MAX_DIMS],
+    pub(crate) dims: u8,
+    pub(crate) c: [u16; MAX_DIMS],
 }
 
 impl Coord {

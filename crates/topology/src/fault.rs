@@ -14,6 +14,7 @@
 //! * [`FaultyMesh`] — a [`Mesh`] plus a [`FaultSet`], offering the same
 //!   neighbor / alive-port / distance / productive-port surface the routing
 //!   and table-programming layers use, but over the *surviving* links only.
+//!   It stores O(n · ports) bytes; each distance query runs one BFS.
 //!   Construction rejects fault sets that partition the network
 //!   ([`FaultError::Disconnected`]).
 //!
@@ -212,7 +213,7 @@ impl FaultSet {
 
     /// Checks that the surviving links of `mesh` connect every node — the
     /// validation [`FaultyMesh::new`] performs, with the same errors, but
-    /// with one BFS and without building the all-pairs view.
+    /// without keeping the surviving-link table.
     pub fn check_connected(&self, mesh: &Mesh) -> Result<(), FaultError> {
         surviving_links(mesh, self).map(|_| ())
     }
@@ -340,32 +341,41 @@ fn surviving_links(mesh: &Mesh, faults: &FaultSet) -> Result<Vec<[u32; MAX_PORTS
 /// Reusable breadth-first search buffers over a surviving-link table.
 #[derive(Default)]
 struct Bfs {
-    seen: Vec<bool>,
+    /// Per node: hops from the last search's source, `u32::MAX` where
+    /// it was not reached.
+    dist: Vec<u32>,
     queue: Vec<u32>,
 }
 
 impl Bfs {
-    /// How many nodes node 0 reaches over `links`.
-    fn reachable_from_zero(&mut self, links: &[[u32; MAX_PORTS]]) -> usize {
-        self.seen.clear();
-        self.seen.resize(links.len(), false);
+    /// Fills `self.dist` with the hop distances from `src` over `links`
+    /// and returns how many nodes `src` reaches.
+    fn distances(&mut self, links: &[[u32; MAX_PORTS]], src: u32) -> usize {
+        self.dist.clear();
+        self.dist.resize(links.len(), u32::MAX);
         self.queue.clear();
-        if links.is_empty() {
-            return 0;
-        }
-        self.seen[0] = true;
-        self.queue.push(0);
+        self.dist[src as usize] = 0;
+        self.queue.push(src);
         let mut head = 0;
         while let Some(&node) = self.queue.get(head) {
             head += 1;
+            let d = self.dist[node as usize] + 1;
             for &nb in &links[node as usize] {
-                if nb != NO_LINK && !self.seen[nb as usize] {
-                    self.seen[nb as usize] = true;
+                if nb != NO_LINK && self.dist[nb as usize] == u32::MAX {
+                    self.dist[nb as usize] = d;
                     self.queue.push(nb);
                 }
             }
         }
         self.queue.len()
+    }
+
+    /// How many nodes node 0 reaches over `links`.
+    fn reachable_from_zero(&mut self, links: &[[u32; MAX_PORTS]]) -> usize {
+        if links.is_empty() {
+            return 0;
+        }
+        self.distances(links, 0)
     }
 }
 
@@ -438,10 +448,12 @@ impl Meet {
 /// neighbor behind every port, or a sentinel for a dead or absent link —
 /// plus each node's alive [`PortSet`], so [`FaultyMesh::neighbor`],
 /// [`FaultyMesh::alive_ports`] and [`FaultyMesh::links`] are plain loads
-/// with no coordinate arithmetic. All-pairs distances over the surviving
-/// links are then precomputed with one BFS per source over that table, so
-/// [`FaultyMesh::distance`] and [`FaultyMesh::productive_ports`] are
-/// O(1)/O(ports) lookups like their perfect-mesh counterparts.
+/// with no coordinate arithmetic. That is all it stores: O(n · ports)
+/// bytes for n nodes, nothing per node pair. Distance questions
+/// ([`FaultyMesh::distances_from`], [`FaultyMesh::distance`],
+/// [`FaultyMesh::productive_ports`]) each run one BFS over the table,
+/// O(n · ports); a compiler that needs every pair (up*/down* routing)
+/// runs one search per destination itself instead of asking per pair.
 #[derive(Debug, Clone)]
 pub struct FaultyMesh {
     mesh: Mesh,
@@ -451,8 +463,6 @@ pub struct FaultyMesh {
     links: Vec<[u32; MAX_PORTS]>,
     /// Per node: the direction ports with surviving links.
     alive: Vec<PortSet>,
-    /// Flattened `dist[a * n + b]` over surviving links.
-    dist: Vec<u32>,
 }
 
 impl FaultyMesh {
@@ -469,13 +479,11 @@ impl FaultyMesh {
                     .collect()
             })
             .collect();
-        let dist = all_pairs_distances(&links);
         Ok(FaultyMesh {
             mesh,
             faults,
             links,
             alive,
-            dist,
         })
     }
 
@@ -523,59 +531,48 @@ impl FaultyMesh {
             .map(move |p| (p, NodeId(row[p.index()])))
     }
 
-    /// Hop distance between two nodes over surviving links.
+    /// Hop distances from `src` to every node over surviving links, by
+    /// one BFS: O(n · ports) time and a fresh `n`-entry vector. Links are
+    /// bidirectional, so these are also the distances *to* `src`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `src` is out of range.
+    pub fn distances_from(&self, src: NodeId) -> Vec<u32> {
+        let mut bfs = Bfs::default();
+        bfs.distances(&self.links, src.0);
+        bfs.dist
+    }
+
+    /// Hop distance between two nodes over surviving links. Runs
+    /// [`FaultyMesh::distances_from`], so each call costs a whole BFS:
+    /// for inspection and tests, not for per-pair compilation.
     ///
     /// # Panics
     ///
     /// Panics if either id is out of range.
     pub fn distance(&self, a: NodeId, b: NodeId) -> u32 {
-        let n = self.node_count();
-        assert!(a.index() < n && b.index() < n, "node out of range");
-        self.dist[a.index() * n + b.index()]
+        assert!(b.index() < self.node_count(), "node out of range");
+        self.distances_from(a)[b.index()]
     }
 
     /// The surviving output ports that move a message strictly closer to
     /// `dest` in the faulty graph — the fault-aware generalization of
     /// [`Mesh::productive_ports`]. Empty exactly when `from == dest`.
+    /// Like [`FaultyMesh::distance`], each call runs one BFS (from
+    /// `dest`).
+    ///
+    /// # Panics
+    ///
+    /// Panics if either id is out of range.
     pub fn productive_ports(&self, from: NodeId, dest: NodeId) -> PortSet {
-        if from == dest {
-            return PortSet::EMPTY;
-        }
-        let here = self.distance(from, dest);
-        let n = self.node_count();
-        let mut set = PortSet::EMPTY;
-        for (port, nb) in self.links(from) {
-            if self.dist[nb.index() * n + dest.index()] + 1 == here {
-                set.insert(port);
-            }
-        }
-        set
+        assert!(from.index() < self.node_count(), "node out of range");
+        let dist = self.distances_from(dest);
+        self.links(from)
+            .filter(|&(_, nb)| dist[nb.index()] + 1 == dist[from.index()])
+            .map(|(port, _)| port)
+            .collect()
     }
-}
-
-/// One BFS per source over the surviving-link table, into a flattened
-/// `n × n` distance matrix.
-fn all_pairs_distances(links: &[[u32; MAX_PORTS]]) -> Vec<u32> {
-    let n = links.len();
-    let mut dist = vec![u32::MAX; n * n];
-    let mut queue = Vec::with_capacity(n);
-    for (src, row) in dist.chunks_exact_mut(n.max(1)).enumerate() {
-        row[src] = 0;
-        queue.clear();
-        queue.push(src as u32);
-        let mut head = 0;
-        while let Some(&node) = queue.get(head) {
-            head += 1;
-            let d = row[node as usize] + 1;
-            for &nb in &links[node as usize] {
-                if nb != NO_LINK && row[nb as usize] == u32::MAX {
-                    row[nb as usize] = d;
-                    queue.push(nb);
-                }
-            }
-        }
-    }
-    dist
 }
 
 impl fmt::Display for FaultyMesh {
@@ -858,6 +855,26 @@ mod tests {
                 assert_ne!(fmesh.distance(a, b), u32::MAX, "{a}->{b} unreachable");
             }
         }
+    }
+
+    /// The faulty view is sized by the network, not by its node pairs: on
+    /// the benchmark's 32×32 mesh with 64 faults it holds a 36-byte link
+    /// row and a 2-byte alive set per node, the 64 dead links and the
+    /// shape — 39428 bytes, where an all-pairs distance matrix alone
+    /// would take 4 MiB.
+    #[test]
+    fn faulty_mesh_holds_bytes_per_node_not_per_pair() {
+        use std::mem::size_of;
+        let mesh = Mesh::mesh_2d(32, 32);
+        let faults = FaultSet::random(&mesh, 64, 1999).unwrap();
+        let fmesh = FaultyMesh::new(mesh, faults).unwrap();
+        let n = fmesh.node_count();
+        let heap = fmesh.links.capacity() * size_of::<[u32; MAX_PORTS]>()
+            + fmesh.alive.capacity() * size_of::<PortSet>()
+            + fmesh.faults.links.capacity() * size_of::<(NodeId, NodeId)>()
+            + std::mem::size_of_val(fmesh.mesh.shape());
+        assert_eq!(heap, n * (4 * MAX_PORTS + 2) + 64 * 8 + 2 * 2);
+        assert_eq!(heap, 39428);
     }
 
     #[test]

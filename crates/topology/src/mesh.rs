@@ -37,6 +37,23 @@ pub struct Mesh {
     /// The product of `shape`, computed once by [`Mesh::new`]: scenario
     /// validation and the traffic patterns ask for it again and again.
     nodes: usize,
+    /// Per dimension, the multiplier that divides a node id by the extent
+    /// (see [`div_multiplier`]), so [`Mesh::coord_of`] never divides.
+    /// Fixed by `shape`: four words however large the mesh is.
+    div: [u64; MAX_DIMS],
+}
+
+/// `⌈2⁶⁴ / k⌉` for an extent `k ≥ 2`, and 0 for `k = 1`. For every id
+/// `a < 2³²` — all that [`Mesh::new`] admits — the high word of `a · m`
+/// is exactly `a / k`: `m = 2⁶⁴/k + e` with `0 ≤ e < 1`, so the product
+/// overshoots `a / k` by `a · e / 2⁶⁴ < 2⁻³²`, less than the `1/k` gap
+/// between `a / k`'s fractional part and the next integer.
+fn div_multiplier(k: u16) -> u64 {
+    if k < 2 {
+        0
+    } else {
+        u64::MAX / u64::from(k) + 1
+    }
 }
 
 /// Why a shape names no valid mesh or torus.
@@ -89,10 +106,15 @@ impl Mesh {
         if nodes > u32::MAX as u64 {
             return Err(MeshError::TooManyNodes(nodes));
         }
+        let mut div = [0; MAX_DIMS];
+        for (m, &k) in div.iter_mut().zip(shape) {
+            *m = div_multiplier(k);
+        }
         Ok(Mesh {
             shape: shape.to_vec(),
             torus,
             nodes: nodes as usize,
+            div,
         })
     }
 
@@ -186,23 +208,36 @@ impl Mesh {
         })
     }
 
-    /// Coordinate of a node id.
+    /// Coordinate of a node id. Each dimension but the last costs one
+    /// multiply-high by a per-dimension reciprocal and one multiply; the
+    /// last takes what is left, which is below its extent.
     ///
     /// # Panics
     ///
     /// Panics if the id is out of range.
+    #[inline]
     pub fn coord_of(&self, node: NodeId) -> Coord {
         assert!(
             node.index() < self.node_count(),
             "node {node} out of range for {self}"
         );
-        let mut rest = node.index();
-        let mut comps = [0u16; MAX_DIMS];
-        for (i, &k) in self.shape.iter().enumerate() {
-            comps[i] = (rest % k as usize) as u16;
-            rest /= k as usize;
+        let last = self.dims() - 1;
+        let mut rest = u64::from(node.0);
+        let mut c = [0u16; MAX_DIMS];
+        for ((c, &k), &m) in c.iter_mut().zip(&self.shape[..last]).zip(&self.div) {
+            let q = if k == 1 {
+                rest
+            } else {
+                ((u128::from(rest) * u128::from(m)) >> 64) as u64
+            };
+            *c = (rest - q * u64::from(k)) as u16;
+            rest = q;
         }
-        Coord::new(&comps[..self.dims()])
+        c[last] = rest as u16;
+        Coord {
+            dims: self.dims() as u8,
+            c,
+        }
     }
 
     /// Node id of a coordinate.
@@ -307,19 +342,14 @@ impl Mesh {
     /// On a torus, when the destination is exactly half-way around a
     /// dimension both directions of that dimension are productive.
     pub fn productive_ports(&self, from: NodeId, dest: NodeId) -> PortSet {
-        let cf = self.coord_of(from);
-        let cd = self.coord_of(dest);
-        let mut set = PortSet::EMPTY;
+        let (cf, cd) = (self.coord_of(from), self.coord_of(dest));
+        // Port `+d` has index `1 + 2d` and `−d` index `2 + 2d`.
+        let mut bits = 0u16;
         for dim in 0..self.dims() {
-            let (_, plus, minus) = self.dim_distance(dim, cf[dim], cd[dim]);
-            if plus {
-                set.insert(Port::from(Direction::plus(dim)));
-            }
-            if minus {
-                set.insert(Port::from(Direction::minus(dim)));
-            }
+            let (_, plus, minus) = self.dim_distance(dim, cf.c[dim], cd.c[dim]);
+            bits |= (u16::from(plus) << 1 | u16::from(minus) << 2) << (2 * dim);
         }
-        set
+        PortSet::from_bits(bits)
     }
 
     /// Unidirectional channel count across the bisection, cutting the
@@ -518,6 +548,59 @@ mod tests {
         // 4 wide, 8 tall: cut the Y dimension -> 4 channels across.
         let m = Mesh::mesh_2d(4, 8);
         assert_eq!(m.bisection_channels(), 4);
+    }
+
+    /// The reciprocal division against `%` and `/`, on every node of
+    /// small shapes (extents of 1 included) and on the highest ids of the
+    /// largest shapes [`Mesh::new`] admits.
+    #[test]
+    fn coord_of_matches_division() {
+        let naive = |m: &Mesh, id: u32| -> Vec<u16> {
+            let mut rest = id as u64;
+            m.shape()
+                .iter()
+                .map(|&k| {
+                    let c = (rest % k as u64) as u16;
+                    rest /= k as u64;
+                    c
+                })
+                .collect()
+        };
+        let small = [
+            Mesh::mesh_2d(16, 16),
+            Mesh::mesh_2d(7, 3),
+            Mesh::mesh(&[4, 1, 3]),
+            Mesh::mesh(&[1, 5]),
+            Mesh::mesh(&[9]),
+            Mesh::torus(&[3, 5, 7]),
+            Mesh::mesh(&[2, 3, 4, 5]),
+        ];
+        for m in &small {
+            for node in m.nodes() {
+                assert_eq!(
+                    m.coord_of(node).components(),
+                    naive(m, node.0),
+                    "{m} {node}"
+                );
+                assert_eq!(m.id_of(&m.coord_of(node)), node);
+            }
+        }
+        for shape in [
+            &[65535, 65535][..],
+            &[65521, 65519],
+            &[1, 65535, 65535],
+            &[255, 257, 65535],
+        ] {
+            let m = Mesh::mesh(shape);
+            let top = m.node_count() as u32 - 1;
+            for id in (top - 4096..=top).chain([0, 1, 65534, 65535, 65536, top / 2]) {
+                assert_eq!(
+                    m.coord_of(NodeId(id)).components(),
+                    naive(&m, id),
+                    "{m} n{id}"
+                );
+            }
+        }
     }
 
     #[test]

@@ -340,6 +340,22 @@ impl PortSet {
         Iter(self.0)
     }
 
+    /// The set whose raw bitmask is `bits` — the inverse of
+    /// [`PortSet::bits`], for compact per-pair stores.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a set bit names no port (index `2 * MAX_DIMS + 1` or
+    /// above).
+    #[inline]
+    pub fn from_bits(bits: u16) -> PortSet {
+        assert!(
+            bits >> MAX_PORTS == 0,
+            "port bitmask {bits:#x} out of range"
+        );
+        PortSet(bits)
+    }
+
     /// Raw bitmask (bit *i* set ⇔ port with index *i* present). Exposed for
     /// storage-cost accounting in the table-size analysis.
     #[inline]

@@ -1,6 +1,6 @@
 //! Faulty-link routing end to end: kill links, prove the up*/down*
 //! program deadlock-free, inspect the table-programming cost, run to
-//! drain, and sweep fault density.
+//! drain, sweep fault density, and compile a 64×64 faulty mesh.
 //!
 //! ```text
 //! cargo run --release --example faulty_mesh
@@ -10,6 +10,7 @@ use lapses::core::tables::{EconomicalTable, TableScheme};
 use lapses::prelude::*;
 use lapses::routing::cdg::ChannelGraph;
 use std::sync::Arc;
+use std::time::Instant;
 
 fn main() {
     // --- 1. A mesh with dead links, validated up front -------------------
@@ -90,4 +91,23 @@ fn main() {
     let report = SweepRunner::new().with_master_seed(99).run(&grid);
     println!("\nfault-density sweep (x = dead links):");
     println!("{}", report.to_table());
+
+    // --- 6. Compiling at scale ----------------------------------------------
+    // A 64x64 mesh with 256 dead links: the up*/down* program keeps two
+    // bytes per (router, destination), 32 MiB here, and no all-pairs
+    // distance matrix; the economical tables fold it into 9 base entries
+    // per router plus exceptions.
+    let start = Instant::now();
+    let big = Mesh::mesh_2d(64, 64);
+    let faults = FaultSet::random(&big, 256, 64).expect("256 faults fit a 64x64 mesh");
+    let fbig = Arc::new(FaultyMesh::new(big, faults).expect("random sets stay connected"));
+    let updown = UpDown::adaptive(Arc::clone(&fbig));
+    let table = EconomicalTable::program_faulty(&fbig, &updown);
+    println!(
+        "\n64x64 compile: {fbig}, adaptive up*/down* economical tables in {:.2} s: \
+         {} exceptions (at most {}/router)",
+        start.elapsed().as_secs_f64(),
+        table.exception_count(),
+        table.max_exceptions_per_router(),
+    );
 }

@@ -143,7 +143,8 @@
 //! credit returns keep up to date (see the scheduler invariants in
 //! [`network::network`]). Flits are sized by what the datapath reads:
 //! a 16-byte `Copy` POD at the router's boundaries, and inside a router
-//! one kind byte per buffer slot. A message's routing state (record
+//! one kind byte per buffer slot, with one VC header per live
+//! `(port, VC)`. A message's routing state (record
 //! handle, destination, look-ahead entry) is stored once, with its head,
 //! as in the paper's header-only routing — so a body or tail flit moves
 //! one byte per hop. The per-message bookkeeping (source, timestamps,
@@ -151,6 +152,10 @@
 //! one compact descriptor per message and build each flit as they inject
 //! it, and launches stream from the router pipeline straight onto the
 //! wires through [`core::StepSink`] with no intermediate staging.
+//! Compiled state is sized by the network it describes: a faulty mesh
+//! keeps its surviving-link table and no all-pairs distances, and an
+//! up*/down* program keeps at most two bytes per (router, destination),
+//! built with one BFS per destination.
 //! There is one cycle loop: one router walk, one delivery protocol and one
 //! scheduler. Its simulated behaviour is pinned bit for bit by golden
 //! fingerprints in the `golden_fingerprints`, `scheduler_equivalence` and

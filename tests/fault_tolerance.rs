@@ -41,8 +41,14 @@ fn oracle_neighbor(mesh: &Mesh, faults: &FaultSet, node: NodeId, dir: Direction)
         .filter(|&nb| !faults.contains(node, nb))
 }
 
-/// Hop distances from `src` by a plain BFS over [`oracle_neighbor`].
-fn oracle_distances(mesh: &Mesh, faults: &FaultSet, src: NodeId) -> Vec<u32> {
+/// Hop distances from `src` by a plain BFS over [`oracle_neighbor`],
+/// stepping from a reached node `x` to a neighbor `u` where `follow(x, u)`.
+fn oracle_distances(
+    mesh: &Mesh,
+    faults: &FaultSet,
+    src: NodeId,
+    follow: impl Fn(NodeId, NodeId) -> bool,
+) -> Vec<u32> {
     let mut dist = vec![u32::MAX; mesh.node_count()];
     dist[src.index()] = 0;
     let mut queue = VecDeque::from([src]);
@@ -50,7 +56,7 @@ fn oracle_distances(mesh: &Mesh, faults: &FaultSet, src: NodeId) -> Vec<u32> {
         for dim in 0..mesh.dims() {
             for dir in [Direction::plus(dim), Direction::minus(dim)] {
                 if let Some(nb) = oracle_neighbor(mesh, faults, node, dir) {
-                    if dist[nb.index()] == u32::MAX {
+                    if dist[nb.index()] == u32::MAX && follow(node, nb) {
                         dist[nb.index()] = dist[node.index()] + 1;
                         queue.push_back(nb);
                     }
@@ -153,9 +159,12 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// The table-backed faulty mesh answers exactly what the plain oracle
-    /// answers — neighbors, alive ports, distances, productive ports — and
-    /// the economical table with its exception store reproduces the full
-    /// table entry for entry, for both up*/down* variants.
+    /// answers — neighbors, alive ports, distances, productive ports — as
+    /// do the up*/down* programs' packed per-pair bytes: the adaptive
+    /// candidates are the oracle's productive ports, and every escape
+    /// takes a surviving link on a legal up*…down* walk. The economical
+    /// table with its exception store reproduces the full table entry
+    /// for entry, for both up*/down* variants.
     #[test]
     fn faulty_views_and_tables_match_their_oracles(
         mesh in arb_topology(),
@@ -167,7 +176,12 @@ proptest! {
             return Ok(());
         };
         let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), faults.clone()).expect("random sets stay connected"));
-        let dist: Vec<Vec<u32>> = mesh.nodes().map(|src| oracle_distances(&mesh, &faults, src)).collect();
+        let dist: Vec<Vec<u32>> = mesh
+            .nodes()
+            .map(|src| oracle_distances(&mesh, &faults, src, |_, _| true))
+            .collect();
+        let deterministic = UpDown::new(Arc::clone(&fmesh));
+        let adaptive = UpDown::adaptive(Arc::clone(&fmesh));
 
         for a in mesh.nodes() {
             let mut alive = PortSet::EMPTY;
@@ -181,6 +195,7 @@ proptest! {
                 }
             }
             prop_assert_eq!(fmesh.alive_ports(a), alive, "{} on {}", a, mesh);
+            prop_assert_eq!(&fmesh.distances_from(a), &dist[a.index()], "from {} on {}", a, mesh);
             for b in mesh.nodes() {
                 let d = dist[a.index()][b.index()];
                 prop_assert_eq!(fmesh.distance(a, b), d, "{}->{} on {}", a, b, mesh);
@@ -193,10 +208,54 @@ proptest! {
                     }
                 }
                 prop_assert_eq!(fmesh.productive_ports(a, b), productive, "{}->{} on {}", a, b, mesh);
+                // The adaptive program's packed candidates are the same set.
+                prop_assert_eq!(adaptive.candidates(&mesh, a, b), productive, "{}->{} on {}", a, b, mesh);
             }
         }
 
-        for algo in [UpDown::new(Arc::clone(&fmesh)), UpDown::adaptive(Arc::clone(&fmesh))] {
+        // Both programs' packed escapes: the same port, over a surviving
+        // link, and every escape walk is up* then down* in the order of
+        // the oracle's BFS levels from node 0 (ties by id). Where a
+        // down-only path exists, the walk is a shortest one.
+        let level = &dist[0];
+        let up = |from: NodeId, to: NodeId| (level[to.index()], to.0) < (level[from.index()], from.0);
+        for b in mesh.nodes() {
+            // Down-only distances to `b`: from x back to each u whose link
+            // u→x is a down link.
+            let down = oracle_distances(&mesh, &faults, b, up);
+            for a in mesh.nodes() {
+                let esc = deterministic.escape_port(&mesh, a, b);
+                prop_assert_eq!(adaptive.escape_port(&mesh, a, b), esc, "{}->{} on {}", a, b, mesh);
+                prop_assert_eq!(
+                    deterministic.candidates(&mesh, a, b),
+                    esc.map_or(PortSet::EMPTY, PortSet::single),
+                    "{}->{} on {}", a, b, mesh
+                );
+                let (mut at, mut hops, mut gone_down) = (a, 0, false);
+                while at != b {
+                    let dir = deterministic
+                        .escape_port(&mesh, at, b)
+                        .and_then(Port::direction)
+                        .expect("a direction port away from the destination");
+                    let next = oracle_neighbor(&mesh, &faults, at, dir);
+                    prop_assert!(next.is_some(), "{}->{}: escape {} at {} is no surviving link", a, b, dir, at);
+                    let next = next.unwrap();
+                    if up(at, next) {
+                        prop_assert!(!gone_down, "{}->{}: up hop {}->{} after a down hop", a, b, at, next);
+                    } else {
+                        gone_down = true;
+                    }
+                    at = next;
+                    hops += 1;
+                    prop_assert!(hops <= mesh.node_count(), "{}->{}: escape walk does not end", a, b);
+                }
+                if down[a.index()] != u32::MAX {
+                    prop_assert_eq!(hops as u32, down[a.index()], "{}->{}: down phase not shortest", a, b);
+                }
+            }
+        }
+
+        for algo in [deterministic, adaptive] {
             let econ = EconomicalTable::program_faulty(&fmesh, &algo);
             let full = FullTable::program_faulty(&fmesh, &algo);
             for a in mesh.nodes() {
