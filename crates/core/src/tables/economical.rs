@@ -1,9 +1,11 @@
-//! Economical-storage routing tables — the paper's §5.2 proposal.
+//! Economical-storage routing tables — the paper's §5.2 proposal: one
+//! compile for every routing relation, sign classes plus a per-router
+//! exception store for what the classes cannot express.
 
 use crate::tables::cost::StorageCost;
 use crate::tables::{RouteEntry, TableScheme};
 use lapses_routing::{torus_dateline_subclass, RoutingAlgorithm};
-use lapses_topology::{FaultyMesh, Mesh, NodeId, SignVec, MAX_DIMS};
+use lapses_topology::{Mesh, NodeId, SignVec, MAX_DIMS};
 
 /// The 3ⁿ-entry economical-storage (ES) routing table.
 ///
@@ -19,6 +21,11 @@ use lapses_topology::{FaultyMesh, Mesh, NodeId, SignVec, MAX_DIMS};
 /// algorithm is a function of the sign vector alone, so the ES table loses
 /// *no* routing flexibility relative to a full table (§5.2.2) — a claim the
 /// test-suite verifies exhaustively and by property test.
+///
+/// A relation that is not a function of the sign vector — up*/down* routes
+/// around dead links, the Fig. 7 table-programming story for irregular
+/// networks — is still stored exactly: each router keeps a small exception
+/// store for the destinations its sign-class entry does not cover.
 ///
 /// On a torus the sign is computed from the minimal wrap-aware direction
 /// (preferring `+` on an exactly-half-way tie) and the escape dateline
@@ -49,121 +56,56 @@ pub struct EconomicalTable {
     /// `exceptions[exception_start[i]..exception_start[i + 1]]`, sorted by
     /// destination id. Destination ids and entries are kept in parallel
     /// arrays so the lookup's binary search touches only the ids. Empty
-    /// for source-relative algorithms on perfect meshes, so the classic
-    /// lookup is untouched.
+    /// for source-relative algorithms, so their lookup is the plain 3ⁿ
+    /// read.
     exception_start: Vec<u32>,
     exception_dests: Vec<u32>,
     exception_entries: Vec<RouteEntry>,
     /// Whether [`TableScheme::entry`] recomputes the torus dateline
-    /// subclass positionally (the classic §5.2.1 extension). Faulty
-    /// programs store the subclass verbatim instead.
+    /// subclass positionally (the §5.2.1 extension): set for relations
+    /// with more than one escape subclass, whose entries store class 0.
     recompute_dateline: bool,
 }
 
 impl EconomicalTable {
-    /// Compiles the per-router sign-indexed tables from a routing algorithm.
+    /// Compiles the per-router sign-indexed tables from a routing relation.
     ///
-    /// Each router's entry for a sign vector is programmed from any
-    /// destination realizing that sign from the router (they all agree for
-    /// source-relative algorithms — verified with debug assertions).
-    /// Sign combinations unrealizable at a router (e.g. `(-,·)` at the
-    /// left edge of a mesh) stay [`RouteEntry::unprogrammed`].
-    pub fn program(mesh: &Mesh, algo: &dyn RoutingAlgorithm) -> EconomicalTable {
-        let signs = SignIndex::new(mesh);
-        let table_len = signs.table_len();
-        let mut entries = vec![RouteEntry::unprogrammed(); mesh.node_count() * table_len];
-        let mut programmed = vec![false; table_len];
-
-        for (node, row) in mesh.nodes().zip(entries.chunks_exact_mut(table_len)) {
-            programmed.fill(false);
-            for dest in mesh.nodes() {
-                let idx = signs.index(node, dest);
-                let entry = if node == dest {
-                    RouteEntry::local()
-                } else {
-                    let (mut candidates, escape, _) = algo.route(mesh, node, dest);
-                    if mesh.is_torus() {
-                        // At an exactly-half-way torus tie both directions
-                        // are minimal, but a sign can encode only one; keep
-                        // the sign-consistent direction (the slight
-                        // adaptivity loss of the sign encoding).
-                        let sv = SignVec::from_table_index(idx, mesh.dims());
-                        candidates = candidates
-                            .iter()
-                            .filter(|p| {
-                                let d = p.direction().expect("network port");
-                                sv.sign(d.dim()) == d.sign()
-                            })
-                            .collect();
-                    }
-                    RouteEntry {
-                        candidates,
-                        escape,
-                        // The stored subclass is for the mesh case; torus
-                        // lookups recompute it positionally in `entry()`.
-                        escape_subclass: 0,
-                    }
-                };
-                if programmed[idx] {
-                    debug_assert_eq!(
-                        (row[idx].candidates, row[idx].escape),
-                        (entry.candidates, entry.escape),
-                        "algorithm {} is not source-relative: sign index {idx} at {node} \
-                         maps to different entries",
-                        algo.name()
-                    );
-                } else {
-                    row[idx] = entry;
-                    programmed[idx] = true;
-                }
-            }
-        }
-
-        EconomicalTable {
-            mesh: mesh.clone(),
-            signs,
-            entries,
-            exception_start: vec![0; mesh.node_count() + 1],
-            exception_dests: Vec::new(),
-            exception_entries: Vec::new(),
-            recompute_dateline: true,
-        }
-    }
-
-    /// Compiles an economical table for an *arbitrary* routing relation
-    /// over a faulty (or perfect) topology — the table-programming story
-    /// for irregular networks.
-    ///
-    /// Up*/down* routes around dead links are not functions of the sign
-    /// vector alone, so the 3ⁿ base table cannot be lossless by itself.
-    /// Instead, each sign class is programmed with the entry shared by the
-    /// *most* destinations of the class (ties go to the entry whose first
+    /// Each sign class is programmed with the entry shared by the *most*
+    /// destinations of the class (ties go to the entry whose first
     /// destination has the lowest id), and every disagreeing destination
-    /// goes into a small per-router exception store (the CAM a real ES
-    /// router would add for irregular networks). The result is exactly
-    /// lossless for any relation; for source-relative algorithms on
-    /// fault-free meshes the exception store is empty and the table
-    /// degenerates to the classic 3ⁿ program (asserted by tests).
+    /// goes into the router's exception store, so the program is exactly
+    /// lossless for any relation. A source-relative algorithm gives every
+    /// destination of a class the same entry, so it needs no exceptions
+    /// (asserted by tests). Sign combinations unrealizable at a router
+    /// (e.g. `(-,·)` at the left edge of a mesh) stay
+    /// [`RouteEntry::unprogrammed`].
+    ///
+    /// A relation with dateline subclasses (a classic algorithm on a
+    /// torus) keeps the §5.2.1 encoding: at an exactly-half-way tie both
+    /// directions are minimal but a sign encodes only one, so candidates
+    /// that disagree with the sign are dropped (the slight adaptivity loss
+    /// of the sign encoding); the stored subclass is 0 and lookups
+    /// recompute it.
     ///
     /// Per router this is three passes over the destinations: compute each
-    /// true entry and its sign class, count `(class, entry)` occurrences in
-    /// a direct-indexed array, then keep the first destination of each
-    /// class whose entry has the class's highest count.
-    pub fn program_faulty(fmesh: &FaultyMesh, algo: &dyn RoutingAlgorithm) -> EconomicalTable {
-        let mesh = fmesh.mesh();
+    /// entry and its sign class, count `(class, entry)` occurrences in a
+    /// direct-indexed array, then keep the first destination of each class
+    /// whose entry has the class's highest count.
+    pub fn program(mesh: &Mesh, algo: &dyn RoutingAlgorithm) -> EconomicalTable {
         let n = mesh.node_count();
         let signs = SignIndex::new(mesh);
         let table_len = signs.table_len();
         let ports = mesh.ports_per_router();
+        let dateline = algo.escape_subclasses(mesh) > 1;
         let mut entries = vec![RouteEntry::unprogrammed(); n * table_len];
         let mut exception_start = Vec::with_capacity(n + 1);
         exception_start.push(0u32);
         let mut exception_dests = Vec::new();
         let mut exception_entries = Vec::new();
 
-        // Per-router scratch, reused: each destination's true entry, its
-        // dense key and sign class, the per-(class, key) counts, and each
-        // class's base destination with its count.
+        // Per-router scratch, reused: each destination's entry, its dense
+        // key and sign class, the per-(class, key) counts, and each class's
+        // base destination with its count.
         let mut row: Vec<(RouteEntry, usize, usize)> = Vec::with_capacity(n);
         let mut counts: Vec<u32> = Vec::new();
         let mut base = vec![(0u32, 0usize); table_len];
@@ -171,10 +113,23 @@ impl EconomicalTable {
             row.clear();
             let mut keys = 0;
             for dest in mesh.nodes() {
-                let entry = RouteEntry::compile(algo, mesh, node, dest);
+                let class = signs.index(node, dest);
+                let mut entry = RouteEntry::compile(algo, mesh, node, dest);
+                if dateline && node != dest {
+                    let sv = SignVec::from_table_index(class, mesh.dims());
+                    entry.candidates = entry
+                        .candidates
+                        .iter()
+                        .filter(|p| {
+                            let d = p.direction().expect("network port");
+                            sv.sign(d.dim()) == d.sign()
+                        })
+                        .collect();
+                    entry.escape_subclass = 0;
+                }
                 let key = entry_key(entry, ports);
                 keys = keys.max(key + 1);
-                row.push((entry, key, signs.index(node, dest)));
+                row.push((entry, key, class));
             }
             counts.clear();
             counts.resize(table_len * keys, 0);
@@ -211,12 +166,12 @@ impl EconomicalTable {
             exception_start,
             exception_dests,
             exception_entries,
-            recompute_dateline: false,
+            recompute_dateline: dateline,
         }
     }
 
     /// Exception entries across all routers (0 for source-relative
-    /// algorithms on fault-free meshes).
+    /// algorithms).
     pub fn exception_count(&self) -> usize {
         self.exception_dests.len()
     }
@@ -327,14 +282,13 @@ impl TableScheme for EconomicalTable {
     fn entry(&self, node: NodeId, dest: NodeId) -> RouteEntry {
         let lo = self.exception_start[node.index()] as usize;
         let hi = self.exception_start[node.index() + 1] as usize;
-        if lo != hi {
-            if let Ok(i) = self.exception_dests[lo..hi].binary_search(&dest.0) {
-                return self.exception_entries[lo + i];
+        let mut e = match self.exception_dests[lo..hi].binary_search(&dest.0) {
+            Ok(i) => self.exception_entries[lo + i],
+            Err(_) => {
+                self.entries[node.index() * self.signs.table_len() + self.signs.index(node, dest)]
             }
-        }
-        let mut e =
-            self.entries[node.index() * self.signs.table_len() + self.signs.index(node, dest)];
-        if self.recompute_dateline && self.signs.wrap.is_some() {
+        };
+        if self.recompute_dateline {
             e.escape_subclass = torus_dateline_subclass(&self.mesh, node, dest, e.escape) as u8;
         }
         e
@@ -456,53 +410,38 @@ mod tests {
         }
     }
 
+    /// The source-relative algorithms the paper names fill every sign
+    /// class with one entry: no exceptions, exactly 3ⁿ entries per router.
     #[test]
-    fn faulty_program_is_lossless_and_exception_free_when_source_relative() {
-        use lapses_topology::{FaultSet, FaultyMesh};
-        // A fault-free faulty-view program of a source-relative algorithm
-        // needs no exceptions and matches the classic program everywhere.
-        let mesh = Mesh::mesh_2d(6, 6);
-        let fmesh = FaultyMesh::new(mesh.clone(), FaultSet::empty()).unwrap();
-        let algo = DuatoAdaptive::new();
-        let faulty = EconomicalTable::program_faulty(&fmesh, &algo);
-        assert_eq!(faulty.exception_count(), 0);
-        assert_eq!(faulty.storage().entries_per_router, 9);
-        let classic = EconomicalTable::program(&mesh, &algo);
-        for node in mesh.nodes() {
-            for dest in mesh.nodes() {
-                assert_eq!(faulty.entry(node, dest), classic.entry(node, dest));
-            }
+    fn source_relative_programs_need_no_exceptions() {
+        let turn = |kind| Box::new(TurnModel::new(kind)) as Box<dyn RoutingAlgorithm>;
+        let classic = || -> [Box<dyn RoutingAlgorithm>; 2] {
+            [
+                Box::new(DimensionOrder::new()),
+                Box::new(DuatoAdaptive::new()),
+            ]
+        };
+        let mut cases: Vec<(Mesh, Box<dyn RoutingAlgorithm>)> = Vec::new();
+        for algo in classic().into_iter().chain([
+            turn(TurnModelKind::NorthLast),
+            turn(TurnModelKind::WestFirst),
+            turn(TurnModelKind::NegativeFirst),
+        ]) {
+            cases.push((Mesh::mesh_2d(7, 6), algo));
         }
-    }
-
-    #[test]
-    fn faulty_program_reproduces_updown_exactly() {
-        use lapses_routing::UpDown;
-        use lapses_topology::{FaultSet, FaultyMesh};
-        use std::sync::Arc;
-        let mesh = Mesh::mesh_2d(5, 5);
-        let faults = FaultSet::random(&mesh, 3, 17).unwrap();
-        let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), faults).unwrap());
-        let algo = UpDown::adaptive(Arc::clone(&fmesh));
-        let table = EconomicalTable::program_faulty(&fmesh, &algo);
-        let full = FullTable::program(&mesh, &algo);
-        for node in mesh.nodes() {
-            for dest in mesh.nodes() {
-                assert_eq!(
-                    table.entry(node, dest),
-                    full.entry(node, dest),
-                    "exception table lost {node}->{dest}"
-                );
-            }
+        for mesh in [Mesh::mesh_3d(4, 3, 4), Mesh::torus_2d(6, 5)] {
+            cases.extend(classic().map(|algo| (mesh.clone(), algo)));
         }
-        // Up*/down* around faults is not sign-consistent: some exceptions
-        // exist, but far fewer than a full table's 25 entries per router.
-        assert!(table.exception_count() > 0);
-        assert!(table.max_exceptions_per_router() < mesh.node_count());
-        assert_eq!(
-            table.storage().entries_per_router,
-            9 + table.max_exceptions_per_router()
-        );
+        for (mesh, algo) in &cases {
+            let table = EconomicalTable::program(mesh, algo.as_ref());
+            let what = format!("{} on {mesh}", algo.name());
+            assert_eq!(table.exception_count(), 0, "{what}");
+            assert_eq!(
+                table.storage().entries_per_router,
+                SignVec::table_len(mesh.dims()),
+                "{what}"
+            );
+        }
     }
 
     #[test]

@@ -1,9 +1,11 @@
-//! Full-table routing: one entry per destination per router.
+//! Full-table routing: one entry per destination per router, so any
+//! routing relation — up*/down* around dead links included — is stored
+//! as is.
 
 use crate::tables::cost::StorageCost;
 use crate::tables::{RouteEntry, TableScheme};
 use lapses_routing::RoutingAlgorithm;
-use lapses_topology::{FaultyMesh, Mesh, NodeId, Port, PortSet};
+use lapses_topology::{Mesh, NodeId};
 
 /// The conventional complete routing table (§5: "a distinct routing table
 /// entry is available for every destination node") — the baseline the
@@ -48,32 +50,6 @@ impl FullTable {
             entries,
         }
     }
-
-    /// Compiles a full table over a faulty topology, asserting that no
-    /// programmed entry — candidate or escape — ever crosses a dead link.
-    /// Per-destination tables express irregular relations natively, so
-    /// this is [`FullTable::program`] plus the safety check: every port an
-    /// entry names must be the local port or one of the router's alive
-    /// ports.
-    pub fn program_faulty(fmesh: &FaultyMesh, algo: &dyn RoutingAlgorithm) -> FullTable {
-        let table = Self::program(fmesh.mesh(), algo);
-        for (node, row) in fmesh
-            .mesh()
-            .nodes()
-            .zip(table.entries.chunks_exact(table.nodes))
-        {
-            let usable = fmesh.alive_ports(node).union(PortSet::single(Port::LOCAL));
-            for (dest, e) in row.iter().enumerate() {
-                let used = e
-                    .candidates
-                    .union(e.escape.map_or(PortSet::EMPTY, PortSet::single));
-                if let Some(dead) = used.difference(usable).first() {
-                    panic!("table entry {node}->n{dest} routes over the dead link {node} {dead}");
-                }
-            }
-        }
-        table
-    }
 }
 
 impl TableScheme for FullTable {
@@ -98,7 +74,7 @@ impl TableScheme for FullTable {
 mod tests {
     use super::*;
     use lapses_routing::{DimensionOrder, DuatoAdaptive};
-    use lapses_topology::Direction;
+    use lapses_topology::{Direction, Port, PortSet};
 
     #[test]
     fn full_table_reproduces_the_algorithm_exactly() {

@@ -1,9 +1,11 @@
-//! Interval routing — §5.1.2, for the Table 5 comparison.
+//! Interval routing — §5.1.2, for the Table 5 comparison: Y-then-X
+//! intervals on a perfect mesh, or escape-port runs for any other
+//! deterministic relation.
 
 use crate::tables::cost::StorageCost;
 use crate::tables::{RouteEntry, TableScheme};
 use lapses_routing::RoutingAlgorithm;
-use lapses_topology::{Direction, FaultyMesh, Mesh, NodeId, Port, PortSet};
+use lapses_topology::{Direction, Mesh, NodeId, Port, PortSet};
 
 /// Interval (universal) routing: each output port is labeled with
 /// contiguous intervals of destination identifiers, so the table has only
@@ -17,11 +19,11 @@ use lapses_topology::{Direction, FaultyMesh, Mesh, NodeId, Port, PortSet};
 /// right in row, self), which is what [`IntervalTable::program`] compiles —
 /// exactly one interval per port, the classic C-104 cost.
 ///
-/// On an irregular (faulty) topology no labeling keeps every port's
-/// destination set contiguous, so [`IntervalTable::program_faulty`]
-/// generalizes to a *run list*: the deterministic escape relation's
-/// next-hop port, run-length encoded over the row-major labels. Storage is
-/// counted in runs — the honest price interval routing pays for
+/// Under any other deterministic relation — up*/down* routes around dead
+/// links — a port's destination set need not be contiguous, so
+/// [`IntervalTable::escape_runs`] generalizes to a *run list*: the
+/// relation's escape port, run-length encoded over the row-major labels.
+/// Storage is counted in runs — the honest price interval routing pays for
 /// irregularity (and the reason the paper's programmable tables win
 /// there).
 ///
@@ -85,18 +87,14 @@ impl IntervalTable {
         }
     }
 
-    /// Compiles a run-list interval table from an arbitrary deterministic
-    /// escape relation over a faulty (or perfect) topology — e.g.
-    /// up*/down* routes around dead links. Storage is the worst-case
-    /// per-router run count.
+    /// Compiles a run-list interval table from a routing relation's escape
+    /// port. Storage is the worst-case per-router run count.
     ///
     /// # Panics
     ///
     /// Panics if the algorithm needs more than one escape subclass (run
-    /// lists store a port per destination range, no dateline state) or if
-    /// it routes over a dead link.
-    pub fn program_faulty(fmesh: &FaultyMesh, algo: &dyn RoutingAlgorithm) -> IntervalTable {
-        let mesh = fmesh.mesh();
+    /// lists store a port per destination range, no dateline state).
+    pub fn escape_runs(mesh: &Mesh, algo: &dyn RoutingAlgorithm) -> IntervalTable {
         assert_eq!(
             algo.escape_subclasses(mesh),
             1,
@@ -106,14 +104,8 @@ impl IntervalTable {
             if node == dest {
                 return Port::LOCAL;
             }
-            let port = algo
-                .escape_port(mesh, node, dest)
-                .expect("escape route exists away from dest");
-            assert!(
-                fmesh.alive_ports(node).contains(port),
-                "escape relation routed over the dead link {node} {port}"
-            );
-            port
+            algo.escape_port(mesh, node, dest)
+                .expect("escape route exists away from dest")
         });
         let entries_per_router = table.runs.iter().map(Vec::len).max().unwrap_or(0);
         IntervalTable {
@@ -275,57 +267,21 @@ mod tests {
     }
 
     #[test]
-    fn faulty_runs_reproduce_the_updown_escape() {
-        use lapses_routing::UpDown;
-        use lapses_topology::{FaultSet, FaultyMesh};
-        use std::sync::Arc;
-        let mesh = Mesh::mesh_2d(5, 5);
-        let faults = FaultSet::random(&mesh, 3, 23).unwrap();
-        let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), faults).unwrap());
-        let algo = UpDown::new(Arc::clone(&fmesh));
-        let table = IntervalTable::program_faulty(&fmesh, &algo);
+    fn escape_runs_store_any_deterministic_relation() {
+        // X-first routing splits the off-row destinations of every column
+        // side into one run per row: correct, but more runs than ports.
+        use lapses_routing::{DimensionOrder, RoutingAlgorithm};
+        let mesh = Mesh::mesh_2d(6, 5);
+        let algo = DimensionOrder::new();
+        let table = IntervalTable::escape_runs(&mesh, &algo);
         for node in mesh.nodes() {
-            for dest in mesh.nodes() {
-                let e = table.entry(node, dest);
-                if node == dest {
-                    assert!(e.is_local());
-                } else {
-                    assert_eq!(e.escape, algo.escape_port(&mesh, node, dest));
-                }
+            for dest in mesh.nodes().filter(|&d| d != node) {
+                assert_eq!(
+                    table.entry(node, dest).escape,
+                    algo.escape_port(&mesh, node, dest)
+                );
             }
         }
-        // Irregularity fragments the labels: more runs than ports, but
-        // still far fewer than one entry per destination.
-        let per_router = table.storage().entries_per_router;
-        assert!(per_router > 0 && per_router < mesh.node_count());
-    }
-
-    #[test]
-    fn faulty_program_on_perfect_mesh_matches_updown_walks() {
-        use lapses_routing::UpDown;
-        use lapses_topology::{FaultSet, FaultyMesh};
-        use std::sync::Arc;
-        let mesh = Mesh::mesh_2d(4, 4);
-        let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), FaultSet::empty()).unwrap());
-        let algo = UpDown::new(Arc::clone(&fmesh));
-        let table = IntervalTable::program_faulty(&fmesh, &algo);
-        // Walk every pair to the destination over table entries alone.
-        for src in mesh.nodes() {
-            for dest in mesh.nodes() {
-                let mut at = src;
-                let mut hops = 0;
-                loop {
-                    let e = table.entry(at, dest);
-                    let p = e.candidates.first().unwrap();
-                    if p.is_local() {
-                        break;
-                    }
-                    at = mesh.neighbor(at, p.direction().unwrap()).unwrap();
-                    hops += 1;
-                    assert!(hops <= 4 * mesh.node_count(), "walk does not terminate");
-                }
-                assert_eq!(at, dest);
-            }
-        }
+        assert!(table.storage().entries_per_router > mesh.ports_per_router());
     }
 }

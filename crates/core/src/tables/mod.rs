@@ -19,7 +19,10 @@
 //!
 //! A scheme is a *program*: it answers [`TableScheme::entry`] for every
 //! (router, destination) pair, exactly as the per-router hardware tables
-//! would after being configured for a routing algorithm. Routers access
+//! would after being configured for a routing algorithm. A program is a
+//! function of the topology and the relation alone: dead links reach a
+//! table only through a relation that routes around them (up*/down*),
+//! which checks its own routes against the surviving links. Routers access
 //! their slice of the program through [`RouterTable`], which also serves
 //! the look-ahead queries (the entry at a *neighbor*, §3.2).
 

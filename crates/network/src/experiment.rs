@@ -147,10 +147,12 @@ impl Algorithm {
 
 /// Which links of the topology are dead for a run.
 ///
-/// Faults are resolved to a validated [`FaultSet`] when the run (or scenario
-/// validation) needs them; resolution depends only on the topology and
-/// this configuration, never on scheduling, so sweep reports over faulty
-/// scenarios stay bit-identical across thread counts.
+/// Faults are resolved to a validated [`FaultSet`] once, when
+/// [`ScenarioBuilder::build`](crate::scenario::ScenarioBuilder::build)
+/// validates the scenario, which keeps the set for its runs; resolution
+/// depends only on the topology and this configuration, never on
+/// scheduling, so sweep reports over faulty scenarios stay bit-identical
+/// across thread counts.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub enum FaultsConfig {
     /// A perfect network (the default; costs nothing).
@@ -378,7 +380,9 @@ pub enum TableKind {
     /// Two-level meta-table with rectangular block clusters, e.g. the
     /// Fig. 8(b) 4×4 labeling ("maximal flexibility").
     MetaBlocks(Vec<u16>),
-    /// Interval routing (deterministic Y-then-X; ignores `Algorithm`).
+    /// Interval routing: deterministic Y-then-X intervals for the classic
+    /// algorithms (which routes the same for every one of them), and the
+    /// escape port's runs for up*/down*.
     Interval,
 }
 
@@ -402,11 +406,14 @@ impl TableKind {
         }
     }
 
-    /// Compiles the table program over a faulty topology instance — the
-    /// Fig. 7 "table programming story" for irregular networks. Full
-    /// tables express irregular relations natively, the economical table
-    /// adds a per-router exception store, and interval routing falls back
-    /// to run lists.
+    /// Compiles the table program for a relation compiled over a faulty
+    /// topology instance (up*/down*) — the Fig. 7 "table programming
+    /// story" for irregular networks. Every table stores a relation, not a
+    /// fault set, so this is [`TableKind::build`] on the instance's mesh
+    /// for the full and economical tables; interval routing encodes the
+    /// relation's escape port as run lists instead of Y-then-X intervals.
+    /// The up*/down* compile itself checks that no route crosses a dead
+    /// link.
     ///
     /// # Panics
     ///
@@ -419,9 +426,8 @@ impl TableKind {
         algo: &dyn RoutingAlgorithm,
     ) -> Arc<dyn TableScheme> {
         match self {
-            TableKind::Full => Arc::new(FullTable::program_faulty(fmesh, algo)),
-            TableKind::Economical => Arc::new(EconomicalTable::program_faulty(fmesh, algo)),
-            TableKind::Interval => Arc::new(IntervalTable::program_faulty(fmesh, algo)),
+            TableKind::Full | TableKind::Economical => self.build(fmesh.mesh(), algo),
+            TableKind::Interval => Arc::new(IntervalTable::escape_runs(fmesh.mesh(), algo)),
             TableKind::MetaRows | TableKind::MetaBlocks(_) => {
                 panic!("meta-tables cannot program irregular (faulty) routing relations")
             }
@@ -480,9 +486,10 @@ fn backlog_limit_for(mesh: &Mesh) -> u64 {
 pub struct SimConfig {
     /// Topology (the paper: 16×16 mesh).
     pub mesh: Mesh,
-    /// Dead links, if any. Faults compile down to table contents and
-    /// candidate masks — the cycle loop never sees them, so a fault-free
-    /// run is bit-identical to one configured before this field existed.
+    /// Dead links, if any. Faults shape only the up*/down* relation the
+    /// tables store — the cycle loop never sees them, and a classic
+    /// algorithm, which runs only without dead links, compiles the same
+    /// tables whether this is `None` or an empty random draw.
     pub faults: FaultsConfig,
     /// Router microarchitecture.
     pub router: RouterConfig,
@@ -516,6 +523,10 @@ pub struct SimConfig {
     pub stall_window: u64,
     /// Aggregate NIC backlog (messages) that declares saturation.
     pub backlog_limit: u64,
+    /// The fault set `faults` resolved to when the scenario was built,
+    /// shared by its runs and clones so none re-draws it; `None` when
+    /// empty, so a fault-free build allocates nothing.
+    pub(crate) drawn_faults: Option<Arc<FaultSet>>,
 }
 
 impl SimConfig {
@@ -543,6 +554,7 @@ impl SimConfig {
             link_delay: 1,
             max_cycles: 10_000_000,
             stall_window: 20_000,
+            drawn_faults: None,
         }
     }
 
@@ -595,30 +607,25 @@ impl SimConfig {
         }
     }
 
-    /// Whether routing compiles on the classic path — no fault
-    /// configuration and a classic algorithm — rather than over a
-    /// faulty-mesh view.
-    pub(crate) fn classic_routing(&self) -> bool {
-        self.faults.is_none() && !self.algorithm.fault_tolerant()
-    }
-
-    /// Compiles the routing relation into the table program, compiling
-    /// faults down to table contents. The fault-free classic path is
-    /// untouched — same calls, same bytes — so runs configured before faults
-    /// existed stay bit-identical.
+    /// Compiles the routing relation into the table program. A classic
+    /// algorithm compiles on the perfect mesh (it runs only without dead
+    /// links); up*/down* compiles over the faulty-mesh view of the set
+    /// [`ScenarioBuilder::build`](crate::scenario::ScenarioBuilder::build)
+    /// drew and checked, so faults reach the tables only through the
+    /// relation.
     fn build_program(&self) -> Arc<dyn TableScheme> {
-        if self.classic_routing() {
+        if !self.algorithm.fault_tolerant() {
             return self
                 .table
                 .build(&self.mesh, self.algorithm.build().as_ref());
         }
-        const CHECKED: &str = "ScenarioBuilder::build checks faults resolve and stay connected";
-        let faults = self.faults.resolve(&self.mesh).expect(CHECKED);
-        assert!(
-            faults.is_empty() || self.algorithm.fault_tolerant(),
-            "ScenarioBuilder::build checks that faults come with an up*/down* algorithm"
+        let fmesh = Arc::new(
+            FaultyMesh::new(
+                self.mesh.clone(),
+                self.drawn_faults.as_deref().cloned().unwrap_or_default(),
+            )
+            .expect("ScenarioBuilder::build checks faults stay connected"),
         );
-        let fmesh = Arc::new(FaultyMesh::new(self.mesh.clone(), faults).expect(CHECKED));
         self.table
             .build_faulty(&fmesh, self.algorithm.build_on(&fmesh).as_ref())
     }

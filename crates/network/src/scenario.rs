@@ -564,11 +564,11 @@ impl ScenarioBuilder {
     /// OFF-silence positivity. Every check is a handful of comparisons
     /// except the fault connectivity BFS.
     ///
-    /// Validation compiles nothing: faults are checked with one
-    /// connectivity BFS over the surviving links, and the escape-VC need
-    /// comes from [`Algorithm::escape_vcs_needed`]. The faulty-mesh view,
-    /// the up*/down* program and the routing tables are compiled once, in
-    /// [`Scenario::run`].
+    /// Validation compiles nothing: faults are drawn once and checked with
+    /// one connectivity BFS over the surviving links, and the escape-VC
+    /// need comes from [`Algorithm::escape_vcs_needed`]. The scenario keeps
+    /// the drawn fault set; the faulty-mesh view, the up*/down* program and
+    /// the routing tables are compiled from it in [`Scenario::run`].
     ///
     /// For trace workloads the measured-injection count is clamped to the
     /// events the trace actually holds, so a trace run ends exactly when
@@ -634,7 +634,7 @@ impl ScenarioBuilder {
         // routes around dead links, and the meta-tables have no
         // irregular-topology programming. Faults are validated by one
         // connectivity BFS; the faulty-mesh view and the up*/down* program
-        // are compiled only when the scenario runs.
+        // are compiled from this set only when the scenario runs.
         let faults = config
             .faults
             .resolve(&config.mesh)
@@ -645,8 +645,9 @@ impl ScenarioBuilder {
             });
         }
         // Any fault configuration — even an empty random draw — and any
-        // up*/down* algorithm take the irregular programming path.
-        if !config.classic_routing() && !config.table.supports_faults() {
+        // up*/down* algorithm need a table with irregular programming.
+        let irregular = !config.faults.is_none() || config.algorithm.fault_tolerant();
+        if irregular && !config.table.supports_faults() {
             return Err(ScenarioError::FaultTable {
                 table: config.table.name(),
             });
@@ -717,6 +718,7 @@ impl ScenarioBuilder {
             }
         }
 
+        config.drawn_faults = (!faults.is_empty()).then(|| Arc::new(faults));
         Ok(Scenario { config })
     }
 }

@@ -33,8 +33,11 @@
 //! scan and one port-choice pass — O(n² · ports) time for n nodes, with
 //! O(n) scratch reused across destinations. What is kept is at most two
 //! bytes per `(node, destination)`: the escape port's index and, in
-//! adaptive mode, the minimal ports as a direction-port bitmask. The
-//! [`RoutingAlgorithm`] queries used by table programming are O(1) loads.
+//! adaptive mode, the minimal ports as a direction-port bitmask. A last
+//! scan of those bytes asserts that every stored port is a surviving link:
+//! the one dead-link check behind every table scheme programmed from the
+//! relation. The [`RoutingAlgorithm`] queries used by table programming
+//! are O(1) loads.
 //!
 //! # Example
 //!
@@ -177,6 +180,7 @@ impl UpDown {
                 *slot = port.expect("connected faulty mesh always has an up*/down* hop");
             }
         }
+        assert_alive(&fmesh, &esc, &minimal);
 
         UpDown {
             fmesh,
@@ -221,6 +225,29 @@ impl UpDown {
             std::ptr::eq(mesh, self.fmesh.mesh()) || mesh == self.fmesh.mesh(),
             "up*/down* program was compiled for a different topology"
         );
+    }
+}
+
+/// Asserts that every stored escape port and minimal-port bit is an alive
+/// port of `fmesh`: one scan of the per-pair bytes, so no table program
+/// compiled from this relation, whatever its scheme, routes over a dead
+/// link.
+fn assert_alive(fmesh: &FaultyMesh, esc: &[u8], minimal: &[u8]) {
+    let n = fmesh.node_count();
+    let alive: Vec<u16> = (0..n)
+        .map(|v| fmesh.alive_ports(NodeId(v as u32)).bits())
+        .collect();
+    for (dest, row) in esc.chunks_exact(n).enumerate() {
+        let minimal = minimal.get(dest * n..(dest + 1) * n).unwrap_or(&[]);
+        for (node, (&port, &alive)) in row.iter().zip(&alive).enumerate() {
+            let mut used = u16::from(minimal.get(node).copied().unwrap_or(0)) << 1;
+            if node != dest {
+                used |= 1 << port;
+            }
+            if let Some(dead) = PortSet::from_bits(used & !alive).first() {
+                panic!("up*/down* routes n{node}->n{dest} over the dead link n{node} {dead}");
+            }
+        }
     }
 }
 

@@ -36,7 +36,7 @@ fn main() {
     );
 
     // --- 3. The Fig. 7 table-programming story for irregular networks ----
-    let table = EconomicalTable::program_faulty(&fmesh, &updown);
+    let table = EconomicalTable::program(&mesh, &updown);
     println!(
         "ES table     : 9 base entries + up to {} exception entries/router \
          ({} exceptions total) vs {} for a full table",
@@ -102,7 +102,7 @@ fn main() {
     let faults = FaultSet::random(&big, 256, 64).expect("256 faults fit a 64x64 mesh");
     let fbig = Arc::new(FaultyMesh::new(big, faults).expect("random sets stay connected"));
     let updown = UpDown::adaptive(Arc::clone(&fbig));
-    let table = EconomicalTable::program_faulty(&fbig, &updown);
+    let table = EconomicalTable::program(fbig.mesh(), &updown);
     println!(
         "\n64x64 compile: {fbig}, adaptive up*/down* economical tables in {:.2} s: \
          {} exceptions (at most {}/router)",

@@ -256,8 +256,8 @@ proptest! {
         }
 
         for algo in [deterministic, adaptive] {
-            let econ = EconomicalTable::program_faulty(&fmesh, &algo);
-            let full = FullTable::program_faulty(&fmesh, &algo);
+            let econ = EconomicalTable::program(&mesh, &algo);
+            let full = FullTable::program(&mesh, &algo);
             for a in mesh.nodes() {
                 for b in mesh.nodes() {
                     prop_assert_eq!(econ.entry(a, b), full.entry(a, b), "{} {}->{} on {}", algo.name(), a, b, mesh);
@@ -334,18 +334,109 @@ fn fault_count_sweep_is_bit_identical_across_threads() {
 
 /// Faults must cost nothing when absent: a fault-free run of the exact
 /// reference configuration is byte-for-byte the same result whether the
-/// faults field is `None` or an explicitly empty random draw.
+/// faults field is `None` or an explicitly empty random draw, under every
+/// table scheme that a fault configuration admits, on a mesh and on a
+/// torus (where the economical table drops half-way-tie candidates).
 #[test]
 fn empty_fault_sets_cost_nothing() {
-    let reference = Scenario::builder()
-        .mesh_2d(8, 8)
-        .load(0.2)
-        .message_counts(200, 1_000);
-    let a = reference.clone().build().unwrap().run();
-    let b_scenario = reference.random_faults(0, 99).build().unwrap();
+    let mesh = Scenario::builder().mesh_2d(8, 8);
+    let torus = Scenario::builder().torus_2d(6, 6).vcs(4, 2);
+    let cases = [
+        (mesh.clone(), TableKind::Full),
+        (mesh.clone(), TableKind::Economical),
+        (mesh, TableKind::Interval),
+        (torus.clone(), TableKind::Full),
+        (torus, TableKind::Economical),
+    ];
+    for (topology, table) in cases {
+        let reference = topology.table(table).load(0.2).message_counts(200, 1_000);
+        let a = reference.clone().build().unwrap();
+        let b = reference.random_faults(0, 99).build().unwrap();
+        assert_eq!(
+            b.config().faults,
+            FaultsConfig::Random { count: 0, seed: 99 }
+        );
+        let what = format!("{} tables on {}", a.config().table.name(), a.config().mesh);
+        assert_eq!(a.run(), b.run(), "{what}");
+    }
+}
+
+/// The economical table stores up*/down* routes around dead links exactly:
+/// its exception store holds what the 3ⁿ sign classes cannot.
+#[test]
+fn faulty_program_reproduces_updown_exactly() {
+    let mesh = Mesh::mesh_2d(5, 5);
+    let faults = FaultSet::random(&mesh, 3, 17).unwrap();
+    let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), faults).unwrap());
+    let algo = UpDown::adaptive(Arc::clone(&fmesh));
+    let table = EconomicalTable::program(&mesh, &algo);
+    let full = FullTable::program(&mesh, &algo);
+    for node in mesh.nodes() {
+        for dest in mesh.nodes() {
+            assert_eq!(
+                table.entry(node, dest),
+                full.entry(node, dest),
+                "exception table lost {node}->{dest}"
+            );
+        }
+    }
+    // Up*/down* around faults is not sign-consistent: some exceptions
+    // exist, but far fewer than a full table's 25 entries per router.
+    assert!(table.exception_count() > 0);
+    assert!(table.max_exceptions_per_router() < mesh.node_count());
     assert_eq!(
-        b_scenario.config().faults,
-        FaultsConfig::Random { count: 0, seed: 99 }
+        table.storage().entries_per_router,
+        9 + table.max_exceptions_per_router()
     );
-    assert_eq!(a, b_scenario.run());
+}
+
+/// Interval escape runs reproduce the up*/down* escape around dead links.
+#[test]
+fn faulty_runs_reproduce_the_updown_escape() {
+    let mesh = Mesh::mesh_2d(5, 5);
+    let faults = FaultSet::random(&mesh, 3, 23).unwrap();
+    let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), faults).unwrap());
+    let algo = UpDown::new(Arc::clone(&fmesh));
+    let table = IntervalTable::escape_runs(&mesh, &algo);
+    for node in mesh.nodes() {
+        for dest in mesh.nodes() {
+            let e = table.entry(node, dest);
+            if node == dest {
+                assert!(e.is_local());
+            } else {
+                assert_eq!(e.escape, algo.escape_port(&mesh, node, dest));
+            }
+        }
+    }
+    // Irregularity fragments the labels: more runs than ports, but
+    // still far fewer than one entry per destination.
+    let per_router = table.storage().entries_per_router;
+    assert!(per_router > 0 && per_router < mesh.node_count());
+}
+
+/// Up*/down* escape runs on a perfect mesh deliver every pair.
+#[test]
+fn faulty_program_on_perfect_mesh_matches_updown_walks() {
+    let mesh = Mesh::mesh_2d(4, 4);
+    let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), FaultSet::empty()).unwrap());
+    let algo = UpDown::new(Arc::clone(&fmesh));
+    let table = IntervalTable::escape_runs(&mesh, &algo);
+    // Walk every pair to the destination over table entries alone.
+    for src in mesh.nodes() {
+        for dest in mesh.nodes() {
+            let mut at = src;
+            let mut hops = 0;
+            loop {
+                let e = table.entry(at, dest);
+                let p = e.candidates.first().unwrap();
+                if p.is_local() {
+                    break;
+                }
+                at = mesh.neighbor(at, p.direction().unwrap()).unwrap();
+                hops += 1;
+                assert!(hops <= 4 * mesh.node_count(), "walk does not terminate");
+            }
+            assert_eq!(at, dest);
+        }
+    }
 }
