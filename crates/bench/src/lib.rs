@@ -1,15 +1,17 @@
 //! The LAPSES benchmark harness.
 //!
-//! [`paper`] defines the paper's simulated experiments (Figs. 5 and 6,
-//! Tables 3 and 4) once, with the paper's values and claims; the `paper`
-//! bench renders them. Every bench prints its tables in the paper's
-//! layout, plus a CSV copy under the workspace-root `bench_results/` (see
-//! [`bench_results_dir`]). Message counts default to a fast profile; set
+//! [`paper`] defines every experiment of the evaluation once: the paper's
+//! Figs. 5 and 6 and Tables 3 and 4, the ablations of choices the paper
+//! leaves open, the burst-length sweep, and Table 5's storage costs. The
+//! `paper` bench renders them; each simulated experiment carries the
+//! paper's values where it prints any, and claims that tier-1 asserts.
+//! Every table prints through [`Table`], plus a CSV copy under the
+//! workspace-root `bench_results/` (see [`save_csv`]). Message counts
+//! default to a fast profile; set
 //! `LAPSES_WARMUP_MSGS=10000 LAPSES_MEASURE_MSGS=400000` to run the
 //! paper's full protocol.
 
-use lapses_network::scenario::ScenarioBuilder;
-use std::fmt::Write as _;
+use lapses_network::report::Table;
 use std::path::PathBuf;
 
 pub mod paper;
@@ -32,12 +34,6 @@ pub fn bench_results_dir() -> PathBuf {
         .join("bench_results")
 }
 
-/// Applies the [`bench_counts`] to a scenario builder.
-pub fn with_bench_counts_scenario(builder: ScenarioBuilder) -> ScenarioBuilder {
-    let (warmup, measure) = bench_counts();
-    builder.message_counts(warmup, measure)
-}
-
 /// The benches' (warm-up, measured) message counts: a fast profile of 500
 /// and 6,000, overridden by the `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS`
 /// environment variables so the paper's full protocol runs on demand
@@ -55,101 +51,23 @@ pub fn bench_counts() -> (u64, u64) {
     )
 }
 
-/// A simple fixed-width text table that prints like the paper's.
-#[derive(Debug, Default)]
-pub struct Table {
-    header: Vec<String>,
-    rows: Vec<Vec<String>>,
-}
-
-impl Table {
-    /// Creates a table with the given column headers.
-    pub fn new(header: &[&str]) -> Table {
-        Table {
-            header: header.iter().map(|s| s.to_string()).collect(),
-            rows: Vec::new(),
-        }
+/// Writes `table` as CSV to `<`[`bench_results_dir`]`>/<name>.csv` (best
+/// effort: a failure is reported but not fatal, so benches still print).
+pub fn save_csv(table: &Table, name: &str) {
+    let dir = bench_results_dir();
+    if let Err(e) = std::fs::create_dir_all(&dir) {
+        eprintln!("warning: cannot create {}: {e}", dir.display());
+        return;
     }
-
-    /// Appends a row (padded or truncated to the header width).
-    pub fn row(&mut self, cells: Vec<String>) {
-        self.rows.push(cells);
-    }
-
-    /// Renders the table with aligned columns.
-    pub fn render(&self) -> String {
-        let cols = self.header.len();
-        let mut widths: Vec<usize> = self.header.iter().map(|h| h.len()).collect();
-        for row in &self.rows {
-            for (i, cell) in row.iter().enumerate().take(cols) {
-                widths[i] = widths[i].max(cell.len());
-            }
-        }
-        let mut out = String::new();
-        let fmt_row = |cells: &[String], widths: &[usize]| {
-            let mut line = String::new();
-            for (i, w) in widths.iter().enumerate() {
-                let empty = String::new();
-                let cell = cells.get(i).unwrap_or(&empty);
-                let _ = write!(line, "{cell:>w$}  ", w = w);
-            }
-            line.trim_end().to_string()
-        };
-        out.push_str(&fmt_row(&self.header, &widths));
-        out.push('\n');
-        out.push_str(&"-".repeat(widths.iter().sum::<usize>() + 2 * widths.len()));
-        out.push('\n');
-        for row in &self.rows {
-            out.push_str(&fmt_row(row, &widths));
-            out.push('\n');
-        }
-        out
-    }
-
-    /// Writes the table as CSV to `<workspace root>/bench_results/
-    /// <name>.csv` (best effort — failures are reported but not fatal so
-    /// benches still print).
-    pub fn save_csv(&self, name: &str) {
-        let dir = bench_results_dir();
-        if let Err(e) = std::fs::create_dir_all(&dir) {
-            eprintln!("warning: cannot create {}: {e}", dir.display());
-            return;
-        }
-        let mut csv = String::new();
-        let escape = |s: &str| s.replace(',', ";");
-        csv.push_str(
-            &self
-                .header
-                .iter()
-                .map(|c| escape(c))
-                .collect::<Vec<_>>()
-                .join(","),
-        );
-        csv.push('\n');
-        for row in &self.rows {
-            csv.push_str(&row.iter().map(|c| escape(c)).collect::<Vec<_>>().join(","));
-            csv.push('\n');
-        }
-        let path = dir.join(format!("{name}.csv"));
-        if let Err(e) = std::fs::write(&path, csv) {
-            eprintln!("warning: cannot write {}: {e}", path.display());
-        }
+    let path = dir.join(format!("{name}.csv"));
+    if let Err(e) = std::fs::write(&path, table.to_csv()) {
+        eprintln!("warning: cannot write {}: {e}", path.display());
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn table_renders_aligned() {
-        let mut t = Table::new(&["load", "latency"]);
-        t.row(vec!["0.1".into(), "69.2".into()]);
-        t.row(vec!["0.9".into(), "432.8".into()]);
-        let s = t.render();
-        assert!(s.contains("load"));
-        assert!(s.lines().count() == 4);
-    }
 
     #[test]
     fn bench_results_dir_is_workspace_rooted() {

@@ -1,24 +1,31 @@
-//! The paper's evaluation, one definition per experiment.
+//! Every experiment of the evaluation, one definition each.
 //!
 //! Each [`Experiment`] is a grid of simulated cells, rows of traffic by
 //! columns of router configurations. It carries the values the paper
-//! prints for it, where the paper prints any, and a check of the paper's
-//! claims about it. The `paper` bench renders every experiment with the
-//! paper's column beside ours; `tests/paper_fidelity.rs` runs each one's
+//! prints for it, where the paper prints any, and a check of the claims
+//! made about it. [`all`] holds the paper's Figs. 5 and 6 and Tables 3
+//! and 4, then the ablations of choices the paper leaves open (`psh`,
+//! `vcs`, `topologies`, `lookup`) and the burst-length sweep (`burst`).
+//! The `paper` bench renders every experiment with the paper's column
+//! beside ours; `tests/paper_fidelity.rs` runs each one's
 //! [claimed rows](Experiment::checked) at 300 warm-up / 3000 measured
-//! messages and fails on any violated claim.
+//! messages and fails on any violated claim. [`table5`] renders Table 5,
+//! which is computed, not simulated.
 //!
-//! Every cell runs on the 16×16 mesh at the paper's Table 2 timing
-//! (`link_delay(0)`) from the scenario's default seed, so each row is a
-//! paired comparison of its columns on one workload.
+//! Every cell runs at the paper's Table 2 timing (`link_delay(0)`) from
+//! the scenario's default seed, so each row is a paired comparison of its
+//! columns on one workload. A cell runs on the paper's 16×16 mesh unless
+//! its column sets another topology.
 //!
 //! A cell that saturates renders as "Sat." and compares as +∞.
 
-use crate::Table;
-use lapses_core::psh::PathSelection;
+use lapses_core::psh::{CreditAggregate, LfuCounting, PathSelection};
+use lapses_core::tables::scheme_comparison;
 use lapses_core::RouterConfig;
+use lapses_network::report::Table;
 use lapses_network::scenario::{Scenario, ScenarioBuilder};
 use lapses_network::{Algorithm, Pattern, SimResult, SweepGrid, SweepRunner, TableKind};
+use lapses_topology::Mesh;
 use lapses_traffic::LengthDistribution;
 use std::fmt;
 
@@ -34,10 +41,22 @@ struct Row {
     paper: &'static [f64],
 }
 
+impl Row {
+    /// A row of 20-flit messages, with no paper values.
+    fn at(pattern: Pattern, load: f64) -> Row {
+        Row {
+            pattern,
+            load,
+            length: 20,
+            paper: &[],
+        }
+    }
+}
+
 impl fmt::Display for Row {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         let (pattern, load, length) = (self.pattern.name(), self.load, self.length);
-        write!(f, "{pattern} at load {load:.1}, {length}-flit messages")
+        write!(f, "{pattern} at load {load}, {length}-flit messages")
     }
 }
 
@@ -46,7 +65,7 @@ type Derived = (&'static str, fn(&[f64]) -> f64);
 
 /// One experiment of the paper's evaluation.
 pub struct Experiment {
-    /// The name the `paper` bench selects it by (`fig5`, `table3`, ...).
+    /// The name the `paper` bench selects it by (`fig5`, `psh`, ...).
     pub id: &'static str,
     /// The heading it renders under.
     pub title: &'static str,
@@ -57,9 +76,20 @@ pub struct Experiment {
     check: fn(&Outcome<'_>, &mut Vec<String>),
 }
 
-/// Every registered experiment, in the paper's order.
+/// Every registered experiment: the paper's, in its order, then the
+/// ablations and the burst sweep.
 pub fn all() -> Vec<Experiment> {
-    vec![fig5(), table3(), fig6(), table4()]
+    vec![
+        fig5(),
+        table3(),
+        fig6(),
+        table4(),
+        psh(),
+        vcs(),
+        topologies(),
+        lookup(),
+        burst(),
+    ]
 }
 
 impl Experiment {
@@ -182,8 +212,7 @@ impl Outcome<'_> {
                 header.push(format!("{name} (paper)"));
             }
         }
-        let header: Vec<&str> = header.iter().map(String::as_str).collect();
-        let mut table = Table::new(&header);
+        let mut table = Table::new(header);
 
         let number = |v: f64| {
             if v.is_finite() {
@@ -200,7 +229,7 @@ impl Outcome<'_> {
                 .chain(e.derived.iter().map(|(_, f)| f(&latencies)));
             let mut cells = vec![
                 row.pattern.name().to_string(),
-                format!("{:.1}", row.load),
+                row.load.to_string(),
                 row.length.to_string(),
             ];
             for (k, v) in ours.enumerate() {
@@ -239,12 +268,9 @@ fn load_rows(patterns: &[Pattern]) -> Vec<Row> {
     patterns
         .iter()
         .flat_map(|&pattern| {
-            loads(pattern).iter().map(move |&load| Row {
-                pattern,
-                load,
-                length: 20,
-                paper: &[],
-            })
+            loads(pattern)
+                .iter()
+                .map(move |&load| Row::at(pattern, load))
         })
         .collect()
 }
@@ -269,6 +295,28 @@ fn expect_below(out: &Outcome<'_>, i: usize, lower: &str, higher: &str, v: &mut 
             "{row}: {lower} ({low:.2}) is not below {higher} ({high:.2})"
         ));
     }
+}
+
+/// Pushes a violation unless `key` maps the results of columns `a` and
+/// `b` in row `i` to the same value.
+fn expect_same<K: PartialEq + fmt::Debug>(
+    out: &Outcome<'_>,
+    i: usize,
+    (a, b): (&str, &str),
+    key: impl Fn(&SimResult) -> K,
+    v: &mut Vec<String>,
+) {
+    let (ka, kb) = (key(out.result(i, a)), key(out.result(i, b)));
+    if ka != kb {
+        let row = &out.experiment.rows[i];
+        v.push(format!("{row}: {a} {ka:?} differs from {b} {kb:?}"));
+    }
+}
+
+/// A run's (average latency, maximum latency, cycles): what two runs of
+/// one routing relation from one seed must share.
+fn summary(r: &SimResult) -> (f64, f64, u64) {
+    (r.avg_latency, r.max_latency, r.cycles)
 }
 
 /// Fig. 5 (§3.3): look-ahead × adaptivity on the four patterns.
@@ -464,24 +512,261 @@ fn table4() -> Experiment {
             _ => false,
         },
         check: |out, violations| {
-            for (i, row) in out.experiment.rows.iter().enumerate() {
-                let key = |column| {
-                    let r = out.result(i, column);
-                    (r.avg_latency, r.max_latency, r.cycles)
-                };
-                let (full, econ) = (key("Full-Tbl-Adp."), key("Econ. Storage"));
-                if full != econ {
-                    violations.push(format!(
-                        "{row}: (average latency, maximum latency, cycles) differ between \
-                         Full-Tbl-Adp. {full:?} and Econ. Storage {econ:?}"
-                    ));
-                }
+            for i in 0..out.experiment.rows.len() {
+                let pair = ("Full-Tbl-Adp.", "Econ. Storage");
+                expect_same(out, i, pair, summary, violations);
             }
             for (i, _) in out.claimed_rows() {
                 expect_below(out, i, "Meta-Tbl Det.", "Meta-Tbl Adp.", violations);
             }
         },
     }
+}
+
+/// Path-selection ablation (§4): how MAX-CREDIT aggregates credits and
+/// how LFU counts use, with random selection as a baseline, on transpose
+/// traffic.
+///
+/// Claims, in both rows: MAX-CREDIT summing the credits of a port's VCs
+/// beats MAX-CREDIT reading its best single VC, and LFU counting message
+/// headers beats LFU counting flits. At 300/3000 messages on transpose at
+/// 0.35 from the default seed: 99.3 against 178.6, and 91.6 against 109.3.
+/// Both held on seeds 1–3 as well.
+fn psh() -> Experiment {
+    let selections = [
+        ("static-xy", PathSelection::StaticXy),
+        ("random", PathSelection::Random),
+        (
+            "max-credit(sum)",
+            PathSelection::MaxCredit(CreditAggregate::Sum),
+        ),
+        (
+            "max-credit(max)",
+            PathSelection::MaxCredit(CreditAggregate::Max),
+        ),
+        ("lfu(per-flit)", PathSelection::Lfu(LfuCounting::PerFlit)),
+        ("lfu(per-msg)", PathSelection::Lfu(LfuCounting::PerMessage)),
+        ("lru", PathSelection::Lru),
+    ];
+    Experiment {
+        id: "psh",
+        title: "Path-selection ablation: credit aggregation, LFU counting, random selection",
+        columns: selections
+            .into_iter()
+            .map(|(name, psh)| (name, paper_timing().path_selection(psh)))
+            .collect(),
+        derived: Vec::new(),
+        rows: vec![
+            Row::at(Pattern::Transpose, 0.2),
+            Row::at(Pattern::Transpose, 0.35),
+        ],
+        claimed: |_| true,
+        check: |out, violations| {
+            for (i, _) in out.claimed_rows() {
+                expect_below(out, i, "max-credit(sum)", "max-credit(max)", violations);
+                expect_below(out, i, "lfu(per-msg)", "lfu(per-flit)", violations);
+            }
+        },
+    }
+}
+
+/// VC-split ablation: escape + adaptive VCs per port under Duato's
+/// protocol, with the default STATIC-XY selection, on transpose traffic.
+///
+/// Claim, in both rows: the latencies rank 1+1 < 2+2 < 1+3 < 1+7, so
+/// more adaptive VCs per port cost latency here. At 300/3000 messages on
+/// transpose at 0.35 from the default seed: 101.1, 135.6, 178.4 and
+/// 261.5. The rank held on seeds 1–3 as well.
+fn vcs() -> Experiment {
+    let split = |total, escape| paper_timing().vcs(total, escape);
+    Experiment {
+        id: "vcs",
+        title: "VC-split ablation: escape+adaptive VCs under Duato's protocol",
+        columns: vec![
+            ("1+3", split(4, 1)),
+            ("2+2", split(4, 2)),
+            ("1+1", split(2, 1)),
+            ("1+7", split(8, 1)),
+        ],
+        derived: Vec::new(),
+        rows: vec![
+            Row::at(Pattern::Transpose, 0.2),
+            Row::at(Pattern::Transpose, 0.35),
+        ],
+        claimed: |_| true,
+        check: |out, violations| {
+            for (i, _) in out.claimed_rows() {
+                for pair in ["1+1", "2+2", "1+3", "1+7"].windows(2) {
+                    expect_below(out, i, pair[0], pair[1], violations);
+                }
+            }
+        },
+    }
+}
+
+/// Economical storage beyond 2-D meshes (§5.2.1): full and ES tables on a
+/// 6×6×6 mesh (27-entry ES tables) and on an 8×8 torus with the dateline
+/// escape (two escape VCs), under uniform traffic.
+///
+/// Claims, in both rows:
+/// * on the 3-D mesh both tables hold the same routing relation, so from
+///   the same seed they give bit-identical average latency, maximum
+///   latency and cycle count;
+/// * on the torus ES is strictly slower than full: its sign classes
+///   cannot tell the two directions of a half-way tie apart, so ES drops
+///   those candidates. At 300/3000 messages at load 0.4 from the default
+///   seed: 90.4 against 85.3. This held on seeds 1–3 as well.
+fn topologies() -> Experiment {
+    let mesh3d = || paper_timing().topology(Mesh::mesh_3d(6, 6, 6));
+    let torus = || paper_timing().torus_2d(8, 8).vcs(4, 2);
+    Experiment {
+        id: "topologies",
+        title: "Economical storage beyond 2-D meshes: 6x6x6 mesh and 8x8 torus",
+        columns: vec![
+            ("6x6x6 full", mesh3d().table(TableKind::Full)),
+            ("6x6x6 ES", mesh3d().table(TableKind::Economical)),
+            ("8x8 torus full", torus().table(TableKind::Full)),
+            ("8x8 torus ES", torus().table(TableKind::Economical)),
+        ],
+        derived: Vec::new(),
+        rows: vec![
+            Row::at(Pattern::Uniform, 0.2),
+            Row::at(Pattern::Uniform, 0.4),
+        ],
+        claimed: |_| true,
+        check: |out, violations| {
+            for (i, _) in out.claimed_rows() {
+                expect_same(out, i, ("6x6x6 full", "6x6x6 ES"), summary, violations);
+                expect_below(out, i, "8x8 torus full", "8x8 torus ES", violations);
+            }
+        },
+    }
+}
+
+/// Table-lookup latency: Table 5 calls a full table's lookup time
+/// "possibly high", since it grows with the table. Here the 256-entry
+/// full table is a 2-cycle RAM and the 9-entry ES table a 1-cycle one.
+///
+/// Claims, in both rows:
+/// * look-ahead hides the second cycle completely: full tables at 2
+///   cycles with look-ahead run identically (every `SimResult` field) to
+///   full tables at 1 cycle without it;
+/// * without look-ahead the second cycle costs latency (94.8 against
+///   84.0 at uniform 0.2, 300/3000 messages, default seed);
+/// * ES tables at 1 cycle run identically to full tables at 1 cycle.
+fn lookup() -> Experiment {
+    let ram = |table, cycles| paper_timing().table(table).table_lookup_cycles(cycles);
+    Experiment {
+        id: "lookup",
+        title: "Table-lookup latency: a 2-cycle full-table RAM against 1-cycle tables",
+        columns: vec![
+            ("full 1-cyc", ram(TableKind::Full, 1)),
+            ("full 2-cyc", ram(TableKind::Full, 2)),
+            ("ES 1-cyc", ram(TableKind::Economical, 1)),
+            ("full 2-cyc + LA", ram(TableKind::Full, 2).lookahead(true)),
+        ],
+        derived: Vec::new(),
+        rows: vec![
+            Row::at(Pattern::Uniform, 0.2),
+            Row::at(Pattern::Transpose, 0.3),
+        ],
+        claimed: |_| true,
+        check: |out, violations| {
+            let whole = SimResult::clone;
+            for (i, _) in out.claimed_rows() {
+                expect_same(out, i, ("full 2-cyc + LA", "full 1-cyc"), whole, violations);
+                expect_below(out, i, "full 1-cyc", "full 2-cyc", violations);
+                expect_same(out, i, ("ES 1-cyc", "full 1-cyc"), whole, violations);
+            }
+        },
+    }
+}
+
+/// Burst length against latency: ON/OFF sources offer the same long-run
+/// load as the smooth exponential source, in bursts of a mean number of
+/// back-to-back messages at one message per 2 cycles. 8×8 LA-ADAPT mesh,
+/// uniform traffic.
+///
+/// Claim, at loads 0.3 and 0.4: latency rises strictly with burst length.
+/// At 300/3000 messages at 0.3 from the default seed: 61.3, 83.9, 96.5,
+/// 108.9 and 120.8. The rows from 0.5 up are rendered but not claimed:
+/// there the order breaks on seed 2 (159.9 against 154.6 at 0.5).
+fn burst() -> Experiment {
+    let lengths = [
+        ("burst 1", 1),
+        ("burst 2", 2),
+        ("burst 4", 4),
+        ("burst 8", 8),
+        ("burst 16", 16),
+    ];
+    Experiment {
+        id: "burst",
+        title: "Burst length vs latency: 8x8 LA-ADAPT mesh, uniform traffic, peak gap 2",
+        columns: lengths
+            .into_iter()
+            .map(|(name, len)| {
+                let mesh = paper_timing().mesh_2d(8, 8).lookahead(true);
+                (name, mesh.bursty(len, 2.0))
+            })
+            .collect(),
+        derived: Vec::new(),
+        rows: [0.3, 0.4, 0.5, 0.6, 0.7, 0.8, 0.9]
+            .into_iter()
+            .map(|load| Row::at(Pattern::Uniform, load))
+            .collect(),
+        claimed: |row| row.load <= 0.4,
+        check: |out, violations| {
+            let names: Vec<_> = out.experiment.column_names().collect();
+            for (i, _) in out.claimed_rows() {
+                for pair in names.windows(2) {
+                    expect_below(out, i, pair[0], pair[1], violations);
+                }
+            }
+        },
+    }
+}
+
+/// The `paper` bench id of [`table5`].
+pub const TABLE5: &str = "table5";
+
+/// Table 5 (§5.2.1): each table-storage scheme's entries and bits per
+/// router and its properties, on the paper's 16×16 mesh, the 2048-node
+/// Cray T3D-scale 3-D mesh the paper cites, and a million-node 2-D mesh.
+/// Meta-tables use `N/m + m` entries for `m` clusters. Nothing here is
+/// simulated; `lapses_core::tables::cost` asserts the paper's entry
+/// counts (9 per router for ES on any 2-D mesh, 27 on any 3-D mesh).
+pub fn table5() -> Table {
+    let networks = [
+        (Mesh::mesh_2d(16, 16), 16),
+        (Mesh::mesh(&[8, 16, 16]), 16),
+        (Mesh::mesh_2d(1024, 1024), 1024),
+    ];
+    let mut table = Table::new([
+        "network",
+        "scheme",
+        "entries/router",
+        "bits/router",
+        "bits w/ LA",
+        "size indep. of N",
+        "adaptive",
+        "topologies",
+    ]);
+    let yes_no = |b: bool| if b { "yes" } else { "no" }.to_string();
+    for (mesh, clusters) in networks {
+        for r in scheme_comparison(&mesh, mesh.node_count() / clusters + clusters) {
+            table.row(vec![
+                mesh.to_string(),
+                r.scheme.to_string(),
+                r.storage.entries_per_router.to_string(),
+                r.storage.bits_per_router().to_string(),
+                r.storage.lookahead_bits_per_router().to_string(),
+                yes_no(r.size_independent_of_network),
+                yes_no(r.supports_adaptive),
+                r.topologies.to_string(),
+            ]);
+        }
+    }
+    table
 }
 
 #[cfg(test)]
@@ -508,10 +793,18 @@ mod tests {
 
     #[test]
     fn ids_are_unique() {
-        let mut ids: Vec<_> = all().iter().map(|e| e.id).collect();
+        let mut ids: Vec<_> = all().iter().map(|e| e.id).chain([TABLE5]).collect();
         ids.sort();
         ids.dedup();
-        assert_eq!(ids.len(), all().len());
+        assert_eq!(ids.len(), all().len() + 1);
+    }
+
+    #[test]
+    fn table5_lists_four_schemes_on_three_networks() {
+        let csv = table5().to_csv();
+        assert_eq!(csv.lines().count(), 1 + 3 * 4);
+        assert!(csv.contains("16x16 mesh,economical,9,"), "{csv}");
+        assert!(csv.contains("8x16x16 mesh,economical,27,"), "{csv}");
     }
 
     #[test]

@@ -1,13 +1,14 @@
-//! Load-sweep reporting: paper-style latency/load series rendered as text.
+//! Text reports: paper-style tables and latency/load series.
 //!
-//! The paper presents its results as latency-versus-normalized-load curves
-//! (Figs. 5 and 6). [`SweepReport`] collects one or more labeled sweeps and
-//! renders them as an aligned table plus a quick ASCII chart, so examples
-//! and ad-hoc experiments can eyeball curve shapes without leaving the
-//! terminal. CSV export feeds external plotting.
+//! [`Table`] renders every table in the workspace: aligned text for the
+//! terminal and CSV for external plotting. The paper presents its results
+//! as latency-versus-normalized-load curves (Figs. 5 and 6);
+//! [`SweepReport`] collects labeled sweeps and shows them as a [`Table`]
+//! or as a quick ASCII chart, so examples and ad-hoc experiments can
+//! eyeball curve shapes without leaving the terminal.
 
 use crate::stats::SimResult;
-use std::fmt::Write as _;
+use std::fmt::{self, Write as _};
 
 /// One labeled latency-vs-load series.
 #[derive(Debug, Clone, PartialEq)]
@@ -82,29 +83,21 @@ impl SweepReport {
         loads
     }
 
-    /// Renders an aligned latency table, one row per load, one column per
-    /// series, with the paper's "Sat." convention.
-    pub fn to_table(&self) -> String {
-        let loads = self.loads();
-        let mut out = String::new();
-        let _ = write!(out, "{:>6}", "load");
-        for s in &self.series {
-            let _ = write!(out, "  {:>12}", truncate(&s.label, 12));
-        }
-        out.push('\n');
-        for &load in &loads {
-            let _ = write!(out, "{load:>6.2}");
-            for s in &self.series {
-                let cell = s
-                    .points
+    /// The latency table: one row per load, one column per series, with
+    /// the paper's "Sat." convention.
+    pub fn to_table(&self) -> Table {
+        let mut table =
+            Table::new(std::iter::once("load").chain(self.series.iter().map(|s| s.label.as_str())));
+        for load in self.loads() {
+            let cells = self.series.iter().map(|s| {
+                s.points
                     .iter()
                     .find(|(l, _)| (*l - load).abs() < 1e-9)
-                    .map_or("-".to_string(), |(_, r)| r.latency_cell());
-                let _ = write!(out, "  {cell:>12}");
-            }
-            out.push('\n');
+                    .map_or("-".to_string(), |(_, r)| r.latency_cell())
+            });
+            table.row(std::iter::once(format!("{load:.2}")).chain(cells).collect());
         }
-        out
+        table
     }
 
     /// Renders a rough ASCII chart of latency vs load (linear axes,
@@ -188,11 +181,77 @@ fn marker_for(index: usize) -> char {
     MARKERS[index % MARKERS.len()]
 }
 
-fn truncate(s: &str, n: usize) -> String {
-    if s.len() <= n {
-        s.to_string()
-    } else {
-        s[..n].to_string()
+/// A text table with a header row: the one renderer of every table the
+/// crate and its benches print.
+///
+/// [`render`](Table::render) (and `Display`) right-aligns each column to
+/// its widest cell, under a dashed rule; [`to_csv`](Table::to_csv) gives
+/// the same cells as CSV text.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct Table {
+    header: Vec<String>,
+    rows: Vec<Vec<String>>,
+}
+
+impl Table {
+    /// Creates a table with the given column headers.
+    pub fn new<S: Into<String>>(header: impl IntoIterator<Item = S>) -> Table {
+        Table {
+            header: header.into_iter().map(Into::into).collect(),
+            rows: Vec::new(),
+        }
+    }
+
+    /// Appends a row. [`render`](Table::render) drops cells past the
+    /// header's width and renders missing cells empty.
+    pub fn row(&mut self, cells: Vec<String>) {
+        self.rows.push(cells);
+    }
+
+    /// Renders the table with aligned columns.
+    pub fn render(&self) -> String {
+        let mut widths: Vec<usize> = self.header.iter().map(String::len).collect();
+        for row in &self.rows {
+            for (width, cell) in widths.iter_mut().zip(row) {
+                *width = (*width).max(cell.len());
+            }
+        }
+        let line = |cells: &[String]| {
+            let mut line = String::new();
+            for (i, w) in widths.iter().enumerate() {
+                let cell = cells.get(i).map_or("", String::as_str);
+                let _ = write!(line, "{cell:>w$}  ");
+            }
+            line.trim_end().to_string() + "\n"
+        };
+        let mut out = line(&self.header);
+        out += &"-".repeat(widths.iter().map(|w| w + 2).sum());
+        out.push('\n');
+        for row in &self.rows {
+            out += &line(row);
+        }
+        out
+    }
+
+    /// The table as CSV text: the header, then one line per row. A comma
+    /// inside a cell becomes a semicolon, so every line has one field per
+    /// cell.
+    pub fn to_csv(&self) -> String {
+        let line = |cells: &[String]| {
+            let fields: Vec<String> = cells.iter().map(|c| c.replace(',', ";")).collect();
+            fields.join(",") + "\n"
+        };
+        let mut csv = line(&self.header);
+        for row in &self.rows {
+            csv += &line(row);
+        }
+        csv
+    }
+}
+
+impl fmt::Display for Table {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.write_str(&self.render())
     }
 }
 
@@ -238,12 +297,36 @@ mod tests {
 
     #[test]
     fn table_includes_all_loads_and_sat_cells() {
-        let t = report().to_table();
+        let t = report().to_table().render();
         assert!(t.contains("0.30"));
         assert!(t.contains("Sat."));
         assert!(t.contains("det"));
         // The det series has no 0.3 point.
         assert!(t.lines().last().unwrap().contains('-'));
+    }
+
+    #[test]
+    fn table_renders_aligned() {
+        let mut t = Table::new(["load", "latency"]);
+        t.row(vec!["0.1".into(), "69.2".into()]);
+        t.row(vec!["0.9".into(), "432.8".into()]);
+        let s = t.render();
+        assert_eq!(
+            s,
+            "load  latency\n---------------\n 0.1     69.2\n 0.9    432.8\n"
+        );
+        assert_eq!(t.to_string(), s);
+    }
+
+    #[test]
+    fn csv_has_a_header_and_one_line_per_row_with_commas_escaped() {
+        let mut t = Table::new(["scheme", "topologies"]);
+        t.row(vec!["full".into(), "any".into()]);
+        t.row(vec!["interval".into(), "mesh, torus".into()]);
+        assert_eq!(
+            t.to_csv(),
+            "scheme,topologies\nfull,any\ninterval,mesh; torus\n"
+        );
     }
 
     #[test]

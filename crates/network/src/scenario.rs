@@ -160,8 +160,8 @@ pub enum ScenarioError {
         /// The configured algorithm.
         algorithm: Algorithm,
     },
-    /// Irregular (faulty or up*/down*) routing with a table scheme that
-    /// has no irregular-topology programming (the meta-tables).
+    /// An up*/down* algorithm with a table scheme that has no
+    /// irregular-topology programming (the meta-tables).
     FaultTable {
         /// The table scheme's name.
         table: &'static str,
@@ -644,10 +644,11 @@ impl ScenarioBuilder {
                 algorithm: config.algorithm,
             });
         }
-        // Any fault configuration — even an empty random draw — and any
-        // up*/down* algorithm need a table with irregular programming.
-        let irregular = !config.faults.is_none() || config.algorithm.fault_tolerant();
-        if irregular && !config.table.supports_faults() {
+        // An up*/down* algorithm needs a table with irregular programming.
+        // A classic one compiles the same program with or without an empty
+        // fault draw (`SimConfig::build_program`), so only the algorithm
+        // decides.
+        if config.algorithm.fault_tolerant() && !config.table.supports_faults() {
             return Err(ScenarioError::FaultTable {
                 table: config.table.name(),
             });
@@ -1239,9 +1240,9 @@ mod tests {
                 }
             );
         }
-        // A classic algorithm keeps its table constraints on the irregular
-        // path an empty random fault draw takes: interval run lists cannot
-        // encode the torus dateline classes.
+        // An empty random fault draw leaves a classic algorithm's table
+        // constraints in place: interval run lists cannot encode the torus
+        // dateline classes.
         let empty_draw = torus().random_faults(0, 1).table(TableKind::Interval);
         assert_eq!(
             empty_draw.build().unwrap_err(),
@@ -1259,13 +1260,11 @@ mod tests {
         // tori support.
         let updown = torus().table(TableKind::Interval);
         assert!(updown.algorithm(Algorithm::UpDown).build().is_ok());
-        // An empty random fault draw still takes the irregular path.
-        let err = small()
-            .random_faults(0, 1)
-            .table(TableKind::MetaRows)
-            .build()
-            .unwrap_err();
-        assert_eq!(err, ScenarioError::FaultTable { table: "meta-rows" });
+        // An empty random fault draw compiles like no faults, so a classic
+        // algorithm keeps its meta-table and runs bit-identically.
+        let meta = small().table(TableKind::MetaRows);
+        let empty_draw = meta.clone().random_faults(0, 1).build().unwrap();
+        assert_eq!(empty_draw.run(), meta.build().unwrap().run());
     }
 
     #[test]

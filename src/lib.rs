@@ -87,7 +87,9 @@
 //! length, algorithm, topology extent, fault density);
 //! [`SweepRunner`](network::SweepRunner) executes a grid on every core
 //! and aggregates a [`SweepReport`](network::SweepReport) that is
-//! bit-identical to a single-threaded run of the same master seed:
+//! bit-identical to a single-threaded run of the same master seed. Its
+//! `to_table` is a [`Table`](network::report::Table), the one renderer of
+//! every table in the workspace (aligned text, or `to_csv`):
 //!
 //! ```
 //! use lapses::prelude::*;
@@ -104,7 +106,10 @@
 //!     .scenario_series("bursty", &bursty, &ScenarioAxis::BurstLen(vec![2, 8]))
 //!     .unwrap();
 //! let report = SweepRunner::new().with_master_seed(7).run(&grid);
-//! println!("{}", report.to_table());
+//! let table = report.to_table();
+//! println!("{table}");
+//! // A header, then one line per x value: loads 0.1, 0.2; bursts 2, 8.
+//! assert_eq!(table.to_csv().lines().count(), 1 + 4);
 //! assert!(report.saturation_summary().iter().all(|s| s.saturation_load.is_none()));
 //! ```
 //!
@@ -130,10 +135,11 @@
 //!
 //! The `lapses-bench` crate regenerates every table and figure of the
 //! paper's evaluation on top of the same scenario + sweep engine. Its
-//! `paper` module defines Figs. 5 and 6 and Tables 3 and 4 once, with the
-//! paper's values and claims; `cargo bench -p lapses-bench --bench paper
-//! -- fig5` renders one of them, and `tests/paper_fidelity.rs` checks
-//! their claims.
+//! `paper` module defines every experiment once: Figs. 5 and 6 and
+//! Tables 3 and 4 with the paper's values, the ablations and the burst
+//! sweep, each with its claims, and Table 5's storage costs.
+//! `cargo bench -p lapses-bench --bench paper -- fig5` renders one of
+//! them, and `tests/paper_fidelity.rs` checks the claims.
 //!
 //! # Performance
 //!

@@ -335,8 +335,7 @@ fn fault_count_sweep_is_bit_identical_across_threads() {
 /// Faults must cost nothing when absent: a fault-free run of the exact
 /// reference configuration is byte-for-byte the same result whether the
 /// faults field is `None` or an explicitly empty random draw, under every
-/// table scheme that a fault configuration admits, on a mesh and on a
-/// torus (where the economical table drops half-way-tie candidates).
+/// fault-capable table scheme, on a mesh and on a torus (where the economical table drops half-way-tie candidates).
 #[test]
 fn empty_fault_sets_cost_nothing() {
     let mesh = Scenario::builder().mesh_2d(8, 8);

@@ -386,7 +386,6 @@ fn former_panics_are_typed_errors() {
         "topology = torus 4x4\nvcs = 4 2\ntable = interval",
         "topology = torus 4x4\nvcs = 4 2\ntable = meta-rows",
         "topology = mesh 4x4\ntable = meta-blocks 3x3",
-        "topology = mesh 4x4\nfault-count = 0\ntable = meta-rows",
         "topology = torus 4x4\nalgorithm = dimension-order",
         "topology = mesh 4x4\nload = 1e9",
         "topology = mesh 1x5x4x4\nfault-count = 4000000000",
@@ -399,6 +398,15 @@ fn former_panics_are_typed_errors() {
         match spec.to_scenario(&base_dir()) {
             Err(SpecError::Scenario(_)) => {}
             other => panic!("{text:?}: expected a scenario error, got {other:?}"),
+        }
+    }
+    // An empty random fault draw routes like no faults, so a classic
+    // algorithm keeps any table it could use without one.
+    let builds = ["topology = mesh 4x4\nfault-count = 0\ntable = meta-rows"];
+    for text in builds {
+        let spec = ScenarioSpec::parse(text).unwrap_or_else(|e| panic!("{text:?}: {e}"));
+        if let Err(e) = spec.to_scenario(&base_dir()) {
+            panic!("{text:?}: expected a scenario, got {e}");
         }
     }
 }
