@@ -35,7 +35,10 @@ fn main() {
     }
     let wanted = |id: &str| ids.is_empty() || ids.iter().any(|w| w == id);
 
-    let (warmup, measure) = bench_counts();
+    let (warmup, measure) = bench_counts().unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2);
+    });
     for experiment in experiments.into_iter().filter(|e| wanted(e.id)) {
         println!("== {} ({warmup}/{measure} messages) ==\n", experiment.title);
         let outcome = experiment.run(warmup, measure);

@@ -38,17 +38,32 @@ pub fn bench_results_dir() -> PathBuf {
 /// and 6,000, overridden by the `LAPSES_WARMUP_MSGS` / `LAPSES_MEASURE_MSGS`
 /// environment variables so the paper's full protocol runs on demand
 /// without recompiling.
-pub fn bench_counts() -> (u64, u64) {
+///
+/// # Errors
+///
+/// A variable that is set but not a whole number of messages (say
+/// `LAPSES_MEASURE_MSGS=4e5`) is an error naming the variable and its
+/// value, never a silent fallback to the fast profile.
+pub fn bench_counts() -> Result<(u64, u64), String> {
     let env = |name: &str, default: u64| {
-        std::env::var(name)
-            .ok()
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
+        let value = std::env::var_os(name).map(|v| v.to_string_lossy().into_owned());
+        count(name, value.as_deref(), default)
     };
-    (
-        env("LAPSES_WARMUP_MSGS", 500),
-        env("LAPSES_MEASURE_MSGS", 6_000),
-    )
+    Ok((
+        env("LAPSES_WARMUP_MSGS", 500)?,
+        env("LAPSES_MEASURE_MSGS", 6_000)?,
+    ))
+}
+
+/// Parses the message count `value` of the environment variable `name`,
+/// or gives `default` when it is unset.
+fn count(name: &str, value: Option<&str>, default: u64) -> Result<u64, String> {
+    match value {
+        None => Ok(default),
+        Some(v) => v
+            .parse()
+            .map_err(|_| format!("{name}={v:?} is not a whole number of messages")),
+    }
 }
 
 /// Writes `table` as CSV to `<`[`bench_results_dir`]`>/<name>.csv` (best
@@ -68,6 +83,23 @@ pub fn save_csv(table: &Table, name: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn counts_parse_or_name_the_bad_variable() {
+        assert_eq!(count("LAPSES_WARMUP_MSGS", None, 500), Ok(500));
+        assert_eq!(
+            count("LAPSES_MEASURE_MSGS", Some("400000"), 6_000),
+            Ok(400_000)
+        );
+        for bad in ["4e5", "", " 10", "-1", "1.5"] {
+            assert_eq!(
+                count("LAPSES_MEASURE_MSGS", Some(bad), 6_000),
+                Err(format!(
+                    "LAPSES_MEASURE_MSGS={bad:?} is not a whole number of messages"
+                ))
+            );
+        }
+    }
 
     #[test]
     fn bench_results_dir_is_workspace_rooted() {

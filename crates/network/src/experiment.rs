@@ -21,12 +21,9 @@ use lapses_routing::{
 use lapses_sim::{Cycle, MeasurementPhase, PhaseController, ProgressWatchdog};
 use lapses_topology::labeling::ClusterMap;
 use lapses_topology::{FaultError, FaultSet, FaultyMesh, Mesh, NodeId, MAX_DIMS};
-use lapses_traffic::arrivals::{ArrivalProcess, Bernoulli, Exponential, Periodic};
-use lapses_traffic::patterns;
 use lapses_traffic::workload::{OnOffWorkload, SyntheticWorkload, Workload};
-use lapses_traffic::{
-    Generator, LengthDistribution, Trace, TraceEvent, TraceWorkload, TrafficPattern,
-};
+pub use lapses_traffic::{ArrivalKind, Pattern};
+use lapses_traffic::{Generator, LengthDistribution, Trace, TraceEvent, TraceWorkload};
 use std::sync::Arc;
 
 /// Routing algorithm selector.
@@ -190,45 +187,6 @@ impl FaultsConfig {
     }
 }
 
-/// Arrival-process selector for the synthetic workload.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum ArrivalKind {
-    /// Exponential (Poisson) inter-arrival gaps — the paper's process.
-    #[default]
-    Exponential,
-    /// Bernoulli trials per cycle: geometric integer gaps.
-    Bernoulli,
-    /// Deterministic fixed gaps.
-    Periodic,
-}
-
-impl ArrivalKind {
-    /// Every arrival process, in declaration order.
-    pub const ALL: [ArrivalKind; 3] = [
-        ArrivalKind::Exponential,
-        ArrivalKind::Bernoulli,
-        ArrivalKind::Periodic,
-    ];
-
-    /// Instantiates the process at the given mean gap.
-    pub fn build(self, mean_gap: f64) -> Box<dyn ArrivalProcess> {
-        match self {
-            ArrivalKind::Exponential => Box::new(Exponential::new(mean_gap)),
-            ArrivalKind::Bernoulli => Box::new(Bernoulli::new(mean_gap)),
-            ArrivalKind::Periodic => Box::new(Periodic::new(mean_gap)),
-        }
-    }
-
-    /// A short name for reports and scenario specs.
-    pub fn name(self) -> &'static str {
-        match self {
-            ArrivalKind::Exponential => "exponential",
-            ArrivalKind::Bernoulli => "bernoulli",
-            ArrivalKind::Periodic => "periodic",
-        }
-    }
-}
-
 /// Workload selector: which message source drives the run.
 ///
 /// The synthetic and bursty sources read the configuration's `pattern`,
@@ -269,100 +227,6 @@ impl WorkloadKind {
             WorkloadKind::Synthetic { .. } => "synthetic",
             WorkloadKind::Bursty { .. } => "bursty",
             WorkloadKind::Trace(_) => "trace",
-        }
-    }
-}
-
-/// Traffic pattern selector (the paper's four plus the usual extras).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub enum Pattern {
-    /// Node-uniform random traffic.
-    Uniform,
-    /// Matrix transpose `(x,y) → (y,x)`.
-    Transpose,
-    /// Bit-reversal of the node address.
-    BitReversal,
-    /// Perfect shuffle (rotate address left by one bit).
-    PerfectShuffle,
-    /// Bitwise complement of the node address.
-    BitComplement,
-    /// Half-way-around-the-row tornado.
-    Tornado,
-    /// Uniform with a hotspot node receiving extra traffic.
-    Hotspot {
-        /// The hotspot node id.
-        node: u32,
-        /// Probability a message targets the hotspot.
-        probability: f64,
-    },
-    /// Random adjacent-node traffic.
-    NearestNeighbor,
-}
-
-impl Pattern {
-    /// The paper's four evaluation patterns, in presentation order.
-    pub const PAPER_FOUR: [Pattern; 4] = [
-        Pattern::Uniform,
-        Pattern::Transpose,
-        Pattern::BitReversal,
-        Pattern::PerfectShuffle,
-    ];
-
-    /// Every pattern without parameters (all but [`Pattern::Hotspot`]).
-    pub const ALL: [Pattern; 7] = [
-        Pattern::Uniform,
-        Pattern::Transpose,
-        Pattern::BitReversal,
-        Pattern::PerfectShuffle,
-        Pattern::BitComplement,
-        Pattern::Tornado,
-        Pattern::NearestNeighbor,
-    ];
-
-    /// Instantiates the pattern.
-    pub fn build(self) -> Box<dyn TrafficPattern> {
-        match self {
-            Pattern::Uniform => Box::new(patterns::Uniform::new()),
-            Pattern::Transpose => Box::new(patterns::Transpose::new()),
-            Pattern::BitReversal => Box::new(patterns::BitReversal::new()),
-            Pattern::PerfectShuffle => Box::new(patterns::PerfectShuffle::new()),
-            Pattern::BitComplement => Box::new(patterns::BitComplement::new()),
-            Pattern::Tornado => Box::new(patterns::Tornado::new()),
-            Pattern::Hotspot { node, probability } => {
-                Box::new(patterns::Hotspot::new(NodeId(node), probability))
-            }
-            Pattern::NearestNeighbor => Box::new(patterns::NearestNeighbor::new()),
-        }
-    }
-
-    /// Whether the pattern is defined on `mesh` (see the `supports`
-    /// predicates of [`lapses_traffic::patterns`]): some source injects.
-    pub(crate) fn supports(self, mesh: &Mesh) -> bool {
-        match self {
-            Pattern::Uniform => patterns::Uniform::supports(mesh),
-            Pattern::Transpose => patterns::Transpose::supports(mesh),
-            Pattern::BitReversal => patterns::BitReversal::supports(mesh),
-            Pattern::PerfectShuffle => patterns::PerfectShuffle::supports(mesh),
-            Pattern::BitComplement => patterns::BitComplement::supports(mesh),
-            Pattern::Tornado => patterns::Tornado::supports(mesh),
-            Pattern::Hotspot { node, probability } => {
-                patterns::Hotspot::supports(mesh, NodeId(node), probability)
-            }
-            Pattern::NearestNeighbor => patterns::NearestNeighbor::supports(mesh),
-        }
-    }
-
-    /// A short name for reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            Pattern::Uniform => "uniform",
-            Pattern::Transpose => "transpose",
-            Pattern::BitReversal => "bit-reversal",
-            Pattern::PerfectShuffle => "perfect-shuffle",
-            Pattern::BitComplement => "bit-complement",
-            Pattern::Tornado => "tornado",
-            Pattern::Hotspot { .. } => "hotspot",
-            Pattern::NearestNeighbor => "nearest-neighbor",
         }
     }
 }
@@ -579,8 +443,9 @@ impl SimConfig {
         match &self.workload {
             WorkloadKind::Synthetic { arrivals } => Box::new(SyntheticWorkload::new(
                 self.mesh.clone(),
-                self.pattern.build(),
-                arrivals.build(self.mean_gap()),
+                self.pattern,
+                *arrivals,
+                self.mean_gap(),
                 self.lengths,
                 traffic_seed,
             )),
@@ -589,7 +454,7 @@ impl SimConfig {
                 peak_gap,
             } => Box::new(OnOffWorkload::new(
                 self.mesh.clone(),
-                self.pattern.build(),
+                self.pattern,
                 self.lengths,
                 *burst_len,
                 *peak_gap,

@@ -3,23 +3,28 @@
 //! [`Table`] renders every table in the workspace: aligned text for the
 //! terminal and CSV for external plotting. The paper presents its results
 //! as latency-versus-normalized-load curves (Figs. 5 and 6);
-//! [`SweepReport`] collects labeled sweeps and shows them as a [`Table`]
-//! or as a quick ASCII chart, so examples and ad-hoc experiments can
-//! eyeball curve shapes without leaving the terminal.
+//! [`SweepReport`] collects labeled sweeps and shows them as one [`Table`]
+//! or one quick ASCII chart per x axis, so examples and ad-hoc experiments
+//! can eyeball curve shapes without leaving the terminal.
 
 use crate::stats::SimResult;
 use std::fmt::{self, Write as _};
 
-/// One labeled latency-vs-load series.
+/// One labeled latency series over one x axis.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepSeries {
     /// Legend label ("LA, ADAPT", "LRU", ...).
     pub label: String,
-    /// `(normalized load, result)` points in ascending load order.
+    /// The name of the x axis: the swept
+    /// [`ScenarioAxis`](crate::ScenarioAxis)'s name ("load",
+    /// "burst-length", ...; "load" for the algorithm axis, whose points
+    /// lie at the scenario's load), or `"x"` for a single scenario point.
+    pub axis: &'static str,
+    /// `(x, result)` points in ascending x order.
     pub points: Vec<(f64, SimResult)>,
 }
 
-/// A collection of sweeps over the same load axis.
+/// A collection of labeled sweeps.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepReport {
     series: Vec<SweepSeries>,
@@ -31,10 +36,16 @@ impl SweepReport {
         SweepReport::default()
     }
 
-    /// Adds a labeled sweep.
-    pub fn push(&mut self, label: impl Into<String>, points: Vec<(f64, SimResult)>) {
+    /// Adds a labeled sweep along the x axis named `axis`.
+    pub fn push(
+        &mut self,
+        axis: &'static str,
+        label: impl Into<String>,
+        points: Vec<(f64, SimResult)>,
+    ) {
         self.series.push(SweepSeries {
             label: label.into(),
+            axis,
             points,
         });
     }
@@ -71,98 +82,145 @@ impl SweepReport {
             .collect()
     }
 
-    /// All distinct loads across the series, ascending.
-    fn loads(&self) -> Vec<f64> {
-        let mut loads: Vec<f64> = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter().map(|(l, _)| *l))
-            .collect();
-        loads.sort_by(|a, b| a.total_cmp(b));
-        loads.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
-        loads
-    }
-
-    /// The latency table: one row per load, one column per series, with
-    /// the paper's "Sat." convention.
-    pub fn to_table(&self) -> Table {
-        let mut table =
-            Table::new(std::iter::once("load").chain(self.series.iter().map(|s| s.label.as_str())));
-        for load in self.loads() {
-            let cells = self.series.iter().map(|s| {
-                s.points
-                    .iter()
-                    .find(|(l, _)| (*l - load).abs() < 1e-9)
-                    .map_or("-".to_string(), |(_, r)| r.latency_cell())
-            });
-            table.row(std::iter::once(format!("{load:.2}")).chain(cells).collect());
+    /// The series grouped by x axis, axes in order of first appearance.
+    fn by_axis(&self) -> Vec<(&'static str, Vec<&SweepSeries>)> {
+        let mut blocks: Vec<(&'static str, Vec<&SweepSeries>)> = Vec::new();
+        for s in &self.series {
+            match blocks.iter_mut().find(|(axis, _)| *axis == s.axis) {
+                Some((_, members)) => members.push(s),
+                None => blocks.push((s.axis, vec![s])),
+            }
         }
-        table
+        blocks
     }
 
-    /// Renders a rough ASCII chart of latency vs load (linear axes,
-    /// saturated points clipped to the top line). `height` rows tall.
+    /// The latency tables, one per x axis in order of first appearance:
+    /// one row per x value (headed by the axis name), one column per
+    /// series on that axis, with the paper's "Sat." convention.
+    pub fn to_tables(&self) -> Vec<Table> {
+        self.by_axis()
+            .into_iter()
+            .map(|(axis, series)| {
+                let mut table = Table::new(
+                    std::iter::once(axis).chain(series.iter().map(|s| s.label.as_str())),
+                );
+                for x in xs(&series) {
+                    let cells = series.iter().map(|s| {
+                        s.points
+                            .iter()
+                            .find(|(px, _)| (*px - x).abs() < 1e-9)
+                            .map_or("-".to_string(), |(_, r)| r.latency_cell())
+                    });
+                    let x_cell = if axis == LOAD {
+                        format!("{x:.2}")
+                    } else {
+                        x.to_string()
+                    };
+                    table.row(std::iter::once(x_cell).chain(cells).collect());
+                }
+                table
+            })
+            .collect()
+    }
+
+    /// Renders a rough ASCII chart of latency against x (linear axes,
+    /// saturated points clipped to the top line), `height` rows tall: one
+    /// chart per x axis, in order of first appearance.
     ///
     /// # Panics
     ///
     /// Panics if `height < 2`.
     pub fn to_chart(&self, height: usize) -> String {
         assert!(height >= 2, "chart needs at least two rows");
-        let loads = self.loads();
-        if loads.is_empty() {
+        let blocks = self.by_axis();
+        if blocks.is_empty() {
             return String::from("(no data)\n");
         }
-        let max_latency = self
-            .series
-            .iter()
-            .flat_map(|s| s.points.iter())
-            .filter(|(_, r)| !r.saturated)
-            .map(|(_, r)| r.avg_latency)
-            .fold(0.0f64, f64::max)
-            .max(1.0);
-
-        let cols = loads.len();
-        let mut grid = vec![vec![' '; cols * 3]; height];
-        for (si, s) in self.series.iter().enumerate() {
-            let marker = marker_for(si);
-            for (load, r) in &s.points {
-                let col = loads
-                    .iter()
-                    .position(|l| (l - load).abs() < 1e-9)
-                    .expect("load on the axis")
-                    * 3
-                    + 1;
-                let value = if r.saturated {
-                    max_latency
-                } else {
-                    r.avg_latency
-                };
-                let frac = (value / max_latency).clamp(0.0, 1.0);
-                let row = height - 1 - ((frac * (height - 1) as f64).round() as usize);
-                grid[row][col] = marker;
-            }
-        }
-
-        let mut out = String::new();
-        let _ = writeln!(out, "latency (max {max_latency:.0} cycles)");
-        for row in grid {
-            out.push('|');
-            out.extend(row);
-            out.push('\n');
-        }
-        out.push('+');
-        out.push_str(&"-".repeat(cols * 3));
-        out.push('\n');
-        out.push(' ');
-        for load in &loads {
-            let _ = write!(out, "{:<3}", format!("{:.1}", load).replace("0.", "."));
-        }
-        out.push('\n');
-        for (si, s) in self.series.iter().enumerate() {
-            let _ = writeln!(out, "  {} = {}", marker_for(si), s.label);
-        }
-        out
+        let charts: Vec<String> = blocks
+            .into_iter()
+            .map(|(axis, series)| chart(axis, &series, height))
+            .collect();
+        charts.join("\n")
     }
+}
+
+/// The name of the normalized-load axis, whose values print as loads.
+const LOAD: &str = "load";
+
+/// All distinct x values across `series`, ascending.
+fn xs(series: &[&SweepSeries]) -> Vec<f64> {
+    let mut xs: Vec<f64> = series
+        .iter()
+        .flat_map(|s| s.points.iter().map(|(x, _)| *x))
+        .collect();
+    xs.sort_by(|a, b| a.total_cmp(b));
+    xs.dedup_by(|a, b| (*a - *b).abs() < 1e-9);
+    xs
+}
+
+/// One [`SweepReport::to_chart`] block: the series on the x axis `axis`.
+fn chart(axis: &str, series: &[&SweepSeries], height: usize) -> String {
+    let xs = xs(series);
+    let ticks: Vec<String> = xs
+        .iter()
+        .map(|x| {
+            if axis == LOAD {
+                format!("{x:.1}").replace("0.", ".")
+            } else {
+                x.to_string()
+            }
+        })
+        .collect();
+    let width = ticks.iter().map(String::len).max().unwrap_or(0).max(2) + 1;
+    let max_latency = series
+        .iter()
+        .flat_map(|s| s.points.iter())
+        .filter(|(_, r)| !r.saturated)
+        .map(|(_, r)| r.avg_latency)
+        .fold(0.0f64, f64::max)
+        .max(1.0);
+
+    let cols = xs.len();
+    let mut grid = vec![vec![' '; cols * width]; height];
+    for (si, s) in series.iter().enumerate() {
+        let marker = marker_for(si);
+        for (x, r) in &s.points {
+            let col = xs
+                .iter()
+                .position(|px| (px - x).abs() < 1e-9)
+                .expect("x on the axis")
+                * width
+                + 1;
+            let value = if r.saturated {
+                max_latency
+            } else {
+                r.avg_latency
+            };
+            let frac = (value / max_latency).clamp(0.0, 1.0);
+            let row = height - 1 - ((frac * (height - 1) as f64).round() as usize);
+            grid[row][col] = marker;
+        }
+    }
+
+    let mut out = String::new();
+    let _ = writeln!(out, "latency (max {max_latency:.0} cycles)");
+    for row in grid {
+        out.push('|');
+        out.extend(row);
+        out.push('\n');
+    }
+    out.push('+');
+    out.push_str(&"-".repeat(cols * width));
+    out.push('\n');
+    out.push(' ');
+    for tick in &ticks {
+        let _ = write!(out, "{tick:<width$}");
+    }
+    let _ = writeln!(out, " {axis}");
+    for (si, s) in series.iter().enumerate() {
+        let _ = writeln!(out, "  {} = {}", marker_for(si), s.label);
+    }
+    out
 }
 
 /// One row of [`SweepReport::saturation_summary`].
@@ -281,10 +339,12 @@ mod tests {
     fn report() -> SweepReport {
         let mut rep = SweepReport::new();
         rep.push(
+            "load",
             "det",
             vec![(0.1, result(90.0, false)), (0.2, result(300.0, false))],
         );
         rep.push(
+            "load",
             "adaptive",
             vec![
                 (0.1, result(88.0, false)),
@@ -297,12 +357,30 @@ mod tests {
 
     #[test]
     fn table_includes_all_loads_and_sat_cells() {
-        let t = report().to_table().render();
+        let t = report().to_tables()[0].render();
         assert!(t.contains("0.30"));
         assert!(t.contains("Sat."));
         assert!(t.contains("det"));
         // The det series has no 0.3 point.
         assert!(t.lines().last().unwrap().contains('-'));
+    }
+
+    #[test]
+    fn series_on_other_axes_render_as_their_own_blocks() {
+        let mut rep = report();
+        rep.push(
+            "burst-length",
+            "bursty",
+            vec![(2.0, result(75.0, false)), (8.0, result(102.0, false))],
+        );
+        let tables = rep.to_tables();
+        assert_eq!(tables.len(), 2);
+        assert_eq!(tables[0], report().to_tables()[0]);
+        assert_eq!(tables[1].to_csv(), "burst-length,bursty\n2,75.0\n8,102.0\n");
+        let chart = rep.to_chart(4);
+        assert_eq!(chart.matches("latency (max").count(), 2);
+        assert!(chart.contains("\n .1 .2 .3  load\n"), "{chart}");
+        assert!(chart.contains("\n 2  8   burst-length\n"), "{chart}");
     }
 
     #[test]

@@ -66,6 +66,9 @@ pub struct SweepPoint {
     /// load sweeps, or the swept [`ScenarioAxis`] value (burst length,
     /// node count, ...) for scenario grids.
     pub load: f64,
+    /// The name of the x axis `load` lies on (see
+    /// [`SweepSeries::axis`](crate::report::SweepSeries::axis)).
+    pub axis: &'static str,
     /// The validated scenario to run.
     pub scenario: Scenario,
 }
@@ -203,6 +206,11 @@ impl SweepGrid {
         axis: &ScenarioAxis,
     ) -> Result<SweepGrid, ScenarioError> {
         let label = label.into();
+        // The algorithm axis places each single-point series at its load.
+        let x_axis = match axis {
+            ScenarioAxis::Algorithm(_) => "load",
+            _ => axis.name(),
+        };
         for (i, (x, scenario)) in axis.apply(base)?.into_iter().enumerate() {
             let series = match axis {
                 ScenarioAxis::Algorithm(algos) => {
@@ -213,14 +221,16 @@ impl SweepGrid {
             self.points.push(SweepPoint {
                 series,
                 load: x,
+                axis: x_axis,
                 scenario,
             });
         }
         Ok(self)
     }
 
-    /// Adds a single scenario as a one-point series at x-value `x`
-    /// (useful for trace-replay scenarios, which have no load axis).
+    /// Adds a single scenario as a one-point series at x-value `x` on the
+    /// axis named `"x"` (useful for trace-replay scenarios, which have no
+    /// load axis).
     pub fn scenario_point(
         mut self,
         label: impl Into<String>,
@@ -230,6 +240,7 @@ impl SweepGrid {
         self.points.push(SweepPoint {
             series: label.into(),
             load: x,
+            axis: "x",
             scenario: scenario.clone(),
         });
         self
@@ -478,13 +489,14 @@ impl SweepRunner {
         let mut report = SweepReport::new();
         let series_count = jobs.iter().map(|j| j.series_id + 1).max().unwrap_or(0);
         for sid in 0..series_count {
-            let mut label = "";
+            let (mut label, mut axis) = ("", "");
             let mut points = Vec::new();
             for (i, job) in jobs.iter().enumerate() {
                 if job.series_id != sid {
                     continue;
                 }
                 label = &grid.points[i].series;
+                axis = grid.points[i].axis;
                 // A missing result means the point was skipped because an
                 // earlier one saturated; truncation below drops it anyway.
                 let Some(result) = &results[i] else { continue };
@@ -494,7 +506,7 @@ impl SweepRunner {
                     break;
                 }
             }
-            report.push(label, points);
+            report.push(axis, label, points);
         }
         report
     }

@@ -12,8 +12,9 @@
 //! at 3.0× saturation load (at 100 + 700 messages the backlog never
 //! reaches the 16-per-node cut-off, so those points drain with full
 //! statistics under heavy contention); one point per router, routing,
-//! table and workload axis; and the pinned 16×16 reference sweep (36284
-//! cycles, 20000 messages, 400000 flits). The 8×8 paper grid and the
+//! table and workload axis and for each of the other four patterns; and
+//! the pinned 16×16 reference sweep (36284 cycles, 20000 messages, 400000
+//! flits). The 8×8 paper grid and the
 //! saturation cut-off are pinned in `scheduler_equivalence.rs`, the 16×16
 //! reference point in `scenario_equivalence.rs`.
 //!
@@ -283,6 +284,21 @@ fn router_routing_table_and_workload_axes() {
             base().path_selection(psh).lookahead(lookahead),
         ));
     }
+    let extra_patterns = [
+        Pattern::BitComplement,
+        Pattern::Tornado,
+        Pattern::Hotspot {
+            node: 27,
+            probability: 0.05,
+        },
+        Pattern::NearestNeighbor,
+    ];
+    for pattern in extra_patterns {
+        axes.push((
+            format!("pattern/{}", pattern.name()),
+            base().pattern(pattern),
+        ));
+    }
     let mut grid = SweepGrid::new();
     for (name, b) in axes {
         grid = grid.scenario_point(name, 0.0, &build(b));
@@ -320,6 +336,10 @@ const AXES: &[Golden] = &[
     ("psh/Lru/proud@0", 1338, 700, 87580, 0xc6007015fa75f254),
     ("psh/MaxCredit(Sum)/la@0", 1364, 700, 84380, 0xdc116271566b33ae),
     ("psh/MaxCredit(Max)/proud@0", 1358, 700, 86540, 0xe7c92c11e49825ba),
+    ("pattern/bit-complement@0", 1768, 700, 131080, 0x7fafa0e00c164094),
+    ("pattern/tornado@0", 1353, 700, 60360, 0x44e43bf9d0a93057),
+    ("pattern/hotspot@0", 1479, 700, 82800, 0xf7b1eadc6ea6b0cf),
+    ("pattern/nearest-neighbor@0", 1375, 700, 16000, 0x9ecc6b1c69372ac3),
 ];
 
 /// The pinned reference sweep: 16×16 LA-PROUD, the paper's four patterns

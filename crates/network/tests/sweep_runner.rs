@@ -193,7 +193,7 @@ fn smoke_sweep_covers_all_four_paper_patterns_on_8x8() {
         }
     }
     // The report renders: every pattern appears in the table.
-    let table = report.to_table().render();
+    let table = report.to_tables()[0].render();
     for pattern in Pattern::PAPER_FOUR {
         assert!(table.contains(&pattern.name()[..7.min(pattern.name().len())]));
     }

@@ -1,13 +1,13 @@
 //! Message arrival processes.
 //!
 //! The paper injects messages "with exponential inter-arrival times"
-//! (Table 2); [`Exponential`] is that process. [`Bernoulli`] (geometric
-//! gaps) and [`Periodic`] (deterministic gaps) are provided for validation
-//! and ablation runs — at equal rates all three should saturate at the same
-//! load, differing only in burstiness.
+//! (Table 2); [`ArrivalKind::Exponential`] is that process.
+//! [`ArrivalKind::Bernoulli`] (geometric gaps) and [`ArrivalKind::Periodic`]
+//! (deterministic gaps) are provided for validation and ablation runs — at
+//! equal rates all three should saturate at the same load, differing only
+//! in burstiness.
 
 use lapses_sim::SimRng;
-use std::fmt;
 
 /// A point process generating message inter-arrival gaps, in cycles.
 ///
@@ -15,99 +15,57 @@ use std::fmt;
 /// accumulates them on a real-valued timeline and fires whenever the
 /// integer clock passes the next arrival, so fractional rates are honored
 /// exactly in the long run.
-pub trait ArrivalProcess: fmt::Debug + Send + Sync {
-    /// Mean gap between messages, in cycles.
-    fn mean_gap(&self) -> f64;
-
-    /// Draws the next inter-arrival gap.
-    fn next_gap(&self, rng: &mut SimRng) -> f64;
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub enum ArrivalKind {
+    /// Exponential (Poisson) inter-arrival gaps — the paper's process.
+    #[default]
+    Exponential,
+    /// Bernoulli trials per cycle with probability `1 / mean_gap`:
+    /// geometric integer gaps.
+    Bernoulli,
+    /// Deterministic fixed gaps (no burstiness at all).
+    Periodic,
 }
 
-/// Poisson arrivals: exponentially distributed gaps (the paper's process).
-#[derive(Debug, Clone, Copy)]
-pub struct Exponential {
-    mean: f64,
-}
+impl ArrivalKind {
+    /// Every arrival process, in declaration order.
+    pub const ALL: [ArrivalKind; 3] = [
+        ArrivalKind::Exponential,
+        ArrivalKind::Bernoulli,
+        ArrivalKind::Periodic,
+    ];
 
-impl Exponential {
-    /// Creates a Poisson process with the given mean gap in cycles.
+    /// Draws the next inter-arrival gap of the process at `mean_gap`
+    /// cycles per message.
     ///
     /// # Panics
     ///
-    /// Panics if `mean_gap` is not strictly positive.
-    pub fn new(mean_gap: f64) -> Self {
-        assert!(mean_gap > 0.0, "mean gap must be positive");
-        Exponential { mean: mean_gap }
-    }
-}
-
-impl ArrivalProcess for Exponential {
-    fn mean_gap(&self) -> f64 {
-        self.mean
-    }
-
-    fn next_gap(&self, rng: &mut SimRng) -> f64 {
-        rng.exponential(self.mean)
-    }
-}
-
-/// Bernoulli arrivals: one trial per cycle with probability `1 / mean_gap`,
-/// giving geometrically distributed integer gaps.
-#[derive(Debug, Clone, Copy)]
-pub struct Bernoulli {
-    mean: f64,
-}
-
-impl Bernoulli {
-    /// Creates a Bernoulli process with the given mean gap in cycles.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `mean_gap < 1` (more than one arrival per cycle).
-    pub fn new(mean_gap: f64) -> Self {
-        assert!(mean_gap >= 1.0, "Bernoulli mean gap must be at least 1");
-        Bernoulli { mean: mean_gap }
-    }
-}
-
-impl ArrivalProcess for Bernoulli {
-    fn mean_gap(&self) -> f64 {
-        self.mean
+    /// Panics unless `mean_gap` is positive, and at least 1 for Bernoulli
+    /// arrivals (at most one trial per cycle).
+    pub fn next_gap(self, mean_gap: f64, rng: &mut SimRng) -> f64 {
+        match self {
+            ArrivalKind::Exponential => rng.exponential(mean_gap),
+            ArrivalKind::Bernoulli => {
+                assert!(mean_gap >= 1.0, "Bernoulli mean gap must be at least 1");
+                // Geometric via inverse transform: ceil(ln U / ln(1-p)).
+                let p = 1.0 / mean_gap;
+                let u = 1.0 - rng.unit(); // in (0, 1]
+                (u.ln() / (1.0 - p).ln()).ceil().max(1.0)
+            }
+            ArrivalKind::Periodic => {
+                assert!(mean_gap > 0.0, "gap must be positive");
+                mean_gap
+            }
+        }
     }
 
-    fn next_gap(&self, rng: &mut SimRng) -> f64 {
-        // Geometric via inverse transform: ceil(ln U / ln(1-p)).
-        let p = 1.0 / self.mean;
-        let u = 1.0 - rng.unit(); // in (0, 1]
-        (u.ln() / (1.0 - p).ln()).ceil().max(1.0)
-    }
-}
-
-/// Deterministic arrivals every `gap` cycles (no burstiness at all).
-#[derive(Debug, Clone, Copy)]
-pub struct Periodic {
-    gap: f64,
-}
-
-impl Periodic {
-    /// Creates a periodic process with the given fixed gap.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `gap` is not strictly positive.
-    pub fn new(gap: f64) -> Self {
-        assert!(gap > 0.0, "gap must be positive");
-        Periodic { gap }
-    }
-}
-
-impl ArrivalProcess for Periodic {
-    fn mean_gap(&self) -> f64 {
-        self.gap
-    }
-
-    fn next_gap(&self, _rng: &mut SimRng) -> f64 {
-        self.gap
+    /// A short name for reports and scenario specs.
+    pub fn name(self) -> &'static str {
+        match self {
+            ArrivalKind::Exponential => "exponential",
+            ArrivalKind::Bernoulli => "bernoulli",
+            ArrivalKind::Periodic => "periodic",
+        }
     }
 }
 
@@ -115,32 +73,31 @@ impl ArrivalProcess for Periodic {
 mod tests {
     use super::*;
 
-    fn observed_mean(p: &dyn ArrivalProcess, n: usize) -> f64 {
+    fn observed_mean(kind: ArrivalKind, mean_gap: f64, n: usize) -> f64 {
         let mut rng = SimRng::from_seed(42);
-        (0..n).map(|_| p.next_gap(&mut rng)).sum::<f64>() / n as f64
+        (0..n)
+            .map(|_| kind.next_gap(mean_gap, &mut rng))
+            .sum::<f64>()
+            / n as f64
     }
 
     #[test]
     fn exponential_hits_its_mean() {
-        let p = Exponential::new(25.0);
-        let m = observed_mean(&p, 40_000);
+        let m = observed_mean(ArrivalKind::Exponential, 25.0, 40_000);
         assert!((m - 25.0).abs() < 1.0, "mean {m}");
-        assert_eq!(p.mean_gap(), 25.0);
     }
 
     #[test]
     fn bernoulli_hits_its_mean() {
-        let p = Bernoulli::new(10.0);
-        let m = observed_mean(&p, 40_000);
+        let m = observed_mean(ArrivalKind::Bernoulli, 10.0, 40_000);
         assert!((m - 10.0).abs() < 0.5, "mean {m}");
     }
 
     #[test]
     fn bernoulli_gaps_are_positive_integers() {
-        let p = Bernoulli::new(4.0);
         let mut rng = SimRng::from_seed(7);
         for _ in 0..1000 {
-            let g = p.next_gap(&mut rng);
+            let g = ArrivalKind::Bernoulli.next_gap(4.0, &mut rng);
             assert!(g >= 1.0);
             assert_eq!(g.fract(), 0.0);
         }
@@ -148,16 +105,21 @@ mod tests {
 
     #[test]
     fn periodic_is_constant() {
-        let p = Periodic::new(7.5);
         let mut rng = SimRng::from_seed(1);
         for _ in 0..10 {
-            assert_eq!(p.next_gap(&mut rng), 7.5);
+            assert_eq!(ArrivalKind::Periodic.next_gap(7.5, &mut rng), 7.5);
         }
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn exponential_rejects_zero_mean() {
-        let _ = Exponential::new(0.0);
+        let _ = ArrivalKind::Exponential.next_gap(0.0, &mut SimRng::from_seed(1));
+    }
+
+    #[test]
+    #[should_panic(expected = "at least 1")]
+    fn bernoulli_rejects_sub_cycle_gaps() {
+        let _ = ArrivalKind::Bernoulli.next_gap(0.5, &mut SimRng::from_seed(1));
     }
 }

@@ -1,8 +1,8 @@
 //! Per-node message generation.
 
-use crate::arrivals::ArrivalProcess;
+use crate::arrivals::ArrivalKind;
 use crate::lengths::LengthDistribution;
-use crate::patterns::TrafficPattern;
+use crate::patterns::Pattern;
 use lapses_sim::{Cycle, SimRng};
 use lapses_topology::{Mesh, NodeId};
 
@@ -19,37 +19,39 @@ pub struct MessageSpec {
 
 /// Per-node traffic generator.
 ///
-/// Owns the node's private random stream and its position on the
-/// real-valued arrival timeline. Each simulated cycle the network polls the
-/// generator; all arrivals whose (fractional) timestamps have passed are
-/// returned. Nodes that are silent under a deterministic pattern (e.g.
-/// diagonal nodes under transpose) consume arrivals without emitting
-/// messages, so pattern changes never perturb other nodes' streams.
+/// Owns the node's arrival process, its private random stream and its
+/// position on the real-valued arrival timeline. Each simulated cycle the
+/// network polls the generator; all arrivals whose (fractional) timestamps
+/// have passed become messages. Nodes that are silent under a
+/// deterministic pattern (e.g. diagonal nodes under transpose) consume
+/// arrivals without emitting messages, so pattern changes never perturb
+/// other nodes' streams.
 ///
 /// # Example
 ///
 /// ```
 /// use lapses_sim::{Cycle, SimRng};
 /// use lapses_topology::{Mesh, NodeId};
-/// use lapses_traffic::arrivals::Periodic;
-/// use lapses_traffic::patterns::Uniform;
-/// use lapses_traffic::{Generator, LengthDistribution};
+/// use lapses_traffic::{ArrivalKind, Generator, LengthDistribution, Pattern};
 ///
 /// let mesh = Mesh::mesh_2d(4, 4);
 /// let mut rng = SimRng::from_seed(1);
-/// let mut generator = Generator::new(NodeId(0), rng.fork(0));
-/// let msgs = generator.poll(
+/// let mut generator = Generator::new(NodeId(0), ArrivalKind::Periodic, 4.0, rng.fork(0));
+/// let mut msgs = Vec::new();
+/// generator.poll(
 ///     Cycle::new(10),
 ///     &mesh,
-///     &Uniform::new(),
-///     &Periodic::new(4.0),
+///     Pattern::Uniform,
 ///     LengthDistribution::Fixed(20),
+///     &mut msgs,
 /// );
 /// assert_eq!(msgs.len(), 2); // arrivals at t=4 and t=8
 /// ```
 #[derive(Debug)]
 pub struct Generator {
     src: NodeId,
+    arrivals: ArrivalKind,
+    mean_gap: f64,
     rng: SimRng,
     next_arrival: Option<f64>,
     generated: u64,
@@ -64,10 +66,13 @@ impl Generator {
     /// cycle, and as the gap vanishes a single poll never finishes.
     pub const MIN_GAP: f64 = 1.0 / 16.0;
 
-    /// Creates a generator for node `src` with its own random stream.
-    pub fn new(src: NodeId, rng: SimRng) -> Self {
+    /// Creates a generator for node `src` whose arrivals follow `arrivals`
+    /// at `mean_gap` cycles per message, drawn from its own random stream.
+    pub fn new(src: NodeId, arrivals: ArrivalKind, mean_gap: f64, rng: SimRng) -> Self {
         Generator {
             src,
+            arrivals,
+            mean_gap,
             rng,
             next_arrival: None,
             generated: 0,
@@ -96,21 +101,22 @@ impl Generator {
         }
     }
 
-    /// Returns every message whose arrival time is at or before `now`.
+    /// Appends to `out` every message whose arrival time is at or before
+    /// `now`, each sent to `pattern`'s destination with a length drawn
+    /// from `lengths`.
     pub fn poll(
         &mut self,
         now: Cycle,
         mesh: &Mesh,
-        pattern: &dyn TrafficPattern,
-        arrivals: &dyn ArrivalProcess,
+        pattern: Pattern,
         lengths: LengthDistribution,
-    ) -> Vec<MessageSpec> {
+        out: &mut Vec<MessageSpec>,
+    ) {
         let now = now.as_u64() as f64;
-        let mut out = Vec::new();
         // Lazily draw the first gap so construction order does not matter.
         let mut next = match self.next_arrival {
             Some(t) => t,
-            None => arrivals.next_gap(&mut self.rng),
+            None => self.arrivals.next_gap(self.mean_gap, &mut self.rng),
         };
         while next <= now {
             self.generated += 1;
@@ -121,10 +127,9 @@ impl Generator {
                     length: lengths.sample(&mut self.rng),
                 });
             }
-            next += arrivals.next_gap(&mut self.rng);
+            next += self.arrivals.next_gap(self.mean_gap, &mut self.rng);
         }
         self.next_arrival = Some(next);
-        out
     }
 
     /// Offered-load helper: the mean inter-arrival gap in cycles that
@@ -150,24 +155,28 @@ impl Generator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::{Exponential, Periodic};
-    use crate::patterns::{Transpose, Uniform};
 
     fn mesh16() -> Mesh {
         Mesh::mesh_2d(16, 16)
     }
 
+    /// Polls `g` up to `now` under `pattern` with 20-flit messages.
+    fn poll(g: &mut Generator, now: u64, pattern: Pattern) -> Vec<MessageSpec> {
+        let mut out = Vec::new();
+        g.poll(
+            Cycle::new(now),
+            &mesh16(),
+            pattern,
+            LengthDistribution::Fixed(20),
+            &mut out,
+        );
+        out
+    }
+
     #[test]
     fn periodic_arrivals_are_counted_exactly() {
-        let mesh = mesh16();
-        let mut g = Generator::new(NodeId(5), SimRng::from_seed(9));
-        let msgs = g.poll(
-            Cycle::new(100),
-            &mesh,
-            &Uniform::new(),
-            &Periodic::new(10.0),
-            LengthDistribution::Fixed(20),
-        );
+        let mut g = Generator::new(NodeId(5), ArrivalKind::Periodic, 10.0, SimRng::from_seed(9));
+        let msgs = poll(&mut g, 100, Pattern::Uniform);
         assert_eq!(msgs.len(), 10); // t = 10, 20, ..., 100
         for m in &msgs {
             assert_eq!(m.src, NodeId(5));
@@ -175,45 +184,44 @@ mod tests {
             assert_ne!(m.dest, m.src);
         }
         // Nothing new until the next period boundary.
-        let more = g.poll(
-            Cycle::new(109),
-            &mesh,
-            &Uniform::new(),
-            &Periodic::new(10.0),
+        assert!(poll(&mut g, 109, Pattern::Uniform).is_empty());
+    }
+
+    #[test]
+    fn polls_append_to_the_buffer() {
+        let mut g = Generator::new(NodeId(5), ArrivalKind::Periodic, 10.0, SimRng::from_seed(9));
+        let mut out = poll(&mut g, 50, Pattern::Uniform);
+        g.poll(
+            Cycle::new(100),
+            &mesh16(),
+            Pattern::Uniform,
             LengthDistribution::Fixed(20),
+            &mut out,
         );
-        assert!(more.is_empty());
+        let mut again =
+            Generator::new(NodeId(5), ArrivalKind::Periodic, 10.0, SimRng::from_seed(9));
+        assert_eq!(out, poll(&mut again, 100, Pattern::Uniform));
     }
 
     #[test]
     fn exponential_rate_is_respected() {
-        let mesh = mesh16();
-        let mut g = Generator::new(NodeId(0), SimRng::from_seed(11));
-        let horizon = 200_000u64;
-        let msgs = g.poll(
-            Cycle::new(horizon),
-            &mesh,
-            &Uniform::new(),
-            &Exponential::new(50.0),
-            LengthDistribution::Fixed(20),
+        let mut g = Generator::new(
+            NodeId(0),
+            ArrivalKind::Exponential,
+            50.0,
+            SimRng::from_seed(11),
         );
+        let horizon = 200_000u64;
+        let msgs = poll(&mut g, horizon, Pattern::Uniform);
         let rate = msgs.len() as f64 / horizon as f64;
         assert!((rate - 0.02).abs() < 0.002, "rate {rate}");
     }
 
     #[test]
     fn silent_nodes_consume_but_do_not_emit() {
-        let mesh = mesh16();
-        let diag = mesh.id_at(&[7, 7]).unwrap();
-        let mut g = Generator::new(diag, SimRng::from_seed(3));
-        let msgs = g.poll(
-            Cycle::new(1000),
-            &mesh,
-            &Transpose::new(),
-            &Periodic::new(10.0),
-            LengthDistribution::Fixed(20),
-        );
-        assert!(msgs.is_empty());
+        let diag = mesh16().id_at(&[7, 7]).unwrap();
+        let mut g = Generator::new(diag, ArrivalKind::Periodic, 10.0, SimRng::from_seed(3));
+        assert!(poll(&mut g, 1000, Pattern::Transpose).is_empty());
         assert_eq!(g.generated(), 100);
     }
 
@@ -230,16 +238,14 @@ mod tests {
 
     #[test]
     fn deterministic_given_same_seed() {
-        let mesh = mesh16();
         let run = |seed| {
-            let mut g = Generator::new(NodeId(1), SimRng::from_seed(seed));
-            g.poll(
-                Cycle::new(5000),
-                &mesh,
-                &Uniform::new(),
-                &Exponential::new(25.0),
-                LengthDistribution::Fixed(20),
-            )
+            let mut g = Generator::new(
+                NodeId(1),
+                ArrivalKind::Exponential,
+                25.0,
+                SimRng::from_seed(seed),
+            );
+            poll(&mut g, 5000, Pattern::Uniform)
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));

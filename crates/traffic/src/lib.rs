@@ -6,22 +6,21 @@
 //! used in interconnection network studies", with exponentially distributed
 //! message inter-arrival times and 20-flit messages (Table 2). This crate
 //! implements those patterns (plus the usual extras: bit-complement,
-//! tornado, hotspot, nearest-neighbor), the arrival processes, message
-//! length distributions, and the per-node generator that ties them
-//! together.
+//! tornado, hotspot, nearest-neighbor) as the [`Pattern`] enum, the
+//! arrival processes as [`ArrivalKind`], message length distributions,
+//! and the per-node generator that ties them together.
 //!
 //! # Example
 //!
 //! ```
 //! use lapses_sim::SimRng;
 //! use lapses_topology::Mesh;
-//! use lapses_traffic::{patterns, TrafficPattern};
+//! use lapses_traffic::Pattern;
 //!
 //! let mesh = Mesh::mesh_2d(16, 16);
-//! let transpose = patterns::Transpose::new();
 //! let src = mesh.id_at(&[3, 5]).unwrap();
 //! let mut rng = SimRng::from_seed(1);
-//! let dest = transpose.destination(&mesh, src, &mut rng).unwrap();
+//! let dest = Pattern::Transpose.destination(&mesh, src, &mut rng).unwrap();
 //! assert_eq!(mesh.coord_of(dest).components(), &[5, 3]);
 //! ```
 
@@ -36,9 +35,9 @@ pub mod workload;
 
 mod generator;
 
-pub use arrivals::ArrivalProcess;
+pub use arrivals::ArrivalKind;
 pub use generator::{Generator, MessageSpec};
 pub use lengths::LengthDistribution;
-pub use patterns::TrafficPattern;
+pub use patterns::Pattern;
 pub use trace::{Trace, TraceError, TraceEvent, TraceWorkload};
 pub use workload::{OnOffWorkload, SyntheticWorkload, Workload};

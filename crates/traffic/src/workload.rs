@@ -15,10 +15,10 @@
 //! * [`TraceWorkload`](crate::trace::TraceWorkload) — replay of a recorded
 //!   `cycle src dst len` trace.
 
-use crate::arrivals::ArrivalProcess;
+use crate::arrivals::ArrivalKind;
 use crate::generator::{Generator, MessageSpec};
 use crate::lengths::LengthDistribution;
-use crate::patterns::TrafficPattern;
+use crate::patterns::Pattern;
 use lapses_sim::{Cycle, SimRng};
 use lapses_topology::Mesh;
 use std::fmt;
@@ -62,31 +62,31 @@ pub trait Workload: fmt::Debug + Send {
 /// simulator pin, so it must not change.
 pub struct SyntheticWorkload {
     mesh: Mesh,
-    pattern: Box<dyn TrafficPattern>,
-    arrivals: Box<dyn ArrivalProcess>,
+    pattern: Pattern,
     lengths: LengthDistribution,
     generators: Vec<Generator>,
 }
 
 impl SyntheticWorkload {
-    /// Creates the per-node generators from `traffic_seed`, forking the
-    /// master stream once per node in node order.
+    /// Creates the per-node generators, each drawing `arrivals` at
+    /// `mean_gap` cycles per message, forking the master stream seeded
+    /// with `traffic_seed` once per node in node order.
     pub fn new(
         mesh: Mesh,
-        pattern: Box<dyn TrafficPattern>,
-        arrivals: Box<dyn ArrivalProcess>,
+        pattern: Pattern,
+        arrivals: ArrivalKind,
+        mean_gap: f64,
         lengths: LengthDistribution,
         traffic_seed: u64,
     ) -> SyntheticWorkload {
         let mut master = SimRng::from_seed(traffic_seed);
         let generators = mesh
             .nodes()
-            .map(|n| Generator::new(n, master.fork(n.0 as u64)))
+            .map(|n| Generator::new(n, arrivals, mean_gap, master.fork(n.0 as u64)))
             .collect();
         SyntheticWorkload {
             mesh,
             pattern,
-            arrivals,
             lengths,
             generators,
         }
@@ -97,7 +97,6 @@ impl fmt::Debug for SyntheticWorkload {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("SyntheticWorkload")
             .field("pattern", &self.pattern)
-            .field("arrivals", &self.arrivals)
             .field("lengths", &self.lengths)
             .field("nodes", &self.generators.len())
             .finish()
@@ -118,13 +117,7 @@ impl Workload for SyntheticWorkload {
     }
 
     fn poll(&mut self, node: u32, now: Cycle, out: &mut Vec<MessageSpec>) {
-        out.extend(self.generators[node as usize].poll(
-            now,
-            &self.mesh,
-            self.pattern.as_ref(),
-            self.arrivals.as_ref(),
-            self.lengths,
-        ));
+        self.generators[node as usize].poll(now, &self.mesh, self.pattern, self.lengths, out);
     }
 
     fn generated(&self) -> u64 {
@@ -153,7 +146,7 @@ struct OnOffState {
 /// burstiness differs.
 pub struct OnOffWorkload {
     mesh: Mesh,
-    pattern: Box<dyn TrafficPattern>,
+    pattern: Pattern,
     lengths: LengthDistribution,
     burst_len: f64,
     peak_gap: f64,
@@ -174,7 +167,7 @@ impl OnOffWorkload {
     /// peak_gap`) — use [`OnOffWorkload::off_mean_for`] to pre-validate.
     pub fn new(
         mesh: Mesh,
-        pattern: Box<dyn TrafficPattern>,
+        pattern: Pattern,
         lengths: LengthDistribution,
         burst_len: u32,
         peak_gap: f64,
@@ -261,13 +254,12 @@ impl Workload for OnOffWorkload {
         };
         while next <= now {
             if state.remaining == 0 {
-                // The silence ended: this arrival opens a fresh burst.
-                let p = 1.0 / self.burst_len;
+                // The silence ended: this arrival opens a fresh burst,
+                // geometric like a Bernoulli gap; a mean of 1 draws nothing.
                 state.remaining = if self.burst_len <= 1.0 {
                     1
                 } else {
-                    let u = 1.0 - state.rng.unit();
-                    (u.ln() / (1.0 - p).ln()).ceil().max(1.0) as u32
+                    ArrivalKind::Bernoulli.next_gap(self.burst_len, &mut state.rng) as u32
                 };
             }
             state.generated += 1;
@@ -296,8 +288,6 @@ impl Workload for OnOffWorkload {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::arrivals::Exponential;
-    use crate::patterns::Uniform;
 
     fn mesh() -> Mesh {
         Mesh::mesh_2d(4, 4)
@@ -316,8 +306,9 @@ mod tests {
         let seed = 0xFEED;
         let mut w = SyntheticWorkload::new(
             mesh(),
-            Box::new(Uniform::new()),
-            Box::new(Exponential::new(30.0)),
+            Pattern::Uniform,
+            ArrivalKind::Exponential,
+            30.0,
             LengthDistribution::Fixed(20),
             seed,
         );
@@ -326,14 +317,14 @@ mod tests {
         let mut master = SimRng::from_seed(seed);
         let mut direct = Vec::new();
         for n in mesh().nodes() {
-            let mut g = Generator::new(n, master.fork(n.0 as u64));
-            direct.extend(g.poll(
+            let mut g = Generator::new(n, ArrivalKind::Exponential, 30.0, master.fork(n.0 as u64));
+            g.poll(
                 Cycle::new(5_000),
                 &mesh(),
-                &Uniform::new(),
-                &Exponential::new(30.0),
+                Pattern::Uniform,
                 LengthDistribution::Fixed(20),
-            ));
+                &mut direct,
+            );
         }
         assert_eq!(via_trait, direct);
         assert!(w.generated() > 0);
@@ -343,8 +334,9 @@ mod tests {
     fn synthetic_due_cycle_gates_polls() {
         let mut w = SyntheticWorkload::new(
             mesh(),
-            Box::new(Uniform::new()),
-            Box::new(Exponential::new(100.0)),
+            Pattern::Uniform,
+            ArrivalKind::Exponential,
+            100.0,
             LengthDistribution::Fixed(5),
             7,
         );
@@ -365,7 +357,7 @@ mod tests {
         let mean_gap = 100.0;
         let mut w = OnOffWorkload::new(
             mesh(),
-            Box::new(Uniform::new()),
+            Pattern::Uniform,
             LengthDistribution::Fixed(20),
             8,
             2.0,
@@ -407,7 +399,7 @@ mod tests {
         };
         let mut bursty = OnOffWorkload::new(
             mesh(),
-            Box::new(Uniform::new()),
+            Pattern::Uniform,
             LengthDistribution::Fixed(20),
             10,
             1.0,
@@ -416,8 +408,9 @@ mod tests {
         );
         let mut smooth = SyntheticWorkload::new(
             mesh(),
-            Box::new(Uniform::new()),
-            Box::new(Exponential::new(50.0)),
+            Pattern::Uniform,
+            ArrivalKind::Exponential,
+            50.0,
             LengthDistribution::Fixed(20),
             5,
         );
@@ -434,7 +427,7 @@ mod tests {
         let run = |seed| {
             let mut w = OnOffWorkload::new(
                 mesh(),
-                Box::new(Uniform::new()),
+                Pattern::Uniform,
                 LengthDistribution::Fixed(20),
                 4,
                 2.0,
@@ -461,7 +454,7 @@ mod tests {
     fn bursty_rejects_impossible_parameters() {
         let _ = OnOffWorkload::new(
             mesh(),
-            Box::new(Uniform::new()),
+            Pattern::Uniform,
             LengthDistribution::Fixed(20),
             100,
             50.0,

@@ -90,7 +90,7 @@ fn main() {
         .expect("fault-count axis applies");
     let report = SweepRunner::new().with_master_seed(99).run(&grid);
     println!("\nfault-density sweep (x = dead links):");
-    println!("{}", report.to_table());
+    println!("{}", report.to_tables()[0]);
 
     // --- 6. Compiling at scale ----------------------------------------------
     // A 64x64 mesh with 256 dead links: the up*/down* program keeps two

@@ -48,7 +48,9 @@ fn main() {
     let wall = start.elapsed();
 
     println!("Transpose traffic on a 16x16 mesh — deterministic vs adaptive vs bursty:\n");
-    println!("{}", report.to_table());
+    for table in report.to_tables() {
+        println!("{table}");
+    }
     println!("{}", report.to_chart(12));
     for s in report.saturation_summary() {
         match s.saturation_load {

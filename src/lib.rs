@@ -88,8 +88,9 @@
 //! [`SweepRunner`](network::SweepRunner) executes a grid on every core
 //! and aggregates a [`SweepReport`](network::SweepReport) that is
 //! bit-identical to a single-threaded run of the same master seed. Its
-//! `to_table` is a [`Table`](network::report::Table), the one renderer of
-//! every table in the workspace (aligned text, or `to_csv`):
+//! `to_tables` gives one [`Table`](network::report::Table) per x axis,
+//! through the one renderer of every table in the workspace (aligned
+//! text, or `to_csv`):
 //!
 //! ```
 //! use lapses::prelude::*;
@@ -106,10 +107,14 @@
 //!     .scenario_series("bursty", &bursty, &ScenarioAxis::BurstLen(vec![2, 8]))
 //!     .unwrap();
 //! let report = SweepRunner::new().with_master_seed(7).run(&grid);
-//! let table = report.to_table();
-//! println!("{table}");
-//! // A header, then one line per x value: loads 0.1, 0.2; bursts 2, 8.
-//! assert_eq!(table.to_csv().lines().count(), 1 + 4);
+//! // One table per x axis, its first column headed by the axis name.
+//! let csv: Vec<String> = report.to_tables().iter().map(|t| t.to_csv()).collect();
+//! let x_column = |csv: &str| -> Vec<String> {
+//!     csv.lines().map(|l| l.split(',').next().unwrap().to_string()).collect()
+//! };
+//! assert_eq!(csv.len(), 2);
+//! assert_eq!(x_column(&csv[0]), ["load", "0.10", "0.20"]);
+//! assert_eq!(x_column(&csv[1]), ["burst-length", "2", "8"]);
 //! assert!(report.saturation_summary().iter().all(|s| s.saturation_load.is_none()));
 //! ```
 //!
@@ -200,5 +205,5 @@ pub mod prelude {
     pub use lapses_routing::{DimensionOrder, DuatoAdaptive, RoutingAlgorithm, UpDown};
     pub use lapses_sim::{Cycle, SimRng};
     pub use lapses_topology::{FaultError, FaultSet, FaultyMesh, Mesh, NodeId, Port, PortSet};
-    pub use lapses_traffic::{LengthDistribution, Trace, TraceWorkload, TrafficPattern, Workload};
+    pub use lapses_traffic::{LengthDistribution, Trace, TraceWorkload, Workload};
 }
