@@ -12,23 +12,23 @@ use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use lapses_core::psh::{PathSelection, PathSelector, PortStatus};
 use lapses_core::router::INFINITE_CREDITS;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable, TableScheme};
-use lapses_core::{Flit, MsgRef, Router, RouterConfig, RouterTable, StepOutputs};
+use lapses_core::{Flit, MsgRef, Router, RouterConfig, StepOutputs};
 use lapses_routing::DuatoAdaptive;
 use lapses_sim::{Cycle, SimRng};
 use lapses_topology::{Direction, Mesh, NodeId, Port};
 use std::hint::black_box;
 use std::sync::Arc;
 
-/// A mid-mesh router with full downstream credits, fed by the benchmark.
-fn bench_router() -> Router {
+/// A mid-mesh paper router (PROUD, or LA-PROUD with `la`) with full
+/// downstream credits, fed by the benchmark.
+fn bench_router(la: bool) -> Router {
     let mesh = Mesh::mesh_2d(8, 8);
     let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
-    let node = mesh.id_at(&[4, 4]).unwrap();
     let mut r = Router::new(
-        node,
+        mesh.id_at(&[4, 4]).unwrap(),
         mesh.ports_per_router(),
-        RouterConfig::paper_adaptive(),
-        RouterTable::new(program, node),
+        RouterConfig::paper_adaptive().with_lookahead(la),
+        program,
         SimRng::from_seed(5),
     );
     for p in 0..r.ports() {
@@ -47,7 +47,9 @@ fn bench_router() -> Router {
 
 /// One router stepped in isolation: the cost floor of the cycle loop's
 /// inner call, across the occupancy regimes the scheduler distinguishes
-/// (idle / one streaming message / every port saturated).
+/// (idle / one streaming message / every port saturated). The loaded
+/// regimes run in PROUD and LA-PROUD (`la_proud_*`, the pipeline every
+/// perfbench workload runs).
 fn bench_router_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_step");
     let mesh = Mesh::mesh_2d(8, 8);
@@ -55,7 +57,7 @@ fn bench_router_step(c: &mut Criterion) {
 
     // Idle: the step the active-set scheduler elides entirely.
     group.bench_function("idle", |b| {
-        let mut r = bench_router();
+        let mut r = bench_router(false);
         let mut out = StepOutputs::default();
         let mut t = 0u64;
         b.iter(|| {
@@ -65,62 +67,64 @@ fn bench_router_step(c: &mut Criterion) {
         })
     });
 
-    // Streaming: one long message — the common mid-load regime where a
-    // busy router moves a flit or two per cycle.
-    group.bench_function("streaming", |b| {
-        b.iter_batched(
-            || {
-                let mut r = bench_router();
-                let flits = Flit::message(MsgRef(0), dest, 1000);
-                for f in flits.into_iter().take(18) {
-                    r.accept_flit(Port::LOCAL, 0, f, Cycle::ZERO);
-                }
-                (r, StepOutputs::default())
-            },
-            |(mut r, mut out)| {
-                for t in 1..=12u64 {
-                    r.step_into(Cycle::new(t), &mut out);
-                    black_box(out.launches.len());
-                }
-                (r, out)
-            },
-            BatchSize::SmallInput,
-        )
-    });
-
-    // Saturated: every input port streams a long message through the
-    // crossbar each cycle (the occupancy masks are all hot).
-    group.bench_function("saturated", |b| {
-        b.iter_batched(
-            || {
-                let mut r = bench_router();
-                for p in 0..r.ports() {
-                    let flits = Flit::message(MsgRef(p as u32), dest, 1000);
+    for (prefix, la) in [("", false), ("la_proud_", true)] {
+        // Streaming: one long message — the common mid-load regime where
+        // a busy router moves a flit or two per cycle.
+        group.bench_function(&format!("{prefix}streaming"), |b| {
+            b.iter_batched(
+                || {
+                    let mut r = bench_router(la);
+                    let flits = Flit::message(MsgRef(0), dest, 1000);
                     for f in flits.into_iter().take(18) {
-                        r.accept_flit(Port::from_index(p), 0, f, Cycle::ZERO);
+                        r.accept_flit(Port::LOCAL, 0, f, Cycle::ZERO);
                     }
-                }
-                (r, StepOutputs::default())
-            },
-            |(mut r, mut out)| {
-                for t in 1..=12u64 {
-                    r.step_into(Cycle::new(t), &mut out);
-                    black_box(out.launches.len());
-                }
-                (r, out)
-            },
-            BatchSize::SmallInput,
-        )
-    });
+                    (r, StepOutputs::default())
+                },
+                |(mut r, mut out)| {
+                    for t in 1..=12u64 {
+                        r.step_into(Cycle::new(t), &mut out);
+                        black_box(out.launches.len());
+                    }
+                    (r, out)
+                },
+                BatchSize::SmallInput,
+            )
+        });
+
+        // Saturated: every input port streams a long message through the
+        // crossbar each cycle (the occupancy masks are all hot).
+        group.bench_function(&format!("{prefix}saturated"), |b| {
+            b.iter_batched(
+                || {
+                    let mut r = bench_router(la);
+                    for p in 0..r.ports() {
+                        let flits = Flit::message(MsgRef(p as u32), dest, 1000);
+                        for f in flits.into_iter().take(18) {
+                            r.accept_flit(Port::from_index(p), 0, f, Cycle::ZERO);
+                        }
+                    }
+                    (r, StepOutputs::default())
+                },
+                |(mut r, mut out)| {
+                    for t in 1..=12u64 {
+                        r.step_into(Cycle::new(t), &mut out);
+                        black_box(out.launches.len());
+                    }
+                    (r, out)
+                },
+                BatchSize::SmallInput,
+            )
+        });
+    }
     group.finish();
 }
 
 /// The paper's 16×16 mesh of adaptive (LA-)PROUD routers over full Duato
 /// tables, empty.
-fn network_16x16(lookahead: bool) -> (Mesh, lapses_network::Network) {
+fn network_16x16(la: bool) -> (Mesh, lapses_network::Network) {
     let mesh = Mesh::mesh_2d(16, 16);
     let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
-    let router = RouterConfig::paper_adaptive().with_lookahead(lookahead);
+    let router = RouterConfig::paper_adaptive().with_lookahead(la);
     let net = lapses_network::Network::new(mesh.clone(), router, program, 1, 9);
     (mesh, net)
 }
@@ -228,13 +232,13 @@ fn bench_path_selection(c: &mut Criterion) {
 fn bench_network_cycle(c: &mut Criterion) {
     let mut group = c.benchmark_group("network_cycle");
     group.sample_size(10);
-    for (name, lookahead) in [("proud_16x16", false), ("la_proud_16x16", true)] {
+    for (name, la) in [("proud_16x16", false), ("la_proud_16x16", true)] {
         group.bench_function(name, |b| {
             b.iter_batched(
                 || {
                     // A warmed-up network at moderate load: run the first
                     // 2000 cycles outside the measurement.
-                    let (mesh, mut net) = network_16x16(lookahead);
+                    let (mesh, mut net) = network_16x16(la);
                     // Seed some traffic.
                     let mut rng = SimRng::from_seed(11);
                     for src in mesh.nodes() {

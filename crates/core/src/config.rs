@@ -111,8 +111,8 @@ impl RouterConfig {
     }
 
     /// Switches between PROUD (`false`) and LA-PROUD (`true`).
-    pub fn with_lookahead(mut self, lookahead: bool) -> RouterConfig {
-        self.pipeline = if lookahead {
+    pub fn with_lookahead(mut self, on: bool) -> RouterConfig {
+        self.pipeline = if on {
             PipelineModel::LaProud
         } else {
             PipelineModel::Proud

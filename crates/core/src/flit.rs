@@ -3,19 +3,21 @@
 //! A message is injected as a sequence of flits — a head flit carrying the
 //! routing information, body flits, and a tail flit that releases the
 //! virtual channels the message holds (wormhole switching). Under
-//! look-ahead routing the head flit additionally carries the candidate-port
-//! information for the router it is entering, pre-fetched by the previous
-//! router (§3.2, Fig. 4(b)).
+//! look-ahead routing the hardware head flit additionally carries the
+//! candidate-port information for the router it is entering, pre-fetched
+//! by the previous router (§3.2, Fig. 4(b)). The model carries none: the
+//! table program is static, so that entry is what the receiving router's
+//! own table returns, and an LA-PROUD router reads it there at SY (see the
+//! `router` module docs).
 //!
 //! # The lean hot path
 //!
 //! Flits are the unit the simulator hands around most: a NIC builds one
 //! per injected flit, and every hop hands one from a router's crossbar to
 //! the network, which files it into the next router.
-//! [`Flit`] is therefore a 16-byte `Copy` POD holding only
-//! what the router datapath reads — position, destination, the head's
-//! look-ahead routing state, and the [`MsgRef`] handle the ejection
-//! statistics need. Everything the *statistics* need beyond that (source
+//! [`Flit`] is therefore a 12-byte `Copy` POD holding only
+//! what the router datapath reads — position, destination, and the
+//! [`MsgRef`] handle the ejection statistics need. Everything the *statistics* need beyond that (source
 //! node, generation and injection timestamps, the measurement flag) lives
 //! in a single per-message record owned by the network layer and reached
 //! through that handle. No stage needs a message number or a flit index:
@@ -31,19 +33,17 @@
 //! * the [`FlitKind`] — the one field every pipeline stage branches on (is
 //!   this a head? a tail?) — is the only per-slot storage: a dense
 //!   one-byte-per-slot ring per virtual channel;
-//! * the routing state — `rec`, `dest` and the look-ahead entry — is
+//! * the routing state — `rec` and `dest` — is
 //!   stored **once per message, with its head** (§3.2, Fig. 4(b): only
 //!   the header carries routing state). Body and tail flits follow the
 //!   path the head reserved, so a router rebuilds them from the record of
 //!   the message streaming through their virtual channel.
 //!
 //! A body or tail hop therefore moves one byte. Rebuilding is lossless:
-//! every flit of a message carries the same `rec` and `dest`, and the
-//! router drops a look-ahead only where it is always `None` (non-head
-//! flits, and every flit in a PROUD router); that is what lets the router
-//! storage change layout without changing a single simulated bit.
+//! every flit of a message carries the same `rec` and `dest`; that is what
+//! lets the router storage change layout without changing a single
+//! simulated bit.
 
-use crate::tables::RouteEntry;
 use lapses_topology::NodeId;
 use std::fmt;
 
@@ -93,14 +93,14 @@ impl FlitKind {
     }
 }
 
-/// One flow-control unit traversing the network — a 16-byte `Copy` value.
+/// One flow-control unit traversing the network — a 12-byte `Copy` value.
 ///
-/// Flits are moved by value between buffers; the head flit's
-/// [`lookahead`](Flit::lookahead) field is rewritten at each hop by
-/// look-ahead routers (the Fig. 4(b) "new header generation"). Only head
-/// flits carry meaningful routing state (`dest`, `lookahead`); body and
-/// tail flits follow the wormhole path the head reserved, and their
-/// statistics ride in the per-message record behind [`Flit::rec`].
+/// Flits are moved by value between buffers and never rewritten on the
+/// way: a look-ahead router decodes the head from its own table instead of
+/// from a carried entry (see the module docs). Only head flits carry
+/// meaningful routing state (`dest`); body and tail flits follow the
+/// wormhole path the head reserved, and their statistics ride in the
+/// per-message record behind [`Flit::rec`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flit {
     /// Handle to the per-message record (source, timestamps, measured).
@@ -109,16 +109,10 @@ pub struct Flit {
     pub dest: NodeId,
     /// Head / body / tail role.
     pub kind: FlitKind,
-    /// Look-ahead routing information for the router this flit is entering:
-    /// the candidate ports (and escape route) *at that router*, computed by
-    /// the previous router concurrently with its own arbitration. `None` on
-    /// body/tail flits and in non-look-ahead (PROUD) routers.
-    pub lookahead: Option<RouteEntry>,
 }
 
 impl Flit {
-    /// Builds the flits of a message, in injection order, none carrying
-    /// look-ahead information.
+    /// Builds the flits of a message, in injection order.
     ///
     /// `rec` is the per-message record handle the network layer allocated
     /// for the message's bookkeeping (every flit carries it).
@@ -133,7 +127,6 @@ impl Flit {
                 rec,
                 dest,
                 kind: FlitKind::at(seq, length),
-                lookahead: None,
             })
             .collect()
     }
@@ -163,7 +156,7 @@ mod tests {
             .all(|(i, f)| f.kind == FlitKind::at(i as u32, 4)));
         assert!(flits
             .iter()
-            .all(|f| f.rec == MsgRef(0) && f.dest == NodeId(5) && f.lookahead.is_none()));
+            .all(|f| f.rec == MsgRef(0) && f.dest == NodeId(5)));
     }
 
     #[test]
@@ -187,12 +180,12 @@ mod tests {
 
     #[test]
     fn flit_stays_a_small_pod() {
-        // The whole point of the lean hot path: a flit must stay two
-        // machine words so sink and NIC hand-offs are cheap memcpys. The
-        // budget is 16 bytes (rec + dest + kind + compact look-ahead), and
-        // a router slot is the kind byte alone.
+        // The whole point of the lean hot path: a flit must stay within
+        // two machine words so sink and NIC hand-offs are cheap memcpys.
+        // The budget is 12 bytes (rec + dest + kind), and a router slot is
+        // the kind byte alone.
         assert!(
-            std::mem::size_of::<Flit>() <= 16,
+            std::mem::size_of::<Flit>() <= 12,
             "Flit grew to {} bytes — keep bookkeeping in the message record",
             std::mem::size_of::<Flit>()
         );

@@ -6,8 +6,10 @@
 //! * **LA — look-ahead routing** ([`config::PipelineModel`]): the PROUD
 //!   router is a five-stage pipe (sync/decode → table lookup → selection +
 //!   arbitration → crossbar → VC mux); LA-PROUD folds the table lookup into
-//!   the selection stage by carrying each router's candidate ports in the
-//!   header flit ([`flit::Flit::lookahead`]), cutting one stage.
+//!   the selection stage, each router fetching the next router's candidate
+//!   ports during its own arbitration, cutting one stage. The model keeps
+//!   that timing and reads the entry from the receiving router's own table
+//!   (see [`router`]).
 //! * **PS — path-selection heuristics** ([`psh::PathSelection`]): STATIC-XY,
 //!   MIN-MUX, LFU, LRU and MAX-CREDIT (plus a random baseline), applied when
 //!   the adaptive routing relation offers several productive output ports.
@@ -51,4 +53,4 @@ pub use config::{PipelineModel, RouterConfig};
 pub use flit::{Flit, FlitKind, MsgRef};
 pub use psh::PathSelection;
 pub use router::{Router, StepOutputs, StepSink, MAX_VC_SLOTS};
-pub use tables::{RouteEntry, RouterTable, TableScheme};
+pub use tables::{RouteEntry, TableScheme};

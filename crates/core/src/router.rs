@@ -11,13 +11,15 @@
 //!
 //! * **SY** — a flit delivered by the link lands in its per-VC input
 //!   buffer ([`Router::accept_flit`]);
-//! * **TL** — the head's destination indexes the routing table
-//!   ([`crate::tables::RouterTable::entry`]); in LA-PROUD the result was
-//!   carried in the header and this stage disappears;
+//! * **TL** — the head's destination indexes this router's routing table
+//!   ([`crate::tables::TableScheme::entry`]). In LA-PROUD the upstream
+//!   router looked the entry up during its own SA, so this stage
+//!   disappears: the head is decoded at SY and may enter SA next cycle;
 //! * **SA** — path selection among available candidate ports
 //!   ([`crate::psh::PathSelector`]) plus output-VC allocation, with the
 //!   Duato escape fallback; in LA-PROUD the lookup *for the next router*
-//!   runs here concurrently and is written into the outgoing header;
+//!   runs here concurrently, so a lookup slower than one cycle delays
+//!   allocation (`table_lookup_cycles`);
 //! * **XB** — separable (input-first, then output round-robin) switch
 //!   allocation moves one flit per input port and per output port per
 //!   cycle into the output staging buffers;
@@ -34,9 +36,8 @@
 //! A router stores a flit in two places (see [`crate::flit`]). Every
 //! buffered flit is one [`FlitKind`] byte in a dense kind ring — the hot
 //! part every stage branches on. The routing state of a message — its
-//! record handle, destination and, in LA-PROUD, the look-ahead entry —
-//! is stored **once, with its head** (§3.2: only the header carries
-//! routing state):
+//! record handle and destination — is stored **once, with its head**
+//! (§3.2: only the header carries routing state):
 //!
 //! * each input VC keeps the records of its queued heads in ring order
 //!   (a `VecDeque` that grows with the heads actually queued, so a
@@ -59,8 +60,7 @@
 //! pre-writes the kind byte into the exact slot it will occupy
 //! ([`Router::reserve_flit`]) and the link-delay-later arrival merely
 //! flips it visible ([`Router::commit_flit`]) — both are the **SY**
-//! stage, and both append a head's record. **SA** rewrites the front
-//! record's look-ahead entry in place. The **XB** winner pops its kind
+//! stage, and both append a head's record. The **XB** winner pops its kind
 //! byte; a head also moves its record from the queue to the VC's
 //! streaming record. A flit bound for a neighbor is rebuilt from the kind
 //! byte and the streaming record and handed to the sink
@@ -73,14 +73,25 @@
 //! Routing (**TL**/**SA**) reads only the ring head's kind byte plus, for
 //! heads, the front record.
 //!
+//! # Look-ahead is timing, not payload
+//!
+//! In hardware an LA-PROUD header carries the entry the upstream router
+//! fetched for it (§3.2, Fig. 4(b)). The model does not carry it: the
+//! table program is static, so the entry fetched upstream is exactly
+//! what this router's own table returns for the head's destination. An
+//! LA-PROUD router therefore reads its own entry when the head lands
+//! (SY) and arms SA for the next cycle, while a PROUD router reads it one
+//! TL stage later. Both gate the first allocation on the lookup latency,
+//! so §3.2's timing is kept and a header stays 8 bytes of state.
+//!
 //! # The cycle walk
 //!
 //! [`Router::step_with`] runs a cycle in reverse pipeline order, so a
 //! flit advances at most one stage per cycle: the occupied output ports
 //! once (VM), the occupied input ports once (XB proposals, then grants),
 //! then **one** combined walk over the occupied, non-streaming input VCs
-//! that handles both SA (slots in `Select`) and TL decode / look-ahead
-//! promotion (slots in `Idle`). A VC slot is in exactly one routing
+//! that handles both SA (slots in `Select`) and header decode (slots in
+//! `Idle`). A VC slot is in exactly one routing
 //! state, so one walk visits each occupied slot once per cycle; the
 //! per-cycle constants (`vcs`, masks, pipeline mode) stay in registers
 //! across all of it.
@@ -89,10 +100,11 @@ use crate::arbiter::rr_grant_mask;
 use crate::config::RouterConfig;
 use crate::flit::{Flit, FlitKind, MsgRef};
 use crate::psh::{PathSelector, PortStatus};
-use crate::tables::{RouteEntry, RouterTable};
+use crate::tables::{RouteEntry, TableScheme};
 use lapses_sim::{Cycle, SimRng};
 use lapses_topology::{NodeId, Port};
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Credit sentinel for sinks that can always accept (the ejection port).
 pub const INFINITE_CREDITS: u32 = u32::MAX;
@@ -174,16 +186,12 @@ const IDLE_OUTPUT: OutputVc = OutputVc {
 struct HeadRec {
     rec: MsgRef,
     dest: NodeId,
-    /// The entry for the router the head is in (LA-PROUD only; `None` in
-    /// PROUD routers).
-    lookahead: Option<RouteEntry>,
 }
 
 /// Record value of a VC that has streamed nothing yet; never observed.
 const NO_REC: HeadRec = HeadRec {
     rec: MsgRef(u32::MAX),
     dest: NodeId(u32::MAX),
-    lookahead: None,
 };
 
 /// The head records of one input VC.
@@ -341,7 +349,7 @@ pub struct Router {
     owner_free: u64,
     /// Bit per input VC (flat index): set while the VC's routing state is
     /// not `Active` (`Idle` or `Select`). ANDed with `in_occupied`, this
-    /// is exactly the set of slots the SA/TL walk can act on, so fully
+    /// is exactly the set of slots the SA/decode walk can act on, so fully
     /// streaming routers skip that walk outright.
     non_active: u64,
     /// Port-local bit pattern of the adaptive-class VCs
@@ -358,8 +366,9 @@ pub struct Router {
     vcs: u8,
     /// Cached port count.
     ports: u8,
-    /// Cached `cfg.pipeline.is_lookahead()`.
-    lookahead: bool,
+    /// Cached `cfg.pipeline.is_lookahead()`: LA-PROUD decodes a head as
+    /// it lands (see the module docs).
+    decode_at_sy: bool,
     /// Per output port: VC-multiplexor rotation pointer.
     vm_next: [u8; MAX_PORTS],
     /// Per input port: rotation pointer over its VCs' crossbar proposals.
@@ -393,7 +402,8 @@ pub struct Router {
     // -- Cold configuration and identity. --
     node: NodeId,
     cfg: RouterConfig,
-    table: RouterTable,
+    /// The table program; this router reads its own entries only.
+    program: Arc<dyn TableScheme>,
 }
 
 impl std::fmt::Debug for Router {
@@ -402,13 +412,15 @@ impl std::fmt::Debug for Router {
             .field("node", &self.node)
             .field("ports", &self.ports)
             .field("pipeline", &self.cfg.pipeline)
+            .field("scheme", &self.program.name())
             .field("stats", &self.stats)
             .finish_non_exhaustive()
     }
 }
 
 impl Router {
-    /// Creates a router with `ports` ports (local + directions).
+    /// Creates the router of `node` with `ports` ports (local +
+    /// directions), reading its routing table from `program`.
     ///
     /// Output-VC credits start at zero; the network layer sets them to the
     /// downstream buffer depths with [`Router::set_credits`] after wiring.
@@ -416,12 +428,13 @@ impl Router {
     /// # Panics
     ///
     /// Panics if the configuration is inconsistent
-    /// ([`RouterConfig::validate`]) or `ports` is zero.
+    /// ([`RouterConfig::validate`]), `ports` is zero, or `node` is outside
+    /// the program's topology.
     pub fn new(
         node: NodeId,
         ports: usize,
         cfg: RouterConfig,
-        table: RouterTable,
+        program: Arc<dyn TableScheme>,
         rng: SimRng,
     ) -> Router {
         cfg.validate();
@@ -431,7 +444,10 @@ impl Router {
             ports * cfg.vcs_per_port <= MAX_VC_SLOTS,
             "router exceeds the {MAX_VC_SLOTS} (port, VC) occupancy-mask budget"
         );
-        assert_eq!(table.node(), node, "table programmed for a different node");
+        assert!(
+            node.index() < program.mesh().node_count(),
+            "node {node} outside the programmed topology"
+        );
         let vcs = cfg.vcs_per_port;
         let in_cap = u16::try_from(cfg.input_buffer_flits).expect("input buffer fits u16");
         let out_cap = u16::try_from(cfg.output_buffer_flits).expect("output buffer fits u16");
@@ -465,7 +481,7 @@ impl Router {
             in_ring,
             vcs: vcs as u8,
             ports: ports as u8,
-            lookahead: cfg.pipeline.is_lookahead(),
+            decode_at_sy: cfg.pipeline.is_lookahead(),
             vm_next: [0; MAX_PORTS],
             xb_in_next: [0; MAX_PORTS],
             xb_out_next: [0; MAX_PORTS],
@@ -489,7 +505,7 @@ impl Router {
             stats: RouterStats::default(),
             node,
             cfg,
-            table,
+            program,
         }
     }
 
@@ -581,7 +597,6 @@ impl Router {
             self.in_recs[idx].queued.push_back(HeadRec {
                 rec: flit.rec,
                 dest: flit.dest,
-                lookahead: flit.lookahead.filter(|_| self.lookahead),
             });
         }
     }
@@ -642,14 +657,13 @@ impl Router {
     /// [`Router::commit_flit`]).
     ///
     /// In LA-PROUD mode a head flit landing at the front of an idle VC is
-    /// decoded immediately: its carried candidate set arms the selection
-    /// stage for the *next* cycle, skipping the table-lookup stage.
+    /// decoded immediately: its entry arms the selection stage for the
+    /// *next* cycle, skipping the table-lookup stage.
     ///
     /// # Panics
     ///
     /// Panics if the buffer overflows (a flow-control violation — the
-    /// upstream router sent without credit) or, in LA-PROUD mode, if a head
-    /// arrives without look-ahead information.
+    /// upstream router sent without credit).
     pub fn accept_flit(&mut self, port: Port, vc: usize, flit: Flit, now: Cycle) {
         let idx = self.in_idx(port, vc);
         let len = self.inputs[idx].len;
@@ -666,8 +680,8 @@ impl Router {
         self.inputs[idx].len += 1;
         self.in_occupied |= 1 << idx;
         self.in_ports |= 1 << port.index();
-        if self.lookahead {
-            self.try_lookahead_promote(idx, now);
+        if self.decode_at_sy {
+            self.decode(idx, now);
         }
     }
 
@@ -717,8 +731,8 @@ impl Router {
         ivc.len += 1;
         self.in_occupied |= 1 << idx;
         self.in_ports |= 1 << port.index();
-        if self.lookahead {
-            self.try_lookahead_promote(idx, now);
+        if self.decode_at_sy {
+            self.decode(idx, now);
         }
     }
 
@@ -766,13 +780,11 @@ impl Router {
             // XB: separable switch allocation (proposals, then grants).
             moved |= self.xb_pass(now, sink);
 
-            // SA + TL in one walk over the occupied input VCs. A slot is
-            // in exactly one routing state — Select slots attempt
-            // allocation (SA), Idle slots decode a queued header (TL /
-            // look-ahead promote), Active slots cost one branch.
-            let lookahead = self.lookahead;
-            // Only non-`Active` occupied slots can do SA/TL work; fully
-            // streaming routers skip the walk entirely.
+            // SA + decode in one walk over the occupied input VCs. A slot
+            // is in exactly one routing state — Select slots attempt
+            // allocation (SA), Idle slots decode a queued header, Active
+            // slots cost one branch. Only non-`Active` occupied slots can
+            // do that work; fully streaming routers skip the walk entirely.
             let mut occupied = self.in_occupied & self.non_active;
             while occupied != 0 {
                 let idx = occupied.trailing_zeros() as usize;
@@ -783,13 +795,7 @@ impl Router {
                             moved |= self.sa_allocate(idx, &entry);
                         }
                     }
-                    VcState::Idle => {
-                        if lookahead {
-                            self.try_lookahead_promote(idx, now);
-                        } else {
-                            self.tl_decode(idx, now);
-                        }
-                    }
+                    VcState::Idle => self.decode(idx, now),
                     VcState::Active { .. } => {}
                 }
             }
@@ -867,13 +873,11 @@ impl Router {
         }
         let port = Port::from_index(p);
         if port.is_local() {
-            // The ejecting message's destination is this router, and an
-            // ejecting head carries no look-ahead.
+            // The ejecting message's destination is this router.
             let flit = Flit {
                 rec: self.eject_rec[v],
                 dest: self.node,
                 kind,
-                lookahead: None,
             };
             sink.launch(port, v, flit);
         } else {
@@ -937,12 +941,11 @@ impl Router {
             if op != Port::LOCAL.index() {
                 // Zero-copy wire: hand the flit, rebuilt from the streaming
                 // record, to the sink (it goes straight into the downstream
-                // input ring); only a head carries the look-ahead entry.
+                // input ring).
                 let flit = Flit {
                     rec: msg.rec,
                     dest: msg.dest,
                     kind,
-                    lookahead: if kind.is_head() { msg.lookahead } else { None },
                 };
                 sink.transfer(Port::from_index(op), of - op * vcs, flit);
             } else if kind.is_head() {
@@ -960,7 +963,7 @@ impl Router {
             sink.credit(Port::from_index(ip), iv);
             if kind.is_tail() {
                 // The freed VC's next header is decoded by this cycle's
-                // SA/TL walk (it runs after XB), so its earliest selection
+                // SA/decode walk (it runs after XB), so its earliest selection
                 // attempt is next cycle — in LA-PROUD. PROUD additionally
                 // pays the table-lookup cycle, enforced by `ready_at`.
                 let ivc = &mut self.inputs[in_idx];
@@ -984,9 +987,8 @@ impl Router {
     }
 
     /// SA for one `Select` input VC whose table lookup has completed:
-    /// selection + output-VC allocation with the Duato escape fallback;
-    /// LA-PROUD concurrently performs the next hop's table lookup and
-    /// rewrites the header. Returns whether the allocation succeeded.
+    /// selection + output-VC allocation with the Duato escape fallback.
+    /// Returns whether the allocation succeeded.
     fn sa_allocate(&mut self, idx: usize, entry: &RouteEntry) -> bool {
         let vcs = self.vcs as usize;
         debug_assert!(
@@ -998,17 +1000,6 @@ impl Router {
                 let of = out_port.index() * vcs + out_vc;
                 self.outputs[of].owner = Some(((idx / vcs) as u8, (idx % vcs) as u8));
                 self.owner_free &= !(1 << of);
-                if self.lookahead {
-                    // The concurrent next-hop lookup rewrites the header's
-                    // record in place.
-                    let table = &self.table;
-                    let head = self.in_recs[idx]
-                        .queued
-                        .front_mut()
-                        .expect("a queued head has a record");
-                    head.lookahead =
-                        (!out_port.is_local()).then(|| table.lookahead_entry(out_port, head.dest));
-                }
                 self.inputs[idx].state = VcState::Active {
                     out_port,
                     out_vc: out_vc as u8,
@@ -1034,21 +1025,27 @@ impl Router {
         }
     }
 
-    /// PROUD TL for one `Idle` input VC: decode + table lookup when a
-    /// queued header has reached the buffer front and the post-tail
-    /// blackout (`ready_at`) has passed.
-    fn tl_decode(&mut self, idx: usize, now: Cycle) {
-        debug_assert_eq!(self.inputs[idx].state, VcState::Idle);
-        if now.as_u64() < self.inputs[idx].ready_at || self.inputs[idx].len == 0 {
+    /// Decodes the header at the front of `Idle` input VC `idx`: reads
+    /// this router's entry for its destination and arms the selection
+    /// stage. LA-PROUD decodes as soon as the head is at the front (SY,
+    /// see the module docs); PROUD decodes in the walk once the post-tail
+    /// blackout (`ready_at`) has passed, which is its TL stage.
+    fn decode(&mut self, idx: usize, now: Cycle) {
+        let ivc = &self.inputs[idx];
+        if ivc.state != VcState::Idle || ivc.len == 0 {
+            return;
+        }
+        if !self.decode_at_sy && now.as_u64() < ivc.ready_at {
             return;
         }
         if !self.in_kind[self.ibuf_front_slot(idx)].is_head() {
             return;
         }
-        let entry = self.table.entry(self.front_rec(idx).dest);
-        // The k-cycle lookup starting now completes at now + k; the
-        // selection stage may fire from that cycle on (k = 1 recovers
-        // the classic one-cycle TL stage).
+        let entry = self.program.entry(self.node, self.front_rec(idx).dest);
+        // A k-cycle lookup started now completes at now + k, and the
+        // selection stage may fire from that cycle on: PROUD's own TL
+        // lookup, or LA-PROUD's concurrent next-hop lookup, which the
+        // outgoing header waits for (k = 1 recovers the paper's pipes).
         let ivc = &mut self.inputs[idx];
         ivc.ready_at = now.as_u64() + self.cfg.table_lookup_cycles as u64;
         ivc.state = VcState::Select { entry };
@@ -1152,41 +1149,6 @@ impl Router {
         }
         status
     }
-
-    /// LA-PROUD: if input VC `idx` is idle with a header at the buffer
-    /// front, arm the selection stage from the header's carried candidate
-    /// information (the look-ahead decode, costing no pipeline stage).
-    fn try_lookahead_promote(&mut self, idx: usize, now: Cycle) {
-        if self.inputs[idx].state != VcState::Idle || self.inputs[idx].len == 0 {
-            return;
-        }
-        if !self.in_kind[self.ibuf_front_slot(idx)].is_head() {
-            return;
-        }
-        let head = self.front_rec(idx);
-        let entry = head.lookahead.unwrap_or_else(|| {
-            panic!(
-                "LA-PROUD header #{} ->{} arrived at {} without look-ahead info",
-                head.rec.0, head.dest, self.node
-            )
-        });
-        debug_assert_eq!(
-            (entry.candidates, entry.escape),
-            {
-                let direct = self.table.entry(head.dest);
-                (direct.candidates, direct.escape)
-            },
-            "carried look-ahead disagrees with a direct lookup at {}",
-            self.node
-        );
-        // The candidates are already decoded; what can stall departure is
-        // the *concurrent next-hop lookup*: the outgoing header is complete
-        // k cycles after selection starts, so allocation may finish at
-        // now + k (k = 1 recovers the zero-overhead look-ahead pipeline).
-        let ivc = &mut self.inputs[idx];
-        ivc.ready_at = now.as_u64() + self.cfg.table_lookup_cycles as u64;
-        ivc.state = VcState::Select { entry };
-    }
 }
 
 #[cfg(test)]
@@ -1209,7 +1171,7 @@ mod tests {
             node,
             mesh.ports_per_router(),
             cfg,
-            RouterTable::new(program, node),
+            program,
             SimRng::from_seed(1),
         );
         // Give every direction port full credits and the local port
@@ -1230,12 +1192,6 @@ mod tests {
 
     fn message(dest: u32, len: u32) -> Vec<Flit> {
         Flit::message(MsgRef(1), NodeId(dest), len)
-    }
-
-    fn with_lookahead(mut flits: Vec<Flit>, router: &Router) -> Vec<Flit> {
-        let entry = router.table.entry(flits[0].dest);
-        flits[0].lookahead = Some(entry);
-        flits
     }
 
     /// Runs cycles `from..=to` into `out`, returning every launch with
@@ -1276,7 +1232,7 @@ mod tests {
     #[test]
     fn la_proud_header_saves_one_cycle() {
         let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(true));
-        let flits = with_lookahead(message(3, 1), &r);
+        let flits = message(3, 1);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
         let launches = run(&mut r, 1, 10);
         assert_eq!(launches.len(), 1);
@@ -1402,34 +1358,46 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_header_is_rewritten_per_hop() {
-        let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(true));
-        let flits = with_lookahead(message(3, 1), &r);
-        r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
-        let launches = run(&mut r, 1, 6);
-        let out = &launches[0].1.flit;
-        // The launched header carries node 2's entry for destination 3.
-        let carried = out.lookahead.expect("LA header keeps look-ahead info");
-        let mesh = Mesh::mesh(&[4]);
-        let program = FullTable::program(&mesh, &DuatoAdaptive::new());
-        assert_eq!(carried, program.entry(NodeId(2), NodeId(3)));
+    fn decode_reads_the_routers_own_entry() {
+        // A head for the far corner of a 4×4 mesh, injected at (1, 1): the
+        // router arms selection with its own entry — at SY in LA-PROUD,
+        // one TL stage later in PROUD.
+        let mesh = Mesh::mesh_2d(4, 4);
+        let program: Arc<dyn TableScheme> =
+            Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let node = mesh.id_at(&[1, 1]).unwrap();
+        let dest = mesh.id_at(&[3, 3]).unwrap();
+        let own = program.entry(node, dest);
+        assert_eq!(own.candidates.len(), 2);
+        for lookahead in [false, true] {
+            let cfg = RouterConfig::paper_adaptive().with_lookahead(lookahead);
+            let mut r = Router::new(node, 5, cfg, Arc::clone(&program), SimRng::from_seed(1));
+            let head = Flit::message(MsgRef(1), dest, 1)[0];
+            r.accept_flit(Port::LOCAL, 0, head, Cycle::ZERO);
+            let decoded = |r: &Router| match r.inputs[0].state {
+                VcState::Select { entry } => Some(entry),
+                _ => None,
+            };
+            if !lookahead {
+                assert_eq!(decoded(&r), None, "PROUD decodes in TL, not SY");
+                r.step_into(Cycle::new(1), &mut StepOutputs::default());
+            }
+            assert_eq!(decoded(&r), Some(own), "lookahead {lookahead}");
+        }
     }
 
     #[test]
-    #[should_panic(expected = "without look-ahead info")]
-    fn lookahead_header_without_entry_is_rejected() {
-        let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(true));
-        r.accept_flit(Port::LOCAL, 0, message(3, 1)[0], Cycle::ZERO);
-    }
-
-    #[test]
-    fn proud_headers_do_not_carry_lookahead() {
-        let mut r = line_router(RouterConfig::paper_adaptive());
-        // A PROUD router drops a carried entry instead of forwarding it.
-        let flits = with_lookahead(message(3, 1), &r);
-        r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
-        let launches = run(&mut r, 1, 6);
-        assert!(launches[0].1.flit.lookahead.is_none());
+    #[should_panic(expected = "outside")]
+    fn out_of_range_node_rejected() {
+        let mesh = Mesh::mesh_2d(2, 2);
+        let program = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let _ = Router::new(
+            NodeId(99),
+            mesh.ports_per_router(),
+            RouterConfig::paper_adaptive(),
+            program,
+            SimRng::from_seed(1),
+        );
     }
 
     #[test]
@@ -1453,18 +1421,9 @@ mod tests {
         // Two messages back-to-back on one input VC; measure the gap
         // between the first tail's launch and the second header's launch.
         let gap_for = |cfg: RouterConfig| {
-            let lookahead = cfg.pipeline.is_lookahead();
             let mut r = line_router(cfg);
             let m1 = message(3, 2);
-            let mut m2 = Flit::message(MsgRef(2), NodeId(3), 2);
-            if lookahead {
-                m2[0].lookahead = Some(r.table.entry(m2[0].dest));
-            }
-            let m1 = if lookahead {
-                with_lookahead(m1, &r)
-            } else {
-                m1
-            };
+            let m2 = Flit::message(MsgRef(2), NodeId(3), 2);
             for f in m1.iter().chain(&m2) {
                 r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
             }
@@ -1506,7 +1465,7 @@ mod tests {
             node,
             mesh.ports_per_router(),
             RouterConfig::paper_adaptive().with_path_selection(PathSelection::Lru),
-            RouterTable::new(program, node),
+            program,
             SimRng::from_seed(3),
         );
         for p in 0..r.ports() {
@@ -1557,7 +1516,7 @@ mod tests {
                 .with_lookahead(true)
                 .with_table_lookup_cycles(2),
         );
-        let flits = with_lookahead(message(3, 1), &r);
+        let flits = message(3, 1);
         r.accept_flit(Port::LOCAL, 0, flits[0], Cycle::ZERO);
         let launches = run(&mut r, 1, 10);
         assert_eq!(launches.len(), 1);
@@ -1573,12 +1532,15 @@ mod tests {
 
     /// Feeds four messages over three local VCs and hashes every cycle's
     /// launches (port, VC, every flit field and the flit's launch index
-    /// within its message) and credits, then the final statistics.
+    /// within its message, plus the next hop's entry for an LA-PROUD head
+    /// leaving through +d0 — the entry that hop's router decodes) and
+    /// credits, then the final statistics.
     /// `starved` gives each +d0 output VC one credit and returns the
     /// credits of each launch in bursts every fourth cycle, so staged
     /// flits of several VCs contend for the VC multiplexor.
-    fn launch_credit_hash(lookahead: bool, starved: bool) -> u64 {
-        let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(lookahead));
+    fn launch_credit_hash(la: bool, starved: bool) -> u64 {
+        let program = FullTable::program(&Mesh::mesh(&[4]), &DuatoAdaptive::new());
+        let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(la));
         let px = Port::from(Direction::plus(0));
         if starved {
             for v in 0..4 {
@@ -1586,10 +1548,7 @@ mod tests {
             }
         }
         for (m, vc, len) in [(1u32, 0usize, 4u32), (2, 1, 1), (3, 2, 6), (4, 0, 2)] {
-            let mut flits = Flit::message(MsgRef(m), NodeId(3), len);
-            if lookahead {
-                flits[0].lookahead = Some(r.table.entry(flits[0].dest));
-            }
+            let flits = Flit::message(MsgRef(m), NodeId(3), len);
             for (i, f) in flits.iter().enumerate() {
                 r.accept_flit(Port::LOCAL, vc, *f, Cycle::new(i as u64));
             }
@@ -1598,9 +1557,10 @@ mod tests {
         let mut out = StepOutputs::default();
         let mut returns = VecDeque::new();
         // Flits launched so far per message handle, i.e. the launching
-        // flit's index within its message. The handle is hashed twice: the
-        // pinned constants date from flits that also carried a message
-        // number, which this feed set equal to the handle.
+        // flit's index within its message. The handle is hashed twice, and
+        // an LA-PROUD head's next-hop entry once: the pinned constants date
+        // from flits that also carried a message number, which this feed
+        // set equal to the handle, and the entry itself.
         let mut launched = [0u32; 5];
         for t in 1..=80u64 {
             while let Some(&(due, vc)) = returns.front() {
@@ -1635,7 +1595,9 @@ mod tests {
                 ] {
                     fnv(&mut h, w);
                 }
-                match f.lookahead {
+                let next_hop = (la && f.kind.is_head() && l.port == px)
+                    .then(|| program.entry(NodeId(2), f.dest));
+                match next_hop {
                     None => fnv(&mut h, 0),
                     Some(e) => {
                         fnv(&mut h, 1);
@@ -1694,29 +1656,12 @@ mod tests {
     }
 
     #[test]
-    fn lookahead_rewrite_edits_the_head_record_in_place() {
-        // SA writes the next hop's entry into the queued head record; the
-        // launched header must carry it, the tail none.
-        let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(true));
-        let flits = with_lookahead(message(3, 2), &r);
-        for f in &flits {
-            r.accept_flit(Port::LOCAL, 0, *f, Cycle::ZERO);
-        }
-        let launches = run(&mut r, 1, 8);
-        assert_eq!(launches.len(), 2);
-        assert!(launches[0].1.flit.lookahead.is_some(), "head keeps entry");
-        assert!(launches[1].1.flit.lookahead.is_none(), "tail carries none");
-    }
-
-    #[test]
     fn head_records_follow_their_messages() {
         // Single-flit and mixed-length messages arrive over the zero-copy
         // wire on two VCs of the -d0 port, reservations interleaved with
         // commits and pops, so a ring holds several heads at once. Every
         // launched flit — toward +d0 or into the ejection port — must be
-        // the fed one, with the next hop's entry on LA-PROUD heads.
-        let mesh = Mesh::mesh(&[4]);
-        let program = FullTable::program(&mesh, &DuatoAdaptive::new());
+        // the fed one, in order.
         let minus = Port::from(Direction::minus(0));
         // (record, input VC, destination, length); node 1 ejects.
         let msgs = [
@@ -1736,18 +1681,8 @@ mod tests {
             let mut feed = [VecDeque::new(), VecDeque::new()];
             let mut expected = vec![Vec::new(); msgs.len() + 1];
             for &(m, vc, dest, len) in &msgs {
-                let mut flits = Flit::message(MsgRef(m), NodeId(dest), len);
-                if lookahead {
-                    flits[0].lookahead = Some(r.table.entry(NodeId(dest)));
-                }
-                for f in &flits {
-                    let next_hop = (lookahead && f.kind.is_head() && dest != 1)
-                        .then(|| program.entry(NodeId(2), NodeId(dest)));
-                    expected[m as usize].push(Flit {
-                        lookahead: next_hop,
-                        ..*f
-                    });
-                }
+                let flits = Flit::message(MsgRef(m), NodeId(dest), len);
+                expected[m as usize].extend_from_slice(&flits);
                 feed[vc].extend(flits);
             }
             let mut pending = [0; 2];
@@ -1808,19 +1743,24 @@ mod tests {
             node,
             mesh.ports_per_router(),
             cfg,
-            RouterTable::new(program, node),
+            program,
             SimRng::from_seed(1),
         )
     }
 
-    /// Bytes of a fresh paper router on a 64-bit host: the 656-byte
+    /// Bytes of a fresh paper router on a 64-bit host: the 576-byte
     /// struct, 20 × 24 input and 20 × 12 output VC headers (one per live
-    /// `(port, VC)`, not [`MAX_VC_SLOTS`]), 800 + 400 kind bytes, 20 × 48
-    /// bytes of head-record queues and 4 × 4 bytes of ejection records.
-    const FOOTPRINT: usize = 3552;
+    /// `(port, VC)`, not [`MAX_VC_SLOTS`]), 800 + 400 kind bytes, 20 × 40
+    /// bytes of head records (an empty queue and the 8-byte streaming
+    /// record) and 4 × 4 bytes of ejection records.
+    const FOOTPRINT: usize = 3312;
 
     #[test]
     fn router_footprint_is_pinned() {
+        // A flit is its handle, destination and kind; a head record is the
+        // handle and destination (no carried look-ahead entry).
+        assert_eq!(std::mem::size_of::<Flit>(), 12);
+        assert_eq!(std::mem::size_of::<HeadRec>(), 8);
         // A body or tail slot is one kind byte: routing state lives once
         // per message, with its head. Deeper input buffers grow the router
         // by the added kind bytes only (5 ports × 4 VCs × 10 slots), in

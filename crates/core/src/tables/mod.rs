@@ -22,14 +22,14 @@
 //! would after being configured for a routing algorithm. A program is a
 //! function of the topology and the relation alone: dead links reach a
 //! table only through a relation that routes around them (up*/down*),
-//! which checks its own routes against the surviving links. Routers access
-//! their slice of the program through [`RouterTable`], which also serves
-//! the look-ahead queries (the entry at a *neighbor*, §3.2).
+//! which checks its own routes against the surviving links. Every router
+//! shares the program and reads only its own entries; under look-ahead
+//! routing (§3.2) the entry an upstream router fetches for a neighbor is
+//! that neighbor's own entry, so the router model reads it there.
 
 use lapses_routing::RoutingAlgorithm;
 use lapses_topology::{Mesh, NodeId, Port, PortSet};
 use std::fmt;
-use std::sync::Arc;
 
 mod cost;
 mod economical;
@@ -143,93 +143,9 @@ pub trait TableScheme: fmt::Debug + Send + Sync {
     fn storage(&self) -> StorageCost;
 }
 
-/// A router's view of a [`TableScheme`]: its own entries plus the
-/// neighbor entries needed for look-ahead routing.
-///
-/// # Example
-///
-/// ```
-/// use lapses_core::tables::{FullTable, RouterTable};
-/// use lapses_routing::DuatoAdaptive;
-/// use lapses_topology::Mesh;
-/// use std::sync::Arc;
-///
-/// let mesh = Mesh::mesh_2d(4, 4);
-/// let program = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
-/// let node = mesh.id_at(&[1, 1]).unwrap();
-/// let dest = mesh.id_at(&[3, 3]).unwrap();
-/// let table = RouterTable::new(program, node);
-/// assert_eq!(table.entry(dest).candidates.len(), 2);
-/// ```
-#[derive(Debug, Clone)]
-pub struct RouterTable {
-    program: Arc<dyn TableScheme>,
-    node: NodeId,
-    /// Neighbor node per port index (`None` for the local port and for
-    /// directions off the mesh edge), so the per-header look-ahead lookup
-    /// is one array read instead of a coordinate round trip.
-    neighbors: [Option<NodeId>; lapses_topology::MAX_DIMS * 2 + 1],
-}
-
-impl RouterTable {
-    /// Creates the view of `program` for router `node`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `node` is outside the program's topology.
-    pub fn new(program: Arc<dyn TableScheme>, node: NodeId) -> RouterTable {
-        assert!(
-            node.index() < program.mesh().node_count(),
-            "node {node} outside the programmed topology"
-        );
-        let mut neighbors = [None; lapses_topology::MAX_DIMS * 2 + 1];
-        let mesh = program.mesh();
-        for port in mesh.direction_ports() {
-            let dir = port.direction().expect("direction port");
-            neighbors[port.index()] = mesh.neighbor(node, dir);
-        }
-        RouterTable {
-            program,
-            node,
-            neighbors,
-        }
-    }
-
-    /// The router this view belongs to.
-    pub fn node(&self) -> NodeId {
-        self.node
-    }
-
-    /// The underlying program.
-    pub fn program(&self) -> &Arc<dyn TableScheme> {
-        &self.program
-    }
-
-    /// This router's entry for `dest` — the PROUD table-lookup stage.
-    pub fn entry(&self, dest: NodeId) -> RouteEntry {
-        self.program.entry(self.node, dest)
-    }
-
-    /// The entry the *neighbor* along `via` will need for `dest` — the
-    /// look-ahead lookup performed concurrently with arbitration (§3.2).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `via` is the local port or points off the mesh edge.
-    pub fn lookahead_entry(&self, via: Port, dest: NodeId) -> RouteEntry {
-        assert!(
-            !via.is_local(),
-            "look-ahead is undefined for the local port"
-        );
-        let neighbor = self.neighbors[via.index()].expect("look-ahead across a missing link");
-        self.program.entry(neighbor, dest)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lapses_routing::DuatoAdaptive;
 
     #[test]
     fn local_entry_shape() {
@@ -245,69 +161,5 @@ mod tests {
         assert!(e.candidates.is_empty());
         assert_eq!(e.escape, None);
         assert!(!e.is_local());
-    }
-
-    #[test]
-    fn router_table_answers_own_and_neighbor_entries() {
-        let mesh = Mesh::mesh_2d(4, 4);
-        let program: Arc<dyn TableScheme> =
-            Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
-        let node = mesh.id_at(&[1, 1]).unwrap();
-        let dest = mesh.id_at(&[3, 3]).unwrap();
-        let table = RouterTable::new(Arc::clone(&program), node);
-
-        let own = table.entry(dest);
-        assert_eq!(own.candidates.len(), 2);
-
-        // The lookahead entry via +X equals the neighbor's own entry.
-        let px = Port::from(lapses_topology::Direction::plus(0));
-        let la = table.lookahead_entry(px, dest);
-        let neighbor = mesh.id_at(&[2, 1]).unwrap();
-        assert_eq!(la, program.entry(neighbor, dest));
-    }
-
-    #[test]
-    #[should_panic(expected = "local port")]
-    fn lookahead_via_local_port_panics() {
-        let mesh = Mesh::mesh_2d(4, 4);
-        let program = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
-        let table = RouterTable::new(program, NodeId(0));
-        let _ = table.lookahead_entry(Port::LOCAL, NodeId(5));
-    }
-
-    #[test]
-    #[should_panic(expected = "missing link")]
-    fn lookahead_off_the_mesh_edge_panics() {
-        let mesh = Mesh::mesh_2d(4, 4);
-        let program = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
-        let table = RouterTable::new(program, NodeId(0));
-        let minus_x = Port::from(lapses_topology::Direction::minus(0));
-        let _ = table.lookahead_entry(minus_x, NodeId(5));
-    }
-
-    #[test]
-    fn cached_neighbors_match_the_mesh() {
-        // Every direction of every router of a 3-D torus and a 2-D mesh:
-        // the cached neighbor must be the mesh's (edges included).
-        for mesh in [Mesh::torus(&[3, 4, 3]), Mesh::mesh_2d(3, 5)] {
-            let program: Arc<dyn TableScheme> =
-                Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
-            for node in mesh.nodes() {
-                let table = RouterTable::new(Arc::clone(&program), node);
-                for port in mesh.direction_ports() {
-                    let dir = port.direction().expect("direction port");
-                    assert_eq!(table.neighbors[port.index()], mesh.neighbor(node, dir));
-                }
-                assert_eq!(table.neighbors[Port::LOCAL.index()], None);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "outside")]
-    fn out_of_range_node_rejected() {
-        let mesh = Mesh::mesh_2d(2, 2);
-        let program = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
-        let _ = RouterTable::new(program, NodeId(99));
     }
 }

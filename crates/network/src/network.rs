@@ -124,12 +124,12 @@
 use crate::active::ActiveSet;
 use crate::delivery::{ArrivalEvent, CreditDelivery, DeliveryQueues, EjectRecord, Outbox};
 use crate::messages::{MessageRecord, MessageStore};
-use crate::nic::{Message, Nic, Offer};
+use crate::nic::{Message, Nic};
 use crate::sweep::CoreClaim;
 use lapses_core::router::RouterStats;
 use lapses_core::router::StepSink;
 use lapses_core::router::INFINITE_CREDITS;
-use lapses_core::{Flit, MsgRef, Router, RouterConfig, RouterTable, TableScheme};
+use lapses_core::{Flit, MsgRef, Router, RouterConfig, TableScheme};
 use lapses_sim::{Cycle, Histogram, RunningStats, SimRng};
 use lapses_topology::{Mesh, NodeId, Port};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -326,11 +326,8 @@ struct Shard {
     nic_active: ActiveSet,
     /// Flits currently inside the shard's routers.
     router_flits: u64,
-    /// The table program, for the look-ahead entries of offered heads.
-    program: Arc<dyn TableScheme>,
-    lookahead: bool,
     /// Offers handed over for this cycle.
-    offers: Vec<Offer>,
+    offers: Vec<Message>,
     /// This cycle's traffic for each other shard (own entry unused).
     outboxes: Vec<Outbox>,
     mail: Arc<Mail>,
@@ -468,19 +465,10 @@ impl StepSink for WireSink<'_> {
 }
 
 impl Shard {
-    /// Queues an offered message at its source NIC, attaching the source
-    /// router's look-ahead entry to LA-PROUD heads (the injection-time
-    /// lookup the SGI SPIDER performs at the source).
-    fn enqueue(&mut self, offer: Offer) {
-        let i = offer.src.index() - self.lo;
-        self.nics[i].enqueue(Message {
-            rec: offer.rec,
-            dest: offer.dest,
-            length: offer.length,
-            lookahead: self
-                .lookahead
-                .then(|| self.program.entry(offer.src, offer.dest)),
-        });
+    /// Queues an offered message at its source NIC and wakes the NIC.
+    fn enqueue(&mut self, msg: Message) {
+        let i = msg.src.index() - self.lo;
+        self.nics[i].enqueue(msg);
         self.nic_active.insert(i);
     }
 
@@ -729,7 +717,7 @@ struct Link {
 
 struct Exchange {
     now: Cycle,
-    offers: Vec<Offer>,
+    offers: Vec<Message>,
     report: Report,
 }
 
@@ -741,7 +729,7 @@ struct Helper {
     link: Arc<Link>,
     thread: Option<JoinHandle<()>>,
     /// Offers for this shard's NICs since the last step.
-    offers: Vec<Offer>,
+    offers: Vec<Message>,
 }
 
 impl Helper {
@@ -876,7 +864,6 @@ impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
             .field("mesh", &self.mesh)
-            .field("scheme", &self.local.program.name())
             .field("shards", &(self.helpers.len() + 1))
             .field("cycles_run", &self.cycles_run)
             .finish_non_exhaustive()
@@ -913,7 +900,6 @@ impl Network {
         let mut rng = SimRng::from_seed(seed);
         let ports = mesh.ports_per_router();
         let vcs = router_cfg.vcs_per_port;
-        let lookahead = router_cfg.pipeline.is_lookahead();
 
         // Wire credits: direction ports get the neighbor's input buffer
         // depth, edge ports get zero (never routed to), the ejection port
@@ -924,7 +910,7 @@ impl Network {
                 node,
                 ports,
                 router_cfg.clone(),
-                RouterTable::new(Arc::clone(&program), node),
+                Arc::clone(&program),
                 rng.fork(node.0 as u64),
             );
             for &port in &direction_ports {
@@ -989,8 +975,6 @@ impl Network {
                 router_active: ActiveSet::new(n),
                 nic_active: ActiveSet::new(n),
                 router_flits: 0,
-                program: Arc::clone(&program),
-                lookahead,
                 offers: Vec::with_capacity(n),
                 outboxes: (0..shards)
                     .map(|dst| Outbox::with_capacity(if dst == id { 0 } else { span }))
@@ -1032,9 +1016,10 @@ impl Network {
         &self.mesh
     }
 
-    /// Queues a message at its source NIC. Look-ahead headers get the
-    /// source router's candidate entry attached (the injection-time lookup
-    /// the SGI SPIDER performs at the source).
+    /// Queues a message at its source NIC. No routing state is attached:
+    /// an LA-PROUD source router decodes the head from its own table as
+    /// it lands, which stands for the injection-time lookup the SGI SPIDER
+    /// performs at the source.
     ///
     /// # Panics
     ///
@@ -1059,7 +1044,7 @@ impl Network {
             // Re-stamped when the head actually enters the router.
             injected_at: now,
         });
-        let offer = Offer {
+        let offer = Message {
             rec,
             src,
             dest,
@@ -1314,8 +1299,8 @@ mod tests {
 
     #[test]
     fn lookahead_saves_one_cycle_per_router() {
-        let latency = |lookahead: bool| {
-            let mut net = small_net(RouterConfig::paper_adaptive().with_lookahead(lookahead));
+        let latency = |la: bool| {
+            let mut net = small_net(RouterConfig::paper_adaptive().with_lookahead(la));
             let src = net.mesh().id_at(&[0, 0]).unwrap();
             let dest = net.mesh().id_at(&[3, 0]).unwrap();
             net.offer_message(src, dest, 5, Cycle::ZERO, true);
@@ -1392,8 +1377,8 @@ mod tests {
     }
 
     /// The paper's PROUD (`false`) or LA-PROUD (`true`) router.
-    fn paper(lookahead: bool) -> RouterConfig {
-        RouterConfig::paper_adaptive().with_lookahead(lookahead)
+    fn paper(la: bool) -> RouterConfig {
+        RouterConfig::paper_adaptive().with_lookahead(la)
     }
 
     /// Steps a 4×4 network of `cfg` routers for `cycles` cycles at 1, 2

@@ -1,23 +1,23 @@
 //! Network interfaces: injection queues and ejection sinks.
 
-use lapses_core::{Flit, FlitKind, MsgRef, RouteEntry};
+use lapses_core::{Flit, FlitKind, MsgRef};
 use lapses_topology::NodeId;
 use std::collections::VecDeque;
 
-/// A queued message: everything its flits are made of. The NIC
+/// An offered message: everything its flits are made of, plus the source
+/// NIC it is queued at (which picks the shard that owns it). The NIC
 /// synthesizes each flit when it injects it, so queueing a message
 /// allocates nothing per message.
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Message {
     /// Handle to the network's per-message record.
     pub rec: MsgRef,
+    /// Source node.
+    pub src: NodeId,
     /// Destination node.
     pub dest: NodeId,
     /// Flits in the message (at least one).
     pub length: u32,
-    /// The source router's look-ahead entry, carried by the head only
-    /// (`None` in PROUD networks).
-    pub lookahead: Option<RouteEntry>,
 }
 
 impl Message {
@@ -28,20 +28,8 @@ impl Message {
             rec: self.rec,
             dest: self.dest,
             kind: FlitKind::at(seq, self.length),
-            lookahead: if seq == 0 { self.lookahead } else { None },
         }
     }
-}
-
-/// A message offered at its source NIC, before the look-ahead entry is
-/// attached: what an offer for another shard's NIC carries across threads
-/// (the owning shard looks the entry up itself).
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Offer {
-    pub rec: MsgRef,
-    pub src: NodeId,
-    pub dest: NodeId,
-    pub length: u32,
 }
 
 /// One injection virtual channel: the message currently streaming into
@@ -96,8 +84,6 @@ pub(crate) struct Nic {
     /// Round-robin pointers for VC assignment and injection.
     assign_next: usize,
     inject_next: usize,
-    /// Messages fully handed to the router.
-    injected_messages: u64,
 }
 
 impl Nic {
@@ -111,9 +97,9 @@ impl Nic {
                 .map(|_| InjectVc {
                     msg: Message {
                         rec: MsgRef(u32::MAX),
+                        src: NodeId(u32::MAX),
                         dest: NodeId(u32::MAX),
                         length: 0,
-                        lookahead: None,
                     },
                     sent: 0,
                     credits: buffer_depth as u32,
@@ -121,7 +107,6 @@ impl Nic {
                 .collect(),
             assign_next: 0,
             inject_next: 0,
-            injected_messages: 0,
         }
     }
 
@@ -172,9 +157,6 @@ impl Nic {
                 let flit = lane.msg.flit(lane.sent);
                 lane.sent += 1;
                 lane.credits -= 1;
-                if flit.kind.is_tail() {
-                    self.injected_messages += 1;
-                }
                 self.inject_next = vc + 1;
                 if self.inject_next == vcs {
                     self.inject_next = 0;
@@ -214,12 +196,6 @@ impl Nic {
         self.source_queue.len() + self.lanes.iter().filter(|l| !l.is_drained()).count()
     }
 
-    /// Messages whose tail has entered the router.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn injected_messages(&self) -> u64 {
-        self.injected_messages
-    }
-
     /// Whether the NIC holds no pending traffic.
     pub fn is_idle(&self) -> bool {
         self.source_queue.is_empty() && self.lanes.iter().all(InjectVc::is_drained)
@@ -233,9 +209,9 @@ mod tests {
     fn msg(id: u32, len: u32) -> Message {
         Message {
             rec: MsgRef(id),
+            src: NodeId(0),
             dest: NodeId(3),
             length: len,
-            lookahead: None,
         }
     }
 
@@ -249,8 +225,7 @@ mod tests {
     }
 
     #[test]
-    fn synthesized_flits_have_message_order_and_head_only_lookahead() {
-        let entry = RouteEntry::local();
+    fn synthesized_flits_have_message_order() {
         for (len, kinds) in [
             (1, vec![FlitKind::HeadTail]),
             (2, vec![FlitKind::Head, FlitKind::Tail]),
@@ -262,29 +237,11 @@ mod tests {
                     .collect(),
             ),
         ] {
-            let flits = stream(Message {
-                lookahead: Some(entry),
-                ..msg(7, len)
-            });
+            let flits = stream(msg(7, len));
             let got: Vec<FlitKind> = flits.iter().map(|f| f.kind).collect();
             assert_eq!(got, kinds, "length {len}");
-            assert!(flits
-                .iter()
-                .all(|f| f.rec == MsgRef(7) && f.dest == NodeId(3)));
-            assert_eq!(
-                flits[0].lookahead,
-                Some(entry),
-                "length {len}: head carries it"
-            );
-            assert!(
-                flits[1..].iter().all(|f| f.lookahead.is_none()),
-                "length {len}: only the head carries look-ahead"
-            );
-            // Without look-ahead the NIC streams exactly `Flit::message`.
-            assert_eq!(
-                stream(msg(7, len)),
-                Flit::message(MsgRef(7), NodeId(3), len)
-            );
+            // The NIC streams exactly `Flit::message`.
+            assert_eq!(flits, Flit::message(MsgRef(7), NodeId(3), len));
         }
     }
 
@@ -300,7 +257,6 @@ mod tests {
         }
         assert_eq!(count, 3);
         assert!(nic.is_idle());
-        assert_eq!(nic.injected_messages(), 1);
     }
 
     #[test]

@@ -436,8 +436,8 @@ impl ScenarioBuilder {
     }
 
     /// Switches look-ahead routing (LA-PROUD) on or off.
-    pub fn lookahead(mut self, lookahead: bool) -> Self {
-        self.config.router = self.config.router.with_lookahead(lookahead);
+    pub fn lookahead(mut self, on: bool) -> Self {
+        self.config.router = self.config.router.with_lookahead(on);
         self
     }
 

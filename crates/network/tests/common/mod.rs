@@ -110,8 +110,8 @@ pub fn run_grid(grid: &SweepGrid, master_seed: u64) -> Vec<(String, SimResult)> 
     )
 }
 
-pub fn pipeline_tag(lookahead: bool) -> &'static str {
-    if lookahead {
+pub fn pipeline_tag(la: bool) -> &'static str {
+    if la {
         "la"
     } else {
         "proud"

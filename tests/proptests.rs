@@ -177,7 +177,6 @@ proptest! {
             let interior = i > 0 && i + 1 < len as usize;
             prop_assert_eq!(f.kind == FlitKind::Body, interior);
             prop_assert_eq!((f.rec, f.dest), (MsgRef(0), NodeId(1)));
-            prop_assert!(f.lookahead.is_none());
         }
     }
 
