@@ -21,9 +21,8 @@ use lapses_routing::{
 use lapses_sim::{Cycle, MeasurementPhase, PhaseController, ProgressWatchdog};
 use lapses_topology::labeling::ClusterMap;
 use lapses_topology::{FaultError, FaultSet, FaultyMesh, Mesh, NodeId, MAX_DIMS};
-use lapses_traffic::workload::{OnOffWorkload, SyntheticWorkload, Workload};
 pub use lapses_traffic::{ArrivalKind, Pattern};
-use lapses_traffic::{Generator, LengthDistribution, Trace, TraceEvent, TraceWorkload};
+use lapses_traffic::{Generator, LengthDistribution, Trace, TraceEvent, Workload};
 use std::sync::Arc;
 
 /// Routing algorithm selector.
@@ -189,24 +188,16 @@ impl FaultsConfig {
 
 /// Workload selector: which message source drives the run.
 ///
-/// The synthetic and bursty sources read the configuration's `pattern`,
-/// `load` and `lengths` fields; trace replay carries its own timing and
-/// ignores them.
+/// Synthetic traffic reads the configuration's `pattern`, `load` and
+/// `lengths` fields; trace replay carries its own timing and ignores them.
+/// The ON/OFF bursty source is synthetic traffic with
+/// [`ArrivalKind::OnOff`] arrivals, normalized to the configured load.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WorkloadKind {
-    /// Pattern × arrival-process × length synthetic traffic (the classic
-    /// path).
+    /// Pattern × arrival-process × length synthetic traffic.
     Synthetic {
         /// The inter-arrival process.
         arrivals: ArrivalKind,
-    },
-    /// ON/OFF bursty source over the configured pattern, normalized to the
-    /// configured load.
-    Bursty {
-        /// Mean messages per ON burst (geometric).
-        burst_len: u32,
-        /// Cycles between messages within a burst.
-        peak_gap: f64,
     },
     /// Replay of a recorded trace.
     Trace(Arc<Trace>),
@@ -224,8 +215,10 @@ impl WorkloadKind {
     /// A short name for reports.
     pub fn name(&self) -> &'static str {
         match self {
+            WorkloadKind::Synthetic {
+                arrivals: ArrivalKind::OnOff { .. },
+            } => "bursty",
             WorkloadKind::Synthetic { .. } => "synthetic",
-            WorkloadKind::Bursty { .. } => "bursty",
             WorkloadKind::Trace(_) => "trace",
         }
     }
@@ -363,8 +356,8 @@ pub struct SimConfig {
     pub table: TableKind,
     /// Traffic pattern.
     pub pattern: Pattern,
-    /// Message source (synthetic, bursty, or trace replay). The synthetic
-    /// and bursty sources read `pattern`, `load` and `lengths`; trace
+    /// Message source (synthetic, bursty, or trace replay). Synthetic
+    /// and bursty traffic read `pattern`, `load` and `lengths`; trace
     /// replay carries its own timing.
     pub workload: WorkloadKind,
     /// Normalized offered load (1.0 = uniform bisection saturation).
@@ -438,36 +431,23 @@ impl SimConfig {
     /// the per-node streams from the run seed in node order — the wiring
     /// the golden fingerprints pin. The workload parameters were validated
     /// by [`ScenarioBuilder::build`](crate::scenario::ScenarioBuilder::build).
-    pub fn build_workload(&self) -> Box<dyn Workload> {
-        let traffic_seed = self.seed ^ 0x5EED_CAFE;
+    pub fn build_workload(&self) -> Workload {
         match &self.workload {
-            WorkloadKind::Synthetic { arrivals } => Box::new(SyntheticWorkload::new(
+            WorkloadKind::Synthetic { arrivals } => Workload::synthetic(
                 self.mesh.clone(),
                 self.pattern,
                 *arrivals,
                 self.mean_gap(),
                 self.lengths,
-                traffic_seed,
-            )),
-            WorkloadKind::Bursty {
-                burst_len,
-                peak_gap,
-            } => Box::new(OnOffWorkload::new(
-                self.mesh.clone(),
-                self.pattern,
-                self.lengths,
-                *burst_len,
-                *peak_gap,
-                self.mean_gap(),
-                traffic_seed,
-            )),
+                self.seed ^ 0x5EED_CAFE,
+            ),
             WorkloadKind::Trace(trace) => {
                 assert_eq!(
                     trace.node_count() as usize,
                     self.mesh.node_count(),
                     "ScenarioBuilder::build checks the trace node count"
                 );
-                Box::new(TraceWorkload::new(trace.clone()))
+                Workload::trace(trace.clone())
             }
         }
     }
@@ -854,5 +834,15 @@ mod tests {
         let (original, trace) = scenario.run_capturing();
         let replay = run(scenario.to_builder().trace(Arc::new(trace)));
         assert_eq!(original, replay);
+    }
+
+    #[test]
+    fn workload_selector_stays_small() {
+        // The on/off kind's `u32` and `f64` fill 16 bytes, and the trace
+        // `Arc` sits in the kind's tag niche, so the selector and the
+        // configuration keep their size.
+        assert_eq!(std::mem::size_of::<ArrivalKind>(), 16);
+        assert_eq!(std::mem::size_of::<WorkloadKind>(), 16);
+        assert_eq!(std::mem::size_of::<SimConfig>(), 304);
     }
 }

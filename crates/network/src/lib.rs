@@ -8,7 +8,8 @@
 //!
 //! The one experiment-facing entry point is [`scenario::Scenario`]: compose
 //! topology, router, table scheme, routing algorithm, **workload**
-//! (synthetic, bursty, or trace replay — see [`lapses_traffic::workload`])
+//! (synthetic — with bursty arrivals or not — or trace replay; see
+//! [`lapses_traffic::workload`])
 //! and run policy through the validating builder, then run it — alone, or
 //! as a point of a [`sweep::SweepGrid`] swept along [`sweep::ScenarioAxis`]
 //! dimensions — to obtain a [`stats::SimResult`] with the latency

@@ -39,7 +39,6 @@ use crate::stats::SimResult;
 use lapses_core::psh::PathSelection;
 use lapses_core::{RouterConfig, MAX_VC_SLOTS};
 use lapses_topology::{FaultError, Mesh, MeshError};
-use lapses_traffic::workload::OnOffWorkload;
 use lapses_traffic::{Generator, LengthDistribution, Trace};
 use std::fmt;
 use std::sync::Arc;
@@ -495,9 +494,10 @@ impl ScenarioBuilder {
         self.workload(WorkloadKind::Synthetic { arrivals })
     }
 
-    /// Selects the ON/OFF bursty source.
+    /// Selects the ON/OFF bursty source: synthetic traffic with
+    /// [`ArrivalKind::OnOff`] arrivals.
     pub fn bursty(self, burst_len: u32, peak_gap: f64) -> Self {
-        self.workload(WorkloadKind::Bursty {
+        self.arrivals(ArrivalKind::OnOff {
             burst_len,
             peak_gap,
         })
@@ -697,24 +697,26 @@ impl ScenarioBuilder {
             }
             WorkloadKind::Synthetic { arrivals } => {
                 let mean_gap = check_generated(&config)?;
-                if *arrivals == ArrivalKind::Bernoulli && mean_gap < 1.0 {
-                    return Err(ScenarioError::BernoulliGap { mean_gap });
-                }
-            }
-            WorkloadKind::Bursty {
-                burst_len,
-                peak_gap,
-            } => {
-                let mean_gap = check_generated(&config)?;
-                if peak_gap.is_nan() || *peak_gap < Generator::MIN_GAP {
-                    return Err(ScenarioError::ArrivalGap { gap: *peak_gap });
-                }
-                if OnOffWorkload::off_mean_for(*burst_len, *peak_gap, mean_gap).is_none() {
-                    return Err(ScenarioError::BurstParams {
-                        burst_len: *burst_len,
-                        peak_gap: *peak_gap,
-                        mean_gap,
-                    });
+                match *arrivals {
+                    ArrivalKind::Bernoulli if mean_gap < 1.0 => {
+                        return Err(ScenarioError::BernoulliGap { mean_gap });
+                    }
+                    ArrivalKind::OnOff {
+                        burst_len,
+                        peak_gap,
+                    } => {
+                        if peak_gap.is_nan() || peak_gap < Generator::MIN_GAP {
+                            return Err(ScenarioError::ArrivalGap { gap: peak_gap });
+                        }
+                        if ArrivalKind::off_mean_for(burst_len, peak_gap, mean_gap).is_none() {
+                            return Err(ScenarioError::BurstParams {
+                                burst_len,
+                                peak_gap,
+                                mean_gap,
+                            });
+                        }
+                    }
+                    _ => {}
                 }
             }
         }

@@ -324,13 +324,14 @@ impl ScenarioSpec {
                         c.workload = WorkloadKind::Synthetic { arrivals };
                     }
                     ["bursty", burst, gap] => {
-                        c.workload = WorkloadKind::Bursty {
+                        let arrivals = ArrivalKind::OnOff {
                             burst_len: burst
                                 .parse()
                                 .map_err(|_| err(format!("bad burst length {burst:?}")))?,
                             peak_gap: parse_finite(gap)
                                 .ok_or_else(|| err(format!("bad peak gap {gap:?}")))?,
                         };
+                        c.workload = WorkloadKind::Synthetic { arrivals };
                     }
                     [kind, ..] if *kind == "trace" => {
                         let path = value["trace".len()..].trim();
@@ -470,16 +471,19 @@ impl ScenarioSpec {
             "workload",
             match (&self.trace, &c.workload) {
                 (Some(path), _) => format!("trace {path}"),
+                (
+                    None,
+                    WorkloadKind::Synthetic {
+                        arrivals:
+                            ArrivalKind::OnOff {
+                                burst_len,
+                                peak_gap,
+                            },
+                    },
+                ) => format!("bursty {burst_len} {peak_gap}"),
                 (None, WorkloadKind::Synthetic { arrivals }) => {
                     format!("synthetic {}", arrivals.name())
                 }
-                (
-                    None,
-                    WorkloadKind::Bursty {
-                        burst_len,
-                        peak_gap,
-                    },
-                ) => format!("bursty {burst_len} {peak_gap}"),
                 (None, WorkloadKind::Trace(_)) => unreachable!("a spec names its trace by path"),
             },
         );
@@ -570,9 +574,11 @@ mod tests {
         assert_eq!(c.table, TableKind::MetaBlocks(vec![4, 4]));
         assert_eq!(
             c.workload,
-            WorkloadKind::Bursty {
-                burst_len: 8,
-                peak_gap: 2.5
+            WorkloadKind::Synthetic {
+                arrivals: ArrivalKind::OnOff {
+                    burst_len: 8,
+                    peak_gap: 2.5
+                }
             }
         );
     }

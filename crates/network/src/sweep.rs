@@ -48,7 +48,7 @@
 //! # Ok::<(), lapses_network::ScenarioError>(())
 //! ```
 
-use crate::experiment::{Algorithm, FaultsConfig, WorkloadKind};
+use crate::experiment::{Algorithm, ArrivalKind, FaultsConfig, WorkloadKind};
 use crate::report::SweepReport;
 use crate::scenario::{Scenario, ScenarioBuilder, ScenarioError};
 use crate::stats::SimResult;
@@ -133,7 +133,10 @@ impl ScenarioAxis {
                 .map(|&load| (load, base.to_builder().load(load)))
                 .collect(),
             ScenarioAxis::BurstLen(lens) => {
-                let WorkloadKind::Bursty { peak_gap, .. } = cfg.workload else {
+                let WorkloadKind::Synthetic {
+                    arrivals: ArrivalKind::OnOff { peak_gap, .. },
+                } = cfg.workload
+                else {
                     return Err(mismatch());
                 };
                 lens.iter()

@@ -299,6 +299,13 @@ fn router_routing_table_and_workload_axes() {
             base().pattern(pattern),
         ));
     }
+    // Burst lengths at both ends of the on/off source: a mean of 1 draws
+    // no length, 16 runs long bursts under look-ahead.
+    axes.push(("bursty/len-1".into(), base().bursty(1, 2.0).load(0.2)));
+    axes.push((
+        "bursty/len-16/la".into(),
+        base().bursty(16, 2.0).load(0.2).lookahead(true),
+    ));
     let mut grid = SweepGrid::new();
     for (name, b) in axes {
         grid = grid.scenario_point(name, 0.0, &build(b));
@@ -340,6 +347,8 @@ const AXES: &[Golden] = &[
     ("pattern/tornado@0", 1353, 700, 60360, 0x44e43bf9d0a93057),
     ("pattern/hotspot@0", 1479, 700, 82800, 0xf7b1eadc6ea6b0cf),
     ("pattern/nearest-neighbor@0", 1375, 700, 16000, 0x9ecc6b1c69372ac3),
+    ("bursty/len-1@0", 2572, 700, 84940, 0xdce9c782853f7194),
+    ("bursty/len-16/la@0", 3938, 700, 82780, 0x732eda472a289852),
 ];
 
 /// The pinned reference sweep: 16×16 LA-PROUD, the paper's four patterns

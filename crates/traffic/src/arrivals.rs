@@ -5,9 +5,13 @@
 //! [`ArrivalKind::Bernoulli`] (geometric gaps) and [`ArrivalKind::Periodic`]
 //! (deterministic gaps) are provided for validation and ablation runs — at
 //! equal rates all three should saturate at the same load, differing only
-//! in burstiness.
-
-use lapses_sim::SimRng;
+//! in burstiness. [`ArrivalKind::OnOff`] is this repo's extension, not
+//! Table 2's process: bursts at a fixed peak rate separated by exponential
+//! silences, at the same long-run rate.
+//!
+//! The kinds are plain data; the per-node [`Generator`](crate::Generator)
+//! draws every gap, and keeps the one piece of state a process needs (the
+//! messages left in an on/off burst).
 
 /// A point process generating message inter-arrival gaps, in cycles.
 ///
@@ -15,7 +19,7 @@ use lapses_sim::SimRng;
 /// accumulates them on a real-valued timeline and fires whenever the
 /// integer clock passes the next arrival, so fractional rates are honored
 /// exactly in the long run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ArrivalKind {
     /// Exponential (Poisson) inter-arrival gaps — the paper's process.
     #[default]
@@ -25,39 +29,25 @@ pub enum ArrivalKind {
     Bernoulli,
     /// Deterministic fixed gaps (no burstiness at all).
     Periodic,
+    /// ON/OFF bursts: a geometric number of messages (mean `burst_len`)
+    /// `peak_gap` cycles apart, then an exponential silence whose mean
+    /// ([`ArrivalKind::off_mean_for`]) keeps the long-run gap at the
+    /// generator's mean gap, so only the burstiness differs.
+    OnOff {
+        /// Mean messages per burst (geometric; a mean of 1 is one message).
+        burst_len: u32,
+        /// Cycles between messages within a burst.
+        peak_gap: f64,
+    },
 }
 
 impl ArrivalKind {
-    /// Every arrival process, in declaration order.
+    /// Every arrival process without parameters, in declaration order.
     pub const ALL: [ArrivalKind; 3] = [
         ArrivalKind::Exponential,
         ArrivalKind::Bernoulli,
         ArrivalKind::Periodic,
     ];
-
-    /// Draws the next inter-arrival gap of the process at `mean_gap`
-    /// cycles per message.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `mean_gap` is positive, and at least 1 for Bernoulli
-    /// arrivals (at most one trial per cycle).
-    pub fn next_gap(self, mean_gap: f64, rng: &mut SimRng) -> f64 {
-        match self {
-            ArrivalKind::Exponential => rng.exponential(mean_gap),
-            ArrivalKind::Bernoulli => {
-                assert!(mean_gap >= 1.0, "Bernoulli mean gap must be at least 1");
-                // Geometric via inverse transform: ceil(ln U / ln(1-p)).
-                let p = 1.0 / mean_gap;
-                let u = 1.0 - rng.unit(); // in (0, 1]
-                (u.ln() / (1.0 - p).ln()).ceil().max(1.0)
-            }
-            ArrivalKind::Periodic => {
-                assert!(mean_gap > 0.0, "gap must be positive");
-                mean_gap
-            }
-        }
-    }
 
     /// A short name for reports and scenario specs.
     pub fn name(self) -> &'static str {
@@ -65,20 +55,40 @@ impl ArrivalKind {
             ArrivalKind::Exponential => "exponential",
             ArrivalKind::Bernoulli => "bernoulli",
             ArrivalKind::Periodic => "periodic",
+            ArrivalKind::OnOff { .. } => "bursty",
         }
+    }
+
+    /// The mean OFF-silence length (cycles) that realizes `mean_gap` per
+    /// message overall: `burst_len * mean_gap - (burst_len - 1) *
+    /// peak_gap`. `None` when the parameters are inconsistent (zero burst
+    /// length, non-positive gaps, or a peak rate too slow to leave any
+    /// silence).
+    pub fn off_mean_for(burst_len: u32, peak_gap: f64, mean_gap: f64) -> Option<f64> {
+        if burst_len < 1 || peak_gap <= 0.0 || mean_gap <= 0.0 {
+            return None;
+        }
+        let b = burst_len as f64;
+        let off = b * mean_gap - (b - 1.0) * peak_gap;
+        (off > 0.0).then_some(off)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Generator;
+    use lapses_sim::SimRng;
+    use lapses_topology::NodeId;
+
+    /// `n` gaps of `kind` at `mean_gap`, drawn by a generator.
+    fn gaps(kind: ArrivalKind, mean_gap: f64, seed: u64, n: usize) -> Vec<f64> {
+        let mut g = Generator::new(NodeId(0), kind, mean_gap, SimRng::from_seed(seed));
+        (0..n).map(|_| g.next_gap()).collect()
+    }
 
     fn observed_mean(kind: ArrivalKind, mean_gap: f64, n: usize) -> f64 {
-        let mut rng = SimRng::from_seed(42);
-        (0..n)
-            .map(|_| kind.next_gap(mean_gap, &mut rng))
-            .sum::<f64>()
-            / n as f64
+        gaps(kind, mean_gap, 42, n).iter().sum::<f64>() / n as f64
     }
 
     #[test]
@@ -95,9 +105,7 @@ mod tests {
 
     #[test]
     fn bernoulli_gaps_are_positive_integers() {
-        let mut rng = SimRng::from_seed(7);
-        for _ in 0..1000 {
-            let g = ArrivalKind::Bernoulli.next_gap(4.0, &mut rng);
+        for g in gaps(ArrivalKind::Bernoulli, 4.0, 7, 1000) {
             assert!(g >= 1.0);
             assert_eq!(g.fract(), 0.0);
         }
@@ -105,21 +113,20 @@ mod tests {
 
     #[test]
     fn periodic_is_constant() {
-        let mut rng = SimRng::from_seed(1);
-        for _ in 0..10 {
-            assert_eq!(ArrivalKind::Periodic.next_gap(7.5, &mut rng), 7.5);
+        for g in gaps(ArrivalKind::Periodic, 7.5, 1, 10) {
+            assert_eq!(g, 7.5);
         }
     }
 
     #[test]
     #[should_panic(expected = "positive")]
     fn exponential_rejects_zero_mean() {
-        let _ = ArrivalKind::Exponential.next_gap(0.0, &mut SimRng::from_seed(1));
+        let _ = gaps(ArrivalKind::Exponential, 0.0, 1, 1);
     }
 
     #[test]
     #[should_panic(expected = "at least 1")]
     fn bernoulli_rejects_sub_cycle_gaps() {
-        let _ = ArrivalKind::Bernoulli.next_gap(0.5, &mut SimRng::from_seed(1));
+        let _ = gaps(ArrivalKind::Bernoulli, 0.5, 1, 1);
     }
 }

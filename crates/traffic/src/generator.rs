@@ -19,10 +19,11 @@ pub struct MessageSpec {
 
 /// Per-node traffic generator.
 ///
-/// Owns the node's arrival process, its private random stream and its
-/// position on the real-valued arrival timeline. Each simulated cycle the
-/// network polls the generator; all arrivals whose (fractional) timestamps
-/// have passed become messages. Nodes that are silent under a
+/// Owns the node's arrival process, its private random stream, its
+/// position on the real-valued arrival timeline and, for
+/// [`ArrivalKind::OnOff`], the messages left in the current burst. Each
+/// simulated cycle the network polls the generator; all arrivals whose
+/// (fractional) timestamps have passed become messages. Nodes that are silent under a
 /// deterministic pattern (e.g. diagonal nodes under transpose) consume
 /// arrivals without emitting messages, so pattern changes never perturb
 /// other nodes' streams.
@@ -54,6 +55,8 @@ pub struct Generator {
     mean_gap: f64,
     rng: SimRng,
     next_arrival: Option<f64>,
+    /// On/off arrivals: peak gaps left before the next silence.
+    burst_left: u32,
     generated: u64,
 }
 
@@ -75,13 +78,9 @@ impl Generator {
             mean_gap,
             rng,
             next_arrival: None,
+            burst_left: 0,
             generated: 0,
         }
-    }
-
-    /// The node this generator injects from.
-    pub fn src(&self) -> NodeId {
-        self.src
     }
 
     /// Messages generated so far (including suppressed self-targets).
@@ -116,7 +115,7 @@ impl Generator {
         // Lazily draw the first gap so construction order does not matter.
         let mut next = match self.next_arrival {
             Some(t) => t,
-            None => self.arrivals.next_gap(self.mean_gap, &mut self.rng),
+            None => self.next_gap(),
         };
         while next <= now {
             self.generated += 1;
@@ -127,9 +126,54 @@ impl Generator {
                     length: lengths.sample(&mut self.rng),
                 });
             }
-            next += self.arrivals.next_gap(self.mean_gap, &mut self.rng);
+            next += self.next_gap();
         }
         self.next_arrival = Some(next);
+    }
+
+    /// Draws the gap to the next arrival. An on/off source draws a burst's
+    /// length together with the silence before it; no other draw falls
+    /// between the two.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the mean gap is positive, at least 1 for Bernoulli
+    /// arrivals (at most one trial per cycle), and leaves an on/off source
+    /// a positive silence ([`ArrivalKind::off_mean_for`]).
+    pub(crate) fn next_gap(&mut self) -> f64 {
+        match self.arrivals {
+            ArrivalKind::Exponential => self.rng.exponential(self.mean_gap),
+            ArrivalKind::Bernoulli => {
+                assert!(
+                    self.mean_gap >= 1.0,
+                    "Bernoulli mean gap must be at least 1"
+                );
+                geometric(self.mean_gap, &mut self.rng)
+            }
+            ArrivalKind::Periodic => {
+                assert!(self.mean_gap > 0.0, "gap must be positive");
+                self.mean_gap
+            }
+            ArrivalKind::OnOff {
+                burst_len,
+                peak_gap,
+            } => {
+                if self.burst_left > 0 {
+                    self.burst_left -= 1;
+                    return peak_gap;
+                }
+                let off_mean = ArrivalKind::off_mean_for(burst_len, peak_gap, self.mean_gap)
+                    .expect("bursty parameters leave no room for an OFF period");
+                let silence = self.rng.exponential(off_mean);
+                // A mean burst of 1 draws no length.
+                self.burst_left = if burst_len > 1 {
+                    geometric(burst_len as f64, &mut self.rng) as u32 - 1
+                } else {
+                    0
+                };
+                silence
+            }
+        }
     }
 
     /// Offered-load helper: the mean inter-arrival gap in cycles that
@@ -150,6 +194,14 @@ impl Generator {
         let flit_rate = normalized_load * mesh.saturation_injection_rate();
         mean_length / flit_rate
     }
+}
+
+/// A geometric draw of mean `mean` (at least 1) by inverse transform:
+/// `ceil(ln U / ln(1 - p))` with `p = 1 / mean`.
+fn geometric(mean: f64, rng: &mut SimRng) -> f64 {
+    let p = 1.0 / mean;
+    let u = 1.0 - rng.unit(); // in (0, 1]
+    (u.ln() / (1.0 - p).ln()).ceil().max(1.0)
 }
 
 #[cfg(test)]

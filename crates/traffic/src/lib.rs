@@ -7,8 +7,11 @@
 //! message inter-arrival times and 20-flit messages (Table 2). This crate
 //! implements those patterns (plus the usual extras: bit-complement,
 //! tornado, hotspot, nearest-neighbor) as the [`Pattern`] enum, the
-//! arrival processes as [`ArrivalKind`], message length distributions,
-//! and the per-node generator that ties them together.
+//! arrival processes as [`ArrivalKind`] (plus this repo's on/off bursty
+//! arrivals), message length distributions, and the per-node
+//! [`Generator`] that ties them together. A run's [`Workload`] is one
+//! concrete type holding either a generator per node or the replay of a
+//! recorded [`Trace`].
 //!
 //! # Example
 //!
@@ -39,5 +42,5 @@ pub use arrivals::ArrivalKind;
 pub use generator::{Generator, MessageSpec};
 pub use lengths::LengthDistribution;
 pub use patterns::Pattern;
-pub use trace::{Trace, TraceError, TraceEvent, TraceWorkload};
-pub use workload::{OnOffWorkload, SyntheticWorkload, Workload};
+pub use trace::{Trace, TraceError, TraceEvent};
+pub use workload::Workload;

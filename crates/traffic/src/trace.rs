@@ -1,5 +1,5 @@
-//! Trace-driven traffic: a text trace format, its loader, and the replay
-//! [`Workload`].
+//! Trace-driven traffic: a text trace format and its loader. A loaded
+//! [`Trace`] is replayed by [`Workload::trace`](crate::Workload::trace).
 //!
 //! # Format
 //!
@@ -20,12 +20,7 @@
 //! [`Trace::parse`] validates everything up front and reports the first
 //! problem with its line number; replay itself can then never fail.
 
-use crate::generator::MessageSpec;
-use crate::workload::Workload;
-use lapses_sim::Cycle;
-use lapses_topology::NodeId;
 use std::fmt;
-use std::sync::Arc;
 
 /// One recorded injection.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -313,83 +308,12 @@ fn validate_record(
     Ok(())
 }
 
-/// Replays a [`Trace`], node by node, through the [`Workload`] interface.
-///
-/// Events are partitioned per source node up front (preserving file
-/// order, which within a node is cycle order); each node's cursor then
-/// advances monotonically, so replay is allocation-free and exhausted
-/// nodes report [`u64::MAX`] as their next due cycle.
-#[derive(Debug)]
-pub struct TraceWorkload {
-    trace: Arc<Trace>,
-    /// Per node: indices into the trace's event list, in cycle order.
-    per_node: Vec<Vec<u32>>,
-    /// Per node: position of the next unplayed event in `per_node`.
-    cursor: Vec<u32>,
-    generated: u64,
-}
-
-impl TraceWorkload {
-    /// Prepares a trace for replay.
-    pub fn new(trace: Arc<Trace>) -> TraceWorkload {
-        let mut per_node = vec![Vec::new(); trace.node_count() as usize];
-        for (i, e) in trace.events().iter().enumerate() {
-            per_node[e.src as usize].push(i as u32);
-        }
-        let cursor = vec![0; per_node.len()];
-        TraceWorkload {
-            trace,
-            per_node,
-            cursor,
-            generated: 0,
-        }
-    }
-}
-
-impl Workload for TraceWorkload {
-    fn name(&self) -> &'static str {
-        "trace"
-    }
-
-    fn node_count(&self) -> usize {
-        self.per_node.len()
-    }
-
-    fn next_due_cycle(&self, node: u32) -> u64 {
-        let queue = &self.per_node[node as usize];
-        match queue.get(self.cursor[node as usize] as usize) {
-            Some(&i) => self.trace.events()[i as usize].cycle,
-            None => u64::MAX,
-        }
-    }
-
-    fn poll(&mut self, node: u32, now: Cycle, out: &mut Vec<MessageSpec>) {
-        let queue = &self.per_node[node as usize];
-        let cursor = &mut self.cursor[node as usize];
-        let now = now.as_u64();
-        while let Some(&i) = queue.get(*cursor as usize) {
-            let e = self.trace.events()[i as usize];
-            if e.cycle > now {
-                break;
-            }
-            *cursor += 1;
-            self.generated += 1;
-            out.push(MessageSpec {
-                src: NodeId(e.src),
-                dest: NodeId(e.dest),
-                length: e.length,
-            });
-        }
-    }
-
-    fn generated(&self) -> u64 {
-        self.generated
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Workload;
+    use lapses_sim::Cycle;
+    use std::sync::Arc;
 
     const GOOD: &str = "# demo\n0 0 1 5\n0 2 3 5\n4 1 0 20\n\n9 0 2 1\n";
 
@@ -404,7 +328,7 @@ mod tests {
     #[test]
     fn replay_respects_due_cycles() {
         let t = Arc::new(Trace::parse(GOOD, 4).unwrap());
-        let mut w = TraceWorkload::new(t);
+        let mut w = Workload::trace(t);
         assert_eq!(w.next_due_cycle(0), 0);
         assert_eq!(w.next_due_cycle(1), 4);
         assert_eq!(w.next_due_cycle(3), u64::MAX);
@@ -416,7 +340,6 @@ mod tests {
         w.poll(0, Cycle::new(100), &mut out);
         assert_eq!(out.len(), 2);
         assert_eq!(w.next_due_cycle(0), u64::MAX);
-        assert_eq!(w.generated(), 2);
     }
 
     #[test]

@@ -49,10 +49,11 @@
 //! assert!(!result.saturated);
 //! ```
 //!
-//! Workloads are pluggable ([`traffic::Workload`]): the synthetic
-//! pattern × arrival-process generator above, an ON/OFF bursty source
-//! (`.bursty(burst_len, peak_gap)`), or replay of a recorded
-//! `cycle src dst len` text trace (`.trace(...)`,
+//! A run's message source is one [`traffic::Workload`]: the synthetic
+//! pattern × arrival-process generator above (one per node), whose
+//! arrivals may also be ON/OFF bursts (`.bursty(burst_len, peak_gap)`,
+//! [`ArrivalKind::OnOff`](traffic::ArrivalKind::OnOff)), or replay of a
+//! recorded `cycle src dst len` text trace (`.trace(...)`,
 //! [`traffic::Trace`]). Any run can *record* such a trace while it
 //! executes ([`Scenario::run_capturing`](network::Scenario::run_capturing))
 //! — a captured synthetic run replayed as a trace is bit-identical. Validation
@@ -205,5 +206,5 @@ pub mod prelude {
     pub use lapses_routing::{DimensionOrder, DuatoAdaptive, RoutingAlgorithm, UpDown};
     pub use lapses_sim::{Cycle, SimRng};
     pub use lapses_topology::{FaultError, FaultSet, FaultyMesh, Mesh, NodeId, Port, PortSet};
-    pub use lapses_traffic::{LengthDistribution, Trace, TraceWorkload, Workload};
+    pub use lapses_traffic::{LengthDistribution, Trace, Workload};
 }
