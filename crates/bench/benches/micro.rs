@@ -13,7 +13,7 @@ use lapses_core::psh::{PathSelection, PathSelector, PortStatus};
 use lapses_core::router::INFINITE_CREDITS;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable, TableScheme};
 use lapses_core::{Flit, MsgRef, Router, RouterConfig, StepOutputs};
-use lapses_routing::DuatoAdaptive;
+use lapses_routing::Algorithm;
 use lapses_sim::{Cycle, SimRng};
 use lapses_topology::{Direction, Mesh, NodeId, Port};
 use std::hint::black_box;
@@ -121,7 +121,7 @@ fn bench_router_step(c: &mut Criterion) {
     let mut group = c.benchmark_group("router_step");
     let mesh = Mesh::mesh_2d(8, 8);
     let dest = mesh.id_at(&[7, 7]).unwrap();
-    let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+    let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
 
     // Idle: the step the active-set scheduler elides entirely.
     group.bench_function("idle", |b| {
@@ -155,7 +155,7 @@ fn bench_router_step(c: &mut Criterion) {
 /// tables, empty.
 fn network_16x16(la: bool) -> (Mesh, lapses_network::Network) {
     let mesh = Mesh::mesh_2d(16, 16);
-    let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+    let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
     let router = RouterConfig::paper_adaptive().with_lookahead(la);
     let net = lapses_network::Network::new(mesh.clone(), router, program, 1, 9);
     (mesh, net)
@@ -197,7 +197,7 @@ fn bench_delivery(c: &mut Criterion) {
 
 fn bench_table_lookup(c: &mut Criterion) {
     let mesh = Mesh::mesh_2d(16, 16);
-    let algo = DuatoAdaptive::new();
+    let algo = Algorithm::Duato;
     let schemes: Vec<(&str, Box<dyn TableScheme>)> = vec![
         ("full", Box::new(FullTable::program(&mesh, &algo))),
         (

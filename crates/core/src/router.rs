@@ -10,7 +10,7 @@
 //! ```
 //!
 //! * **SY** — a flit delivered by the link lands in its per-VC input
-//!   buffer ([`Router::accept_flit`]);
+//!   buffer ([`Router::commit_flit`]);
 //! * **TL** — the head's destination indexes this router's routing table
 //!   ([`crate::tables::TableScheme::entry`]). In LA-PROUD the upstream
 //!   router looked the entry up during its own SA, so this stage
@@ -54,16 +54,15 @@
 //! paper router — rather than one per [`MAX_VC_SLOTS`] slot, which only
 //! bounds the width of the occupancy masks.
 //!
-//! A flit's lifecycle per hop: it lands in the input ring either via
-//! [`Router::accept_flit`] (written at the tail on arrival — NIC
-//! injection) or over the zero-copy wire, where the upstream crossbar
-//! pre-writes the kind byte into the exact slot it will occupy
-//! ([`Router::reserve_flit`]) and the link-delay-later arrival merely
-//! flips it visible ([`Router::commit_flit`]) — both are the **SY**
-//! stage, and both append a head's record. The **XB** winner pops its kind
-//! byte; a head also moves its record from the queue to the VC's
-//! streaming record. A flit bound for a neighbor is rebuilt from the kind
-//! byte and the streaming record and handed to the sink
+//! A flit's lifecycle per hop: it lands in the input ring over the
+//! zero-copy wire, where the upstream crossbar pre-writes the kind byte and
+//! appends a head's record at the exact slot it will occupy
+//! ([`Router::reserve_flit`]) and the link-delay-later arrival merely flips
+//! it visible ([`Router::commit_flit`], the **SY** stage). A NIC injection
+//! ([`Router::accept_flit`]) makes both calls at once. The **XB** winner
+//! pops its kind byte; a head also moves its record from the queue to the
+//! VC's streaming record. A flit bound for a neighbor is rebuilt from the
+//! kind byte and the streaming record and handed to the sink
 //! ([`StepSink::transfer`], which reserves it downstream); the XB stages
 //! only the kind byte for the VC multiplexor and frees the input slot
 //! (returning a credit upstream). The **VM** grant pops the staging head
@@ -653,36 +652,21 @@ impl Router {
     }
 
     /// SY stage: a flit injected by the local network interface lands in
-    /// its input VC buffer (link arrivals use [`Router::reserve_flit`] and
-    /// [`Router::commit_flit`]).
-    ///
-    /// In LA-PROUD mode a head flit landing at the front of an idle VC is
-    /// decoded immediately: its entry arms the selection stage for the
-    /// *next* cycle, skipping the table-lookup stage.
+    /// its input VC buffer — a reservation committed at once (link
+    /// arrivals make the two calls a wire delay apart).
     ///
     /// # Panics
     ///
     /// Panics if the buffer overflows (a flow-control violation — the
     /// upstream router sent without credit).
     pub fn accept_flit(&mut self, port: Port, vc: usize, flit: Flit, now: Cycle) {
-        let idx = self.in_idx(port, vc);
-        let len = self.inputs[idx].len;
-        assert!(
-            len < self.in_cap,
-            "input buffer overflow at {} {port} vc{vc}: flow control violated",
-            self.node
-        );
         debug_assert_eq!(
-            self.inputs[idx].pending, 0,
+            self.inputs[self.in_idx(port, vc)].pending,
+            0,
             "injection behind a reservation"
         );
-        self.in_write(idx, len, flit);
-        self.inputs[idx].len += 1;
-        self.in_occupied |= 1 << idx;
-        self.in_ports |= 1 << port.index();
-        if self.decode_at_sy {
-            self.decode(idx, now);
-        }
+        self.reserve_flit(port, vc, flit);
+        self.commit_flit(port, vc, now);
     }
 
     /// Files a flit into the input ring slot it will occupy on arrival
@@ -715,9 +699,15 @@ impl Router {
         self.in_write(idx, behind, flit);
     }
 
-    /// Makes the oldest reserved flit at `(port, vc)` visible — the wire
-    /// delivered it — and runs the same SY-stage bookkeeping as
-    /// [`Router::accept_flit`].
+    /// SY stage: makes the oldest reserved flit at `(port, vc)` visible —
+    /// the wire delivered it. In LA-PROUD mode a head flit landing at the
+    /// front of an idle VC is decoded immediately: its entry arms the
+    /// selection stage for the *next* cycle, skipping the table-lookup
+    /// stage.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the buffer overflows (a flow-control violation).
     pub fn commit_flit(&mut self, port: Port, vc: usize, now: Cycle) {
         let idx = self.in_idx(port, vc);
         let ivc = &mut self.inputs[idx];
@@ -1157,15 +1147,14 @@ mod tests {
     use crate::flit::{FlitKind, MsgRef};
     use crate::psh::PathSelection;
     use crate::tables::{FullTable, TableScheme};
-    use lapses_routing::DuatoAdaptive;
+    use lapses_routing::Algorithm;
     use lapses_topology::{Direction, Mesh};
     use std::sync::Arc;
 
     /// 1-D four-node mesh: node 1 routes +d0 toward node 3.
     fn line_router(cfg: RouterConfig) -> Router {
         let mesh = Mesh::mesh(&[4]);
-        let program: Arc<dyn TableScheme> =
-            Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
         let node = NodeId(1);
         let mut r = Router::new(
             node,
@@ -1363,8 +1352,7 @@ mod tests {
         // router arms selection with its own entry — at SY in LA-PROUD,
         // one TL stage later in PROUD.
         let mesh = Mesh::mesh_2d(4, 4);
-        let program: Arc<dyn TableScheme> =
-            Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
         let node = mesh.id_at(&[1, 1]).unwrap();
         let dest = mesh.id_at(&[3, 3]).unwrap();
         let own = program.entry(node, dest);
@@ -1390,7 +1378,7 @@ mod tests {
     #[should_panic(expected = "outside")]
     fn out_of_range_node_rejected() {
         let mesh = Mesh::mesh_2d(2, 2);
-        let program = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let program = Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
         let _ = Router::new(
             NodeId(99),
             mesh.ports_per_router(),
@@ -1458,8 +1446,7 @@ mod tests {
     fn multi_candidate_selection_is_counted() {
         // 2-D mesh, quadrant destination: two candidates available.
         let mesh = Mesh::mesh_2d(4, 4);
-        let program: Arc<dyn TableScheme> =
-            Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
         let node = mesh.id_at(&[1, 1]).unwrap();
         let mut r = Router::new(
             node,
@@ -1539,7 +1526,7 @@ mod tests {
     /// credits of each launch in bursts every fourth cycle, so staged
     /// flits of several VCs contend for the VC multiplexor.
     fn launch_credit_hash(la: bool, starved: bool) -> u64 {
-        let program = FullTable::program(&Mesh::mesh(&[4]), &DuatoAdaptive::new());
+        let program = FullTable::program(&Mesh::mesh(&[4]), &Algorithm::Duato);
         let mut r = line_router(RouterConfig::paper_adaptive().with_lookahead(la));
         let px = Port::from(Direction::plus(0));
         if starved {
@@ -1736,8 +1723,7 @@ mod tests {
     /// The paper router at the centre of a 4×4 mesh: 5 ports × 4 VCs.
     fn paper_router(cfg: RouterConfig) -> Router {
         let mesh = Mesh::mesh_2d(4, 4);
-        let program: Arc<dyn TableScheme> =
-            Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
         let node = NodeId(5);
         Router::new(
             node,

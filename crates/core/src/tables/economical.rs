@@ -36,11 +36,11 @@ use lapses_topology::{Mesh, NodeId, SignVec, MAX_DIMS};
 ///
 /// ```
 /// use lapses_core::tables::{EconomicalTable, TableScheme};
-/// use lapses_routing::DuatoAdaptive;
+/// use lapses_routing::Algorithm;
 /// use lapses_topology::Mesh;
 ///
 /// let mesh = Mesh::mesh_2d(16, 16);
-/// let table = EconomicalTable::program(&mesh, &DuatoAdaptive::new());
+/// let table = EconomicalTable::program(&mesh, &Algorithm::Duato);
 /// assert_eq!(table.storage().entries_per_router, 9); // not 256!
 /// ```
 #[derive(Debug)]
@@ -306,7 +306,7 @@ impl TableScheme for EconomicalTable {
 mod tests {
     use super::*;
     use crate::tables::FullTable;
-    use lapses_routing::{DimensionOrder, DuatoAdaptive, TurnModel, TurnModelKind};
+    use lapses_routing::Algorithm;
     use lapses_topology::Sign;
 
     /// §5.2.2's headline claim: "performance of full-table routing and
@@ -331,39 +331,36 @@ mod tests {
 
     #[test]
     fn equivalent_to_full_table_for_duato() {
-        assert_equivalent(&Mesh::mesh_2d(8, 8), &DuatoAdaptive::new());
+        assert_equivalent(&Mesh::mesh_2d(8, 8), &Algorithm::Duato);
     }
 
     #[test]
     fn equivalent_to_full_table_for_xy() {
-        assert_equivalent(&Mesh::mesh_2d(8, 8), &DimensionOrder::new());
+        assert_equivalent(&Mesh::mesh_2d(8, 8), &Algorithm::DimensionOrder);
     }
 
     #[test]
     fn equivalent_to_full_table_for_north_last() {
-        assert_equivalent(
-            &Mesh::mesh_2d(8, 8),
-            &TurnModel::new(TurnModelKind::NorthLast),
-        );
+        assert_equivalent(&Mesh::mesh_2d(8, 8), &Algorithm::NorthLast);
     }
 
     #[test]
     fn equivalent_on_3d_mesh() {
-        assert_equivalent(&Mesh::mesh_3d(4, 4, 4), &DuatoAdaptive::new());
+        assert_equivalent(&Mesh::mesh_3d(4, 4, 4), &Algorithm::Duato);
     }
 
     #[test]
     fn nine_entries_for_2d_27_for_3d() {
-        let t2 = EconomicalTable::program(&Mesh::mesh_2d(16, 16), &DuatoAdaptive::new());
+        let t2 = EconomicalTable::program(&Mesh::mesh_2d(16, 16), &Algorithm::Duato);
         assert_eq!(t2.storage().entries_per_router, 9);
-        let t3 = EconomicalTable::program(&Mesh::mesh_3d(4, 4, 4), &DuatoAdaptive::new());
+        let t3 = EconomicalTable::program(&Mesh::mesh_3d(4, 4, 4), &Algorithm::Duato);
         assert_eq!(t3.storage().entries_per_router, 27);
     }
 
     #[test]
     fn torus_lookup_recomputes_dateline_subclass() {
         let torus = Mesh::torus_2d(8, 8);
-        let algo = DuatoAdaptive::new();
+        let algo = Algorithm::Duato;
         let econ = EconomicalTable::program(&torus, &algo);
         let full = FullTable::program(&torus, &algo);
         for node in torus.nodes() {
@@ -386,7 +383,7 @@ mod tests {
     #[test]
     fn edge_routers_have_unprogrammed_impossible_signs() {
         let mesh = Mesh::mesh_2d(4, 4);
-        let econ = EconomicalTable::program(&mesh, &DuatoAdaptive::new());
+        let econ = EconomicalTable::program(&mesh, &Algorithm::Duato);
         // Origin router can never see a (-, -) destination; that entry
         // stays unprogrammed. Look it up through the raw storage.
         let sv = SignVec::from_signs(&[Sign::Minus, Sign::Minus]);
@@ -414,26 +411,22 @@ mod tests {
     /// class with one entry: no exceptions, exactly 3ⁿ entries per router.
     #[test]
     fn source_relative_programs_need_no_exceptions() {
-        let turn = |kind| Box::new(TurnModel::new(kind)) as Box<dyn RoutingAlgorithm>;
-        let classic = || -> [Box<dyn RoutingAlgorithm>; 2] {
-            [
-                Box::new(DimensionOrder::new()),
-                Box::new(DuatoAdaptive::new()),
-            ]
-        };
-        let mut cases: Vec<(Mesh, Box<dyn RoutingAlgorithm>)> = Vec::new();
-        for algo in classic().into_iter().chain([
-            turn(TurnModelKind::NorthLast),
-            turn(TurnModelKind::WestFirst),
-            turn(TurnModelKind::NegativeFirst),
-        ]) {
-            cases.push((Mesh::mesh_2d(7, 6), algo));
-        }
+        let mut cases: Vec<(Mesh, Algorithm)> = [
+            Algorithm::DimensionOrder,
+            Algorithm::Duato,
+            Algorithm::NorthLast,
+            Algorithm::WestFirst,
+            Algorithm::NegativeFirst,
+        ]
+        .map(|algo| (Mesh::mesh_2d(7, 6), algo))
+        .into();
         for mesh in [Mesh::mesh_3d(4, 3, 4), Mesh::torus_2d(6, 5)] {
-            cases.extend(classic().map(|algo| (mesh.clone(), algo)));
+            for algo in [Algorithm::DimensionOrder, Algorithm::Duato] {
+                cases.push((mesh.clone(), algo));
+            }
         }
         for (mesh, algo) in &cases {
-            let table = EconomicalTable::program(mesh, algo.as_ref());
+            let table = EconomicalTable::program(mesh, algo);
             let what = format!("{} on {mesh}", algo.name());
             assert_eq!(table.exception_count(), 0, "{what}");
             assert_eq!(

@@ -18,11 +18,11 @@ use lapses_topology::{Mesh, NodeId};
 ///
 /// ```
 /// use lapses_core::tables::{FullTable, TableScheme};
-/// use lapses_routing::DuatoAdaptive;
+/// use lapses_routing::Algorithm;
 /// use lapses_topology::Mesh;
 ///
 /// let mesh = Mesh::mesh_2d(16, 16);
-/// let table = FullTable::program(&mesh, &DuatoAdaptive::new());
+/// let table = FullTable::program(&mesh, &Algorithm::Duato);
 /// assert_eq!(table.storage().entries_per_router, 256);
 /// ```
 #[derive(Debug)]
@@ -73,13 +73,13 @@ impl TableScheme for FullTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lapses_routing::{DimensionOrder, DuatoAdaptive};
+    use lapses_routing::Algorithm;
     use lapses_topology::{Direction, Port, PortSet};
 
     #[test]
     fn full_table_reproduces_the_algorithm_exactly() {
         let mesh = Mesh::mesh_2d(6, 6);
-        let algo = DuatoAdaptive::new();
+        let algo = Algorithm::Duato;
         let table = FullTable::program(&mesh, &algo);
         for node in mesh.nodes() {
             for dest in mesh.nodes() {
@@ -98,7 +98,7 @@ mod tests {
     #[test]
     fn deterministic_program_has_singleton_entries() {
         let mesh = Mesh::mesh_2d(4, 4);
-        let table = FullTable::program(&mesh, &DimensionOrder::new());
+        let table = FullTable::program(&mesh, &Algorithm::DimensionOrder);
         for node in mesh.nodes() {
             for dest in mesh.nodes() {
                 if node == dest {
@@ -112,7 +112,7 @@ mod tests {
     #[test]
     fn torus_entries_carry_dateline_subclasses() {
         let torus = Mesh::torus_2d(8, 8);
-        let table = FullTable::program(&torus, &DuatoAdaptive::new());
+        let table = FullTable::program(&torus, &Algorithm::Duato);
         let here = torus.id_at(&[6, 0]).unwrap();
         let dest = torus.id_at(&[1, 0]).unwrap();
         let e = table.entry(here, dest);
@@ -126,7 +126,7 @@ mod tests {
     #[test]
     fn storage_is_one_entry_per_destination() {
         let mesh = Mesh::mesh_2d(16, 16);
-        let table = FullTable::program(&mesh, &DuatoAdaptive::new());
+        let table = FullTable::program(&mesh, &Algorithm::Duato);
         assert_eq!(table.storage().entries_per_router, 256);
         assert_eq!(table.name(), "full");
     }
@@ -135,7 +135,7 @@ mod tests {
     fn quadrant_entries_have_two_choices() {
         // §5.2: quadrant destinations get two ports, axis destinations one.
         let mesh = Mesh::mesh_2d(16, 16);
-        let table = FullTable::program(&mesh, &DuatoAdaptive::new());
+        let table = FullTable::program(&mesh, &Algorithm::Duato);
         let node = mesh.id_at(&[8, 8]).unwrap();
         let quadrant = mesh.id_at(&[12, 12]).unwrap();
         let axis = mesh.id_at(&[8, 2]).unwrap();

@@ -270,9 +270,9 @@ mod tests {
     fn escape_runs_store_any_deterministic_relation() {
         // X-first routing splits the off-row destinations of every column
         // side into one run per row: correct, but more runs than ports.
-        use lapses_routing::{DimensionOrder, RoutingAlgorithm};
+        use lapses_routing::{Algorithm, RoutingAlgorithm};
         let mesh = Mesh::mesh_2d(6, 5);
-        let algo = DimensionOrder::new();
+        let algo = Algorithm::DimensionOrder;
         let table = IntervalTable::escape_runs(&mesh, &algo);
         for node in mesh.nodes() {
             for dest in mesh.nodes().filter(|&d| d != node) {

@@ -25,11 +25,11 @@ use lapses_topology::{Coord, Mesh, NodeId};
 ///
 /// ```
 /// use lapses_core::tables::{MetaTable, TableScheme};
-/// use lapses_routing::DuatoAdaptive;
+/// use lapses_routing::Algorithm;
 /// use lapses_topology::Mesh;
 ///
 /// let mesh = Mesh::mesh_2d(16, 16);
-/// let meta = MetaTable::blocks(&mesh, &[4, 4], &DuatoAdaptive::new());
+/// let meta = MetaTable::blocks(&mesh, &[4, 4], &Algorithm::Duato);
 /// // 16 intra-cluster + 16 cluster entries instead of 256.
 /// assert_eq!(meta.storage().entries_per_router, 32);
 /// ```
@@ -171,7 +171,7 @@ impl TableScheme for MetaTable {
 mod tests {
     use super::*;
     use crate::tables::FullTable;
-    use lapses_routing::{DimensionOrder, DuatoAdaptive};
+    use lapses_routing::Algorithm;
     use lapses_topology::{Direction, Port, PortSet};
 
     fn mesh16() -> Mesh {
@@ -181,7 +181,7 @@ mod tests {
     #[test]
     fn intra_cluster_entries_match_full_table() {
         let mesh = mesh16();
-        let algo = DuatoAdaptive::new();
+        let algo = Algorithm::Duato;
         let meta = MetaTable::blocks(&mesh, &[4, 4], &algo);
         let full = FullTable::program(&mesh, &algo);
         let map = meta.cluster_map().clone();
@@ -200,7 +200,7 @@ mod tests {
     fn inter_cluster_entries_lose_adaptivity_at_boundaries() {
         // Paper §5.2.2: from cluster 1 (south of cluster 5), only +Y remains.
         let mesh = mesh16();
-        let meta = MetaTable::blocks(&mesh, &[4, 4], &DuatoAdaptive::new());
+        let meta = MetaTable::blocks(&mesh, &[4, 4], &Algorithm::Duato);
         let node = mesh.id_at(&[5, 2]).unwrap(); // in cluster 1
         let dest = mesh.id_at(&[6, 6]).unwrap(); // in cluster 5
         let e = meta.entry(node, dest);
@@ -217,7 +217,7 @@ mod tests {
     fn row_mapping_collapses_to_dimension_order() {
         // Fig. 8(a): the row labeling forces Y-then-X routing everywhere.
         let mesh = mesh16();
-        let meta = MetaTable::rows(&mesh, &DuatoAdaptive::new());
+        let meta = MetaTable::rows(&mesh, &Algorithm::Duato);
         for node in mesh.nodes().step_by(7) {
             for dest in mesh.nodes().step_by(5) {
                 if node == dest {
@@ -251,7 +251,7 @@ mod tests {
     #[test]
     fn entries_are_always_minimal() {
         let mesh = Mesh::mesh_2d(8, 8);
-        let meta = MetaTable::blocks(&mesh, &[4, 4], &DuatoAdaptive::new());
+        let meta = MetaTable::blocks(&mesh, &[4, 4], &Algorithm::Duato);
         for node in mesh.nodes() {
             for dest in mesh.nodes() {
                 if node == dest {
@@ -276,9 +276,9 @@ mod tests {
     #[test]
     fn storage_counts_both_levels() {
         let mesh = mesh16();
-        let meta = MetaTable::blocks(&mesh, &[4, 4], &DimensionOrder::new());
+        let meta = MetaTable::blocks(&mesh, &[4, 4], &Algorithm::DimensionOrder);
         assert_eq!(meta.storage().entries_per_router, 16 + 16);
-        let rows = MetaTable::rows(&mesh, &DimensionOrder::new());
+        let rows = MetaTable::rows(&mesh, &Algorithm::DimensionOrder);
         assert_eq!(rows.storage().entries_per_router, 16 + 16);
         assert_eq!(meta.name(), "meta");
     }

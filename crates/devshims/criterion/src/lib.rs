@@ -5,8 +5,9 @@
 //! microbenchmarks use — `criterion_group!`/`criterion_main!`, benchmark
 //! groups, `iter`, and `iter_batched` — with a plain wall-clock harness: it
 //! warms up, times batches until the measurement window closes, and prints
-//! a mean ns/iteration line per benchmark. There are no statistics, plots,
-//! or baselines; swap the real crate back in when a registry is available.
+//! the mean and the median-sample ns/iteration per benchmark. There are no
+//! other statistics, plots, or baselines; swap the real crate back in when
+//! a registry is available.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -119,14 +120,33 @@ pub struct Bencher {
 }
 
 impl Bencher {
-    /// Times `routine` repeatedly until the phase budget is spent.
+    /// Times `routine` repeatedly until the phase budget is spent. The
+    /// clock is read once per batch of iterations, not per iteration: the
+    /// batches double, each capped at the iterations the budget left is
+    /// estimated to hold, so the clock stays out of one-call routines and
+    /// the phase overshoots its budget by about one iteration.
     pub fn iter<O, R: FnMut() -> O>(&mut self, mut routine: R) {
         let start = Instant::now();
-        while start.elapsed() < self.phase_budget {
-            black_box(routine());
-            self.iters_done += 1;
+        let mut done = 0u64;
+        let mut batch = 1u64;
+        loop {
+            for _ in 0..batch {
+                black_box(routine());
+            }
+            done += batch;
+            let spent = start.elapsed();
+            if spent >= self.phase_budget {
+                self.iters_done += done;
+                self.elapsed += spent;
+                return;
+            }
+            let left = (self.phase_budget - spent).as_nanos();
+            let fits = left * u128::from(done) / spent.as_nanos().max(1);
+            batch = batch
+                .saturating_mul(2)
+                .min(u64::try_from(fits).unwrap_or(u64::MAX))
+                .max(1);
         }
-        self.elapsed += start.elapsed();
     }
 
     /// Times `routine` over fresh inputs from `setup`; setup time is
@@ -147,6 +167,21 @@ impl Bencher {
     }
 }
 
+/// The median of `samples` (the mean of the middle two for an even
+/// count), or NaN when there are none.
+fn median(samples: &mut [f64]) -> f64 {
+    samples.sort_unstable_by(f64::total_cmp);
+    let mid = samples.len() / 2;
+    match samples.len() {
+        0 => f64::NAN,
+        n if n % 2 == 1 => samples[mid],
+        _ => (samples[mid - 1] + samples[mid]) / 2.0,
+    }
+}
+
+/// Warms up, then times `sample_size` calls of `f`, each one sample.
+/// Prints the mean over all iterations and the median sample's ns/iter,
+/// which one slow stretch of the host cannot move on its own.
 fn run_one<F: FnMut(&mut Bencher)>(
     name: &str,
     measurement_time: Duration,
@@ -168,12 +203,19 @@ fn run_one<F: FnMut(&mut Bencher)>(
         iters_done: 0,
         elapsed: Duration::ZERO,
     };
+    let mut samples = Vec::with_capacity(sample_size);
     for _ in 0..sample_size {
+        let (iters, elapsed) = (bench.iters_done, bench.elapsed);
         f(&mut bench);
+        let iters = bench.iters_done - iters;
+        if iters > 0 {
+            samples.push((bench.elapsed - elapsed).as_nanos() as f64 / iters as f64);
+        }
     }
     let iters = bench.iters_done.max(1);
     let per_iter = bench.elapsed.as_nanos() as f64 / iters as f64;
-    println!("{name:<48} {per_iter:>14.1} ns/iter  ({iters} iters)");
+    let median = median(&mut samples);
+    println!("{name:<48} {per_iter:>14.1} ns/iter  median {median:>.1}  ({iters} iters)");
 }
 
 /// Bundles benchmark functions into a runnable group function.
@@ -217,6 +259,14 @@ mod tests {
         group.sample_size(2);
         group.bench_function("noop", |b| b.iter(|| 1 + 1));
         group.finish();
+    }
+
+    #[test]
+    fn median_is_the_middle_sample() {
+        assert_eq!(median(&mut [5.0, 1.0, 900.0]), 5.0);
+        assert_eq!(median(&mut [4.0, 1.0, 2.0, 1000.0]), 3.0);
+        assert_eq!(median(&mut [7.0]), 7.0);
+        assert!(median(&mut []).is_nan());
     }
 
     #[test]

@@ -15,131 +15,14 @@ use crate::network::Network;
 use crate::stats::SimResult;
 use lapses_core::tables::{EconomicalTable, FullTable, IntervalTable, MetaTable};
 use lapses_core::{RouterConfig, TableScheme};
-use lapses_routing::{
-    DimensionOrder, DuatoAdaptive, RoutingAlgorithm, TurnModel, TurnModelKind, UpDown,
-};
+pub use lapses_routing::Algorithm;
+use lapses_routing::RoutingAlgorithm;
 use lapses_sim::{Cycle, MeasurementPhase, PhaseController, ProgressWatchdog};
 use lapses_topology::labeling::ClusterMap;
 use lapses_topology::{FaultError, FaultSet, FaultyMesh, Mesh, NodeId, MAX_DIMS};
 pub use lapses_traffic::{ArrivalKind, Pattern};
 use lapses_traffic::{Generator, LengthDistribution, Trace, TraceEvent, Workload};
 use std::sync::Arc;
-
-/// Routing algorithm selector.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Algorithm {
-    /// Deterministic dimension-order (XY) routing — the paper's `DET`.
-    DimensionOrder,
-    /// Duato's minimal fully-adaptive routing — the paper's `ADAPT`.
-    Duato,
-    /// North-Last partially-adaptive turn-model routing.
-    NorthLast,
-    /// West-First partially-adaptive turn-model routing.
-    WestFirst,
-    /// Negative-First partially-adaptive turn-model routing.
-    NegativeFirst,
-    /// Deterministic BFS-rooted up*/down* routing over the surviving
-    /// links — the fault-tolerant deterministic baseline (deadlock-free
-    /// without escape VCs, like dimension-order).
-    UpDown,
-    /// Minimal-adaptive candidates over the surviving links with an
-    /// up*/down* escape — the fault-tolerant twin of Duato's protocol.
-    UpDownAdaptive,
-}
-
-impl Algorithm {
-    /// Every algorithm, in declaration order.
-    pub const ALL: [Algorithm; 7] = [
-        Algorithm::DimensionOrder,
-        Algorithm::Duato,
-        Algorithm::NorthLast,
-        Algorithm::WestFirst,
-        Algorithm::NegativeFirst,
-        Algorithm::UpDown,
-        Algorithm::UpDownAdaptive,
-    ];
-
-    /// Instantiates the routing relation.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the up*/down* variants, whose program is compiled per
-    /// topology instance — use [`Algorithm::build_on`] for those.
-    pub fn build(self) -> Box<dyn RoutingAlgorithm> {
-        match self {
-            Algorithm::DimensionOrder => Box::new(DimensionOrder::new()),
-            Algorithm::Duato => Box::new(DuatoAdaptive::new()),
-            Algorithm::NorthLast => Box::new(TurnModel::new(TurnModelKind::NorthLast)),
-            Algorithm::WestFirst => Box::new(TurnModel::new(TurnModelKind::WestFirst)),
-            Algorithm::NegativeFirst => Box::new(TurnModel::new(TurnModelKind::NegativeFirst)),
-            Algorithm::UpDown | Algorithm::UpDownAdaptive => panic!(
-                "{} routing is compiled per topology instance; use Algorithm::build_on",
-                self.name()
-            ),
-        }
-    }
-
-    /// Instantiates the routing relation over a (possibly fault-free)
-    /// faulty-mesh view. The classic algorithms ignore the fault view —
-    /// compositions mixing them with actual faults are rejected by
-    /// [`ScenarioBuilder::build`](crate::scenario::ScenarioBuilder::build).
-    pub fn build_on(self, fmesh: &Arc<FaultyMesh>) -> Box<dyn RoutingAlgorithm> {
-        match self {
-            Algorithm::UpDown => Box::new(UpDown::new(Arc::clone(fmesh))),
-            Algorithm::UpDownAdaptive => Box::new(UpDown::adaptive(Arc::clone(fmesh))),
-            other => other.build(),
-        }
-    }
-
-    /// A short name for reports and scenario specs.
-    pub fn name(self) -> &'static str {
-        match self {
-            Algorithm::DimensionOrder => "dimension-order",
-            Algorithm::Duato => "duato",
-            Algorithm::NorthLast => "north-last",
-            Algorithm::WestFirst => "west-first",
-            Algorithm::NegativeFirst => "negative-first",
-            Algorithm::UpDown => "up-down",
-            Algorithm::UpDownAdaptive => "up-down-adaptive",
-        }
-    }
-
-    /// Whether the relation is restricted to 2-D meshes (the turn models).
-    pub fn requires_2d_mesh(self) -> bool {
-        matches!(
-            self,
-            Algorithm::NorthLast | Algorithm::WestFirst | Algorithm::NegativeFirst
-        )
-    }
-
-    /// Whether the relation routes around dead links (the up*/down*
-    /// family). Every other algorithm requires a perfect topology.
-    pub fn fault_tolerant(self) -> bool {
-        matches!(self, Algorithm::UpDown | Algorithm::UpDownAdaptive)
-    }
-
-    /// Escape VCs the relation needs on `mesh` from a router with
-    /// `escape_vcs` of them: one per escape subclass (dateline class), or
-    /// 0 when the relation alone is deadlock-free and the router has no
-    /// escape VCs — escape VCs a router does have always carry the
-    /// subclasses. Answered without compiling an up*/down* program:
-    /// up*/down* ignores wrap state, so it has one subclass on any
-    /// topology, and only its adaptive variant needs an escape VC.
-    pub fn escape_vcs_needed(self, mesh: &Mesh, escape_vcs: usize) -> usize {
-        match self {
-            Algorithm::UpDown => escape_vcs.min(1),
-            Algorithm::UpDownAdaptive => 1,
-            classic => {
-                let algo = classic.build();
-                if algo.deadlock_free_without_escape() && escape_vcs == 0 {
-                    0
-                } else {
-                    algo.escape_subclasses(mesh).max(1)
-                }
-            }
-        }
-    }
-}
 
 /// Which links of the topology are dead for a run.
 ///
@@ -460,9 +343,7 @@ impl SimConfig {
     /// relation.
     fn build_program(&self) -> Arc<dyn TableScheme> {
         if !self.algorithm.fault_tolerant() {
-            return self
-                .table
-                .build(&self.mesh, self.algorithm.build().as_ref());
+            return self.table.build(&self.mesh, &self.algorithm);
         }
         let fmesh = Arc::new(
             FaultyMesh::new(
@@ -776,42 +657,6 @@ mod tests {
             "{err}"
         );
         assert!(err.to_string().contains("cannot route around dead links"));
-    }
-
-    #[test]
-    fn escape_vc_needs_match_the_compiled_relations() {
-        for mesh in [
-            Mesh::mesh_2d(4, 4),
-            Mesh::torus_2d(4, 4),
-            Mesh::mesh_3d(3, 3, 3),
-        ] {
-            let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), FaultSet::empty()).unwrap());
-            for algorithm in Algorithm::ALL {
-                if algorithm.requires_2d_mesh() && (mesh.dims() != 2 || mesh.is_torus()) {
-                    continue;
-                }
-                let algo = algorithm.build_on(&fmesh);
-                for escape_vcs in [0, 1, 2] {
-                    let compiled = if algo.deadlock_free_without_escape() && escape_vcs == 0 {
-                        0
-                    } else {
-                        algo.escape_subclasses(&mesh).max(1)
-                    };
-                    assert_eq!(
-                        algorithm.escape_vcs_needed(&mesh, escape_vcs),
-                        compiled,
-                        "{} on {mesh} with {escape_vcs} escape VC(s)",
-                        algorithm.name()
-                    );
-                }
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "compiled per topology")]
-    fn updown_build_needs_a_topology() {
-        let _ = Algorithm::UpDown.build();
     }
 
     #[test]

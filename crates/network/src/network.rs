@@ -1252,12 +1252,10 @@ mod tests {
     use crate::scenario::Scenario;
     use crate::{Algorithm, TableKind};
     use lapses_core::tables::FullTable;
-    use lapses_routing::DuatoAdaptive;
 
     fn small_net(cfg: RouterConfig) -> Network {
         let mesh = Mesh::mesh_2d(4, 4);
-        let program: Arc<dyn TableScheme> =
-            Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+        let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
         Network::new(mesh, cfg, program, 1, 42)
     }
 
@@ -1339,7 +1337,7 @@ mod tests {
         let run = |seed: u64| {
             let mesh = Mesh::mesh_2d(4, 4);
             let program: Arc<dyn TableScheme> =
-                Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+                Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
             let mut net = Network::new(
                 mesh.clone(),
                 RouterConfig::paper_adaptive(),

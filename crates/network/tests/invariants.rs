@@ -6,7 +6,7 @@ use lapses_core::tables::FullTable;
 use lapses_core::{RouterConfig, TableScheme};
 use lapses_network::network::Network;
 use lapses_network::{Pattern, Scenario, TableKind};
-use lapses_routing::DuatoAdaptive;
+use lapses_routing::Algorithm;
 use lapses_sim::Cycle;
 use lapses_topology::{Mesh, NodeId};
 use std::sync::Arc;
@@ -14,7 +14,7 @@ use std::sync::Arc;
 /// Runs a hand-built workload to completion and checks the network ends in
 /// a credit-balanced quiescent state — no leaked buffer slots anywhere.
 fn run_and_check_quiescent(mesh: Mesh, cfg: RouterConfig, messages: &[(u32, u32, u32)]) {
-    let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &DuatoAdaptive::new()));
+    let program: Arc<dyn TableScheme> = Arc::new(FullTable::program(&mesh, &Algorithm::Duato));
     let mut net = Network::new(mesh, cfg, program, 1, 11);
     let mut expected = 0;
     for &(src, dest, len) in messages {

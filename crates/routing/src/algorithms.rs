@@ -1,7 +1,11 @@
-//! The routing relations used in the study.
+//! The routing relations used in the study: the [`RoutingAlgorithm`]
+//! interface and the [`Algorithm`] selector, whose classic variants are
+//! themselves the relations.
 
-use lapses_topology::{Direction, Mesh, NodeId, Port, PortSet, Sign};
+use crate::updown::UpDown;
+use lapses_topology::{Direction, FaultyMesh, Mesh, NodeId, Port, PortSet, Sign};
 use std::fmt;
+use std::sync::Arc;
 
 /// A per-hop routing relation for mesh-like networks.
 ///
@@ -18,8 +22,13 @@ use std::fmt;
 /// algorithms return a singleton candidate set equal to the escape route;
 /// turn-model algorithms return a restricted candidate set and are
 /// deadlock-free even without escape channels.
+///
+/// The classic relations are the [`Algorithm`] variants themselves; the
+/// up*/down* relations are compiled per topology instance into an
+/// [`UpDown`].
 pub trait RoutingAlgorithm: fmt::Debug + Send + Sync {
-    /// A short name for reports ("XY", "Duato", "North-Last", ...).
+    /// The name reports and scenario specs use ("duato", "north-last",
+    /// "up-down", ...).
     fn name(&self) -> &'static str;
 
     /// Adaptive candidate output ports at `here` for a message headed to
@@ -62,92 +71,11 @@ pub trait RoutingAlgorithm: fmt::Debug + Send + Sync {
     }
 
     /// Number of escape subclasses the algorithm needs on this topology.
-    fn escape_subclasses(&self, mesh: &Mesh) -> usize {
-        if mesh.is_torus() {
-            2
-        } else {
-            1
-        }
-    }
+    fn escape_subclasses(&self, mesh: &Mesh) -> usize;
 
     /// Whether the adaptive relation alone is deadlock-free, making escape
     /// channels optional (true for deterministic and turn-model routing).
-    fn deadlock_free_without_escape(&self) -> bool {
-        false
-    }
-}
-
-/// Deterministic dimension-order routing (XY in 2-D, XYZ in 3-D):
-/// fully resolve dimension 0, then dimension 1, and so on.
-///
-/// This is the paper's deterministic baseline (`DET` routers in Fig. 5),
-/// the escape function of [`DuatoAdaptive`], and the relation the
-/// "STATIC-XY" path-selection preference collapses to.
-///
-/// # Example
-///
-/// ```
-/// use lapses_routing::{DimensionOrder, RoutingAlgorithm};
-/// use lapses_topology::{Direction, Mesh, Port};
-///
-/// let mesh = Mesh::mesh_2d(8, 8);
-/// let xy = DimensionOrder::new();
-/// let here = mesh.id_at(&[2, 2]).unwrap();
-/// let dest = mesh.id_at(&[5, 7]).unwrap();
-/// // X is corrected before Y.
-/// assert_eq!(
-///     xy.escape_port(&mesh, here, dest),
-///     Some(Port::from(Direction::plus(0)))
-/// );
-/// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DimensionOrder {
-    _priv: (),
-}
-
-impl DimensionOrder {
-    /// Creates the dimension-order router.
-    pub fn new() -> Self {
-        DimensionOrder { _priv: () }
-    }
-}
-
-impl RoutingAlgorithm for DimensionOrder {
-    fn name(&self) -> &'static str {
-        "XY"
-    }
-
-    fn candidates(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> PortSet {
-        self.escape_port(mesh, here, dest)
-            .map_or(PortSet::EMPTY, PortSet::single)
-    }
-
-    /// The lowest-index productive port. Ports run `+0, −0, +1, −1, …`,
-    /// so that is the first unresolved dimension, in its positive
-    /// direction on a torus half-way tie.
-    fn escape_port(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> Option<Port> {
-        mesh.productive_ports(here, dest).first()
-    }
-
-    fn escape_subclass(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> usize {
-        if !mesh.is_torus() {
-            return 0;
-        }
-        torus_dateline_subclass(mesh, here, dest, self.escape_port(mesh, here, dest))
-    }
-
-    fn route(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> (PortSet, Option<Port>, usize) {
-        let escape = self.escape_port(mesh, here, dest);
-        (
-            escape.map_or(PortSet::EMPTY, PortSet::single),
-            escape,
-            torus_dateline_subclass(mesh, here, dest, escape),
-        )
-    }
-
-    fn deadlock_free_without_escape(&self) -> bool {
-        true
-    }
+    fn deadlock_free_without_escape(&self) -> bool;
 }
 
 /// Dateline subclass for a dimension-order hop on a torus: class 0 while the
@@ -183,63 +111,235 @@ pub fn torus_dateline_subclass(
     usize::from(!crosses)
 }
 
-/// Duato's fully adaptive routing: any minimal (productive) port on the
-/// adaptive virtual channels, dimension-order routing on the escape virtual
-/// channel.
+/// The routing algorithm of a scenario.
 ///
-/// This is the algorithm the paper simulates ("we use Duato's fully
-/// adaptive algorithm \[9\] for performance analyses"); it needs 2 VCs per
-/// physical channel for deadlock freedom in a 2-D mesh — 1 escape + 1
-/// adaptive — and benefits from more adaptive VCs.
+/// The five classic variants are routing relations themselves (they
+/// implement [`RoutingAlgorithm`]): every one is minimal and escapes on
+/// its lowest-index candidate port, so its escape is dimension order
+/// within what it permits. The two up*/down* variants name relations
+/// compiled per topology instance by [`Algorithm::build_on`]; asked for a
+/// route themselves, they panic.
 ///
 /// # Example
 ///
 /// ```
-/// use lapses_routing::{DuatoAdaptive, RoutingAlgorithm};
-/// use lapses_topology::Mesh;
+/// use lapses_routing::{Algorithm, RoutingAlgorithm};
+/// use lapses_topology::{Direction, Mesh, Port, PortSet};
 ///
-/// let mesh = Mesh::mesh_2d(16, 16);
-/// let duato = DuatoAdaptive::new();
-/// let here = mesh.id_at(&[5, 5]).unwrap();
-/// let dest = mesh.id_at(&[9, 1]).unwrap();
-/// let cands = duato.candidates(&mesh, here, dest);
-/// assert_eq!(cands.len(), 2); // +X and -Y are both minimal
+/// let mesh = Mesh::mesh_2d(3, 3);
+/// let here = mesh.id_at(&[1, 1]).unwrap();
+/// // Fig. 7(d), destination (0,2): both -X and +Y are minimal but
+/// // North-Last permits only -X.
+/// let dest = mesh.id_at(&[0, 2]).unwrap();
+/// assert_eq!(Algorithm::Duato.candidates(&mesh, here, dest).len(), 2);
+/// assert_eq!(
+///     Algorithm::NorthLast.candidates(&mesh, here, dest),
+///     PortSet::single(Port::from(Direction::minus(0)))
+/// );
 /// ```
-#[derive(Debug, Clone, Copy, Default)]
-pub struct DuatoAdaptive {
-    escape: DimensionOrder,
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Algorithm {
+    /// Deterministic dimension-order routing (XY in 2-D, XYZ in 3-D):
+    /// fully resolve dimension 0, then dimension 1, and so on — the
+    /// paper's `DET`, Duato's escape function, and the relation the
+    /// "STATIC-XY" path-selection preference collapses to.
+    ///
+    /// ```
+    /// use lapses_routing::{Algorithm, RoutingAlgorithm};
+    /// use lapses_topology::{Direction, Mesh, Port};
+    ///
+    /// let mesh = Mesh::mesh_2d(8, 8);
+    /// let here = mesh.id_at(&[2, 2]).unwrap();
+    /// let dest = mesh.id_at(&[5, 7]).unwrap();
+    /// // X is corrected before Y.
+    /// assert_eq!(
+    ///     Algorithm::DimensionOrder.escape_port(&mesh, here, dest),
+    ///     Some(Port::from(Direction::plus(0)))
+    /// );
+    /// ```
+    DimensionOrder,
+    /// Duato's minimal fully-adaptive routing — the paper's `ADAPT`: any
+    /// productive port on the adaptive VCs, dimension order on the escape
+    /// VC. It needs 2 VCs per physical channel in a 2-D mesh (1 escape +
+    /// 1 adaptive) and benefits from more adaptive VCs.
+    ///
+    /// ```
+    /// use lapses_routing::{Algorithm, RoutingAlgorithm};
+    /// use lapses_topology::Mesh;
+    ///
+    /// let mesh = Mesh::mesh_2d(16, 16);
+    /// let here = mesh.id_at(&[5, 5]).unwrap();
+    /// let dest = mesh.id_at(&[9, 1]).unwrap();
+    /// let cands = Algorithm::Duato.candidates(&mesh, here, dest);
+    /// assert_eq!(cands.len(), 2); // +X and -Y are both minimal
+    /// ```
+    Duato,
+    /// North-Last partially-adaptive turn-model routing: `+Y` (north)
+    /// hops come last; adaptive among `{±X, -Y}`. Fig. 7 programs it.
+    NorthLast,
+    /// West-First partially-adaptive turn-model routing: `-X` (west) hops
+    /// come first; adaptive among `{+X, ±Y}`.
+    WestFirst,
+    /// Negative-First partially-adaptive turn-model routing: all negative
+    /// hops before any positive hop, adaptive within each phase.
+    NegativeFirst,
+    /// Deterministic BFS-rooted up*/down* routing over the surviving
+    /// links — the fault-tolerant deterministic baseline (deadlock-free
+    /// without escape VCs, like dimension-order).
+    UpDown,
+    /// Minimal-adaptive candidates over the surviving links with an
+    /// up*/down* escape — the fault-tolerant twin of Duato's protocol.
+    UpDownAdaptive,
 }
 
-impl DuatoAdaptive {
-    /// Creates the fully adaptive router with a dimension-order escape.
-    pub fn new() -> Self {
-        DuatoAdaptive {
-            escape: DimensionOrder::new(),
+impl Algorithm {
+    /// Every algorithm, in declaration order.
+    pub const ALL: [Algorithm; 7] = [
+        Algorithm::DimensionOrder,
+        Algorithm::Duato,
+        Algorithm::NorthLast,
+        Algorithm::WestFirst,
+        Algorithm::NegativeFirst,
+        Algorithm::UpDown,
+        Algorithm::UpDownAdaptive,
+    ];
+
+    /// The routing relation, boxed.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the up*/down* variants, whose program is compiled per
+    /// topology instance — use [`Algorithm::build_on`] for those.
+    pub fn build(self) -> Box<dyn RoutingAlgorithm> {
+        if self.fault_tolerant() {
+            self.compiled_per_instance()
+        }
+        Box::new(self)
+    }
+
+    /// The routing relation over a (possibly fault-free) faulty-mesh
+    /// view: the up*/down* variants compile their program on it, and the
+    /// classic algorithms ignore it (they run only without dead links).
+    pub fn build_on(self, fmesh: &Arc<FaultyMesh>) -> Box<dyn RoutingAlgorithm> {
+        match self {
+            Algorithm::UpDown => Box::new(UpDown::new(Arc::clone(fmesh))),
+            Algorithm::UpDownAdaptive => Box::new(UpDown::adaptive(Arc::clone(fmesh))),
+            classic => Box::new(classic),
         }
     }
+
+    /// A short name for reports and scenario specs.
+    pub fn name(self) -> &'static str {
+        match self {
+            Algorithm::DimensionOrder => "dimension-order",
+            Algorithm::Duato => "duato",
+            Algorithm::NorthLast => "north-last",
+            Algorithm::WestFirst => "west-first",
+            Algorithm::NegativeFirst => "negative-first",
+            Algorithm::UpDown => "up-down",
+            Algorithm::UpDownAdaptive => "up-down-adaptive",
+        }
+    }
+
+    /// Whether the relation is restricted to 2-D meshes (the turn models).
+    pub fn requires_2d_mesh(self) -> bool {
+        matches!(
+            self,
+            Algorithm::NorthLast | Algorithm::WestFirst | Algorithm::NegativeFirst
+        )
+    }
+
+    /// Whether the relation routes around dead links (the up*/down*
+    /// family). Every other algorithm requires a perfect topology.
+    pub fn fault_tolerant(self) -> bool {
+        matches!(self, Algorithm::UpDown | Algorithm::UpDownAdaptive)
+    }
+
+    /// Escape VCs the relation needs on `mesh` from a router with
+    /// `escape_vcs` of them: one per escape subclass (dateline class), or
+    /// 0 when the relation alone is deadlock-free and the router has no
+    /// escape VCs — escape VCs a router does have always carry the
+    /// subclasses. Answered without compiling an up*/down* program.
+    pub fn escape_vcs_needed(self, mesh: &Mesh, escape_vcs: usize) -> usize {
+        if self.deadlock_free_without_escape() && escape_vcs == 0 {
+            0
+        } else {
+            self.escape_subclasses(mesh).max(1)
+        }
+    }
+
+    fn compiled_per_instance(self) -> ! {
+        panic!(
+            "{} routing is compiled per topology instance; use Algorithm::build_on",
+            self.name()
+        )
+    }
 }
 
-impl RoutingAlgorithm for DuatoAdaptive {
+impl RoutingAlgorithm for Algorithm {
     fn name(&self) -> &'static str {
-        "Duato"
+        Algorithm::name(*self)
     }
 
+    /// The productive ports, restricted: to the lowest-index one for
+    /// dimension order (ports run `+0, −0, +1, −1, …`, so that is the
+    /// first unresolved dimension, in its positive direction on a torus
+    /// half-way tie), by the turn rule for the turn models.
+    ///
+    /// # Panics
+    ///
+    /// Panics for the turn models off a 2-D mesh, and for the up*/down*
+    /// variants (see [`Algorithm::build_on`]).
     fn candidates(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> PortSet {
-        mesh.productive_ports(here, dest)
+        let productive = mesh.productive_ports(here, dest);
+        // A turn model takes its restricted ports, or every productive
+        // port when the rule leaves none.
+        let turn = |restricted: PortSet| {
+            assert!(
+                mesh.dims() == 2 && !mesh.is_torus(),
+                "turn-model routing is defined for 2-D meshes"
+            );
+            if restricted.is_empty() {
+                productive
+            } else {
+                restricted
+            }
+        };
+        match self {
+            Algorithm::DimensionOrder => productive.first().map_or(PortSet::EMPTY, PortSet::single),
+            Algorithm::Duato => productive,
+            // North only when nothing else is productive.
+            Algorithm::NorthLast => {
+                turn(productive.difference(PortSet::single(Port::from(Direction::plus(1)))))
+            }
+            // West (if needed) before anything else.
+            Algorithm::WestFirst => {
+                turn(productive.intersection(PortSet::single(Port::from(Direction::minus(0)))))
+            }
+            Algorithm::NegativeFirst => turn(
+                productive
+                    .iter()
+                    .filter(|p| p.direction().is_some_and(|d| d.sign() == Sign::Minus))
+                    .collect(),
+            ),
+            Algorithm::UpDown | Algorithm::UpDownAdaptive => self.compiled_per_instance(),
+        }
     }
 
+    /// The lowest-index candidate. For a turn model that is a fixed
+    /// selection inside a relation that is itself deadlock-free, so a
+    /// valid escape.
     fn escape_port(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> Option<Port> {
-        self.escape.escape_port(mesh, here, dest)
+        self.candidates(mesh, here, dest).first()
     }
 
     fn escape_subclass(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> usize {
-        self.escape.escape_subclass(mesh, here, dest)
+        self.route(mesh, here, dest).2
     }
 
-    /// The productive ports, once: the escape is their lowest-index port
-    /// (see [`DimensionOrder`]).
+    /// The candidates, once: the escape is their lowest-index port.
     fn route(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> (PortSet, Option<Port>, usize) {
-        let candidates = mesh.productive_ports(here, dest);
+        let candidates = self.candidates(mesh, here, dest);
         let escape = candidates.first();
         (
             candidates,
@@ -247,139 +347,35 @@ impl RoutingAlgorithm for DuatoAdaptive {
             torus_dateline_subclass(mesh, here, dest, escape),
         )
     }
-}
 
-/// The turn-model variants of Glass & Ni used in the paper's Fig. 7.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum TurnModelKind {
-    /// `+Y` (north) hops must come last; adaptive among `{±X, -Y}`.
-    NorthLast,
-    /// `-X` (west) hops must come first; adaptive among `{+X, ±Y}`.
-    WestFirst,
-    /// All negative hops before any positive hop; adaptive within each
-    /// phase.
-    NegativeFirst,
-}
-
-/// Partially-adaptive turn-model routing for 2-D meshes.
-///
-/// Turn-model algorithms prohibit just enough turns to break all cycles, so
-/// they are deadlock-free *without* escape channels
-/// ([`deadlock_free_without_escape`](RoutingAlgorithm::deadlock_free_without_escape)
-/// is true); the paper uses North-Last to illustrate that economical-storage
-/// tables can express restricted relations (Fig. 7(d)).
-///
-/// # Example
-///
-/// ```
-/// use lapses_routing::{RoutingAlgorithm, TurnModel, TurnModelKind};
-/// use lapses_topology::{Direction, Mesh, Port};
-///
-/// let mesh = Mesh::mesh_2d(3, 3);
-/// let nl = TurnModel::new(TurnModelKind::NorthLast);
-/// let here = mesh.id_at(&[1, 1]).unwrap();
-/// // Fig. 7(d), destination (0,2): both -X and +Y are minimal but
-/// // North-Last permits only -X.
-/// let dest = mesh.id_at(&[0, 2]).unwrap();
-/// assert_eq!(
-///     nl.candidates(&mesh, here, dest),
-///     lapses_topology::PortSet::single(Port::from(Direction::minus(0)))
-/// );
-/// ```
-#[derive(Debug, Clone, Copy)]
-pub struct TurnModel {
-    kind: TurnModelKind,
-}
-
-impl TurnModel {
-    /// Creates the given turn-model router (2-D meshes only; the relation
-    /// methods panic on other topologies).
-    pub fn new(kind: TurnModelKind) -> Self {
-        TurnModel { kind }
-    }
-
-    /// Which variant this is.
-    pub fn kind(&self) -> TurnModelKind {
-        self.kind
-    }
-
-    fn check_topology(mesh: &Mesh) {
-        assert!(
-            mesh.dims() == 2 && !mesh.is_torus(),
-            "turn-model routing is defined for 2-D meshes"
-        );
-    }
-
-    /// Applies the turn restriction to a productive-port set.
-    fn restrict(&self, productive: PortSet) -> PortSet {
-        let north = Port::from(Direction::plus(1));
-        match self.kind {
-            TurnModelKind::NorthLast => {
-                // North only when nothing else is productive.
-                let others = productive.difference(PortSet::single(north));
-                if others.is_empty() {
-                    productive
-                } else {
-                    others
-                }
-            }
-            TurnModelKind::WestFirst => {
-                // West (if needed) before anything else.
-                let west = Port::from(Direction::minus(0));
-                if productive.contains(west) {
-                    PortSet::single(west)
-                } else {
-                    productive
-                }
-            }
-            TurnModelKind::NegativeFirst => {
-                let negatives: PortSet = productive
-                    .iter()
-                    .filter(|p| {
-                        p.direction()
-                            .map(|d| d.sign() == Sign::Minus)
-                            .unwrap_or(false)
-                    })
-                    .collect();
-                if negatives.is_empty() {
-                    productive
-                } else {
-                    negatives
-                }
-            }
+    /// Two dateline classes on a torus, one on a mesh; up*/down* ignores
+    /// wrap state, so it has one on any topology.
+    fn escape_subclasses(&self, mesh: &Mesh) -> usize {
+        if mesh.is_torus() && !self.fault_tolerant() {
+            2
+        } else {
+            1
         }
-    }
-}
-
-impl RoutingAlgorithm for TurnModel {
-    fn name(&self) -> &'static str {
-        match self.kind {
-            TurnModelKind::NorthLast => "North-Last",
-            TurnModelKind::WestFirst => "West-First",
-            TurnModelKind::NegativeFirst => "Negative-First",
-        }
-    }
-
-    fn candidates(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> PortSet {
-        Self::check_topology(mesh);
-        self.restrict(mesh.productive_ports(here, dest))
-    }
-
-    fn escape_port(&self, mesh: &Mesh, here: NodeId, dest: NodeId) -> Option<Port> {
-        // Deterministic pick inside the restricted relation: lowest port
-        // index (X before Y). The restricted relation is itself
-        // deadlock-free, so any fixed selection is a valid escape.
-        self.candidates(mesh, here, dest).first()
     }
 
     fn deadlock_free_without_escape(&self) -> bool {
-        true
+        !matches!(self, Algorithm::Duato | Algorithm::UpDownAdaptive)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lapses_topology::FaultSet;
+
+    /// The five relations an [`Algorithm`] answers itself.
+    const CLASSIC: [Algorithm; 5] = [
+        Algorithm::DimensionOrder,
+        Algorithm::Duato,
+        Algorithm::NorthLast,
+        Algorithm::WestFirst,
+        Algorithm::NegativeFirst,
+    ];
 
     fn mesh16() -> Mesh {
         Mesh::mesh_2d(16, 16)
@@ -388,7 +384,7 @@ mod tests {
     #[test]
     fn xy_resolves_x_before_y() {
         let m = mesh16();
-        let xy = DimensionOrder::new();
+        let xy = Algorithm::DimensionOrder;
         let here = m.id_at(&[4, 4]).unwrap();
         let dest = m.id_at(&[1, 9]).unwrap();
         assert_eq!(
@@ -416,7 +412,7 @@ mod tests {
             Mesh::torus_2d(4, 5),
             Mesh::torus(&[3, 4, 6]),
         ] {
-            let xy = DimensionOrder::new();
+            let xy = Algorithm::DimensionOrder;
             for here in m.nodes() {
                 for dest in m.nodes() {
                     let (h, d) = (m.coord_of(here), m.coord_of(dest));
@@ -445,22 +441,19 @@ mod tests {
         }
     }
 
-    /// The one-call `route` of every algorithm that overrides it agrees
-    /// with the three separate queries, on meshes and tori.
+    /// The one-call `route` of every classic algorithm agrees with the
+    /// three separate queries, on a 2-D mesh, tori and a 3-D mesh
+    /// (the turn models on the 2-D mesh only).
     #[test]
     fn route_is_the_three_queries_at_once() {
-        let algos: [&dyn RoutingAlgorithm; 3] = [
-            &DimensionOrder::new(),
-            &DuatoAdaptive::new(),
-            &TurnModel::new(TurnModelKind::NorthLast),
-        ];
         for m in [
             Mesh::mesh_2d(5, 4),
             Mesh::torus_2d(4, 5),
             Mesh::torus(&[3, 4, 6]),
+            Mesh::mesh_3d(3, 4, 2),
         ] {
-            for algo in algos {
-                if algo.name() == "North-Last" && m.is_torus() {
+            for algo in CLASSIC {
+                if algo.requires_2d_mesh() && (m.dims() != 2 || m.is_torus()) {
                     continue;
                 }
                 for here in m.nodes() {
@@ -480,7 +473,7 @@ mod tests {
     #[test]
     fn xy_candidates_are_singleton_escape() {
         let m = mesh16();
-        let xy = DimensionOrder::new();
+        let xy = Algorithm::DimensionOrder;
         for here in m.nodes().step_by(17) {
             for dest in m.nodes().step_by(13) {
                 let c = xy.candidates(&m, here, dest);
@@ -495,7 +488,7 @@ mod tests {
     #[test]
     fn duato_candidates_equal_productive_ports() {
         let m = mesh16();
-        let duato = DuatoAdaptive::new();
+        let duato = Algorithm::Duato;
         for here in m.nodes().step_by(11) {
             for dest in m.nodes().step_by(7) {
                 assert_eq!(
@@ -513,14 +506,7 @@ mod tests {
     #[test]
     fn all_candidates_are_minimal() {
         let m = Mesh::mesh_2d(6, 6);
-        let algos: Vec<Box<dyn RoutingAlgorithm>> = vec![
-            Box::new(DimensionOrder::new()),
-            Box::new(DuatoAdaptive::new()),
-            Box::new(TurnModel::new(TurnModelKind::NorthLast)),
-            Box::new(TurnModel::new(TurnModelKind::WestFirst)),
-            Box::new(TurnModel::new(TurnModelKind::NegativeFirst)),
-        ];
-        for algo in &algos {
+        for algo in CLASSIC {
             for here in m.nodes() {
                 for dest in m.nodes() {
                     let cands = algo.candidates(&m, here, dest);
@@ -552,7 +538,7 @@ mod tests {
     fn north_last_matches_fig7_table() {
         // The paper's Fig. 7(d) on a 3x3 mesh from router (1,1).
         let m = Mesh::mesh_2d(3, 3);
-        let nl = TurnModel::new(TurnModelKind::NorthLast);
+        let nl = Algorithm::NorthLast;
         let here = m.id_at(&[1, 1]).unwrap();
         let px = Port::from(Direction::plus(0));
         let mx = Port::from(Direction::minus(0));
@@ -582,7 +568,7 @@ mod tests {
     #[test]
     fn west_first_forces_west_hops_first() {
         let m = mesh16();
-        let wf = TurnModel::new(TurnModelKind::WestFirst);
+        let wf = Algorithm::WestFirst;
         let here = m.id_at(&[5, 5]).unwrap();
         let dest = m.id_at(&[2, 9]).unwrap(); // needs -X and +Y
         assert_eq!(
@@ -597,7 +583,7 @@ mod tests {
     #[test]
     fn negative_first_orders_phases() {
         let m = mesh16();
-        let nf = TurnModel::new(TurnModelKind::NegativeFirst);
+        let nf = Algorithm::NegativeFirst;
         let here = m.id_at(&[5, 5]).unwrap();
         // Mixed signs: only the negative direction allowed first.
         let dest = m.id_at(&[9, 2]).unwrap();
@@ -616,12 +602,11 @@ mod tests {
     #[test]
     fn escape_port_is_candidate_for_turn_models() {
         let m = Mesh::mesh_2d(5, 5);
-        for kind in [
-            TurnModelKind::NorthLast,
-            TurnModelKind::WestFirst,
-            TurnModelKind::NegativeFirst,
+        for tm in [
+            Algorithm::NorthLast,
+            Algorithm::WestFirst,
+            Algorithm::NegativeFirst,
         ] {
-            let tm = TurnModel::new(kind);
             for here in m.nodes() {
                 for dest in m.nodes() {
                     if here == dest {
@@ -638,7 +623,7 @@ mod tests {
     #[should_panic(expected = "2-D meshes")]
     fn turn_model_rejects_torus() {
         let t = Mesh::torus_2d(4, 4);
-        let nl = TurnModel::new(TurnModelKind::NorthLast);
+        let nl = Algorithm::NorthLast;
         let a = t.nodes().next().unwrap();
         let _ = nl.candidates(&t, a, a);
     }
@@ -646,7 +631,7 @@ mod tests {
     #[test]
     fn mesh_escape_subclass_is_zero() {
         let m = mesh16();
-        let xy = DimensionOrder::new();
+        let xy = Algorithm::DimensionOrder;
         let a = m.id_at(&[0, 0]).unwrap();
         let b = m.id_at(&[9, 9]).unwrap();
         assert_eq!(xy.escape_subclass(&m, a, b), 0);
@@ -656,7 +641,7 @@ mod tests {
     #[test]
     fn torus_dateline_subclasses() {
         let t = Mesh::torus_2d(8, 8);
-        let xy = DimensionOrder::new();
+        let xy = Algorithm::DimensionOrder;
         assert_eq!(xy.escape_subclasses(&t), 2);
 
         // 6 -> 1 going + wraps: before the wrap link, class 0.
@@ -678,17 +663,72 @@ mod tests {
         assert_eq!(xy.escape_subclass(&t, a, b), 1);
     }
 
+    /// One spelling per algorithm: the relation's name is the selector's
+    /// `.scn` name, compiled up*/down* programs included.
     #[test]
     fn names_are_stable() {
-        assert_eq!(DimensionOrder::new().name(), "XY");
-        assert_eq!(DuatoAdaptive::new().name(), "Duato");
+        let names = Algorithm::ALL.map(Algorithm::name);
         assert_eq!(
-            TurnModel::new(TurnModelKind::NorthLast).name(),
-            "North-Last"
+            names,
+            [
+                "dimension-order",
+                "duato",
+                "north-last",
+                "west-first",
+                "negative-first",
+                "up-down",
+                "up-down-adaptive",
+            ]
         );
-        assert_eq!(
-            TurnModel::new(TurnModelKind::NegativeFirst).kind(),
-            TurnModelKind::NegativeFirst
-        );
+        let fmesh = Arc::new(FaultyMesh::new(Mesh::mesh_2d(3, 3), FaultSet::empty()).unwrap());
+        for algorithm in Algorithm::ALL {
+            assert_eq!(RoutingAlgorithm::name(&algorithm), algorithm.name());
+            assert_eq!(algorithm.build_on(&fmesh).name(), algorithm.name());
+        }
+    }
+
+    #[test]
+    fn escape_vc_needs_match_the_compiled_relations() {
+        for mesh in [
+            Mesh::mesh_2d(4, 4),
+            Mesh::torus_2d(4, 4),
+            Mesh::mesh_3d(3, 3, 3),
+        ] {
+            let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), FaultSet::empty()).unwrap());
+            for algorithm in Algorithm::ALL {
+                if algorithm.requires_2d_mesh() && (mesh.dims() != 2 || mesh.is_torus()) {
+                    continue;
+                }
+                let algo = algorithm.build_on(&fmesh);
+                for escape_vcs in [0, 1, 2] {
+                    let compiled = if algo.deadlock_free_without_escape() && escape_vcs == 0 {
+                        0
+                    } else {
+                        algo.escape_subclasses(&mesh).max(1)
+                    };
+                    assert_eq!(
+                        algorithm.escape_vcs_needed(&mesh, escape_vcs),
+                        compiled,
+                        "{} on {mesh} with {escape_vcs} escape VC(s)",
+                        algorithm.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "compiled per topology")]
+    fn updown_build_needs_a_topology() {
+        let _ = Algorithm::UpDown.build();
+    }
+
+    #[test]
+    #[should_panic(
+        expected = "up-down-adaptive routing is compiled per topology instance; use Algorithm::build_on"
+    )]
+    fn updown_pair_queries_need_a_topology() {
+        let m = Mesh::mesh_2d(4, 4);
+        let _ = Algorithm::UpDownAdaptive.route(&m, NodeId(0), NodeId(5));
     }
 }

@@ -20,14 +20,14 @@
 //!
 //! ```
 //! use lapses_routing::cdg::ChannelGraph;
-//! use lapses_routing::{DimensionOrder, DuatoAdaptive};
+//! use lapses_routing::Algorithm;
 //! use lapses_topology::Mesh;
 //!
 //! let mesh = Mesh::mesh_2d(4, 4);
-//! let escape = ChannelGraph::escape_network(&mesh, &DimensionOrder::new());
+//! let escape = ChannelGraph::escape_network(&mesh, &Algorithm::DimensionOrder);
 //! assert!(escape.is_acyclic());
 //!
-//! let adaptive = ChannelGraph::adaptive_network(&mesh, &DuatoAdaptive::new());
+//! let adaptive = ChannelGraph::adaptive_network(&mesh, &Algorithm::Duato);
 //! assert!(!adaptive.is_acyclic()); // needs the escape channel
 //! ```
 
@@ -299,19 +299,19 @@ impl fmt::Display for ChannelGraph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::algorithms::{DimensionOrder, DuatoAdaptive, TurnModel, TurnModelKind};
+    use crate::algorithms::Algorithm;
 
     #[test]
     fn xy_escape_on_mesh_is_acyclic() {
         let mesh = Mesh::mesh_2d(4, 4);
-        let g = ChannelGraph::escape_network(&mesh, &DimensionOrder::new());
+        let g = ChannelGraph::escape_network(&mesh, &Algorithm::DimensionOrder);
         assert!(g.is_acyclic(), "XY mesh escape must be deadlock-free");
     }
 
     #[test]
     fn unrestricted_adaptive_on_mesh_is_cyclic() {
         let mesh = Mesh::mesh_2d(3, 3);
-        let g = ChannelGraph::adaptive_network(&mesh, &DuatoAdaptive::new());
+        let g = ChannelGraph::adaptive_network(&mesh, &Algorithm::Duato);
         let cycle = g.find_cycle().expect("minimal adaptive must have cycles");
         assert!(cycle.len() >= 2);
         // Every channel in the witness cycle is describable.
@@ -323,14 +323,13 @@ mod tests {
     #[test]
     fn turn_models_are_acyclic_without_escape() {
         let mesh = Mesh::mesh_2d(4, 4);
-        for kind in [
-            TurnModelKind::NorthLast,
-            TurnModelKind::WestFirst,
-            TurnModelKind::NegativeFirst,
+        for tm in [
+            Algorithm::NorthLast,
+            Algorithm::WestFirst,
+            Algorithm::NegativeFirst,
         ] {
-            let tm = TurnModel::new(kind);
             let g = ChannelGraph::adaptive_network(&mesh, &tm);
-            assert!(g.is_acyclic(), "{:?} should be acyclic", kind);
+            assert!(g.is_acyclic(), "{:?} should be acyclic", tm);
             assert!(tm.deadlock_free_without_escape());
         }
     }
@@ -338,7 +337,7 @@ mod tests {
     #[test]
     fn torus_dor_needs_dateline_classes() {
         let torus = Mesh::torus_2d(4, 4);
-        let xy = DimensionOrder::new();
+        let xy = Algorithm::DimensionOrder;
 
         // Single class: the ring dependency is cyclic.
         let single = ChannelGraph::for_relation(&torus, 1, |here, dest| {
@@ -361,24 +360,24 @@ mod tests {
     #[test]
     fn three_dim_dor_is_acyclic() {
         let mesh = Mesh::mesh_3d(3, 3, 3);
-        let g = ChannelGraph::escape_network(&mesh, &DimensionOrder::new());
+        let g = ChannelGraph::escape_network(&mesh, &Algorithm::DimensionOrder);
         assert!(g.is_acyclic());
     }
 
     #[test]
     fn channel_count_accounts_for_classes() {
         let mesh = Mesh::mesh_2d(4, 4);
-        let g1 = ChannelGraph::adaptive_network(&mesh, &DuatoAdaptive::new());
+        let g1 = ChannelGraph::adaptive_network(&mesh, &Algorithm::Duato);
         assert_eq!(g1.channel_count(), 16 * 4);
         let torus = Mesh::torus_2d(4, 4);
-        let g2 = ChannelGraph::escape_network(&torus, &DimensionOrder::new());
+        let g2 = ChannelGraph::escape_network(&torus, &Algorithm::DimensionOrder);
         assert_eq!(g2.channel_count(), 16 * 4 * 2);
     }
 
     #[test]
     fn display_summarizes() {
         let mesh = Mesh::mesh_2d(3, 3);
-        let g = ChannelGraph::escape_network(&mesh, &DimensionOrder::new());
+        let g = ChannelGraph::escape_network(&mesh, &Algorithm::DimensionOrder);
         let s = g.to_string();
         assert!(s.contains("channels"));
         assert!(s.contains("acyclic"));
@@ -387,7 +386,7 @@ mod tests {
     #[test]
     fn describe_decodes_channels() {
         let mesh = Mesh::mesh_2d(3, 3);
-        let g = ChannelGraph::escape_network(&mesh, &DimensionOrder::new());
+        let g = ChannelGraph::escape_network(&mesh, &Algorithm::DimensionOrder);
         let d = g.describe(ChannelId(0));
         assert!(d.contains("(0,0)"), "got {d}");
         assert!(d.contains("class 0"), "got {d}");

@@ -11,12 +11,12 @@
 //! * [`RoutingAlgorithm`] — the per-hop routing relation: adaptive candidate
 //!   ports, the deterministic escape route, and (for tori) the dateline
 //!   escape subclass;
-//! * [`DimensionOrder`] — deterministic XY/XYZ routing (the paper's
-//!   deterministic baseline and Duato's escape function);
-//! * [`DuatoAdaptive`] — minimal fully-adaptive candidates over a
-//!   dimension-order escape;
-//! * [`TurnModel`] — North-Last, West-First and Negative-First
-//!   partially-adaptive routing for 2-D meshes;
+//! * [`Algorithm`] — the scenario's routing selector, whose five classic
+//!   variants are relations themselves: deterministic dimension-order
+//!   (XY/XYZ, the paper's deterministic baseline and Duato's escape),
+//!   Duato's minimal fully-adaptive routing over that escape, and the
+//!   North-Last, West-First and Negative-First turn models for 2-D
+//!   meshes;
 //! * [`UpDown`] — BFS-rooted up*/down* routing over the surviving links of
 //!   a faulty (or perfect) mesh/torus: the table-programming story for
 //!   irregular networks, usable standalone (deterministic, deadlock-free
@@ -49,17 +49,17 @@
 //! # Example
 //!
 //! ```
-//! use lapses_routing::{DimensionOrder, DuatoAdaptive, RoutingAlgorithm};
+//! use lapses_routing::{Algorithm, RoutingAlgorithm};
 //! use lapses_topology::Mesh;
 //!
 //! let mesh = Mesh::mesh_2d(16, 16);
 //! let here = mesh.id_at(&[1, 1]).unwrap();
 //! let dest = mesh.id_at(&[3, 4]).unwrap();
 //!
-//! let xy = DimensionOrder::new();
+//! let xy = Algorithm::DimensionOrder;
 //! assert_eq!(xy.candidates(&mesh, here, dest).len(), 1); // deterministic
 //!
-//! let duato = DuatoAdaptive::new();
+//! let duato = Algorithm::Duato;
 //! assert_eq!(duato.candidates(&mesh, here, dest).len(), 2); // +X and +Y
 //! ```
 
@@ -71,8 +71,5 @@ pub mod cdg;
 mod algorithms;
 mod updown;
 
-pub use algorithms::{
-    torus_dateline_subclass, DimensionOrder, DuatoAdaptive, RoutingAlgorithm, TurnModel,
-    TurnModelKind,
-};
+pub use algorithms::{torus_dateline_subclass, Algorithm, RoutingAlgorithm};
 pub use updown::UpDown;

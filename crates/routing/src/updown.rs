@@ -196,21 +196,6 @@ impl UpDown {
         &self.fmesh
     }
 
-    /// Whether this is the minimal-adaptive variant.
-    pub fn is_adaptive(&self) -> bool {
-        self.adaptive
-    }
-
-    /// The node's position in the up*/down* total order (root is 0).
-    pub fn rank_of(&self, node: NodeId) -> u32 {
-        self.rank[node.index()]
-    }
-
-    /// Whether the directed hop `from → to` is an *up* link.
-    pub fn is_up(&self, from: NodeId, to: NodeId) -> bool {
-        self.rank[to.index()] < self.rank[from.index()]
-    }
-
     /// Index of the `(here, dest)` pair in the flattened per-pair arrays.
     #[inline]
     fn slot(&self, here: NodeId, dest: NodeId) -> usize {
@@ -346,9 +331,9 @@ fn bfs<'a>(
 impl RoutingAlgorithm for UpDown {
     fn name(&self) -> &'static str {
         if self.adaptive {
-            "Up-Down-Adaptive"
+            "up-down-adaptive"
         } else {
-            "Up-Down"
+            "up-down"
         }
     }
 
@@ -390,6 +375,18 @@ mod tests {
     use super::*;
     use crate::cdg::ChannelGraph;
     use lapses_topology::FaultSet;
+
+    impl UpDown {
+        /// The node's position in the up*/down* total order (root is 0).
+        fn rank_of(&self, node: NodeId) -> u32 {
+            self.rank[node.index()]
+        }
+
+        /// Whether the directed hop `from → to` is an *up* link.
+        fn is_up(&self, from: NodeId, to: NodeId) -> bool {
+            self.rank[to.index()] < self.rank[from.index()]
+        }
+    }
 
     fn faulty(mesh: Mesh, links: &[(u32, u32)]) -> Arc<FaultyMesh> {
         let pairs: Vec<_> = links.iter().map(|&(a, b)| (NodeId(a), NodeId(b))).collect();
@@ -489,9 +486,8 @@ mod tests {
                 );
             }
         }
-        assert!(ud.is_adaptive());
         assert!(!ud.deadlock_free_without_escape());
-        assert_eq!(ud.name(), "Up-Down-Adaptive");
+        assert_eq!(ud.name(), "up-down-adaptive");
     }
 
     #[test]
@@ -507,7 +503,7 @@ mod tests {
         );
         assert!(ud.candidates(&mesh, a, a).is_empty());
         assert!(ud.deadlock_free_without_escape());
-        assert_eq!(ud.name(), "Up-Down");
+        assert_eq!(ud.name(), "up-down");
     }
 
     #[test]

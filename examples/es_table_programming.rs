@@ -12,16 +12,13 @@
 
 use lapses::core::tables::{EconomicalTable, TableScheme};
 use lapses::prelude::*;
-use lapses::routing::{TurnModel, TurnModelKind};
 use lapses::topology::SignVec;
 
 fn main() {
     let mesh = Mesh::mesh_2d(3, 3);
     let source = mesh.id_at(&[1, 1]).expect("center of the 3x3 mesh");
 
-    let full_relation = DuatoAdaptive::new(); // all minimal candidates
-    let north_last = TurnModel::new(TurnModelKind::NorthLast);
-    let table = EconomicalTable::program(&mesh, &north_last);
+    let table = EconomicalTable::program(&mesh, &Algorithm::NorthLast);
 
     println!("Fig. 7: economical-storage table at router (1,1) of a 3x3 mesh");
     println!("        programmed for North-Last partially-adaptive routing\n");
@@ -36,7 +33,7 @@ fn main() {
         let all = if dest == source {
             PortSet::single(Port::LOCAL)
         } else {
-            full_relation.candidates(&mesh, source, dest)
+            Algorithm::Duato.candidates(&mesh, source, dest) // all minimal ports
         };
         let entry = table.entry(source, dest);
         println!(
@@ -59,7 +56,7 @@ fn main() {
         "\nStorage: {} entries here — and still {} on the paper's 16x16 mesh, \
          where a full table needs 256.",
         table.storage().entries_per_router,
-        EconomicalTable::program(&Mesh::mesh_2d(16, 16), &north_last)
+        EconomicalTable::program(&Mesh::mesh_2d(16, 16), &Algorithm::NorthLast)
             .storage()
             .entries_per_router
     );

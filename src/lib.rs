@@ -13,8 +13,10 @@
 //!   protocol, saturation watchdog;
 //! * [`topology`] — n-dimensional meshes and tori, ports, sign vectors,
 //!   cluster labelings, and validated faulty-link views;
-//! * [`routing`] — XY / Duato / turn-model / up*/down* routing relations
-//!   and channel-dependency-graph deadlock analysis (faulty instances
+//! * [`routing`] — the [`Algorithm`](routing::Algorithm) selector, whose
+//!   dimension-order, Duato and turn-model variants are routing relations
+//!   themselves, up*/down* compiled per topology instance, and
+//!   channel-dependency-graph deadlock analysis (faulty instances
 //!   included);
 //! * [`traffic`] — the paper's four synthetic patterns (plus extras),
 //!   arrival processes, message-length distributions;
@@ -203,7 +205,7 @@ pub mod prelude {
         ScenarioBuilder, ScenarioError, ScenarioSpec, SimResult, SpecError, SweepGrid, SweepReport,
         SweepRunner, TableKind, WorkloadKind,
     };
-    pub use lapses_routing::{DimensionOrder, DuatoAdaptive, RoutingAlgorithm, UpDown};
+    pub use lapses_routing::{RoutingAlgorithm, UpDown};
     pub use lapses_sim::{Cycle, SimRng};
     pub use lapses_topology::{FaultError, FaultSet, FaultyMesh, Mesh, NodeId, Port, PortSet};
     pub use lapses_traffic::{LengthDistribution, Trace, Workload};

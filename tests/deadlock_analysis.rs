@@ -8,13 +8,12 @@
 use lapses::core::tables::{MetaTable, TableScheme};
 use lapses::prelude::*;
 use lapses::routing::cdg::ChannelGraph;
-use lapses::routing::{TurnModel, TurnModelKind};
 use lapses::topology::Port;
 
 #[test]
 fn xy_escape_is_acyclic_on_the_paper_mesh() {
     let mesh = Mesh::mesh_2d(16, 16);
-    let g = ChannelGraph::escape_network(&mesh, &DimensionOrder::new());
+    let g = ChannelGraph::escape_network(&mesh, &Algorithm::DimensionOrder);
     assert!(g.is_acyclic());
 }
 
@@ -22,20 +21,20 @@ fn xy_escape_is_acyclic_on_the_paper_mesh() {
 fn duato_adaptive_relation_alone_is_cyclic() {
     // This is *why* Duato needs the escape channel.
     let mesh = Mesh::mesh_2d(4, 4);
-    let g = ChannelGraph::adaptive_network(&mesh, &DuatoAdaptive::new());
+    let g = ChannelGraph::adaptive_network(&mesh, &Algorithm::Duato);
     assert!(!g.is_acyclic());
 }
 
 #[test]
 fn turn_models_are_acyclic_adaptive_relations() {
     let mesh = Mesh::mesh_2d(6, 6);
-    for kind in [
-        TurnModelKind::NorthLast,
-        TurnModelKind::WestFirst,
-        TurnModelKind::NegativeFirst,
+    for turn_model in [
+        Algorithm::NorthLast,
+        Algorithm::WestFirst,
+        Algorithm::NegativeFirst,
     ] {
-        let g = ChannelGraph::adaptive_network(&mesh, &TurnModel::new(kind));
-        assert!(g.is_acyclic(), "{kind:?} must be deadlock-free");
+        let g = ChannelGraph::adaptive_network(&mesh, &turn_model);
+        assert!(g.is_acyclic(), "{turn_model:?} must be deadlock-free");
     }
 }
 
@@ -61,7 +60,7 @@ fn meta_table_escape_relations_are_acyclic() {
     // are deadlock-free — they saturate early for congestion reasons, not
     // deadlock.
     let mesh = Mesh::mesh_2d(8, 8);
-    let duato = DuatoAdaptive::new();
+    let duato = Algorithm::Duato;
     let rows = MetaTable::rows(&mesh, &duato);
     assert!(escape_graph_of_scheme(&mesh, &rows).is_acyclic());
     let blocks = MetaTable::blocks(&mesh, &[4, 4], &duato);
@@ -71,7 +70,7 @@ fn meta_table_escape_relations_are_acyclic() {
 #[test]
 fn economical_and_full_escape_relations_are_acyclic() {
     let mesh = Mesh::mesh_2d(8, 8);
-    let duato = DuatoAdaptive::new();
+    let duato = Algorithm::Duato;
     let full = FullTable::program(&mesh, &duato);
     assert!(escape_graph_of_scheme(&mesh, &full).is_acyclic());
     let econ = EconomicalTable::program(&mesh, &duato);
@@ -98,7 +97,7 @@ fn interval_routing_relation_is_acyclic() {
 #[test]
 fn torus_escape_needs_both_dateline_classes() {
     let torus = Mesh::torus_2d(6, 6);
-    let xy = DimensionOrder::new();
+    let xy = Algorithm::DimensionOrder;
     // With the dateline classes the escape is safe...
     assert!(ChannelGraph::escape_network(&torus, &xy).is_acyclic());
     // ...without them it must not be.
@@ -115,6 +114,6 @@ fn torus_escape_needs_both_dateline_classes() {
 #[test]
 fn three_dimensional_escape_is_acyclic() {
     let mesh = Mesh::mesh_3d(4, 4, 4);
-    let g = ChannelGraph::escape_network(&mesh, &DuatoAdaptive::new());
+    let g = ChannelGraph::escape_network(&mesh, &Algorithm::Duato);
     assert!(g.is_acyclic());
 }

@@ -3,7 +3,6 @@
 use lapses::core::flit::{Flit, FlitKind, MsgRef};
 use lapses::core::tables::{EconomicalTable, FullTable, IntervalTable, TableScheme};
 use lapses::prelude::*;
-use lapses::routing::{TurnModel, TurnModelKind};
 use lapses::sim::stats::{Histogram, RunningStats};
 use lapses::sim::PhaseController;
 use lapses::topology::labeling::{ClusterId, ClusterMap};
@@ -14,18 +13,14 @@ fn arb_mesh() -> impl Strategy<Value = Mesh> {
     (2u16..=9, 2u16..=9).prop_map(|(w, h)| Mesh::mesh_2d(w, h))
 }
 
-fn arb_algorithm() -> impl Strategy<Value = Box<dyn RoutingAlgorithm>> {
-    prop_oneof![Just(0usize), Just(1), Just(2), Just(3), Just(4)].prop_map(
-        |i| -> Box<dyn RoutingAlgorithm> {
-            match i {
-                0 => Box::new(DimensionOrder::new()),
-                1 => Box::new(DuatoAdaptive::new()),
-                2 => Box::new(TurnModel::new(TurnModelKind::NorthLast)),
-                3 => Box::new(TurnModel::new(TurnModelKind::WestFirst)),
-                _ => Box::new(TurnModel::new(TurnModelKind::NegativeFirst)),
-            }
-        },
-    )
+fn arb_algorithm() -> impl Strategy<Value = Algorithm> {
+    prop_oneof![
+        Just(Algorithm::DimensionOrder),
+        Just(Algorithm::Duato),
+        Just(Algorithm::NorthLast),
+        Just(Algorithm::WestFirst),
+        Just(Algorithm::NegativeFirst),
+    ]
 }
 
 proptest! {
@@ -35,8 +30,8 @@ proptest! {
     /// source-relative algorithm, on every mesh, for every (router, dest).
     #[test]
     fn economical_equals_full_everywhere(mesh in arb_mesh(), algo in arb_algorithm()) {
-        let full = FullTable::program(&mesh, algo.as_ref());
-        let econ = EconomicalTable::program(&mesh, algo.as_ref());
+        let full = FullTable::program(&mesh, &algo);
+        let econ = EconomicalTable::program(&mesh, &algo);
         for node in mesh.nodes() {
             for dest in mesh.nodes() {
                 let f = full.entry(node, dest);
@@ -54,7 +49,7 @@ proptest! {
         mesh in arb_mesh(),
         algo in arb_algorithm(),
     ) {
-        let table = FullTable::program(&mesh, algo.as_ref());
+        let table = FullTable::program(&mesh, &algo);
         for node in mesh.nodes() {
             for dest in mesh.nodes() {
                 let e = table.entry(node, dest);
@@ -88,8 +83,8 @@ proptest! {
         let src = NodeId((src_i % n) as u32);
         let dest = NodeId((dest_i % n) as u32);
         let schemes: Vec<Box<dyn TableScheme>> = vec![
-            Box::new(FullTable::program(&mesh, &DuatoAdaptive::new())),
-            Box::new(EconomicalTable::program(&mesh, &DuatoAdaptive::new())),
+            Box::new(FullTable::program(&mesh, &Algorithm::Duato)),
+            Box::new(EconomicalTable::program(&mesh, &Algorithm::Duato)),
             Box::new(IntervalTable::program(&mesh)),
         ];
         for scheme in &schemes {
