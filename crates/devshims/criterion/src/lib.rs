@@ -257,8 +257,33 @@ mod tests {
             .warm_up_time(Duration::from_millis(1));
         let mut group = c.benchmark_group("shim");
         group.sample_size(2);
-        group.bench_function("noop", |b| b.iter(|| 1 + 1));
+        // Routine calls per call of the bench body: the warm-up, then one
+        // per sample.
+        let mut calls = Vec::new();
+        group.bench_function("noop", |b| {
+            let mut n = 0u64;
+            b.iter(|| n += 1);
+            calls.push(n);
+        });
         group.finish();
+        assert_eq!(calls.len(), 3, "{calls:?}");
+        assert!(calls.iter().all(|&n| n >= 1), "{calls:?}");
+
+        // `iter` counts every call it makes and stops once its budget is
+        // spent.
+        let mut b = Bencher {
+            phase_budget: Duration::from_millis(2),
+            iters_done: 0,
+            elapsed: Duration::ZERO,
+        };
+        let mut n = 0u64;
+        b.iter(|| n += 1);
+        assert_eq!(b.iters_done, n);
+        assert!(
+            n >= 1 && b.elapsed >= b.phase_budget,
+            "{n} in {:?}",
+            b.elapsed
+        );
     }
 
     #[test]

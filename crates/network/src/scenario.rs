@@ -621,9 +621,7 @@ impl ScenarioBuilder {
             });
         }
 
-        if config.algorithm.requires_2d_mesh()
-            && (config.mesh.dims() != 2 || config.mesh.is_torus())
-        {
+        if !config.algorithm.supports(&config.mesh) {
             return Err(ScenarioError::AlgorithmTopology {
                 algorithm: config.algorithm,
                 topology: config.mesh.to_string(),
@@ -945,6 +943,26 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, ScenarioError::AlgorithmTopology { .. }));
         assert!(err.to_string().contains("torus"));
+        // The typed error is exactly `Algorithm::supports`' verdict.
+        for (mesh, escape_vcs) in [
+            (Mesh::mesh_2d(5, 3), 1),
+            (Mesh::torus_2d(4, 4), 2),
+            (Mesh::mesh_3d(3, 3, 3), 1),
+        ] {
+            for algorithm in Algorithm::ALL {
+                let built = Scenario::builder()
+                    .topology(mesh.clone())
+                    .vcs(4, escape_vcs)
+                    .algorithm(algorithm)
+                    .build();
+                assert_eq!(
+                    matches!(built, Err(ScenarioError::AlgorithmTopology { .. })),
+                    !algorithm.supports(&mesh),
+                    "{} on {mesh}",
+                    algorithm.name()
+                );
+            }
+        }
     }
 
     #[test]

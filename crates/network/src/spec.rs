@@ -4,11 +4,12 @@
 //! The format is deliberately tiny and hand-rolled (no serde in this
 //! workspace): one `key = value` per line, `#` comments, every key
 //! optional with the paper-reference default. A spec is a codec for the
-//! unvalidated configuration a [`ScenarioBuilder`] holds:
-//! [`ScenarioSpec::parse`] applies each key to the reference configuration
-//! [`Scenario::builder`] starts from, and [`ScenarioSpec::format`] renders
-//! every key back from it. Selector values are the `name()`s of the
-//! selector types. The two round-trip exactly —
+//! unvalidated configuration a [`ScenarioBuilder`] holds, with one arm
+//! per key each way: [`ScenarioSpec::parse`] applies each key to the
+//! reference configuration [`Scenario::builder`] starts from, and
+//! [`ScenarioSpec::format`] renders the keys back in the order of `KEYS`.
+//! Selector values are the `name()`s of the selector types. The two
+//! round-trip exactly —
 //! `parse(format(spec)) == spec` — which the `scenario_specs` tests and
 //! the CI `scenarios` step enforce on the committed `examples/scenarios/
 //! *.scn` files.
@@ -43,6 +44,7 @@ use lapses_topology::Mesh;
 use lapses_traffic::{LengthDistribution, Trace, TraceError};
 use std::fmt;
 use std::path::Path;
+use std::str::FromStr;
 use std::sync::Arc;
 
 /// A parsed scenario spec: the unvalidated configuration of a
@@ -109,7 +111,8 @@ impl From<ScenarioError> for SpecError {
     }
 }
 
-/// Every key, in the order [`ScenarioSpec::format`] writes them.
+/// Every key, in the order [`ScenarioSpec::format`] writes them; a spec
+/// may give them in any order.
 const KEYS: [&str; 17] = [
     "topology",
     "faults",
@@ -149,10 +152,16 @@ fn parse_mesh(text: &str, torus: bool) -> Result<Mesh, String> {
     Mesh::new(&shape, torus).map_err(|e| format!("bad shape {text:?}: {e}"))
 }
 
+/// Parses one value; the error says `what` was bad.
+fn parse_as<T: FromStr>(text: &str, what: &str) -> Result<T, String> {
+    text.parse().map_err(|_| format!("bad {what} {text:?}"))
+}
+
 /// Parses a finite number: NaN would break the exact round trip, and no
 /// key has a meaningful infinite value.
-fn parse_finite(text: &str) -> Option<f64> {
-    text.parse().ok().filter(|x: &f64| x.is_finite())
+fn parse_finite(text: &str, what: &str) -> Result<f64, String> {
+    let finite = text.parse().ok().filter(|x: &f64| x.is_finite());
+    finite.ok_or_else(|| format!("bad {what} {text:?}"))
 }
 
 /// The selectors with parameters, for their names.
@@ -163,8 +172,16 @@ const HOTSPOT: Pattern = Pattern::Hotspot {
 const META_BLOCKS: TableKind = TableKind::MetaBlocks(Vec::new());
 
 /// The entry of a selector's spelling table whose `name()` is `text`.
-fn named<T: Clone>(all: &[T], name: impl Fn(&T) -> &'static str, text: &str) -> Option<T> {
-    all.iter().find(|v| name(v) == text).cloned()
+fn named<T: Clone>(
+    all: &[T],
+    name: impl Fn(&T) -> &'static str,
+    text: &str,
+    what: &str,
+) -> Result<T, String> {
+    all.iter()
+        .find(|v| name(v) == text)
+        .cloned()
+        .ok_or_else(|| format!("unknown {what} {text:?}"))
 }
 
 impl ScenarioSpec {
@@ -172,12 +189,10 @@ impl ScenarioSpec {
     /// values are reported with their line number.
     pub fn parse(text: &str) -> Result<ScenarioSpec, SpecError> {
         let mut spec = ScenarioSpec::default();
-        let c = &mut *spec.config;
         let mut seen: Vec<&str> = Vec::new();
-        // `fault-seed` may precede `fault-count` in the file; remember it
-        // (with its line, for the error when no count ever shows up) and
-        // fold it in after the scan.
-        let mut fault_seed: Option<(u64, usize)> = None;
+        // The line of a `fault-seed`, for the error when no `fault-count`
+        // ever shows up.
+        let mut fault_seed_line = None;
         for (idx, raw) in text.lines().enumerate() {
             let line = idx + 1;
             let err = |message: String| SpecError::Parse { line, message };
@@ -199,206 +214,154 @@ impl ScenarioSpec {
             if seen.contains(&canonical) {
                 return Err(err(format!("duplicate key {key:?}")));
             }
+            spec.set(canonical, value, &seen).map_err(err)?;
             seen.push(canonical);
+            if canonical == "fault-seed" {
+                fault_seed_line = Some(line);
+            }
+        }
+        match fault_seed_line {
+            Some(line) if !seen.contains(&"fault-count") => Err(SpecError::Parse {
+                line,
+                message: "fault-seed needs a fault-count".into(),
+            }),
+            _ => Ok(spec),
+        }
+    }
 
-            let fields: Vec<&str> = value.split_whitespace().collect();
-            match canonical {
-                "topology" => {
-                    let [kind, shape] = fields.as_slice() else {
-                        return Err(err(format!(
-                            "topology must be `mesh WxH` or `torus WxH`, got {value:?}"
-                        )));
-                    };
-                    let torus = match *kind {
-                        "mesh" => false,
-                        "torus" => true,
-                        other => return Err(err(format!("unknown topology kind {other:?}"))),
-                    };
-                    c.set_mesh(parse_mesh(shape, torus).map_err(err)?);
-                }
-                "faults" => {
-                    if seen.contains(&"fault-count") || seen.contains(&"fault-seed") {
-                        return Err(err(
-                            "explicit faults cannot be combined with fault-count/fault-seed".into(),
-                        ));
-                    }
-                    let mut pairs = Vec::new();
-                    for part in value.split(',') {
-                        let part = part.trim();
-                        let inner = part
-                            .strip_prefix('(')
-                            .and_then(|p| p.strip_suffix(')'))
-                            .ok_or_else(|| err(format!("fault must be `(a b)`, got {part:?}")))?;
-                        let nums: Vec<&str> = inner.split_whitespace().collect();
-                        let [a, b] = nums.as_slice() else {
-                            return Err(err(format!("fault must name two nodes, got {part:?}")));
-                        };
-                        let a = a
-                            .parse()
-                            .map_err(|_| err(format!("bad fault node {a:?}")))?;
-                        let b = b
-                            .parse()
-                            .map_err(|_| err(format!("bad fault node {b:?}")))?;
-                        pairs.push((a, b));
-                    }
-                    c.faults = FaultsConfig::Links(pairs);
-                }
-                "fault-count" => {
-                    if seen.contains(&"faults") {
-                        return Err(err(
-                            "fault-count cannot be combined with explicit faults".into()
-                        ));
-                    }
-                    let count = value
-                        .parse()
-                        .map_err(|_| err(format!("bad fault count {value:?}")))?;
-                    // Default seed 1; a fault-seed key (before or after)
-                    // overrides it below.
-                    c.faults = FaultsConfig::Random { count, seed: 1 };
-                }
-                "fault-seed" => {
-                    if seen.contains(&"faults") {
-                        return Err(err(
-                            "fault-seed cannot be combined with explicit faults".into()
-                        ));
-                    }
-                    let seed = value
-                        .parse()
-                        .map_err(|_| err(format!("bad fault seed {value:?}")))?;
-                    fault_seed = Some((seed, line));
-                }
-                "lookahead" => {
-                    let lookahead = value
-                        .parse()
-                        .map_err(|_| err(format!("lookahead must be true/false, got {value:?}")))?;
-                    c.router = c.router.clone().with_lookahead(lookahead);
-                }
-                "vcs" => {
-                    let [total, escape] = fields.as_slice() else {
-                        return Err(err(format!(
-                            "vcs must be `<total> <escape>`, got {value:?}"
-                        )));
-                    };
-                    c.router.vcs_per_port = total
-                        .parse()
-                        .map_err(|_| err(format!("bad VC count {total:?}")))?;
-                    c.router.escape_vcs = escape
-                        .parse()
-                        .map_err(|_| err(format!("bad escape VC count {escape:?}")))?;
-                }
-                "path-selection" => {
-                    c.router.path_selection = named(&PathSelection::ALL, |p| p.name(), value)
-                        .ok_or_else(|| err(format!("unknown path selection {value:?}")))?;
-                }
-                "algorithm" => {
-                    c.algorithm = named(&Algorithm::ALL, |a| a.name(), value)
-                        .ok_or_else(|| err(format!("unknown algorithm {value:?}")))?;
-                }
-                "table" => {
-                    c.table = match fields.as_slice() {
-                        [kind, shape] if *kind == META_BLOCKS.name() => {
-                            let clusters = parse_mesh(shape, false).map_err(err)?;
-                            TableKind::MetaBlocks(clusters.shape().to_vec())
-                        }
-                        _ => named(&TableKind::ALL, TableKind::name, value)
-                            .ok_or_else(|| err(format!("unknown table scheme {value:?}")))?,
-                    };
-                }
-                "pattern" => {
-                    c.pattern = match fields.as_slice() {
-                        [kind, node, prob] if *kind == HOTSPOT.name() => Pattern::Hotspot {
-                            node: node
-                                .parse()
-                                .map_err(|_| err(format!("bad hotspot node {node:?}")))?,
-                            probability: parse_finite(prob)
-                                .ok_or_else(|| err(format!("bad hotspot probability {prob:?}")))?,
-                        },
-                        _ => named(&Pattern::ALL, |p| p.name(), value)
-                            .ok_or_else(|| err(format!("unknown pattern {value:?}")))?,
-                    };
-                }
-                "workload" => match fields.as_slice() {
-                    ["synthetic", arrivals] => {
-                        let arrivals = named(&ArrivalKind::ALL, |a| a.name(), arrivals)
-                            .ok_or_else(|| err(format!("unknown arrival process {arrivals:?}")))?;
-                        c.workload = WorkloadKind::Synthetic { arrivals };
-                    }
-                    ["bursty", burst, gap] => {
-                        let arrivals = ArrivalKind::OnOff {
-                            burst_len: burst
-                                .parse()
-                                .map_err(|_| err(format!("bad burst length {burst:?}")))?,
-                            peak_gap: parse_finite(gap)
-                                .ok_or_else(|| err(format!("bad peak gap {gap:?}")))?,
-                        };
-                        c.workload = WorkloadKind::Synthetic { arrivals };
-                    }
-                    [kind, ..] if *kind == "trace" => {
-                        let path = value["trace".len()..].trim();
-                        if path.is_empty() {
-                            return Err(err("trace workload needs a path".into()));
-                        }
-                        spec.trace = Some(path.to_string());
-                    }
-                    _ => return Err(err(format!("unknown workload {value:?}"))),
-                },
-                "load" => {
-                    c.load =
-                        parse_finite(value).ok_or_else(|| err(format!("bad load {value:?}")))?;
-                }
-                "lengths" => {
-                    c.lengths = match fields.as_slice() {
-                        ["fixed", n] => LengthDistribution::Fixed(
-                            n.parse().map_err(|_| err(format!("bad length {n:?}")))?,
-                        ),
-                        ["uniform", lo, hi] => LengthDistribution::UniformRange {
-                            min: lo.parse().map_err(|_| err(format!("bad length {lo:?}")))?,
-                            max: hi.parse().map_err(|_| err(format!("bad length {hi:?}")))?,
-                        },
-                        ["bimodal", s, l, frac] => LengthDistribution::Bimodal {
-                            short: s.parse().map_err(|_| err(format!("bad length {s:?}")))?,
-                            long: l.parse().map_err(|_| err(format!("bad length {l:?}")))?,
-                            long_fraction: parse_finite(frac)
-                                .ok_or_else(|| err(format!("bad fraction {frac:?}")))?,
-                        },
-                        _ => return Err(err(format!("unknown length distribution {value:?}"))),
-                    };
-                }
-                "warmup" => {
-                    c.warmup_msgs = value
-                        .parse()
-                        .map_err(|_| err(format!("bad warmup count {value:?}")))?;
-                }
-                "measure" => {
-                    c.measure_msgs = value
-                        .parse()
-                        .map_err(|_| err(format!("bad measure count {value:?}")))?;
-                }
-                "seed" => {
-                    c.seed = value
-                        .parse()
-                        .map_err(|_| err(format!("bad seed {value:?}")))?;
-                }
-                "link-delay" => {
-                    c.link_delay = value
-                        .parse()
-                        .map_err(|_| err(format!("bad link delay {value:?}")))?;
-                }
-                _ => unreachable!("key was canonicalized above"),
+    /// Applies one key's value, `seen` holding the keys before it.
+    fn set(&mut self, key: &str, value: &str, seen: &[&str]) -> Result<(), String> {
+        let c = &mut *self.config;
+        let fields: Vec<&str> = value.split_whitespace().collect();
+        match key {
+            "topology" => {
+                let [kind, shape] = fields[..] else {
+                    return Err(format!(
+                        "topology must be `mesh WxH` or `torus WxH`, got {value:?}"
+                    ));
+                };
+                let torus = match kind {
+                    "mesh" => false,
+                    "torus" => true,
+                    _ => return Err(format!("unknown topology kind {kind:?}")),
+                };
+                c.set_mesh(parse_mesh(shape, torus)?);
             }
-        }
-        if let Some((seed, line)) = fault_seed {
-            match &mut c.faults {
-                FaultsConfig::Random { seed: s, .. } => *s = seed,
-                _ => {
-                    return Err(SpecError::Parse {
-                        line,
-                        message: "fault-seed needs a fault-count".into(),
-                    })
+            "faults" if seen.contains(&"fault-count") || seen.contains(&"fault-seed") => {
+                return Err("explicit faults cannot be combined with fault-count/fault-seed".into())
+            }
+            "faults" => {
+                let link = |part: &str| {
+                    let part = part.trim();
+                    let inner = part
+                        .strip_prefix('(')
+                        .and_then(|p| p.strip_suffix(')'))
+                        .ok_or_else(|| format!("fault must be `(a b)`, got {part:?}"))?;
+                    match inner.split_whitespace().collect::<Vec<_>>()[..] {
+                        [a, b] => Ok((parse_as(a, "fault node")?, parse_as(b, "fault node")?)),
+                        _ => Err(format!("fault must name two nodes, got {part:?}")),
+                    }
+                };
+                c.faults =
+                    FaultsConfig::Links(value.split(',').map(link).collect::<Result<_, _>>()?);
+            }
+            "fault-count" | "fault-seed" if seen.contains(&"faults") => {
+                return Err(format!("{key} cannot be combined with explicit faults"))
+            }
+            "fault-count" => {
+                // Seed 1 unless a fault-seed came first.
+                let seed = match c.faults {
+                    FaultsConfig::Random { seed, .. } => seed,
+                    _ => 1,
+                };
+                let count = parse_as(value, "fault count")?;
+                c.faults = FaultsConfig::Random { count, seed };
+            }
+            "fault-seed" => {
+                // Before its fault-count, the count is a placeholder that
+                // `parse` requires the count to replace.
+                let count = match c.faults {
+                    FaultsConfig::Random { count, .. } => count,
+                    _ => 0,
+                };
+                let seed = parse_as(value, "fault seed")?;
+                c.faults = FaultsConfig::Random { count, seed };
+            }
+            "lookahead" => {
+                let lookahead = value
+                    .parse()
+                    .map_err(|_| format!("lookahead must be true/false, got {value:?}"))?;
+                c.router = c.router.clone().with_lookahead(lookahead);
+            }
+            "vcs" => {
+                let [total, escape] = fields[..] else {
+                    return Err(format!("vcs must be `<total> <escape>`, got {value:?}"));
+                };
+                c.router.vcs_per_port = parse_as(total, "VC count")?;
+                c.router.escape_vcs = parse_as(escape, "escape VC count")?;
+            }
+            "path-selection" => {
+                c.router.path_selection =
+                    named(&PathSelection::ALL, |p| p.name(), value, "path selection")?;
+            }
+            "algorithm" => c.algorithm = named(&Algorithm::ALL, |a| a.name(), value, "algorithm")?,
+            "table" => {
+                c.table = match fields[..] {
+                    [kind, shape] if kind == META_BLOCKS.name() => {
+                        TableKind::MetaBlocks(parse_mesh(shape, false)?.shape().to_vec())
+                    }
+                    _ => named(&TableKind::ALL, TableKind::name, value, "table scheme")?,
                 }
             }
+            "pattern" => {
+                c.pattern = match fields[..] {
+                    [kind, node, prob] if kind == HOTSPOT.name() => Pattern::Hotspot {
+                        node: parse_as(node, "hotspot node")?,
+                        probability: parse_finite(prob, "hotspot probability")?,
+                    },
+                    _ => named(&Pattern::ALL, |p| p.name(), value, "pattern")?,
+                }
+            }
+            "workload" => match fields[..] {
+                ["synthetic", arrivals] => {
+                    let arrivals =
+                        named(&ArrivalKind::ALL, |a| a.name(), arrivals, "arrival process")?;
+                    c.workload = WorkloadKind::Synthetic { arrivals };
+                }
+                ["bursty", burst, gap] => {
+                    let arrivals = ArrivalKind::OnOff {
+                        burst_len: parse_as(burst, "burst length")?,
+                        peak_gap: parse_finite(gap, "peak gap")?,
+                    };
+                    c.workload = WorkloadKind::Synthetic { arrivals };
+                }
+                ["trace"] => return Err("trace workload needs a path".into()),
+                ["trace", ..] => self.trace = Some(value["trace".len()..].trim().to_string()),
+                _ => return Err(format!("unknown workload {value:?}")),
+            },
+            "load" => c.load = parse_finite(value, "load")?,
+            "lengths" => {
+                c.lengths = match fields[..] {
+                    ["fixed", n] => LengthDistribution::Fixed(parse_as(n, "length")?),
+                    ["uniform", min, max] => LengthDistribution::UniformRange {
+                        min: parse_as(min, "length")?,
+                        max: parse_as(max, "length")?,
+                    },
+                    ["bimodal", short, long, fraction] => LengthDistribution::Bimodal {
+                        short: parse_as(short, "length")?,
+                        long: parse_as(long, "length")?,
+                        long_fraction: parse_finite(fraction, "fraction")?,
+                    },
+                    _ => return Err(format!("unknown length distribution {value:?}")),
+                }
+            }
+            "warmup" => c.warmup_msgs = parse_as(value, "warmup count")?,
+            "measure" => c.measure_msgs = parse_as(value, "measure count")?,
+            "seed" => c.seed = parse_as(value, "seed")?,
+            "link-delay" => c.link_delay = parse_as(value, "link delay")?,
+            _ => unreachable!("`parse` passes only KEYS"),
         }
-        Ok(spec)
+        Ok(())
     }
 
     /// Reads and parses a spec file.
@@ -411,99 +374,83 @@ impl ScenarioSpec {
         ScenarioSpec::parse(&text)
     }
 
-    /// Renders the spec in canonical form: every key, fixed order. The
-    /// round-trip `parse(format(spec)) == spec` holds exactly.
+    /// Renders the spec in canonical form: every key in `KEYS` order, the
+    /// fault keys only when faults are set. The round-trip
+    /// `parse(format(spec)) == spec` holds exactly.
     pub fn format(&self) -> String {
         let c = &*self.config;
         let mut out = String::from("# LAPSES scenario\n");
-        let mut kv = |k: &str, v: String| {
-            out.push_str(k);
-            out.push_str(" = ");
-            out.push_str(&v);
-            out.push('\n');
-        };
-        let kind = if c.mesh.is_torus() { "torus" } else { "mesh" };
-        kv(
-            "topology",
-            format!("{kind} {}", shape_to_string(c.mesh.shape())),
-        );
-        match &c.faults {
-            FaultsConfig::None => {}
-            FaultsConfig::Links(pairs) => kv(
-                "faults",
-                pairs
-                    .iter()
-                    .map(|(a, b)| format!("({a} {b})"))
-                    .collect::<Vec<_>>()
-                    .join(", "),
-            ),
-            FaultsConfig::Random { count, seed } => {
-                kv("fault-count", count.to_string());
-                kv("fault-seed", seed.to_string());
-            }
-        }
-        kv("lookahead", c.router.pipeline.is_lookahead().to_string());
-        kv(
-            "vcs",
-            format!("{} {}", c.router.vcs_per_port, c.router.escape_vcs),
-        );
-        kv("path-selection", c.router.path_selection.name().to_string());
-        kv("algorithm", c.algorithm.name().to_string());
-        kv(
-            "table",
-            match &c.table {
-                TableKind::MetaBlocks(shape) => {
-                    format!("{} {}", c.table.name(), shape_to_string(shape))
+        for key in KEYS {
+            let value = match key {
+                "topology" => {
+                    let kind = if c.mesh.is_torus() { "torus" } else { "mesh" };
+                    format!("{kind} {}", shape_to_string(c.mesh.shape()))
                 }
-                other => other.name().to_string(),
-            },
-        );
-        kv(
-            "pattern",
-            match c.pattern {
-                Pattern::Hotspot { node, probability } => {
-                    format!("{} {node} {probability}", c.pattern.name())
-                }
-                other => other.name().to_string(),
-            },
-        );
-        kv(
-            "workload",
-            match (&self.trace, &c.workload) {
-                (Some(path), _) => format!("trace {path}"),
-                (
-                    None,
-                    WorkloadKind::Synthetic {
-                        arrivals:
-                            ArrivalKind::OnOff {
-                                burst_len,
-                                peak_gap,
-                            },
+                "faults" => match &c.faults {
+                    FaultsConfig::Links(pairs) => pairs
+                        .iter()
+                        .map(|(a, b)| format!("({a} {b})"))
+                        .collect::<Vec<_>>()
+                        .join(", "),
+                    _ => continue,
+                },
+                "fault-count" => match c.faults {
+                    FaultsConfig::Random { count, .. } => count.to_string(),
+                    _ => continue,
+                },
+                "fault-seed" => match c.faults {
+                    FaultsConfig::Random { seed, .. } => seed.to_string(),
+                    _ => continue,
+                },
+                "lookahead" => c.router.pipeline.is_lookahead().to_string(),
+                "vcs" => format!("{} {}", c.router.vcs_per_port, c.router.escape_vcs),
+                "path-selection" => c.router.path_selection.name().to_string(),
+                "algorithm" => c.algorithm.name().to_string(),
+                "table" => match &c.table {
+                    TableKind::MetaBlocks(shape) => {
+                        format!("{} {}", c.table.name(), shape_to_string(shape))
+                    }
+                    other => other.name().to_string(),
+                },
+                "pattern" => match c.pattern {
+                    Pattern::Hotspot { node, probability } => {
+                        format!("{} {node} {probability}", c.pattern.name())
+                    }
+                    other => other.name().to_string(),
+                },
+                "workload" => match (&self.trace, &c.workload) {
+                    (Some(path), _) => format!("trace {path}"),
+                    (None, WorkloadKind::Synthetic { arrivals }) => match arrivals {
+                        ArrivalKind::OnOff {
+                            burst_len,
+                            peak_gap,
+                        } => {
+                            format!("bursty {burst_len} {peak_gap}")
+                        }
+                        other => format!("synthetic {}", other.name()),
                     },
-                ) => format!("bursty {burst_len} {peak_gap}"),
-                (None, WorkloadKind::Synthetic { arrivals }) => {
-                    format!("synthetic {}", arrivals.name())
-                }
-                (None, WorkloadKind::Trace(_)) => unreachable!("a spec names its trace by path"),
-            },
-        );
-        kv("load", c.load.to_string());
-        kv(
-            "lengths",
-            match c.lengths {
-                LengthDistribution::Fixed(n) => format!("fixed {n}"),
-                LengthDistribution::UniformRange { min, max } => format!("uniform {min} {max}"),
-                LengthDistribution::Bimodal {
-                    short,
-                    long,
-                    long_fraction,
-                } => format!("bimodal {short} {long} {long_fraction}"),
-            },
-        );
-        kv("warmup", c.warmup_msgs.to_string());
-        kv("measure", c.measure_msgs.to_string());
-        kv("seed", c.seed.to_string());
-        kv("link-delay", c.link_delay.to_string());
+                    (_, WorkloadKind::Trace(_)) => unreachable!("a spec names its trace by path"),
+                },
+                "load" => c.load.to_string(),
+                "lengths" => match c.lengths {
+                    LengthDistribution::Fixed(n) => format!("fixed {n}"),
+                    LengthDistribution::UniformRange { min, max } => {
+                        format!("uniform {min} {max}")
+                    }
+                    LengthDistribution::Bimodal {
+                        short,
+                        long,
+                        long_fraction,
+                    } => format!("bimodal {short} {long} {long_fraction}"),
+                },
+                "warmup" => c.warmup_msgs.to_string(),
+                "measure" => c.measure_msgs.to_string(),
+                "seed" => c.seed.to_string(),
+                "link-delay" => c.link_delay.to_string(),
+                _ => unreachable!("every key has an arm"),
+            };
+            out.push_str(&format!("{key} = {value}\n"));
+        }
         out
     }
 
@@ -622,18 +569,22 @@ mod tests {
         for psh in PathSelection::ALL {
             let spec = parse(&format!("path-selection = {}", psh.name()));
             assert_eq!(spec.config.router.path_selection, psh);
+            assert_round_trips(&spec);
         }
         for table in TableKind::ALL {
             let spec = parse(&format!("table = {}", table.name()));
             assert_eq!(spec.config.table, table);
+            assert_round_trips(&spec);
         }
         for pattern in Pattern::ALL {
             let spec = parse(&format!("pattern = {}", pattern.name()));
             assert_eq!(spec.config.pattern, pattern);
+            assert_round_trips(&spec);
         }
         for arrivals in ArrivalKind::ALL {
             let spec = parse(&format!("workload = synthetic {}", arrivals.name()));
             assert_eq!(spec.config.workload, WorkloadKind::Synthetic { arrivals });
+            assert_round_trips(&spec);
         }
     }
 
@@ -683,6 +634,12 @@ mod tests {
             "workload = synthetic",
             "workload = bursty 8",
             "workload = trace",
+            "workload = synthetic bursty 8 2",
+            "workload = tracefoo x",
+            "pattern = hotspot",
+            "table = meta-blocks",
+            "topology = mesh",
+            "lengths = uniform 5",
             "load = heavy",
             "lengths = fixed many",
             "just words",
@@ -767,20 +724,23 @@ mod tests {
 
     #[test]
     fn malformed_fault_clauses_are_rejected() {
-        for bad in [
-            "faults = 1 2",
-            "faults = (1)",
-            "faults = (1 2 3)",
-            "faults = (a b)",
-            "fault-count = lots",
-            "fault-seed = 3", // seed without a count
-            "faults = (0 1)\nfault-count = 2",
-            "fault-count = 2\nfaults = (0 1)",
-            "faults = (0 1)\nfault-seed = 9",
+        // Each text with the line it is rejected on.
+        for (bad, at) in [
+            ("faults = 1 2", 1),
+            ("faults = (1)", 1),
+            ("faults = (1 2 3)", 1),
+            ("faults = (a b)", 1),
+            ("faults = (0 1),", 1),
+            ("fault-count = lots", 1),
+            ("fault-seed = 3", 1), // seed without a count
+            ("faults = (0 1)\nfault-count = 2", 2),
+            ("fault-count = 2\nfaults = (0 1)", 2),
+            ("faults = (0 1)\nfault-seed = 9", 2),
+            ("fault-seed = 3\nfaults = (0 1)", 2),
         ] {
             let err = ScenarioSpec::parse(bad).unwrap_err();
             assert!(
-                matches!(err, SpecError::Parse { .. }),
+                matches!(err, SpecError::Parse { line, .. } if line == at),
                 "{bad:?} gave {err:?}"
             );
         }

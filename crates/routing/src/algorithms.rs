@@ -241,12 +241,15 @@ impl Algorithm {
         }
     }
 
-    /// Whether the relation is restricted to 2-D meshes (the turn models).
-    pub fn requires_2d_mesh(self) -> bool {
-        matches!(
-            self,
-            Algorithm::NorthLast | Algorithm::WestFirst | Algorithm::NegativeFirst
-        )
+    /// Whether the relation is defined on `mesh`: the turn models only on
+    /// a 2-D mesh, every other algorithm everywhere.
+    pub fn supports(self, mesh: &Mesh) -> bool {
+        match self {
+            Algorithm::NorthLast | Algorithm::WestFirst | Algorithm::NegativeFirst => {
+                mesh.dims() == 2 && !mesh.is_torus()
+            }
+            _ => true,
+        }
     }
 
     /// Whether the relation routes around dead links (the up*/down*
@@ -296,7 +299,7 @@ impl RoutingAlgorithm for Algorithm {
         // port when the rule leaves none.
         let turn = |restricted: PortSet| {
             assert!(
-                mesh.dims() == 2 && !mesh.is_torus(),
+                self.supports(mesh),
                 "turn-model routing is defined for 2-D meshes"
             );
             if restricted.is_empty() {
@@ -453,7 +456,7 @@ mod tests {
             Mesh::mesh_3d(3, 4, 2),
         ] {
             for algo in CLASSIC {
-                if algo.requires_2d_mesh() && (m.dims() != 2 || m.is_torus()) {
+                if !algo.supports(&m) {
                     continue;
                 }
                 for here in m.nodes() {
@@ -696,7 +699,7 @@ mod tests {
         ] {
             let fmesh = Arc::new(FaultyMesh::new(mesh.clone(), FaultSet::empty()).unwrap());
             for algorithm in Algorithm::ALL {
-                if algorithm.requires_2d_mesh() && (mesh.dims() != 2 || mesh.is_torus()) {
+                if !algorithm.supports(&mesh) {
                     continue;
                 }
                 let algo = algorithm.build_on(&fmesh);
