@@ -69,6 +69,9 @@ pub struct RouterConfig {
     pub escape_vcs: usize,
     /// Dateline subclasses within the escape class (1 on meshes, 2 on
     /// tori). Escape VC `v` serves subclass `v % escape_subclasses`.
+    /// A scenario ignores the value given here: `lapses_network`'s
+    /// `SimConfig::build_network` overwrites it for every scenario with
+    /// `Algorithm::escape_vcs_needed(..).max(1)`.
     pub escape_subclasses: usize,
     /// Input buffer depth per VC, in flits (Table 2: 20).
     pub input_buffer_flits: usize,

@@ -1,42 +1,49 @@
-//! Link and credit-return transport with fixed delays.
+//! The network's wires: one fixed-delay ring type, [`DelayRing`], carries
+//! arrival events, ejections and credits.
 
 use lapses_core::{Flit, FlitKind, MsgRef};
 use lapses_sim::Cycle;
 use lapses_topology::{NodeId, Port};
 
+/// A [`WireAddr`] holds the node in its low `NODE_BITS` bits, the port
+/// in the next `PORT_BITS` and the VC from `VC_SHIFT` up (6 bits).
+pub(crate) const NODE_BITS: u32 = 22;
+const PORT_BITS: u32 = 4;
+const VC_SHIFT: u32 = NODE_BITS + PORT_BITS;
+
 /// A `(node, port, vc)` address packed into one u32 — the payload of the
 /// credit and arrival-event rings, which carry a couple of hundred
-/// records per cycle: `node` in the low 22 bits (meshes up to 4M nodes),
-/// `port` in 4 bits, `vc` in 6.
+/// records per cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct WireAddr(u32);
 
 impl WireAddr {
     #[inline]
     pub fn new(node: NodeId, port: Port, vc: u8) -> WireAddr {
-        debug_assert!(node.0 < 1 << 22 && port.index() < 16 && vc < 64);
-        WireAddr(node.0 | (port.index() as u32) << 22 | (vc as u32) << 26)
+        let addr =
+            WireAddr(node.0 | (port.index() as u32) << NODE_BITS | u32::from(vc) << VC_SHIFT);
+        debug_assert_eq!(
+            (addr.node(), addr.port(), addr.vc()),
+            (node.index(), port, vc.into())
+        );
+        addr
     }
 
     #[inline]
     pub fn node(self) -> usize {
-        (self.0 & ((1 << 22) - 1)) as usize
+        (self.0 & ((1 << NODE_BITS) - 1)) as usize
     }
 
     #[inline]
     pub fn port(self) -> Port {
-        Port::from_index((self.0 >> 22 & 0xF) as usize)
+        Port::from_index((self.0 >> NODE_BITS & ((1 << PORT_BITS) - 1)) as usize)
     }
 
     #[inline]
     pub fn vc(self) -> usize {
-        (self.0 >> 26) as usize
+        (self.0 >> VC_SHIFT) as usize
     }
 }
-
-/// A credit in flight back toward an upstream router output (or the NIC's
-/// injection credit pool when the port is the local port).
-pub(crate) type CreditDelivery = WireAddr;
 
 /// An ejection in flight toward a NIC sink. The latency statistics only
 /// need the message-record handle and the flit's position, so an
@@ -46,13 +53,6 @@ pub(crate) struct EjectRecord {
     pub rec: MsgRef,
     pub kind: FlitKind,
 }
-
-/// An arrival notification for a flit already filed into the destination
-/// router's input ring at reservation time (`Router::reserve_flit`: the
-/// kind byte in its slot and, for a head, the message's record in the
-/// VC's queue): the wire carries a 4-byte address per flit, never the
-/// flit itself.
-pub(crate) type ArrivalEvent = WireAddr;
 
 /// The traffic one shard of the network launches toward another during
 /// one cycle (see the `network` module docs): payloads reserved in the
@@ -64,8 +64,8 @@ pub(crate) struct Outbox {
     /// `StepSink::transfer` payloads, addressed to an input `(node, port,
     /// vc)` of the receiving shard, in reservation order.
     pub reserves: Vec<(WireAddr, Flit)>,
-    pub events: Vec<ArrivalEvent>,
-    pub credits: Vec<CreditDelivery>,
+    pub events: Vec<WireAddr>,
+    pub credits: Vec<WireAddr>,
     /// The cycle this traffic was launched in.
     pub launched: Cycle,
 }
@@ -94,272 +94,252 @@ impl Outbox {
     }
 }
 
-/// Fixed-latency pipelines for flits and credits.
+/// A fixed-delay wire: what is sent during cycle `t` comes out of
+/// [`DelayRing::swap`] at cycle `t + delay`.
 ///
-/// Implemented as per-cycle buckets in a ring: scheduling is O(1) and each
-/// cycle's arrivals pop out in FIFO (launch) order, which keeps simulation
-/// results independent of router iteration order. Buckets are plain `Vec`s
-/// so the network layer can index a cycle's arrivals when it batches them
-/// by destination router.
+/// The ring holds `delay + 1` per-cycle buckets: scheduling is O(1) and
+/// each cycle's records pop out in FIFO (launch) order, which keeps
+/// simulation results independent of router iteration order. Buckets are
+/// plain `Vec`s so the network layer can index a cycle's arrivals when it
+/// batches them by destination router.
 #[derive(Debug)]
-pub(crate) struct DeliveryQueues {
-    flit_delay: u64,
-    credit_delay: u64,
-    /// `events[t % ring]` holds the arrival events due at cycle `t`; the
-    /// slot for the current cycle is tracked incrementally
-    /// (`flit_now`/`flit_slot`) so the hot path never computes a modulo.
-    events: Vec<Vec<ArrivalEvent>>,
-    /// Ejections bound for the NIC sinks; shares the event ring's delay
-    /// and cursor.
-    ejects: Vec<Vec<EjectRecord>>,
-    credits: Vec<Vec<CreditDelivery>>,
-    in_flight_flits: usize,
-    /// Cycle `flit_slot` corresponds to. Accesses must be monotone in time.
-    flit_now: u64,
-    flit_slot: usize,
-    credit_now: u64,
-    credit_slot: usize,
+pub(crate) struct DelayRing<T> {
+    buckets: Vec<Vec<T>>,
+    delay: usize,
+    /// The cycle whose bucket is `buckets[slot]`, advanced incrementally
+    /// so the hot path never computes a modulo. Accesses must be monotone
+    /// in time.
+    now: u64,
+    slot: usize,
+    in_flight: usize,
 }
 
-impl DeliveryQueues {
-    /// Creates queues with the given one-way delays in cycles (the paper's
-    /// link delay is 1; credits also take one cycle back), every bucket
+impl<T> DelayRing<T> {
+    /// A ring delivering `delay` cycles after the send, every bucket
     /// pre-sized for `per_cycle` records.
     ///
     /// # Panics
     ///
-    /// Panics if either delay is zero (same-cycle delivery would break the
+    /// Panics if `delay` is zero (same-cycle delivery would break the
     /// stage ordering).
-    pub fn new(flit_delay: u64, credit_delay: u64, per_cycle: usize) -> DeliveryQueues {
-        assert!(flit_delay >= 1, "links need at least one cycle of delay");
-        assert!(
-            credit_delay >= 1,
-            "credits need at least one cycle of delay"
-        );
-        fn buckets<T>(delay: u64, per_cycle: usize) -> Vec<Vec<T>> {
-            (0..=delay).map(|_| Vec::with_capacity(per_cycle)).collect()
-        }
-        DeliveryQueues {
-            flit_delay,
-            credit_delay,
-            events: buckets(flit_delay, per_cycle),
-            ejects: buckets(flit_delay, per_cycle),
-            credits: buckets(credit_delay, per_cycle),
-            in_flight_flits: 0,
-            flit_now: 0,
-            flit_slot: 0,
-            credit_now: 0,
-            credit_slot: 0,
+    pub fn new(delay: u64, per_cycle: usize) -> DelayRing<T> {
+        assert!(delay >= 1, "wires need at least one cycle of delay");
+        DelayRing {
+            buckets: (0..=delay).map(|_| Vec::with_capacity(per_cycle)).collect(),
+            delay: delay as usize,
+            now: 0,
+            slot: 0,
+            in_flight: 0,
         }
     }
 
-    /// Advances the event ring's "current slot" cursor to `now`. The cycle
-    /// loop moves one cycle at a time, so this is one wrapping increment.
+    /// Advances the cursor to `now`: one wrapping increment per cycle.
     ///
     /// # Panics
     ///
-    /// Panics if `now` is before the cursor, in release builds too: an
-    /// event stamped earlier would silently land `flit_now - now` buckets
-    /// late.
+    /// Panics if `now` is before the cursor, in release builds too: a
+    /// record stamped earlier would silently land late.
     #[inline]
-    fn flit_slot_at(&mut self, now: u64) -> usize {
-        assert!(now >= self.flit_now, "delivery time went backwards");
-        while self.flit_now < now {
-            self.flit_now += 1;
-            self.flit_slot += 1;
-            if self.flit_slot == self.events.len() {
-                self.flit_slot = 0;
+    fn slot_at(&mut self, now: u64) -> usize {
+        assert!(now >= self.now, "delivery time went backwards");
+        while self.now < now {
+            self.now += 1;
+            self.slot += 1;
+            if self.slot == self.buckets.len() {
+                self.slot = 0;
             }
         }
-        self.flit_slot
+        self.slot
     }
 
-    /// Advances the credit ring's cursor to `now`, panicking like
-    /// `flit_slot_at` on a credit stamped before it.
+    /// Schedules `value`, sent during `now`, for cycle `now + delay`.
     #[inline]
-    fn credit_slot_at(&mut self, now: u64) -> usize {
-        assert!(now >= self.credit_now, "delivery time went backwards");
-        while self.credit_now < now {
-            self.credit_now += 1;
-            self.credit_slot += 1;
-            if self.credit_slot == self.credits.len() {
-                self.credit_slot = 0;
-            }
+    pub fn send(&mut self, now: Cycle, value: T) {
+        let mut slot = self.slot_at(now.as_u64()) + self.delay;
+        if slot >= self.buckets.len() {
+            slot -= self.buckets.len();
         }
-        self.credit_slot
+        self.buckets[slot].push(value);
+        self.in_flight += 1;
     }
 
-    /// Schedules an arrival event for a payload-reserved flit launched
-    /// during `now`; it pops out `flit_delay` cycles later.
-    pub fn send_event(&mut self, now: Cycle, event: ArrivalEvent) {
-        let mut slot = self.flit_slot_at(now.as_u64()) + self.flit_delay as usize;
-        if slot >= self.events.len() {
-            slot -= self.events.len();
-        }
-        self.events[slot].push(event);
-        self.in_flight_flits += 1;
-    }
-
-    /// Swaps the bucket of arrival events due at `now` with `buf` (which
-    /// must be empty): the caller gets the arrivals without copying them,
-    /// and the bucket inherits `buf`'s capacity for reuse.
-    pub fn swap_events(&mut self, now: Cycle, buf: &mut Vec<ArrivalEvent>) {
+    /// Swaps the bucket due at `now` with `buf` (which must be empty): the
+    /// caller gets the records without copying them, and the bucket
+    /// inherits `buf`'s capacity for reuse.
+    #[inline]
+    pub fn swap(&mut self, now: Cycle, buf: &mut Vec<T>) {
         debug_assert!(buf.is_empty(), "swap target must be empty");
-        let slot = self.flit_slot_at(now.as_u64());
-        std::mem::swap(&mut self.events[slot], buf);
-        self.in_flight_flits -= buf.len();
+        let slot = self.slot_at(now.as_u64());
+        std::mem::swap(&mut self.buckets[slot], buf);
+        self.in_flight -= buf.len();
     }
 
-    /// Schedules an ejection launched during `now`; it reaches the NIC
-    /// sink `flit_delay` cycles later, like a link arrival.
-    pub fn send_eject(&mut self, now: Cycle, record: EjectRecord) {
-        let mut slot = self.flit_slot_at(now.as_u64()) + self.flit_delay as usize;
-        if slot >= self.ejects.len() {
-            slot -= self.ejects.len();
+    /// Records sent but not yet swapped out.
+    pub fn in_flight(&self) -> usize {
+        self.in_flight
+    }
+}
+
+/// One shard's wires: arrivals toward its routers and ejections toward
+/// its NIC sinks, both `link_delay + 1` cycles long, and credits toward
+/// its routers' outputs, one cycle long.
+#[derive(Debug)]
+pub(crate) struct DeliveryQueues {
+    /// Arrival events for flits already filed into the input `(node,
+    /// port, vc)` at reservation time (`Router::reserve_flit`): the wire
+    /// carries a 4-byte address per flit, never the flit itself.
+    pub events: DelayRing<WireAddr>,
+    pub ejects: DelayRing<EjectRecord>,
+    /// Credits toward the upstream router output `(node, port, vc)`.
+    pub credits: DelayRing<WireAddr>,
+}
+
+impl DeliveryQueues {
+    /// Wires whose flits land `flit_delay` cycles after their launch,
+    /// every bucket pre-sized for `per_cycle` records.
+    pub fn new(flit_delay: u64, per_cycle: usize) -> DeliveryQueues {
+        DeliveryQueues {
+            events: DelayRing::new(flit_delay, per_cycle),
+            ejects: DelayRing::new(flit_delay, per_cycle),
+            credits: DelayRing::new(1, per_cycle),
         }
-        self.ejects[slot].push(record);
-        self.in_flight_flits += 1;
-    }
-
-    /// Swaps the bucket of ejections due at `now` with `buf` (must be
-    /// empty), mirroring [`DeliveryQueues::swap_events`].
-    pub fn swap_ejects(&mut self, now: Cycle, buf: &mut Vec<EjectRecord>) {
-        debug_assert!(buf.is_empty(), "swap target must be empty");
-        let slot = self.flit_slot_at(now.as_u64());
-        std::mem::swap(&mut self.ejects[slot], buf);
-        self.in_flight_flits -= buf.len();
-    }
-
-    /// Schedules a credit emitted during `now`.
-    pub fn send_credit(&mut self, now: Cycle, delivery: CreditDelivery) {
-        let mut slot = self.credit_slot_at(now.as_u64()) + self.credit_delay as usize;
-        if slot >= self.credits.len() {
-            slot -= self.credits.len();
-        }
-        self.credits[slot].push(delivery);
-    }
-
-    /// Removes and returns the credits arriving at `now`.
-    #[cfg_attr(not(test), allow(dead_code))]
-    pub fn take_credits(&mut self, now: Cycle) -> Vec<CreditDelivery> {
-        let slot = self.credit_slot_at(now.as_u64());
-        std::mem::take(&mut self.credits[slot])
-    }
-
-    /// Swaps the bucket of credits arriving at `now` with `buf` (must be
-    /// empty), mirroring [`DeliveryQueues::swap_events`].
-    pub fn swap_credits(&mut self, now: Cycle, buf: &mut Vec<CreditDelivery>) {
-        debug_assert!(buf.is_empty(), "swap target must be empty");
-        let slot = self.credit_slot_at(now.as_u64());
-        std::mem::swap(&mut self.credits[slot], buf);
     }
 
     /// Flits currently on the wire.
     pub fn in_flight(&self) -> usize {
-        self.in_flight_flits
+        self.events.in_flight() + self.ejects.in_flight()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::network::MAX_NODES;
+    use lapses_topology::MAX_DIMS;
 
-    fn event(vc: u8) -> ArrivalEvent {
-        ArrivalEvent::new(NodeId(2), Port::from_index(1), vc)
+    fn event(vc: u8) -> WireAddr {
+        WireAddr::new(NodeId(2), Port::from_index(1), vc)
     }
 
-    fn arrivals(q: &mut DeliveryQueues, now: u64) -> Vec<ArrivalEvent> {
+    fn arrivals(ring: &mut DelayRing<WireAddr>, now: u64) -> Vec<WireAddr> {
         let mut buf = Vec::new();
-        q.swap_events(Cycle::new(now), &mut buf);
+        ring.swap(Cycle::new(now), &mut buf);
         buf
     }
 
     #[test]
+    fn wire_addresses_round_trip_at_the_field_edges() {
+        let top_port = Port::from_index(2 * MAX_DIMS);
+        for (node, port, vc) in [
+            (0, Port::LOCAL, 0),
+            (MAX_NODES as u32 - 1, top_port, 63),
+            (MAX_NODES as u32 - 1, Port::LOCAL, 0),
+            (0, top_port, 63),
+        ] {
+            let addr = WireAddr::new(NodeId(node), port, vc);
+            assert_eq!(addr.node(), node as usize);
+            assert_eq!(addr.port(), port);
+            assert_eq!(addr.vc(), vc as usize);
+        }
+        assert_eq!(32 - VC_SHIFT, 6, "the VC field holds 64 VCs");
+    }
+
+    #[test]
     fn flits_arrive_after_the_link_delay() {
-        let mut q = DeliveryQueues::new(1, 1, 0);
-        q.send_event(Cycle::new(5), event(0));
-        q.send_eject(
+        let mut q = DeliveryQueues::new(1, 0);
+        q.events.send(Cycle::new(5), event(0));
+        q.ejects.send(
             Cycle::new(5),
             EjectRecord {
                 rec: MsgRef(7),
                 kind: FlitKind::Tail,
             },
         );
-        assert_eq!(q.in_flight(), 2);
-        assert!(arrivals(&mut q, 5).is_empty());
-        let arrived = arrivals(&mut q, 6);
+        q.credits
+            .send(Cycle::new(5), WireAddr::new(NodeId(0), Port::LOCAL, 1));
+        assert_eq!(q.in_flight(), 2, "credits are not flits");
+        assert!(arrivals(&mut q.events, 5).is_empty());
+        let arrived = arrivals(&mut q.events, 6);
         assert_eq!(arrived, vec![event(0)]);
         assert_eq!(arrived[0].node(), 2);
         let mut ejects = Vec::new();
-        q.swap_ejects(Cycle::new(6), &mut ejects);
+        q.ejects.swap(Cycle::new(6), &mut ejects);
         assert_eq!(ejects.len(), 1);
         assert_eq!(ejects[0].rec, MsgRef(7));
         assert_eq!(q.in_flight(), 0);
+        assert_eq!(q.credits.in_flight(), 1);
+        assert_eq!(arrivals(&mut q.credits, 6).len(), 1);
+        assert_eq!(q.credits.in_flight(), 0);
     }
 
     #[test]
     fn longer_delays_are_honored() {
-        let mut q = DeliveryQueues::new(3, 2, 0);
-        q.send_event(Cycle::new(10), event(1));
-        q.send_credit(
-            Cycle::new(10),
-            CreditDelivery::new(NodeId(0), Port::LOCAL, 1),
-        );
-        assert!(arrivals(&mut q, 12).is_empty());
-        assert_eq!(arrivals(&mut q, 13).len(), 1);
-        assert!(q.take_credits(Cycle::new(11)).is_empty());
-        assert_eq!(q.take_credits(Cycle::new(12)).len(), 1);
+        let mut ring = DelayRing::new(3, 0);
+        ring.send(Cycle::new(10), event(1));
+        ring.send(Cycle::new(11), event(2));
+        assert!(arrivals(&mut ring, 12).is_empty());
+        assert_eq!(arrivals(&mut ring, 13), vec![event(1)]);
+        assert_eq!(ring.in_flight(), 1);
+        assert_eq!(arrivals(&mut ring, 14), vec![event(2)]);
+        // The ring wraps: a send long after the first lap still waits
+        // exactly `delay` cycles.
+        ring.send(Cycle::new(40), event(3));
+        assert!(arrivals(&mut ring, 42).is_empty());
+        assert_eq!(arrivals(&mut ring, 43), vec![event(3)]);
+        assert_eq!(ring.in_flight(), 0);
     }
 
     #[test]
     fn same_cycle_deliveries_keep_fifo_order() {
-        let mut q = DeliveryQueues::new(1, 1, 0);
+        let mut ring = DelayRing::new(1, 0);
         for vc in 0..3 {
-            q.send_event(Cycle::new(0), event(vc));
+            ring.send(Cycle::new(0), event(vc));
         }
-        let vcs: Vec<usize> = arrivals(&mut q, 1).iter().map(|e| e.vc()).collect();
+        let vcs: Vec<usize> = arrivals(&mut ring, 1).iter().map(|e| e.vc()).collect();
         assert_eq!(vcs, vec![0, 1, 2]);
     }
 
     #[test]
     fn swap_reuses_the_buffer_capacity() {
-        let mut q = DeliveryQueues::new(1, 1, 0);
-        for vc in 0..4 {
-            q.send_event(Cycle::new(0), event(vc));
-        }
-        let mut buf = Vec::new();
-        q.swap_events(Cycle::new(1), &mut buf);
-        assert_eq!(buf.len(), 4);
-        assert_eq!(q.in_flight(), 0);
-        buf.clear();
-        // The bucket inherited the capacity; the next cycle swap returns
-        // an empty buffer without touching the allocator.
-        q.swap_events(Cycle::new(2), &mut buf);
+        let mut ring = DelayRing::new(1, 0);
+        // The bucket due at cycle 0 inherits the empty buffer's capacity...
+        let mut buf = Vec::with_capacity(100);
+        ring.swap(Cycle::new(0), &mut buf);
         assert!(buf.is_empty());
+        // ...and hands it back, filled, when it comes round at cycle 2 (a
+        // delay-1 ring has two buckets).
+        for vc in 0..4 {
+            ring.send(Cycle::new(1), event(vc));
+        }
+        ring.swap(Cycle::new(1), &mut buf);
+        assert!(buf.is_empty());
+        let mut arrived = Vec::new();
+        ring.swap(Cycle::new(2), &mut arrived);
+        assert_eq!(arrived.len(), 4);
+        assert!(arrived.capacity() >= 100);
+        assert_eq!(ring.in_flight(), 0);
     }
 
     #[test]
     #[should_panic(expected = "delivery time went backwards")]
     fn event_stamped_before_the_cursor_panics() {
-        let mut q = DeliveryQueues::new(2, 1, 0);
-        let _ = arrivals(&mut q, 7);
-        q.send_event(Cycle::new(6), event(0));
+        let mut ring = DelayRing::new(2, 0);
+        let _ = arrivals(&mut ring, 7);
+        ring.send(Cycle::new(6), event(0));
     }
 
     #[test]
     #[should_panic(expected = "delivery time went backwards")]
     fn credit_stamped_before_the_cursor_panics() {
-        let mut q = DeliveryQueues::new(1, 1, 0);
-        let _ = q.take_credits(Cycle::new(4));
-        q.send_credit(
-            Cycle::new(3),
-            CreditDelivery::new(NodeId(0), Port::LOCAL, 0),
-        );
+        let mut q = DeliveryQueues::new(1, 0);
+        let _ = arrivals(&mut q.credits, 4);
+        q.credits
+            .send(Cycle::new(3), WireAddr::new(NodeId(0), Port::LOCAL, 0));
     }
 
     #[test]
     #[should_panic(expected = "at least one cycle")]
     fn zero_delay_rejected() {
-        let _ = DeliveryQueues::new(0, 1, 0);
+        let _ = DelayRing::<WireAddr>::new(0, 0);
     }
 }

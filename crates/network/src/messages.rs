@@ -1,8 +1,8 @@
 //! Per-message bookkeeping records behind the lean flit hot path.
 //!
 //! Flits are `Copy` PODs carrying only what the router datapath reads;
-//! everything the statistics pipeline needs — source node, generation and
-//! injection timestamps, the measurement flag — lives in one
+//! everything the statistics pipeline needs — generation and injection
+//! timestamps and the measurement flag — lives in one
 //! [`MessageRecord`] per message, allocated at offer time and retired when
 //! the message's tail ejects. Records live in a slab with a free list, so
 //! a long simulation recycles a bounded pool instead of growing without
@@ -11,18 +11,12 @@
 
 use lapses_core::MsgRef;
 use lapses_sim::Cycle;
-use lapses_topology::NodeId;
 
-/// Everything the simulator must remember about one message that the
-/// flits themselves no longer carry.
+/// Everything the latency statistics need about one message that the
+/// flits themselves do not carry. Its route and length travel in the
+/// NIC's `Message`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct MessageRecord {
-    /// Source node of the message.
-    pub src: NodeId,
-    /// Destination node of the message.
-    pub dest: NodeId,
-    /// Message length in flits.
-    pub length: u32,
     /// Whether the message falls in the measurement window.
     pub measured: bool,
     /// Cycle the message was generated at the source (source queueing
@@ -105,15 +99,17 @@ impl MessageStore {
 mod tests {
     use super::*;
 
-    fn record(src: u32) -> MessageRecord {
+    fn record(created_at: u64) -> MessageRecord {
         MessageRecord {
-            src: NodeId(src),
-            dest: NodeId(src + 1),
-            length: 4,
             measured: true,
-            created_at: Cycle::new(10),
-            injected_at: Cycle::new(10),
+            created_at: Cycle::new(created_at),
+            injected_at: Cycle::new(created_at),
         }
+    }
+
+    #[test]
+    fn message_records_are_24_bytes() {
+        assert_eq!(std::mem::size_of::<MessageRecord>(), 24);
     }
 
     #[test]
@@ -122,8 +118,8 @@ mod tests {
         let a = store.alloc(record(1));
         let b = store.alloc(record(2));
         assert_ne!(a, b);
-        assert_eq!(store.get(a).src, NodeId(1));
-        assert_eq!(store.get(b).src, NodeId(2));
+        assert_eq!(store.get(a).created_at, Cycle::new(1));
+        assert_eq!(store.get(b).created_at, Cycle::new(2));
         assert_eq!(store.live(), 2);
         store.retire(a);
         assert_eq!(store.live(), 1);
@@ -137,14 +133,14 @@ mod tests {
         store.retire(a);
         let c = store.alloc(record(3));
         assert_eq!(c, a, "free list must hand back the retired slot");
-        assert_eq!(store.get(c).src, NodeId(3));
+        assert_eq!(store.get(c).created_at, Cycle::new(3));
         assert_eq!(store.slots(), 2, "slab must not grow while slots free");
     }
 
     #[test]
     fn injected_at_is_updatable() {
         let mut store = MessageStore::new();
-        let a = store.alloc(record(1));
+        let a = store.alloc(record(10));
         store.get_mut(a).injected_at = Cycle::new(42);
         assert_eq!(store.get(a).injected_at, Cycle::new(42));
         assert_eq!(store.get(a).created_at, Cycle::new(10));

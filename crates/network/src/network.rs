@@ -49,15 +49,18 @@
 //! (`Router::reserve_flit` — the slot is computable then and stable until
 //! arrival; the slot keeps the kind byte, and a head's routing state joins
 //! the VC's head-record queue), and its VC-multiplexor launch sends only a
-//! packed 4-byte `ArrivalEvent` down the delay ring.
+//! packed 4-byte arrival event, the input `(node, port, vc)` across the
+//! link, down the wire. Every wire is one ring type, `DelayRing`: arrival
+//! events and ejections (an 8-byte record: message handle + kind, all the
+//! statistics need) take `link_delay + 1` cycles, credits (the same
+//! 4-byte address, upstream) one, and `WireSink::far_end` alone names
+//! the far end of a link.
 //! When the link delay elapses, the cycle loop chains that cycle's events
 //! by destination router and commits them router by router
 //! (`Router::commit_flit` flips the flit visible): each receiving router's
 //! state is touched once per cycle instead of once per flit, its wake-up
 //! bit is set once per batch, and the flit is never copied onto the wire
-//! or into the buffer a second time. Credits ride the same packed 4-byte
-//! address; ejections ship an 8-byte record (message handle + kind — all
-//! the statistics need).
+//! or into the buffer a second time.
 //!
 //! Commits may run router by router rather than in launch order because
 //! (a) a reserved payload is invisible to the router until its commit — no
@@ -122,7 +125,7 @@
 //! them when the network is dropped.
 
 use crate::active::ActiveSet;
-use crate::delivery::{ArrivalEvent, CreditDelivery, DeliveryQueues, EjectRecord, Outbox};
+use crate::delivery::{DeliveryQueues, EjectRecord, Outbox, WireAddr, NODE_BITS};
 use crate::messages::{MessageRecord, MessageStore};
 use crate::nic::{Message, Nic};
 use crate::sweep::CoreClaim;
@@ -137,11 +140,11 @@ use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-/// The exclusive limit on a network's node count: the packed wire
+/// The exclusive limit on a network's node count, 2²²: the packed wire
 /// addresses of the credit and arrival rings hold a node in 22 bits.
 /// [`Network::new`] panics at or past it; scenario validation reports it
 /// as a typed error first.
-pub const MAX_NODES: usize = 1 << 22;
+pub const MAX_NODES: usize = 1 << NODE_BITS;
 
 /// The largest link delay a network accepts, in cycles. Every cycle of
 /// delay adds a delivery-ring bucket per shard, each pre-sized for a
@@ -191,7 +194,7 @@ pub struct Network {
 /// The statistics and counters the calling thread keeps for the whole
 /// network, fed by the shards' per-cycle [`Report`]s.
 struct Ledger {
-    /// Per-message bookkeeping (source, timestamps, measured flag) behind
+    /// Per-message bookkeeping (timestamps, measured flag) behind
     /// the flits' `MsgRef` handles.
     messages: MessageStore,
     /// Network latency (head injection → tail ejection) of measured
@@ -334,9 +337,9 @@ struct Shard {
     /// Steps taken so far; its parity picks the mailbox slots.
     steps: u64,
     report: Report,
-    /// Reused per-cycle scratch buffers (hot-loop allocation avoidance).
-    scratch_events: Vec<ArrivalEvent>,
-    scratch_credits: Vec<CreditDelivery>,
+    /// Reused per-cycle scratch buffer for the arrival events, then the
+    /// credits, swapped out of the rings (hot-loop allocation avoidance).
+    scratch: Vec<WireAddr>,
     /// Per node: (first, last) chained arrival index this cycle, kept as
     /// one pair so each arrival touches a single cache location
     /// (`NONE` when the node has no chain).
@@ -386,6 +389,18 @@ impl WireSink<'_> {
     fn outbox(&mut self, n: usize) -> &mut Outbox {
         &mut self.outboxes[n / self.span]
     }
+
+    /// The input `(node, port, vc)` at the far end of the stepped
+    /// router's link on direction `port`: the neighbor and its port facing
+    /// back. A launch lands there, and a credit for input `port` returns
+    /// there.
+    #[inline]
+    fn far_end(&self, port: Port, vc: usize) -> WireAddr {
+        let neighbor = self.neighbors[self.node * self.ports + port.index()];
+        debug_assert_ne!(neighbor, u32::MAX, "wire over a missing link");
+        let dir = port.direction().expect("the local port has no far end");
+        WireAddr::new(NodeId(neighbor), Port::from(dir.opposite()), vc as u8)
+    }
 }
 
 impl StepSink for WireSink<'_> {
@@ -396,7 +411,7 @@ impl StepSink for WireSink<'_> {
         // of the whole flit.
         debug_assert!(port.is_local(), "neighbor launches are reserved");
         *self.router_flits -= 1;
-        self.queues.send_eject(
+        self.queues.ejects.send(
             self.now,
             EjectRecord {
                 rec: flit.rec,
@@ -409,19 +424,14 @@ impl StepSink for WireSink<'_> {
     fn transfer(&mut self, out_port: Port, vc: usize, flit: Flit) {
         // XB time: the payload goes straight to the input ring slot it
         // will occupy at the downstream router.
-        let neighbor = self.neighbors[self.node * self.ports + out_port.index()];
-        debug_assert_ne!(neighbor, u32::MAX, "transfer over a missing link");
-        let dir = out_port.direction().expect("transfer is never local");
-        let in_port = Port::from(dir.opposite());
-        let n = neighbor as usize;
-        let i = n.wrapping_sub(self.lo);
+        let to = self.far_end(out_port, vc);
+        let i = to.node().wrapping_sub(self.lo);
         if i < self.node {
-            self.left[i].reserve_flit(in_port, vc, flit);
+            self.left[i].reserve_flit(to.port(), vc, flit);
         } else if let Some(r) = self.right.get_mut(i.wrapping_sub(self.node + 1)) {
-            r.reserve_flit(in_port, vc, flit);
+            r.reserve_flit(to.port(), vc, flit);
         } else {
-            let addr = ArrivalEvent::new(NodeId(neighbor), in_port, vc as u8);
-            self.outbox(n).reserves.push((addr, flit));
+            self.outbox(to.node()).reserves.push((to, flit));
         }
     }
 
@@ -430,35 +440,26 @@ impl StepSink for WireSink<'_> {
         // VM time: the payload is already downstream; only a packed
         // 4-byte arrival event rides the delay ring.
         *self.router_flits -= 1;
-        let neighbor = self.neighbors[self.node * self.ports + port.index()];
-        debug_assert_ne!(neighbor, u32::MAX, "launch over a missing link");
-        let dir = port.direction().expect("reserved launches are never local");
-        let event = ArrivalEvent::new(NodeId(neighbor), Port::from(dir.opposite()), vc as u8);
-        if self.is_local(neighbor as usize) {
-            self.queues.send_event(self.now, event);
+        let event = self.far_end(port, vc);
+        if self.is_local(event.node()) {
+            self.queues.events.send(self.now, event);
         } else {
-            self.outbox(neighbor as usize).events.push(event);
+            self.outbox(event.node()).events.push(event);
         }
     }
 
     #[inline]
     fn credit(&mut self, in_port: Port, vc: usize) {
-        match in_port.direction() {
-            None => {
-                // Injection credit: may unfreeze a credit-starved NIC.
-                self.nic.credit(vc);
-                self.nic_active.insert(self.node);
-            }
-            Some(dir) => {
-                let upstream = self.neighbors[self.node * self.ports + in_port.index()];
-                debug_assert_ne!(upstream, u32::MAX, "credit over a missing link");
-                let credit =
-                    CreditDelivery::new(NodeId(upstream), Port::from(dir.opposite()), vc as u8);
-                if self.is_local(upstream as usize) {
-                    self.queues.send_credit(self.now, credit);
-                } else {
-                    self.outbox(upstream as usize).credits.push(credit);
-                }
+        if in_port.is_local() {
+            // Injection credit: may unfreeze a credit-starved NIC.
+            self.nic.credit(vc);
+            self.nic_active.insert(self.node);
+        } else {
+            let credit = self.far_end(in_port, vc);
+            if self.is_local(credit.node()) {
+                self.queues.credits.send(self.now, credit);
+            } else {
+                self.outbox(credit.node()).credits.push(credit);
             }
         }
     }
@@ -499,18 +500,16 @@ impl Shard {
         //    copied): ejections go to the report in launch order, link
         //    arrivals are committed per destination router and wake it
         //    (see the module docs).
-        self.queues.swap_ejects(now, &mut self.report.ejects);
-        let mut events = std::mem::take(&mut self.scratch_events);
-        self.queues.swap_events(now, &mut events);
-        self.commit_batched(&events, now);
-        events.clear();
-        self.scratch_events = events;
-        let mut credits = std::mem::take(&mut self.scratch_credits);
-        self.queues.swap_credits(now, &mut credits);
-        for c in credits.drain(..) {
+        self.queues.ejects.swap(now, &mut self.report.ejects);
+        let mut arrived = std::mem::take(&mut self.scratch);
+        self.queues.events.swap(now, &mut arrived);
+        self.commit_batched(&arrived, now);
+        arrived.clear();
+        self.queues.credits.swap(now, &mut arrived);
+        for c in arrived.drain(..) {
             self.routers[c.node() - self.lo].accept_credit(c.port(), c.vc());
         }
-        self.scratch_credits = credits;
+        self.scratch = arrived;
 
         // 3. Active NICs inject (at most one flit per node per cycle). NIC
         //    bits were set by offers and credit returns before this point.
@@ -543,10 +542,10 @@ impl Shard {
                 self.routers[addr.node() - self.lo].reserve_flit(addr.port(), addr.vc(), flit);
             }
             for &e in &mail.events {
-                self.queues.send_event(mail.launched, e);
+                self.queues.events.send(mail.launched, e);
             }
             for &c in &mail.credits {
-                self.queues.send_credit(mail.launched, c);
+                self.queues.credits.send(mail.launched, c);
             }
             mail.clear();
         }
@@ -574,7 +573,7 @@ impl Shard {
     /// chaining pass buckets them by destination router, then each
     /// touched router commits its whole batch back-to-back and has its
     /// wake-up bit set once.
-    fn commit_batched(&mut self, events: &[ArrivalEvent], now: Cycle) {
+    fn commit_batched(&mut self, events: &[WireAddr], now: Cycle) {
         if self.batch_next.len() < events.len() {
             self.batch_next.resize(events.len(), NONE);
         }
@@ -970,7 +969,7 @@ impl Network {
                 // cycle's sync stage, so each hop costs the paper's 5
                 // (router) + 1 (link) cycles under PROUD. Credits ride the
                 // reverse wire in one cycle.
-                queues: DeliveryQueues::new(link_delay + 1, 1, n * ports),
+                queues: DeliveryQueues::new(link_delay + 1, n * ports),
                 neighbors,
                 router_active: ActiveSet::new(n),
                 nic_active: ActiveSet::new(n),
@@ -982,8 +981,7 @@ impl Network {
                 mail: Arc::clone(&mail),
                 steps: 0,
                 report: Report::with_capacity(n),
-                scratch_events: Vec::with_capacity(n * ports),
-                scratch_credits: Vec::with_capacity(n * ports),
+                scratch: Vec::with_capacity(n * ports),
                 batch_link: vec![(NONE, NONE); n],
                 batch_next: vec![NONE; n * ports],
                 batch_touched: Vec::with_capacity(n),
@@ -1036,9 +1034,6 @@ impl Network {
         assert_ne!(src, dest, "self-addressed message");
         assert!(length > 0, "empty message");
         let rec = self.ledger.messages.alloc(MessageRecord {
-            src,
-            dest,
-            length,
             measured,
             created_at: now,
             // Re-stamped when the head actually enters the router.

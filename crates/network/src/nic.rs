@@ -191,7 +191,7 @@ impl Nic {
 
     /// Messages generated but not yet fully streamed into the router
     /// (the ground truth behind the network's O(1) backlog counter).
-    #[cfg_attr(not(test), allow(dead_code))]
+    #[cfg(test)]
     pub fn backlog(&self) -> usize {
         self.source_queue.len() + self.lanes.iter().filter(|l| !l.is_drained()).count()
     }

@@ -428,7 +428,10 @@ impl ScenarioBuilder {
 
     // --- router ---
 
-    /// Replaces the whole router microarchitecture.
+    /// Replaces the whole router microarchitecture, except that
+    /// `SimConfig::build_network` overwrites its `escape_subclasses` for
+    /// every scenario with [`Algorithm::escape_vcs_needed`]`(..).max(1)`:
+    /// a value passed in is ignored.
     pub fn router(mut self, router: RouterConfig) -> Self {
         self.config.router = router;
         self
@@ -909,6 +912,42 @@ mod tests {
         }
         let err = small().link_delay(u64::MAX).build().unwrap_err();
         assert!(err.to_string().contains("at most 256 cycles"), "{err}");
+    }
+
+    #[test]
+    fn the_largest_link_delay_runs_end_to_end() {
+        // One single-flit message on an idle 8x8 mesh pays the link delay
+        // once per router on its `h`-hop path, ejection included: the
+        // largest delay ring adds exactly `MAX_LINK_DELAY * (h + 1)`
+        // cycles to the zero-delay latency.
+        let mesh = Mesh::mesh_2d(8, 8);
+        for hops in [1u16, 6] {
+            let dest = mesh.id_at(&[hops.div_ceil(2), hops / 2]).unwrap();
+            let event = lapses_traffic::TraceEvent {
+                cycle: 0,
+                src: 0,
+                dest: dest.0,
+                length: 1,
+            };
+            let trace = Arc::new(Trace::from_events(64, vec![event]).unwrap());
+            let latency = |delay| {
+                let result = Scenario::builder()
+                    .mesh_2d(8, 8)
+                    .trace(Arc::clone(&trace))
+                    .message_counts(0, 1)
+                    .link_delay(delay)
+                    .build()
+                    .unwrap()
+                    .run();
+                assert_eq!(result.messages, 1, "delivered at link delay {delay}");
+                result.avg_latency
+            };
+            assert_eq!(
+                latency(MAX_LINK_DELAY) - latency(0),
+                (MAX_LINK_DELAY * (u64::from(hops) + 1)) as f64,
+                "{hops} hops"
+            );
+        }
     }
 
     #[test]
